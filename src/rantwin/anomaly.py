@@ -12,6 +12,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -138,6 +139,20 @@ def extract_features(
     report: MeasurementReport, kpi: PredictedKpi, plan: AllocationPlan
 ) -> np.ndarray:
     """Pack the 8 classifier inputs in their frozen file-format order."""
+    return np.array(_feature_row(report, kpi, plan), dtype=np.float64)
+
+
+def feature_matrix(
+    reports: Sequence[MeasurementReport], kpis: Sequence[PredictedKpi], plan: AllocationPlan
+) -> np.ndarray:
+    """`extract_features` of every (report, kpi) pair, as one (n, 8) matrix."""
+    if len(kpis) != len(reports):
+        raise DomainError(f"{len(reports)} reports but {len(kpis)} kpis")
+    rows = [_feature_row(report, kpi, plan) for report, kpi in zip(reports, kpis)]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
+
+
+def _feature_row(report: MeasurementReport, kpi: PredictedKpi, plan: AllocationPlan) -> tuple:
     if kpi.ue_id != report.ue_id:
         raise DomainError(f"report ue {report.ue_id} does not match kpi ue {kpi.ue_id}")
     if plan.tick != report.tick:
@@ -145,20 +160,16 @@ def extract_features(
     total = plan.cell_totals.get(report.serving_cell)
     if total is None:
         raise DomainError(f"plan has no cell totals for cell {report.serving_cell}")
-    grant = plan.grants.get(report.ue_id, 0)
     ch = report.channel
-    return np.array(
-        [
-            ch.rsrp_dbm,
-            ch.rsrq_db,
-            ch.sinr_db,
-            float(ch.cqi),
-            report.achieved_mbps,
-            kpi.predicted_mbps,
-            grant / total,
-            float(report.priority),
-        ],
-        dtype=np.float64,
+    return (
+        ch.rsrp_dbm,
+        ch.rsrq_db,
+        ch.sinr_db,
+        float(ch.cqi),
+        report.achieved_mbps,
+        kpi.predicted_mbps,
+        plan.grants.get(report.ue_id, 0) / total,
+        float(report.priority),
     )
 
 

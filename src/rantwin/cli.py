@@ -291,7 +291,7 @@ def cmd_tsne(args) -> int:
         if not subset:
             raise ConfigurationError(f"{args.split} split is empty")
         x, _ = _standardized_arrays(subset, stats)
-        probs = np.stack([mlp.forward(model, row)[1] for row in x])
+        probs = mlp.forward_rows(model, x)
 
         config = evaluation.TsneConfig(
             perplexity=args.perplexity,

@@ -97,15 +97,39 @@ def _forward_batch(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np
     return activations, logits
 
 
+def _stacked_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Logits of shape (n, 1, classes) for an (n, inputs) matrix, row by row.
+
+    Each layer is a stacked (n, 1, d) @ (d, k) product, which numpy runs as n
+    single-row BLAS calls, so every row gets exactly the bits it would get
+    alone. A plain (n, d) @ (d, k) gemm blocks the reduction differently and
+    moves the last ulp of most probabilities, which would make inference
+    results, and the episode logs built from them, depend on the batch size.
+    """
+    if not np.isfinite(x).all():
+        raise DomainError("input contains non-finite values")
+    a = x[:, None, :]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.maximum(0.0, a @ w.T + b)
+    return a @ model.weights[-1].T + model.biases[-1]
+
+
+def forward_rows(model: MlpModel, x) -> np.ndarray:
+    """Class probabilities (n, classes) for an (n, inputs) matrix; each row
+    is bit-identical to `forward` on that row alone and sums to 1."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
+        raise DomainError(f"input must have shape (n, {model.layer_dims[0]}), got {x.shape}")
+    return _softmax(_stacked_logits(model, x))[:, 0, :]
+
+
 def forward(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Single-sample pass returning (logits, probs); probs sum to 1."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.layer_dims[0],):
         raise DomainError(f"input must have shape ({model.layer_dims[0]},), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise DomainError("input contains non-finite values")
-    _, logits = _forward_batch(model, x[None, :])
-    return logits[0], _softmax(logits)[0]
+    logits = _stacked_logits(model, x[None, :])[0, 0]
+    return logits, _softmax(logits)
 
 
 def predict(model: MlpModel, x) -> AnomalyClass:

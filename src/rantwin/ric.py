@@ -147,10 +147,11 @@ class _UeDebounce:
 class DtXapp:
     """The DT application hosted in the controller.
 
-    Per indication it runs the twin engine, classifies every UE from the
-    standardized feature vector, and emits one control action per confirmed
-    anomaly: a prediction must repeat for `confirm_ticks` consecutive ticks
-    to fire, and the UE must read Normal for `clear_ticks` ticks to re-arm.
+    Per indication it runs the twin engine, classifies every UE from its
+    standardized feature vector in one batched pass, and emits one control
+    action per confirmed anomaly: a prediction must repeat for
+    `confirm_ticks` consecutive ticks to fire, and the UE must read Normal
+    for `clear_ticks` ticks to re-arm.
     """
 
     def __init__(
@@ -182,15 +183,14 @@ class DtXapp:
         plan, kpis, _ = twin_engine.twin_tick(
             indication.reports, self.cells, self.link_params, weights
         )
-        kpi_by_ue = {k.ue_id: k for k in kpis}
+        x = anomaly.standardize(anomaly.feature_matrix(indication.reports, kpis, plan), self.stats)
+        probs = mlp.forward_rows(self.model, x)
+        codes = np.argmax(probs, axis=1).tolist()
         actions: list[ControlAction] = []
         detections: list[Detection] = []
-        for report in indication.reports:
-            features = anomaly.extract_features(report, kpi_by_ue[report.ue_id], plan)
-            _, probs = mlp.forward(self.model, anomaly.standardize(features, self.stats))
-            predicted = AnomalyClass(int(np.argmax(probs)))
+        for report, code, row in zip(indication.reports, codes, probs.tolist()):
             state = self._debounce.setdefault(report.ue_id, _UeDebounce())
-            if predicted == AnomalyClass.NORMAL:
+            if code == AnomalyClass.NORMAL:
                 state.streak_cls = None
                 state.streak_len = 0
                 state.normal_streak += 1
@@ -198,8 +198,9 @@ class DtXapp:
                     state.armed = True
                 continue
 
+            predicted = AnomalyClass(code)
             detections.append(
-                Detection(indication.tick, report.ue_id, predicted, tuple(float(p) for p in probs))
+                Detection(indication.tick, report.ue_id, predicted, tuple(row))
             )
             state.normal_streak = 0
             if predicted == state.streak_cls:

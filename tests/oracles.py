@@ -1,8 +1,9 @@
 """Independent reference computations shared by the unit and acceptance tests.
 
 Everything here deliberately avoids the code paths it checks: brute-force
-enumeration for the allocator, central finite differences for the gradients,
-and a literal threshold-table scan for the CQI mapping.
+enumeration and a linear scan for the allocator, central finite differences
+for the gradients, a literal threshold-table scan for the CQI mapping, and a
+per-UE loop of single-row (1, d) matmuls for the xApp's batched classifier.
 """
 
 import itertools
@@ -10,9 +11,12 @@ import math
 
 import numpy as np
 
-from rantwin.mlp import MlpModel, _loss_grads_arrays
+from rantwin.anomaly import AnomalyClass, extract_features, standardize
+from rantwin.mlp import MlpModel, _forward_batch, _loss_grads_arrays, _softmax
 from rantwin.radio_model import ChannelSample
 from rantwin.ran_sim import CellState, MeasurementReport
+from rantwin.ric import ControlAction, Detection, _UeDebounce
+from rantwin.twin_engine import per_prb_rate_mbps, twin_tick
 
 
 def mk_report(
@@ -74,6 +78,42 @@ def allocation_objective(grants, reports, params):
     return total
 
 
+def linear_scan_allocation(reports, cells, params, weights=None):
+    """Grants of the greedy allocator computed by scanning every UE of the
+    cell for every PRB; the strict `>` against a 0.0 start gives ties to the
+    lowest ue_id and never grants a UE with utility <= 0."""
+    totals = {c.cell_id: c.total_prbs for c in cells}
+    grants = {r.ue_id: 0 for r in reports}
+    by_cell = {}
+    for r in reports:
+        by_cell.setdefault(r.serving_cell, []).append(r)
+    for cell_id, cell_reports in by_cell.items():
+        remaining = {r.ue_id: r.demand_mbps for r in cell_reports}
+        rate = {
+            r.ue_id: per_prb_rate_mbps(r.channel.sinr_db, r.channel.cqi, params)
+            for r in cell_reports
+        }
+        weight = {}
+        for r in cell_reports:
+            w = float(r.priority)
+            if weights is not None and r.ue_id in weights:
+                w = float(weights[r.ue_id])
+            weight[r.ue_id] = w
+        ue_ids = sorted(remaining)
+        for _ in range(totals[cell_id]):
+            best_ue = -1
+            best_utility = 0.0
+            for ue_id in ue_ids:
+                utility = weight[ue_id] * min(rate[ue_id], remaining[ue_id])
+                if utility > best_utility:
+                    best_ue, best_utility = ue_id, utility
+            if best_ue < 0:
+                break
+            grants[best_ue] += 1
+            remaining[best_ue] = max(0.0, remaining[best_ue] - rate[best_ue])
+    return grants
+
+
 def brute_force_best_objective(reports, total_prbs, params):
     """Exhaustive search over all integer allocations of at most total_prbs."""
     n = len(reports)
@@ -124,3 +164,45 @@ def max_relative_error(analytic, numeric, floor=1e-8):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float((np.abs(a - n) / denom).max()))
     return worst
+
+
+def single_row_probs(model: MlpModel, x) -> np.ndarray:
+    """Class probabilities of one input row through plain (1, d) matmuls."""
+    _, logits = _forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
+    return _softmax(logits)[0]
+
+
+def per_ue_on_indication(xapp, indication, weights=None):
+    """DtXapp.on_indication as a per-UE loop: one feature vector, one
+    single-row classification and one debounce update per report."""
+    plan, kpis, _ = twin_tick(indication.reports, xapp.cells, xapp.link_params, weights)
+    kpi_by_ue = {k.ue_id: k for k in kpis}
+    actions = []
+    detections = []
+    for report in indication.reports:
+        features = extract_features(report, kpi_by_ue[report.ue_id], plan)
+        probs = single_row_probs(xapp.model, standardize(features, xapp.stats))
+        predicted = AnomalyClass(int(np.argmax(probs)))
+        state = xapp._debounce.setdefault(report.ue_id, _UeDebounce())
+        if predicted == AnomalyClass.NORMAL:
+            state.streak_cls = None
+            state.streak_len = 0
+            state.normal_streak += 1
+            if not state.armed and state.normal_streak >= xapp.clear_ticks:
+                state.armed = True
+            continue
+        detections.append(
+            Detection(indication.tick, report.ue_id, predicted, tuple(float(p) for p in probs))
+        )
+        state.normal_streak = 0
+        if predicted == state.streak_cls:
+            state.streak_len += 1
+        else:
+            state.streak_cls = predicted
+            state.streak_len = 1
+        if state.armed and state.streak_len >= xapp.confirm_ticks:
+            kind = xapp.policy.action_for(predicted, report)
+            if kind is not None:
+                actions.append(ControlAction(indication.tick, report.ue_id, kind, predicted))
+            state.armed = False
+    return plan, actions, detections

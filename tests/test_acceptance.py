@@ -14,7 +14,7 @@ import pytest
 
 from rantwin import anomaly, evaluation, mlp, ran_sim, ric, twin_engine
 from rantwin.anomaly import AnomalyClass
-from rantwin.cli import main
+from rantwin.cli import default_demo_schedule, main
 from rantwin.errors import ProtocolError
 
 from oracles import (
@@ -145,6 +145,35 @@ def test_criterion_4_near_rt_budget():
         median_ms = statistics.median(elapsed)
         print(f"  twin tick median {median_ms:.3f} ms over {len(elapsed)} ticks")
         assert median_ms < 10.0
+
+
+def test_criterion_10_full_tick_budget(artifacts):
+    with criterion(10, "full controller tick median < tick_ms over 1000 ticks "
+                       "(3 cells / 50 UEs, demo faults)"):
+        config = ran_sim.SimConfig()
+        model = mlp.load_model(artifacts["paths"]["model"])
+        stats = anomaly.read_stats_csv(artifacts["paths"]["stats"])
+        faults = {f.onset_tick: f for f in default_demo_schedule(config)}
+        state = ran_sim.init_sim(config)
+        bus = ric.MessageBus()
+        sub = bus.subscribe()
+        xapp = ric.DtXapp(model, stats, state.cells, config.link)
+        elapsed = []
+        for _ in range(1000):
+            fault = faults.get(state.tick + 1)
+            if fault is not None:
+                ran_sim.set_fault(state, fault.ue_id, fault.spec)
+            t0 = time.perf_counter()
+            state, reports, _ = ran_sim.step(state)
+            bus.publish(ric.Indication(tick=state.tick, reports=tuple(reports)))
+            plan, actions, _ = xapp.on_indication(sub.pop(), weights=ric.allocation_weights(state))
+            ran_sim.apply_allocation(state, plan, config.link)
+            for action in actions:
+                ric.apply_control(state, action)
+            elapsed.append((time.perf_counter() - t0) * 1e3)
+        median_ms = statistics.median(elapsed)
+        print(f"  full tick median {median_ms:.3f} ms over {len(elapsed)} ticks")
+        assert median_ms < config.tick_ms
 
 
 def test_criterion_5_closed_loop(artifacts):

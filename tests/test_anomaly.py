@@ -13,6 +13,7 @@ from rantwin.anomaly import (
     LabeledSample,
     default_fault_specs,
     extract_features,
+    feature_matrix,
     generate_dataset,
     inject_fault,
     split_dataset,
@@ -108,6 +109,29 @@ class TestExtractFeatures:
             extract_features(report, PredictedKpi(4, 2.4, 1.4), plan)
         with pytest.raises(DomainError):
             extract_features(report, kpi, AllocationPlan(8, {3: 5}, {0: 50}))
+
+    def test_matrix_rows_equal_single_extraction(self):
+        reports = [mk_report(ue_id=u, tick=9, rsrp=-80.0 - u, achieved=0.3 * u) for u in range(5)]
+        kpis = [PredictedKpi(u, 0.7 * u, 1.4) for u in range(5)]
+        plan = AllocationPlan(tick=9, grants={0: 3, 2: 9, 4: 1}, cell_totals={0: 50})
+        x = feature_matrix(reports, kpis, plan)
+        assert x.shape == (5, 8)
+        for row, report, kpi in zip(x, reports, kpis):
+            assert np.array_equal(row, extract_features(report, kpi, plan))
+        assert feature_matrix([], [], plan).shape == (0, 8)
+
+    def test_matrix_checks_every_report(self):
+        report, kpi, plan = self._triple()
+        good = (report, kpi)
+        for bad in (
+            (report, PredictedKpi(4, 2.4, 1.4)),
+            (replace(report, tick=8), kpi),
+            (replace(report, serving_cell=1), kpi),
+        ):
+            with pytest.raises(DomainError):
+                feature_matrix([good[0], bad[0]], [good[1], bad[1]], plan)
+        with pytest.raises(DomainError):
+            feature_matrix([report, report], [kpi], plan)
 
 
 class TestGenerateDataset:

@@ -9,6 +9,7 @@ from rantwin.errors import ConfigurationError, DataFormatError, DomainError, Tra
 from rantwin.mlp import (
     TrainConfig,
     forward,
+    forward_rows,
     init_model,
     load_model,
     loss_and_grads,
@@ -19,7 +20,7 @@ from rantwin.mlp import (
     train,
 )
 
-from oracles import finite_difference_grads, max_relative_error
+from oracles import finite_difference_grads, max_relative_error, single_row_probs
 
 
 def zero_model(hidden=()):
@@ -96,6 +97,42 @@ class TestForward:
             forward(model, np.zeros(7))
         with pytest.raises(DomainError):
             forward(model, np.array([np.nan] + [0.0] * 7))
+
+
+class TestForwardRows:
+    def _models(self):
+        models = []
+        for seed, hidden in ((1, [16, 16]), (2, [32]), (3, []), (4, [24, 12, 6])):
+            model = init_model(hidden, seed=seed)
+            rng = np.random.default_rng(seed)
+            for b in model.biases:
+                b[:] = rng.normal(0.0, 0.5, size=b.shape)
+            models.append(model)
+        return models
+
+    def test_bit_identical_to_single_row(self):
+        rng = np.random.default_rng(5)
+        for model in self._models():
+            for n in (1, 50, 1000):
+                x = rng.normal(0.0, 3.0, size=(n, 8))
+                probs = forward_rows(model, x)
+                assert probs.shape == (n, 4)
+                assert np.array_equal(probs, np.stack([single_row_probs(model, r) for r in x]))
+                assert np.array_equal(probs[:20], np.stack([forward(model, r)[1] for r in x[:20]]))
+
+    def test_empty_batch(self):
+        assert forward_rows(zero_model([16]), np.zeros((0, 8))).shape == (0, 4)
+
+    def test_bad_input_rejected(self):
+        model = zero_model()
+        for bad in (np.zeros((3, 7)), np.zeros(8), np.zeros((2, 8, 1))):
+            with pytest.raises(DomainError):
+                forward_rows(model, bad)
+        for value in (np.nan, np.inf, -np.inf):
+            x = np.zeros((4, 8))
+            x[2, 5] = value
+            with pytest.raises(DomainError):
+                forward_rows(model, x)
 
 
 class TestLossAndGrads:

@@ -18,7 +18,7 @@ from rantwin.ric import (
     closed_loop_run,
 )
 
-from oracles import mk_cell, mk_report
+from oracles import linear_scan_allocation, mk_cell, mk_report, per_ue_on_indication
 
 LINK = SimConfig().link
 
@@ -169,6 +169,43 @@ class TestDtXapp:
             DtXapp(None, unit_stats(), [mk_cell()], LINK)
         with pytest.raises(ConfigurationError):
             DtXapp(constant_model(None), None, [mk_cell()], LINK)
+
+
+class TestBatchedXapp:
+    def test_matches_per_ue_loop(self, pipeline):
+        # the batched tick must reproduce the per-UE loop bit for bit:
+        # probabilities, detections, actions and grants
+        config = SimConfig(n_ticks=120, seed=12)
+        specs = anomaly.default_fault_specs(duration_ticks=40)
+        faults = {
+            10: (5, specs[AnomalyClass.RSRP_ERROR]),
+            30: (17, specs[AnomalyClass.RSRQ_ERROR]),
+            50: (29, specs[AnomalyClass.SINR_ERROR]),
+        }
+        state = ran_sim.init_sim(config)
+        batched = DtXapp(pipeline["model"], pipeline["stats"], state.cells, config.link)
+        looped = DtXapp(pipeline["model"], pipeline["stats"], state.cells, config.link)
+        n_detections = n_actions = 0
+        for _ in range(config.n_ticks):
+            if state.tick + 1 in faults:
+                ran_sim.set_fault(state, *faults[state.tick + 1])
+            state, reports, _ = ran_sim.step(state)
+            indication = Indication(tick=state.tick, reports=tuple(reports))
+            weights = allocation_weights(state)
+            plan, actions, detections = batched.on_indication(indication, weights)
+            ref_plan, ref_actions, ref_detections = per_ue_on_indication(
+                looped, indication, weights
+            )
+            assert detections == ref_detections
+            assert actions == ref_actions
+            assert plan.grants == ref_plan.grants
+            assert plan.grants == linear_scan_allocation(reports, state.cells, config.link, weights)
+            ran_sim.apply_allocation(state, plan, config.link)
+            for action in actions:
+                apply_control(state, action)
+            n_detections += len(detections)
+            n_actions += len(actions)
+        assert n_detections > 0 and n_actions > 0
 
 
 class TestApplyControl:

@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from rantwin import twin_engine
+from rantwin import radio_model, twin_engine
 from rantwin.errors import DomainError
 from rantwin.radio_model import LinkBudgetParams
 from rantwin.twin_engine import allocate_prbs, predict_throughput, twin_tick
 
-from oracles import allocation_objective, brute_force_best_objective, mk_cell, mk_report
+from oracles import (
+    allocation_objective,
+    brute_force_best_objective,
+    linear_scan_allocation,
+    mk_cell,
+    mk_report,
+)
 
 PARAMS = LinkBudgetParams()
 
@@ -79,6 +85,80 @@ class TestAllocatePrbs:
         reports = [mk_report(ue_id=0, cqi=0, sinr=-20.0, demand=5.0)]
         plan = allocate_prbs(reports, [mk_cell(total_prbs=10)], PARAMS)
         assert plan.grants[0] == 0
+
+    def test_duplicate_ue_rejected(self):
+        # two reports for one UE would otherwise both enter the cell's heap
+        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        reports = [
+            mk_report(ue_id=0, cqi=15, sinr=30.0, demand=per_prb),
+            mk_report(ue_id=1, cqi=15, sinr=30.0, demand=20 * per_prb),
+            mk_report(ue_id=0, cqi=15, sinr=30.0, demand=per_prb),
+        ]
+        with pytest.raises(DomainError, match="ue 0"):
+            allocate_prbs(reports, [mk_cell(total_prbs=10)], PARAMS)
+        cells = [mk_cell(cell_id=0), mk_cell(cell_id=1)]
+        with pytest.raises(DomainError, match="ue 4"):
+            allocate_prbs([mk_report(ue_id=4, cell_id=0), mk_report(ue_id=4, cell_id=1)],
+                          cells, PARAMS)
+
+
+def _oracle_instance(rng):
+    """Multi-cell instance mixing shared profiles (equal utilities), zero
+    demand, zero and negative weight overrides and spare PRBs."""
+    n_cells = int(rng.integers(1, 4))
+    cells = [mk_cell(cell_id=c, total_prbs=int(rng.integers(1, 40))) for c in range(n_cells)]
+    profiles = [
+        (float(rng.uniform(-10, 30)), int(rng.integers(0, 16)),
+         float(rng.uniform(0, 4)), int(rng.integers(1, 5)))
+        for _ in range(2)
+    ]
+    demand_scale = float(rng.choice([0.2, 1.0, 5.0]))
+    reports = []
+    for ue_id in rng.permutation(60)[: int(rng.integers(1, 25))].tolist():
+        if rng.random() < 0.4:
+            sinr, cqi, demand, priority = profiles[int(rng.integers(0, 2))]
+        else:
+            sinr, cqi = float(rng.uniform(-10, 30)), int(rng.integers(0, 16))
+            demand = 0.0 if rng.random() < 0.1 else float(rng.uniform(0, demand_scale))
+            priority = int(rng.integers(1, 5))
+        reports.append(mk_report(ue_id=ue_id, cell_id=int(rng.integers(0, n_cells)),
+                                 sinr=sinr, cqi=cqi, demand=demand, priority=priority))
+    weights = None
+    if rng.random() < 0.5:
+        weights = {
+            r.ue_id: float(rng.choice([0.0, -1.0, 0.5, 3.0]))
+            for r in reports if rng.random() < 0.4
+        }
+    return reports, cells, weights
+
+
+class TestHeapMatchesLinearScan:
+    def test_random_multi_cell_instances(self):
+        rng = np.random.default_rng(21)
+        covered = dict.fromkeys(("tie", "zero_demand", "nonpositive_weight", "spare_prbs"), 0)
+        for _ in range(300):
+            reports, cells, weights = _oracle_instance(rng)
+            plan = allocate_prbs(reports, cells, PARAMS, weights)
+            assert plan.grants == linear_scan_allocation(reports, cells, PARAMS, weights)
+
+            keys = [(r.serving_cell, r.channel.sinr_db, r.channel.cqi, r.demand_mbps,
+                     (weights or {}).get(r.ue_id, r.priority)) for r in reports]
+            covered["tie"] += len(set(keys)) < len(keys)
+            covered["zero_demand"] += any(r.demand_mbps == 0.0 for r in reports)
+            covered["nonpositive_weight"] += any(w <= 0.0 for w in (weights or {}).values())
+            for cell in cells:
+                used = sum(plan.grants[r.ue_id] for r in reports if r.serving_cell == cell.cell_id)
+                covered["spare_prbs"] += used < cell.total_prbs
+        assert all(count > 0 for count in covered.values()), covered
+
+    def test_ties_go_to_lowest_ue_id(self):
+        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        reports = [
+            mk_report(ue_id=u, cqi=15, sinr=30.0, demand=2 * per_prb) for u in (9, 4, 7, 2)
+        ]
+        plan = allocate_prbs(reports, [mk_cell(total_prbs=5)], PARAMS)
+        assert plan.grants == {9: 0, 4: 2, 7: 1, 2: 2}
+        assert plan.grants == linear_scan_allocation(reports, [mk_cell(total_prbs=5)], PARAMS)
 
 
 def _random_instance(rng, max_ues=3, max_prbs=12):
@@ -175,6 +255,17 @@ class TestTwinTick:
         plan, kpis, _ = twin_tick(reports, [mk_cell(total_prbs=20)], PARAMS)
         assert len(kpis) == len(reports)
         assert [k.ue_id for k in kpis] == [r.ue_id for r in reports]
+
+    def test_kpis_match_predict_throughput(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            reports, cells, weights = _oracle_instance(rng)
+            plan, kpis, _ = twin_tick(reports, cells, PARAMS, weights)
+            for report, kpi in zip(reports, kpis):
+                sinr, cqi = report.channel.sinr_db, report.channel.cqi
+                grant = plan.grants[report.ue_id]
+                assert kpi.predicted_mbps == predict_throughput(grant, sinr, cqi, PARAMS)
+                assert kpi.spectral_efficiency == radio_model.spectral_efficiency_bps_hz(sinr, cqi)
 
     def test_weight_override_changes_allocation(self):
         per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
