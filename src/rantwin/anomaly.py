@@ -18,6 +18,7 @@ import numpy as np
 
 from . import radio_model, ran_sim, twin_engine
 from .errors import ConfigurationError, DataFormatError, DomainError
+from .radio_model import ChannelSample
 from .ran_sim import MeasurementReport, SimConfig
 from .twin_engine import AllocationPlan, PredictedKpi
 
@@ -86,25 +87,23 @@ def default_fault_specs(duration_ticks: int = 50) -> dict[AnomalyClass, FaultSpe
 
 
 def inject_fault(
-    report: MeasurementReport, spec: FaultSpec, rng: np.random.Generator
-) -> MeasurementReport:
+    channel: ChannelSample, spec: FaultSpec, rng: np.random.Generator
+) -> ChannelSample:
     """Corrupt exactly the measurement family owned by the fault class.
 
     SINR corruption also recomputes the CQI, because the CQI report follows
     the (corrupted) SINR estimate. Draws exactly one jitter sample.
     """
     delta = spec.offset_db + float(rng.uniform(-spec.jitter_db, spec.jitter_db))
-    ch = report.channel
     if spec.cls == AnomalyClass.RSRP_ERROR:
-        new_ch = replace(ch, rsrp_dbm=ch.rsrp_dbm + delta)
-    elif spec.cls == AnomalyClass.RSRQ_ERROR:
-        new_ch = replace(ch, rsrq_db=min(0.0, ch.rsrq_db + delta))
-    elif spec.cls == AnomalyClass.SINR_ERROR:
-        corrupted = ch.sinr_db + delta
-        new_ch = replace(ch, sinr_db=corrupted, cqi=radio_model.cqi_from_sinr(corrupted))
-    else:  # pragma: no cover - FaultSpec forbids NORMAL
-        raise DomainError("cannot inject a Normal fault")
-    return replace(report, channel=new_ch)
+        return replace(channel, rsrp_dbm=channel.rsrp_dbm + delta)
+    if spec.cls == AnomalyClass.RSRQ_ERROR:
+        return replace(channel, rsrq_db=min(0.0, channel.rsrq_db + delta))
+    if spec.cls == AnomalyClass.SINR_ERROR:
+        corrupted = channel.sinr_db + delta
+        return replace(channel, sinr_db=corrupted, cqi=radio_model.cqi_from_sinr(corrupted))
+    # FaultSpec forbids NORMAL
+    raise DomainError("cannot inject a Normal fault")  # pragma: no cover
 
 
 @dataclass(frozen=True)

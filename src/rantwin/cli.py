@@ -56,7 +56,8 @@ def _sha256(path: Path) -> str:
 
 
 class Manifest:
-    """Collects run metadata and writes it as JSON, even when the run fails."""
+    """Collects run metadata. As a context manager it writes it as JSON on
+    exit, also when the run fails; the error is then recorded and re-raised."""
 
     def __init__(self, path: Path, command: str, config: dict, seeds: dict, inputs: list):
         self.path = Path(path)
@@ -68,6 +69,14 @@ class Manifest:
         self.timings_s: dict[str, float] = {}
         self.error: str | None = None
         self._t0 = time.perf_counter()
+
+    def __enter__(self) -> "Manifest":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc is not None:
+            self.error = f"{type(exc).__name__}: {exc}"
+        self.write()
 
     def add_output(self, path) -> None:
         self.output_paths.append(str(path))
@@ -106,10 +115,6 @@ def _load_config(path: str | None) -> ran_sim.SimConfig:
     return ran_sim.load_sim_config(_require_file(path, "config"))
 
 
-def _split_samples(samples, train_fraction: float, split_seed: int):
-    return anomaly.split_dataset(samples, train_fraction, split_seed)
-
-
 def _standardized_arrays(samples: list[LabeledSample], stats: FeatureStats):
     x = np.stack([anomaly.standardize(s.features, stats) for s in samples])
     y = np.array([int(s.label) for s in samples], dtype=np.int64)
@@ -117,14 +122,13 @@ def _standardized_arrays(samples: list[LabeledSample], stats: FeatureStats):
 
 
 def cmd_gen_dataset(args) -> int:
-    manifest = Manifest(
+    with Manifest(
         Path(args.out).with_suffix(Path(args.out).suffix + ".manifest.json"),
         "gen-dataset",
         {"n_samples": args.n_samples, "class_mix": args.class_mix},
         {"dataset_seed": args.seed},
         [p for p in [args.config] if p],
-    )
-    try:
+    ) as manifest:
         if args.n_samples <= 0:
             raise ConfigurationError("n_samples must be positive")
         config = _load_config(args.config)
@@ -138,16 +142,11 @@ def cmd_gen_dataset(args) -> int:
         manifest.add_output(args.out)
         counts = {CLASS_NAMES[c]: sum(1 for s in samples if s.label == c) for c in AnomalyClass}
         print(f"wrote {len(samples)} samples to {args.out} (class counts: {counts})")
-    except BaseException as e:
-        manifest.error = f"{type(e).__name__}: {e}"
-        raise
-    finally:
-        manifest.write()
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    manifest = Manifest(
+    with Manifest(
         Path(args.model_out).with_suffix(Path(args.model_out).suffix + ".manifest.json"),
         "train",
         {
@@ -160,8 +159,7 @@ def cmd_train(args) -> int:
         {"split_seed": args.split_seed, "train_seed": args.train_seed,
          "init_seed": args.train_seed},
         [args.dataset],
-    )
-    try:
+    ) as manifest:
         try:
             hidden = [int(v) for v in args.hidden.split(",") if v.strip()] if args.hidden else []
         except ValueError as e:
@@ -173,7 +171,7 @@ def cmd_train(args) -> int:
             seed=args.train_seed,
         )
         samples = anomaly.read_dataset_csv(_require_file(args.dataset, "dataset"))
-        train_set, test_set = _split_samples(samples, args.train_fraction, args.split_seed)
+        train_set, test_set = anomaly.split_dataset(samples, args.train_fraction, args.split_seed)
         if not train_set or not test_set:
             raise ConfigurationError("split produced an empty train or test side")
         stats = FeatureStats.from_samples(train_set)
@@ -199,31 +197,25 @@ def cmd_train(args) -> int:
             f"(test {len(test_set)}); final test accuracy {report.test_accuracy[-1]:.4f}; "
             f"model digest {report.final_model_hash}"
         )
-    except BaseException as e:
-        manifest.error = f"{type(e).__name__}: {e}"
-        raise
-    finally:
-        manifest.write()
     return EXIT_OK
 
 
 def _select_split(samples, which: str, train_fraction: float, split_seed: int):
     if which == "all":
         return samples
-    train_set, test_set = _split_samples(samples, train_fraction, split_seed)
+    train_set, test_set = anomaly.split_dataset(samples, train_fraction, split_seed)
     return train_set if which == "train" else test_set
 
 
 def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
-    manifest = Manifest(
+    with Manifest(
         out_dir / "eval.manifest.json",
         "eval",
         {"split": args.split, "train_fraction": args.train_fraction},
         {"split_seed": args.split_seed},
         [args.model, args.stats, args.dataset],
-    )
-    try:
+    ) as manifest:
         model = mlp.load_model(_require_file(args.model, "model"))
         stats = anomaly.read_stats_csv(_require_file(args.stats, "stats"))
         samples = anomaly.read_dataset_csv(_require_file(args.dataset, "dataset"))
@@ -261,16 +253,11 @@ def cmd_eval(args) -> int:
                     f"{test_acc:.4f}",
                     file=sys.stderr,
                 )
-    except BaseException as e:
-        manifest.error = f"{type(e).__name__}: {e}"
-        raise
-    finally:
-        manifest.write()
     return EXIT_OK
 
 
 def cmd_tsne(args) -> int:
-    manifest = Manifest(
+    with Manifest(
         Path(args.out).with_suffix(Path(args.out).suffix + ".manifest.json"),
         "tsne",
         {
@@ -282,8 +269,7 @@ def cmd_tsne(args) -> int:
         },
         {"split_seed": args.split_seed, "tsne_seed": args.seed},
         [args.model, args.stats, args.dataset],
-    )
-    try:
+    ) as manifest:
         model = mlp.load_model(_require_file(args.model, "model"))
         stats = anomaly.read_stats_csv(_require_file(args.stats, "stats"))
         samples = anomaly.read_dataset_csv(_require_file(args.dataset, "dataset"))
@@ -315,11 +301,6 @@ def cmd_tsne(args) -> int:
             f"KL {embedding.initial_kl:.4f} -> {embedding.final_kl:.4f}; "
             f"silhouette {score:.4f}"
         )
-    except BaseException as e:
-        manifest.error = f"{type(e).__name__}: {e}"
-        raise
-    finally:
-        manifest.write()
     return EXIT_OK
 
 
@@ -365,34 +346,36 @@ def load_schedule(path) -> list[ric.ScheduledFault]:
             raise ConfigurationError(
                 f"schedule fault #{i}: expected exactly the keys {sorted(required)}"
             )
-        cls = _parse_class(entry["class"])
-        if cls == AnomalyClass.NORMAL:
-            raise ConfigurationError(f"schedule fault #{i}: class must be an error class")
-        schedule.append(
-            ric.ScheduledFault(
-                onset_tick=int(entry["onset_tick"]),
-                ue_id=int(entry["ue_id"]),
-                spec=FaultSpec(
-                    cls=cls,
-                    offset_db=float(entry["offset_db"]),
-                    jitter_db=float(entry["jitter_db"]),
-                    duration_ticks=int(entry["duration_ticks"]),
-                ),
+        try:
+            cls = _parse_class(entry["class"])
+            if cls == AnomalyClass.NORMAL:
+                raise ConfigurationError("class must be an error class")
+            schedule.append(
+                ric.ScheduledFault(
+                    onset_tick=int(entry["onset_tick"]),
+                    ue_id=int(entry["ue_id"]),
+                    spec=FaultSpec(
+                        cls=cls,
+                        offset_db=float(entry["offset_db"]),
+                        jitter_db=float(entry["jitter_db"]),
+                        duration_ticks=int(entry["duration_ticks"]),
+                    ),
+                )
             )
-        )
+        except (ConfigurationError, DomainError, TypeError, ValueError) as e:
+            raise ConfigurationError(f"schedule fault #{i}: {e}") from e
     return schedule
 
 
 def cmd_closed_loop(args) -> int:
     out_dir = Path(args.out_dir)
-    manifest = Manifest(
+    with Manifest(
         out_dir / "closed-loop.manifest.json",
         "closed-loop",
         {},
         {},
         [p for p in [args.config, args.model, args.stats, args.schedule] if p],
-    )
-    try:
+    ) as manifest:
         config = _load_config(args.config)
         manifest.config["sim"] = ran_sim.sim_config_to_dict(config)
         manifest.seeds["sim_seed"] = config.seed
@@ -429,11 +412,6 @@ def cmd_closed_loop(args) -> int:
                 f"detection {'-' if det is None else f'{det} ticks'}, "
                 f"restoration {'-' if rest is None else f'{rest} ticks'}"
             )
-    except BaseException as e:
-        manifest.error = f"{type(e).__name__}: {e}"
-        raise
-    finally:
-        manifest.write()
     return EXIT_OK
 
 

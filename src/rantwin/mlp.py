@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anomaly import AnomalyClass, N_CLASSES, N_FEATURES
+from .anomaly import N_CLASSES, N_FEATURES
 from .errors import ConfigurationError, DataFormatError, DomainError, TrainingError
 
 MODEL_MAGIC = "RANTWIN-MLP v1"
@@ -21,9 +21,6 @@ class MlpModel:
     layer_dims: list[int]
     weights: list[np.ndarray]  # weights[l] has shape (dims[l+1], dims[l])
     biases: list[np.ndarray]
-
-    def n_parameters(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
 
 @dataclass(frozen=True)
@@ -132,12 +129,6 @@ def forward(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
     return logits, _softmax(logits)
 
 
-def predict(model: MlpModel, x) -> AnomalyClass:
-    """Argmax class; exact ties resolve to the lowest class code."""
-    _, probs = forward(model, x)
-    return AnomalyClass(int(np.argmax(probs)))
-
-
 def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     _, logits = _forward_batch(model, np.asarray(x, dtype=np.float64))
     return np.argmax(_softmax(logits), axis=1)
@@ -165,7 +156,9 @@ def _loss_grads_arrays(
     return loss, grad_w, grad_b
 
 
-def _as_arrays(batch) -> tuple[np.ndarray, np.ndarray]:
+def _as_arrays(batch, what: str = "batch") -> tuple[np.ndarray, np.ndarray]:
+    if len(batch) == 0:
+        raise DomainError(f"{what} must be non-empty")
     xs, ys = [], []
     for features, label in batch:
         xs.append(np.asarray(features, dtype=np.float64))
@@ -180,8 +173,6 @@ def _as_arrays(batch) -> tuple[np.ndarray, np.ndarray]:
 
 def loss_and_grads(model: MlpModel, batch) -> tuple[float, dict]:
     """Mean cross-entropy and its gradients for a batch of (x, label) pairs."""
-    if len(batch) == 0:
-        raise DomainError("batch must be non-empty")
     x, y = _as_arrays(batch)
     loss, grad_w, grad_b = _loss_grads_arrays(model, x, y)
     return loss, {"weights": grad_w, "biases": grad_b}
@@ -195,8 +186,8 @@ def train(
     Raises TrainingError on non-finite loss (naming the epoch) or when the
     full-dataset loss fails to decrease over the run.
     """
-    x_train, y_train = _as_arrays(train_samples)
-    x_test, y_test = _as_arrays(test_samples)
+    x_train, y_train = _as_arrays(train_samples, "train set")
+    x_test, y_test = _as_arrays(test_samples, "test set")
     n = x_train.shape[0]
     rng = np.random.default_rng(config.seed)
 

@@ -115,14 +115,12 @@ def sinr_db(serving_mw: float, interferers_mw, noise_mw: float) -> float:
     return 10.0 * math.log10(serving_mw / total)
 
 
-def rsrq_db(rsrp_mw_per_re: float, total_rx_mw_per_re: float, n_prb: int) -> float:
+def rsrq_db(rsrp_mw_per_re: float, total_rx_mw_per_re: float) -> float:
     """Serving/total power ratio per RE, dB. <= 0 by power accounting.
 
-    The per-RE normalization makes the PRB count cancel; n_prb stays in the
-    signature for interface stability and is only validated.
+    Both powers are per RE, so the PRB count of the measurement bandwidth
+    cancels and takes no part.
     """
-    if n_prb < 1:
-        raise DomainError(f"n_prb must be >= 1, got {n_prb}")
     if rsrp_mw_per_re <= 0 or total_rx_mw_per_re <= 0:
         raise DomainError("powers must be > 0")
     if total_rx_mw_per_re < rsrp_mw_per_re:

@@ -89,7 +89,7 @@ class CellState:
     total_prbs: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActiveFault:
     """A fault attached to a UE; corrupts its reports while tick <= until_tick."""
 
@@ -131,10 +131,6 @@ class MeasurementReport:
 class TickKpis:
     tick: int
     n_handovers: int
-    mean_rsrp_dbm: float
-    mean_sinr_db: float
-    total_demand_mbps: float
-    total_achieved_mbps: float
 
 
 @dataclass
@@ -148,18 +144,7 @@ class SimState:
     def clone(self) -> "SimState":
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = self.rng.bit_generator.state
-        ues = [
-            replace(
-                ue,
-                shadowing_db=dict(ue.shadowing_db),
-                active_fault=(
-                    ActiveFault(ue.active_fault.spec, ue.active_fault.until_tick)
-                    if ue.active_fault is not None
-                    else None
-                ),
-            )
-            for ue in self.ues
-        ]
+        ues = [replace(ue, shadowing_db=dict(ue.shadowing_db)) for ue in self.ues]
         return SimState(self.config, self.tick, list(self.cells), ues, rng)
 
     def ue(self, ue_id: int) -> UeState:
@@ -301,7 +286,8 @@ def step(state: SimState) -> tuple[SimState, list[MeasurementReport], TickKpis]:
     """Advance one tick. The input state is left untouched.
 
     Stage order: mobility, shadowing, reselection, channel sampling, fault
-    corruption, traffic resampling, report emission.
+    corruption of the reported channel, traffic resampling, report emission.
+    A fault never touches `ue.last_channel`, the true channel.
     """
     from .anomaly import inject_fault  # deferred: anomaly drives this simulator
 
@@ -341,9 +327,8 @@ def step(state: SimState) -> tuple[SimState, list[MeasurementReport], TickKpis]:
 
     # (3) serving-cell reselection, (4) channel sampling
     n_handovers = 0
-    reports: list[MeasurementReport] = []
-    sum_rsrp = 0.0
-    sum_sinr = 0.0
+    channels: list[ChannelSample] = []
+    neighbors: list[dict[int, float]] = []
     for ue in new.ues:
         rsrp_by_cell = _rsrp_map(ue.position, ue.shadowing_db, new.cells, link)
         chosen = select_serving_cell(ue, rsrp_by_cell, cfg.hysteresis_db)
@@ -362,52 +347,41 @@ def step(state: SimState) -> tuple[SimState, list[MeasurementReport], TickKpis]:
         channel = ChannelSample(
             rsrp_dbm=rsrp_by_cell[ue.serving_cell],
             rssi_dbm=radio_model.mw_to_dbm(total_mw),
-            rsrq_db=radio_model.rsrq_db(serving_mw, total_mw, new.cell(ue.serving_cell).total_prbs),
+            rsrq_db=radio_model.rsrq_db(serving_mw, total_mw),
             sinr_db=sinr,
             cqi=radio_model.cqi_from_sinr(sinr),
         )
         ue.last_channel = channel
-        sum_rsrp += channel.rsrp_dbm
-        sum_sinr += channel.sinr_db
+        channels.append(channel)
+        neighbors.append({cid: r for cid, r in rsrp_by_cell.items() if cid != ue.serving_cell})
+
+    # (5) fault corruption of the reported channel
+    for i, ue in enumerate(new.ues):
+        if ue.active_fault is not None:
+            if new.tick <= ue.active_fault.until_tick:
+                channels[i] = inject_fault(channels[i], ue.active_fault.spec, rng)
+            if new.tick >= ue.active_fault.until_tick:
+                ue.active_fault = None
+
+    # (6) traffic demand resampling, (7) report emission
+    reports = []
+    for ue, channel, neighbor_rsrp in zip(new.ues, channels, neighbors):
+        ue.demand_mbps = float(
+            rng.exponential(cfg.traffic.mean_demand_mbps[ue.traffic_priority - 1])
+        )
         reports.append(
             MeasurementReport(
                 tick=new.tick,
                 ue_id=ue.ue_id,
                 serving_cell=ue.serving_cell,
                 channel=channel,
-                neighbor_rsrp_dbm={
-                    cid: r for cid, r in rsrp_by_cell.items() if cid != ue.serving_cell
-                },
+                neighbor_rsrp_dbm=neighbor_rsrp,
                 demand_mbps=ue.demand_mbps,
                 priority=ue.traffic_priority,
                 achieved_mbps=ue.achieved_mbps,
             )
         )
-
-    # (5) fault corruption
-    for i, ue in enumerate(new.ues):
-        if ue.active_fault is not None:
-            if new.tick <= ue.active_fault.until_tick:
-                reports[i] = inject_fault(reports[i], ue.active_fault.spec, rng)
-            if new.tick >= ue.active_fault.until_tick:
-                ue.active_fault = None
-
-    # (6) traffic demand resampling
-    for i, ue in enumerate(new.ues):
-        ue.demand_mbps = float(
-            rng.exponential(cfg.traffic.mean_demand_mbps[ue.traffic_priority - 1])
-        )
-        reports[i] = replace(reports[i], demand_mbps=ue.demand_mbps)
-
-    kpis = TickKpis(
-        tick=new.tick,
-        n_handovers=n_handovers,
-        mean_rsrp_dbm=sum_rsrp / len(new.ues),
-        mean_sinr_db=sum_sinr / len(new.ues),
-        total_demand_mbps=sum(ue.demand_mbps for ue in new.ues),
-        total_achieved_mbps=sum(ue.achieved_mbps for ue in new.ues),
-    )
-    return new, reports, kpis
+    return new, reports, TickKpis(tick=new.tick, n_handovers=n_handovers)
 
 
 def apply_allocation(state: SimState, plan: "AllocationPlan", link: LinkBudgetParams) -> None:
@@ -468,16 +442,18 @@ def sim_config_from_dict(data: dict) -> SimConfig:
     defaults = sim_config_to_dict(SimConfig())
     _check_keys(data, defaults, "config")
     merged = {**defaults, **data}
+
+    def section(name: str) -> dict:
+        given = merged[name]
+        if not isinstance(given, dict):
+            raise ConfigurationError(f"config.{name} must be a JSON object")
+        _check_keys(given, defaults[name], f"config.{name}")
+        return {**defaults[name], **given}
+
     try:
-        link_in = merged["link"] if isinstance(merged["link"], dict) else {}
-        _check_keys(link_in, defaults["link"], "config.link")
-        link = LinkBudgetParams(**{**defaults["link"], **link_in})
-        mob_in = merged["mobility"] if isinstance(merged["mobility"], dict) else {}
-        _check_keys(mob_in, defaults["mobility"], "config.mobility")
-        mobility = MobilityConfig(**{**defaults["mobility"], **mob_in})
-        traffic_in = merged["traffic"] if isinstance(merged["traffic"], dict) else {}
-        _check_keys(traffic_in, defaults["traffic"], "config.traffic")
-        means = {**defaults["traffic"], **traffic_in}["mean_demand_mbps"]
+        link = LinkBudgetParams(**section("link"))
+        mobility = MobilityConfig(**section("mobility"))
+        means = section("traffic")["mean_demand_mbps"]
         traffic = TrafficConfig(mean_demand_mbps=tuple(float(v) for v in means))
         return SimConfig(
             n_cells=int(merged["n_cells"]),
@@ -526,9 +502,3 @@ def report_to_dict(report: MeasurementReport) -> dict:
         "priority": report.priority,
         "achieved_mbps": report.achieved_mbps,
     }
-
-
-def write_reports_jsonl(reports, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for report in reports:
-            fh.write(json.dumps(report_to_dict(report), sort_keys=True) + "\n")

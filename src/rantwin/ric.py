@@ -62,18 +62,10 @@ class BusSubscription:
     def _push(self, indication: Indication) -> None:
         self._queue.append(indication)
 
-    def pending(self) -> int:
-        return len(self._queue)
-
     def pop(self) -> Indication:
         if not self._queue:
             raise ProtocolError("no indication pending")
         return self._queue.popleft()
-
-    def drain(self) -> list[Indication]:
-        out = list(self._queue)
-        self._queue.clear()
-        return out
 
 
 class MessageBus:

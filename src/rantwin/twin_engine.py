@@ -45,15 +45,6 @@ def per_prb_rate_mbps(sinr_db: float, cqi: int, params: LinkBudgetParams) -> flo
     return _prb_rate_mbps(radio_model.spectral_efficiency_bps_hz(sinr_db, cqi), params)
 
 
-def predict_throughput(grant: int, sinr_db: float, cqi: int, params: LinkBudgetParams) -> float:
-    """Expected rate for a grant at the reported channel quality, Mbps."""
-    if grant < 0:
-        raise DomainError(f"grant must be >= 0, got {grant}")
-    if grant == 0:
-        return 0.0
-    return grant * per_prb_rate_mbps(sinr_db, cqi, params)
-
-
 def allocate_prbs(
     reports: Sequence["MeasurementReport"],
     cells: Sequence["CellState"],
@@ -149,22 +140,3 @@ def twin_tick(
         )
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     return plan, kpis, elapsed_ms
-
-
-def plan_to_rows(plan: AllocationPlan, kpis: Sequence[PredictedKpi]) -> list[dict]:
-    """Per-UE JSONL rows for offline analysis."""
-    predicted = {k.ue_id: k.predicted_mbps for k in kpis}
-    return [
-        {"tick": plan.tick, "ue_id": ue_id, "prbs": grant, "predicted_mbps": predicted.get(ue_id, 0.0)}
-        for ue_id, grant in sorted(plan.grants.items())
-    ]
-
-
-def write_plans_jsonl(plans_with_kpis, path) -> None:
-    """Append-style export: one line per (tick, ue) grant."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        for plan, kpis in plans_with_kpis:
-            for row in plan_to_rows(plan, kpis):
-                fh.write(json.dumps(row) + "\n")

@@ -38,44 +38,47 @@ class TestAnomalyClass:
             FaultSpec(AnomalyClass.NORMAL, -10.0, 1.0, 10)
 
 
+def mk_channel(**kwargs):
+    return mk_report(**kwargs).channel
+
+
 class TestInjectFault:
     def test_zero_fault_value_identical(self):
-        report = mk_report(rsrp=-90.0, rsrq=-3.0, sinr=12.0, cqi=cqi_table_scan(12.0))
+        ch = mk_channel(rsrp=-90.0, rsrq=-3.0, sinr=12.0, cqi=cqi_table_scan(12.0))
         spec = FaultSpec(AnomalyClass.SINR_ERROR, 0.0, 0.0, 10)
-        out = inject_fault(report, spec, np.random.default_rng(0))
-        assert out == report
+        out = inject_fault(ch, spec, np.random.default_rng(0))
+        assert out == ch
 
     def test_rsrp_field_isolation(self):
-        report = mk_report(rsrp=-90.0, rsrq=-4.0, sinr=8.0, cqi=8)
+        ch = mk_channel(rsrp=-90.0, rsrq=-4.0, sinr=8.0, cqi=8)
         spec = FaultSpec(AnomalyClass.RSRP_ERROR, -20.0, 0.0, 10)
-        out = inject_fault(report, spec, np.random.default_rng(0))
-        assert out.channel.rsrp_dbm == -110.0
-        assert out.channel == replace(report.channel, rsrp_dbm=-110.0)
-        assert out == replace(report, channel=out.channel)
+        out = inject_fault(ch, spec, np.random.default_rng(0))
+        assert out.rsrp_dbm == -110.0
+        assert out == replace(ch, rsrp_dbm=-110.0)
 
     def test_rsrq_clamped_to_zero(self):
-        report = mk_report(rsrq=-1.0)
+        ch = mk_channel(rsrq=-1.0)
         spec = FaultSpec(AnomalyClass.RSRQ_ERROR, +5.0, 0.0, 10)
-        out = inject_fault(report, spec, np.random.default_rng(0))
-        assert out.channel.rsrq_db == 0.0
+        out = inject_fault(ch, spec, np.random.default_rng(0))
+        assert out.rsrq_db == 0.0
 
     def test_sinr_fault_recomputes_cqi(self):
-        report = mk_report(sinr=12.0, cqi=cqi_table_scan(12.0))
+        ch = mk_channel(sinr=12.0, cqi=cqi_table_scan(12.0))
         spec = FaultSpec(AnomalyClass.SINR_ERROR, -15.0, 0.0, 10)
-        out = inject_fault(report, spec, np.random.default_rng(0))
-        assert out.channel.sinr_db == -3.0
+        out = inject_fault(ch, spec, np.random.default_rng(0))
+        assert out.sinr_db == -3.0
         assert cqi_table_scan(-3.0) == 2
-        assert out.channel.cqi == 2
-        assert out.channel.rsrp_dbm == report.channel.rsrp_dbm
-        assert out.channel.rsrq_db == report.channel.rsrq_db
+        assert out.cqi == 2
+        assert out.rsrp_dbm == ch.rsrp_dbm
+        assert out.rsrq_db == ch.rsrq_db
 
     def test_jitter_bounded_and_deterministic(self):
-        report = mk_report(rsrp=-90.0)
+        ch = mk_channel(rsrp=-90.0)
         spec = FaultSpec(AnomalyClass.RSRP_ERROR, -20.0, 3.0, 10)
-        a = inject_fault(report, spec, np.random.default_rng(4))
-        b = inject_fault(report, spec, np.random.default_rng(4))
+        a = inject_fault(ch, spec, np.random.default_rng(4))
+        b = inject_fault(ch, spec, np.random.default_rng(4))
         assert a == b
-        assert -113.0 <= a.channel.rsrp_dbm <= -107.0
+        assert -113.0 <= a.rsrp_dbm <= -107.0
 
 
 class TestExtractFeatures:

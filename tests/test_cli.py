@@ -45,6 +45,14 @@ class TestGenDataset:
         assert rc == 2
         assert "n_uez" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["link", "mobility", "traffic"])
+    def test_non_object_section_exits_2(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: 5}))
+        rc = main(["gen-dataset", "--config", str(cfg), "--out", str(tmp_path / "d.csv")])
+        assert rc == 2
+        assert f"config.{section} must be a JSON object" in capsys.readouterr().err
+
     def test_failure_still_writes_manifest(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = main(["gen-dataset", "--out", str(out), "--n-samples", "0"])
@@ -80,6 +88,45 @@ def small_dataset(tmp_path_factory):
     rc = main(["gen-dataset", "--out", str(path), "--n-samples", "400", "--seed", "5"])
     assert rc == 0
     return path
+
+
+@pytest.fixture()
+def untrained(tmp_path):
+    """A valid zero-hidden-layer model and unit stats, without training."""
+    model, stats = tmp_path / "untrained.txt", tmp_path / "unit_stats.csv"
+    mlp.save_model(mlp.init_model([], seed=0), model)
+    anomaly.write_stats_csv(anomaly.FeatureStats(mean=np.zeros(8), std=np.ones(8)), stats)
+    return {"model": model, "stats": stats}
+
+
+class TestManifestOnFailure:
+    @pytest.mark.parametrize("command", ["gen-dataset", "train", "eval", "tsne", "closed-loop"])
+    def test_failure_still_writes_manifest(self, tmp_path, command):
+        missing = str(tmp_path / "missing")
+        argv, manifest_path = {
+            "gen-dataset": (["--config", missing, "--out", str(tmp_path / "d.csv")],
+                            tmp_path / "d.csv.manifest.json"),
+            "train": (["--dataset", missing, "--model-out", str(tmp_path / "m.txt"),
+                       "--stats-out", str(tmp_path / "s.csv"),
+                       "--report-out", str(tmp_path / "r.csv")],
+                      tmp_path / "m.txt.manifest.json"),
+            "eval": (["--model", missing, "--stats", missing, "--dataset", missing,
+                      "--out-dir", str(tmp_path / "e")],
+                     tmp_path / "e" / "eval.manifest.json"),
+            "tsne": (["--model", missing, "--stats", missing, "--dataset", missing,
+                      "--out", str(tmp_path / "emb.csv")],
+                     tmp_path / "emb.csv.manifest.json"),
+            "closed-loop": (["--model", missing, "--stats", missing,
+                             "--out-dir", str(tmp_path / "loop")],
+                            tmp_path / "loop" / "closed-loop.manifest.json"),
+        }[command]
+        assert main([command, *argv]) == 2
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["command"] == command
+        assert manifest["error"].startswith("ConfigurationError: ")
+        assert manifest["error"].endswith(f"file not found: {missing}")
+        assert manifest["inputs"][missing] is None
+        assert manifest["timings_s"]["total"] >= 0.0
 
 
 class TestTrain:
@@ -155,14 +202,11 @@ class TestEval:
         model = mlp.load_model(trained["model"])
         stats = anomaly.read_stats_csv(trained["stats"])
         samples = anomaly.read_dataset_csv(trained["dataset"])
+        x = np.stack([anomaly.standardize(s.features, stats) for s in samples])
+        predicted = np.argmax(mlp.forward_rows(model, x), axis=1)
         relabeled = [
-            anomaly.LabeledSample(
-                s.features,
-                mlp.predict(model, anomaly.standardize(s.features, stats)),
-                s.ue_id,
-                s.tick,
-            )
-            for s in samples
+            anomaly.LabeledSample(s.features, anomaly.AnomalyClass(int(c)), s.ue_id, s.tick)
+            for s, c in zip(samples, predicted)
         ]
         dataset = tmp_path / "relabel.csv"
         anomaly.write_dataset_csv(relabeled, dataset)
@@ -266,6 +310,20 @@ class TestClosedLoop:
         ])
         assert rc == 2
         assert "fault #0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("onset_tick", "abc"), ("class", 9)])
+    def test_bad_schedule_value_exits_2(self, untrained, tmp_path, capsys, field, value):
+        good = {"onset_tick": 5, "ue_id": 1, "class": "RsrpError",
+                "offset_db": -20.0, "jitter_db": 3.0, "duration_ticks": 10}
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"faults": [good, {**good, field: value}]}))
+        rc = main([
+            "closed-loop", "--model", str(untrained["model"]),
+            "--stats", str(untrained["stats"]), "--schedule", str(schedule),
+            "--out-dir", str(tmp_path / "loop"),
+        ])
+        assert rc == 2
+        assert "schedule fault #1" in capsys.readouterr().err
 
     def test_missing_model_exits_2(self, trained, tmp_path, capsys):
         rc = main([

@@ -14,7 +14,6 @@ from rantwin.mlp import (
     load_model,
     loss_and_grads,
     model_digest,
-    predict,
     save_model,
     serialize_model,
     train,
@@ -32,6 +31,15 @@ def zero_model(hidden=()):
     return model
 
 
+def n_parameters(model):
+    return sum(w.size + b.size for w, b in zip(model.weights, model.biases))
+
+
+def predicted_class(model, x):
+    """The xApp's decision rule: argmax of the batched probabilities."""
+    return int(np.argmax(forward_rows(model, x[None, :]), axis=1)[0])
+
+
 def random_batch(rng, n, dim=8):
     x = rng.normal(0.0, 1.0, size=(n, dim))
     y = rng.integers(0, 4, size=n)
@@ -42,12 +50,12 @@ class TestInit:
     def test_dims_and_parameter_count(self):
         model = init_model([16, 16], seed=0)
         assert model.layer_dims == [8, 16, 16, 4]
-        assert model.n_parameters() == 484
+        assert n_parameters(model) == 484
 
     def test_no_hidden_layers(self):
         model = init_model([], seed=0)
         assert model.layer_dims == [8, 4]
-        assert model.n_parameters() == 36
+        assert n_parameters(model) == 36
 
     def test_same_seed_identical(self):
         a, b = init_model([5], seed=11), init_model([5], seed=11)
@@ -186,12 +194,12 @@ class TestPredict:
     def test_argmax(self):
         model = zero_model()
         model.biases[-1][:] = np.log([0.1, 0.7, 0.1, 0.1])
-        assert predict(model, np.zeros(8)) == AnomalyClass.RSRP_ERROR
+        assert predicted_class(model, np.zeros(8)) == AnomalyClass.RSRP_ERROR
 
     def test_tie_breaks_to_lowest_code(self):
         model = zero_model()
         model.biases[-1][:] = [5.0, 0.0, 5.0, 0.0]
-        assert predict(model, np.zeros(8)) == AnomalyClass.NORMAL
+        assert predicted_class(model, np.zeros(8)) == AnomalyClass.NORMAL
 
     def test_consistent_with_forward(self):
         rng = np.random.default_rng(8)
@@ -199,7 +207,7 @@ class TestPredict:
         for _ in range(1000):
             x = rng.normal(0, 2, size=8)
             _, probs = forward(model, x)
-            assert int(predict(model, x)) == int(np.argmax(probs))
+            assert predicted_class(model, x) == int(np.argmax(probs))
 
 
 class TestTrain:
@@ -262,6 +270,14 @@ class TestTrain:
                 init_model([8], seed=6), train_set, test_set,
                 TrainConfig(epochs=5, learning_rate=1e18, seed=7),
             )
+
+    def test_empty_side_rejected(self):
+        rng = np.random.default_rng(15)
+        train_set, test_set = self._tiny_sets(rng)
+        with pytest.raises(DomainError, match="train set must be non-empty"):
+            train(init_model([8], seed=6), [], test_set, TrainConfig(epochs=1))
+        with pytest.raises(DomainError, match="test set must be non-empty"):
+            train(init_model([8], seed=6), train_set, [], TrainConfig(epochs=1))
 
 
 class TestSerialization:

@@ -84,28 +84,24 @@ class TestSinr:
 
 class TestRsrq:
     def test_upper_bound_no_interference(self):
-        assert rm.rsrq_db(2.0, 2.0, 50) == pytest.approx(0.0)
+        assert rm.rsrq_db(2.0, 2.0) == pytest.approx(0.0)
 
     def test_half_ratio(self):
-        assert rm.rsrq_db(1.0, 2.0, 50) == pytest.approx(-3.0103, abs=1e-4)
+        assert rm.rsrq_db(1.0, 2.0) == pytest.approx(-3.0103, abs=1e-4)
 
     def test_one_tenth(self):
-        assert rm.rsrq_db(1.0, 10.0, 1) == pytest.approx(-10.0)
+        assert rm.rsrq_db(1.0, 10.0) == pytest.approx(-10.0)
 
     def test_power_accounting_violation(self):
         with pytest.raises(DomainError):
-            rm.rsrq_db(2.0, 1.9, 50)
-
-    def test_bad_n_prb(self):
-        with pytest.raises(DomainError):
-            rm.rsrq_db(1.0, 2.0, 0)
+            rm.rsrq_db(2.0, 1.9)
 
     def test_never_positive(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             rsrp = rng.uniform(1e-12, 10.0)
             extra = rng.uniform(0.0, 10.0)
-            assert rm.rsrq_db(rsrp, rsrp + extra, 25) <= 0.0
+            assert rm.rsrq_db(rsrp, rsrp + extra) <= 0.0
 
 
 class TestCqi:

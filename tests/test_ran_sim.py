@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from rantwin import radio_model as rm
 from rantwin import ran_sim
+from rantwin.anomaly import AnomalyClass, default_fault_specs
 from rantwin.errors import ConfigurationError, DomainError
 from rantwin.radio_model import LinkBudgetParams
 from rantwin.ran_sim import (
@@ -48,6 +50,12 @@ class TestConfig:
             ran_sim.sim_config_from_dict({"n_uess": 5})
         with pytest.raises(ConfigurationError, match="config.link"):
             ran_sim.sim_config_from_dict({"link": {"bogus": 1}})
+
+    @pytest.mark.parametrize("section", ["link", "mobility", "traffic"])
+    @pytest.mark.parametrize("value", [5, [1], "x", None])
+    def test_non_object_section_rejected(self, section, value):
+        with pytest.raises(ConfigurationError, match=f"config.{section} must be a JSON object"):
+            ran_sim.sim_config_from_dict({section: value})
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
@@ -222,11 +230,33 @@ class TestStep:
                 assert report.channel.rsrp_dbm == rsrp[ue.serving_cell]
                 assert report.channel.sinr_db == rm.sinr_db(serving_mw, interf, noise_mw)
                 assert report.channel.rssi_dbm == rm.mw_to_dbm(total)
-                assert report.channel.rsrq_db == rm.rsrq_db(
-                    serving_mw, total, state.config.total_prbs
-                )
+                assert report.channel.rsrq_db == rm.rsrq_db(serving_mw, total)
                 assert report.channel.cqi == rm.cqi_from_sinr(report.channel.sinr_db)
                 assert set(report.neighbor_rsrp_dbm) == set(rsrp) - {ue.serving_cell}
+
+    @pytest.mark.parametrize(
+        "cls, family",
+        [
+            (AnomalyClass.RSRP_ERROR, {"rsrp_dbm"}),
+            (AnomalyClass.RSRQ_ERROR, {"rsrq_db"}),
+            (AnomalyClass.SINR_ERROR, {"sinr_db", "cqi"}),
+        ],
+    )
+    def test_fault_corrupts_only_the_reported_family(self, cls, family):
+        state = init_sim(SMALL)
+        ran_sim.set_fault(state, 4, default_fault_specs()[cls])
+        new, reports, _ = step(state)
+        for report, ue in zip(reports, new.ues):
+            assert report.demand_mbps == ue.demand_mbps
+            true, seen = ue.last_channel, report.channel
+            if ue.ue_id != 4:
+                assert seen == true
+                continue
+            changed = {f.name for f in dataclasses.fields(seen)
+                       if getattr(seen, f.name) != getattr(true, f.name)}
+            assert changed <= family
+            assert family - {"cqi"} <= changed
+            assert seen.cqi == rm.cqi_from_sinr(seen.sinr_db)
 
     def test_corridor_handover_at_recomputed_tick(self):
         # scalar oracle: handover fires at the first x with
@@ -264,12 +294,10 @@ class TestStep:
 
 
 class TestReportExport:
-    def test_jsonl_shape(self, tmp_path):
+    def test_jsonl_shape(self):
         state = init_sim(SimConfig(n_cells=2, n_ues=3, seed=11))
         state, reports, _ = step(state)
-        path = tmp_path / "reports.jsonl"
-        ran_sim.write_reports_jsonl(reports, path)
-        lines = path.read_text().splitlines()
+        lines = [json.dumps(ran_sim.report_to_dict(r), sort_keys=True) for r in reports]
         assert len(lines) == 3
         row = json.loads(lines[0])
         assert row["tick"] == 1

@@ -53,15 +53,15 @@ class TestMessageBus:
         sub = bus.subscribe()
         for t in (1, 2, 3):
             bus.publish(Indication(tick=t, reports=()))
-        assert [ind.tick for ind in sub.drain()] == [1, 2, 3]
+        assert [sub.pop().tick for _ in range(3)] == [1, 2, 3]
 
     def test_fan_out_to_all_subscribers(self):
         bus = MessageBus()
         a, b = bus.subscribe(), bus.subscribe()
         for t in (1, 2, 3):
             bus.publish(Indication(tick=t, reports=()))
-        assert [i.tick for i in a.drain()] == [1, 2, 3]
-        assert [i.tick for i in b.drain()] == [1, 2, 3]
+        assert [a.pop().tick for _ in range(3)] == [1, 2, 3]
+        assert [b.pop().tick for _ in range(3)] == [1, 2, 3]
 
     def test_duplicate_tick_rejected(self):
         bus = MessageBus()
@@ -87,7 +87,8 @@ class TestMessageBus:
         sub = bus.subscribe()
         bus.publish(Indication(tick=1, reports=()))
         assert sub.pop().tick == 1
-        assert sub.pending() == 0
+        with pytest.raises(ProtocolError):
+            sub.pop()
 
     def test_indication_tick_consistency_enforced(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import pytest
 from rantwin import radio_model, twin_engine
 from rantwin.errors import DomainError
 from rantwin.radio_model import LinkBudgetParams
-from rantwin.twin_engine import allocate_prbs, predict_throughput, twin_tick
+from rantwin.twin_engine import allocate_prbs, twin_tick
 
 from oracles import (
     allocation_objective,
@@ -19,25 +19,31 @@ from oracles import (
 PARAMS = LinkBudgetParams()
 
 
+def predicted_mbps(report, total_prbs):
+    """twin_tick's predicted throughput for one UE alone in a cell."""
+    plan, kpis, _ = twin_tick([report], [mk_cell(total_prbs=total_prbs)], PARAMS)
+    return plan.grants[report.ue_id], kpis[0].predicted_mbps
+
+
 class TestPredictThroughput:
     def test_zero_grant(self):
-        assert predict_throughput(0, 20.0, 12, PARAMS) == 0.0
+        grant, predicted = predicted_mbps(mk_report(sinr=20.0, cqi=12, demand=0.0), 25)
+        assert grant == 0
+        assert predicted == 0.0
 
     def test_cqi_zero_is_zero_regardless_of_sinr(self):
-        assert predict_throughput(25, 35.0, 0, PARAMS) == 0.0
+        assert twin_engine.per_prb_rate_mbps(35.0, 0, PARAMS) == 0.0
+        assert predicted_mbps(mk_report(sinr=35.0, cqi=0, demand=1e9), 25) == (0, 0.0)
 
     def test_hand_evaluated_example(self):
         # evaluate both branches of the min independently
         shannon = math.log2(1.0 + 10.0 ** (10.0 / 10.0))
         cap = 2.4063
         expected = 10 * 180e3 * min(shannon, cap) / 1e6
-        got = predict_throughput(10, 10.0, 9, PARAMS)
+        grant, got = predicted_mbps(mk_report(sinr=10.0, cqi=9, demand=1e9), 10)
+        assert grant == 10
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(4.33, abs=0.01)
-
-    def test_negative_grant_rejected(self):
-        with pytest.raises(DomainError):
-            predict_throughput(-1, 10.0, 9, PARAMS)
 
 
 class TestAllocatePrbs:
@@ -264,7 +270,7 @@ class TestTwinTick:
             for report, kpi in zip(reports, kpis):
                 sinr, cqi = report.channel.sinr_db, report.channel.cqi
                 grant = plan.grants[report.ue_id]
-                assert kpi.predicted_mbps == predict_throughput(grant, sinr, cqi, PARAMS)
+                assert kpi.predicted_mbps == grant * twin_engine.per_prb_rate_mbps(sinr, cqi, PARAMS)
                 assert kpi.spectral_efficiency == radio_model.spectral_efficiency_bps_hz(sinr, cqi)
 
     def test_weight_override_changes_allocation(self):
@@ -278,23 +284,3 @@ class TestTwinTick:
         boosted, _, _ = twin_tick(reports, [cell], PARAMS, weights={1: 2.0})
         assert boosted.grants[1] >= base.grants[1]
         assert boosted.grants[1] == 10
-
-    def test_plan_rows_export(self):
-        reports = [mk_report(ue_id=u, demand=1.0) for u in range(3)]
-        plan, kpis, _ = twin_tick(reports, [mk_cell(total_prbs=9)], PARAMS)
-        rows = twin_engine.plan_to_rows(plan, kpis)
-        assert [row["ue_id"] for row in rows] == [0, 1, 2]
-        assert all(set(row) == {"tick", "ue_id", "prbs", "predicted_mbps"} for row in rows)
-
-    def test_plans_jsonl_export(self, tmp_path):
-        import json
-
-        reports = [mk_report(ue_id=u, tick=1, demand=1.0) for u in range(2)]
-        cell = mk_cell(total_prbs=6)
-        plan, kpis, _ = twin_tick(reports, [cell], PARAMS)
-        path = tmp_path / "plans.jsonl"
-        twin_engine.write_plans_jsonl([(plan, kpis)], path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(rows) == 2
-        assert rows[0]["tick"] == 1
-        assert rows[0]["prbs"] == plan.grants[0]
