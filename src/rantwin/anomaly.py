@@ -228,11 +228,12 @@ def generate_dataset(
         if sampling:
             active = {c: 0 for c in error_classes}
             idle = []
-            for ue in state.ues:
-                if ue.active_fault is None:
-                    idle.append(ue.ue_id)
-                elif ue.active_fault.spec.cls in active:
-                    active[ue.active_fault.spec.cls] += 1
+            for ue_id in range(config.n_ues):
+                fault = state.faults.get(ue_id)
+                if fault is None:
+                    idle.append(ue_id)
+                elif fault.spec.cls in active:
+                    active[fault.spec.cls] += 1
             for c in error_classes:
                 while active[c] < concurrent and idle:
                     pick = int(rng.integers(0, len(idle)))
@@ -240,14 +241,10 @@ def generate_dataset(
                     ran_sim.set_fault(state, ue_id, fault_defaults[c])
                     active[c] += 1
 
-        labels = {
-            ue.ue_id: (
-                ue.active_fault.spec.cls
-                if ue.active_fault is not None and ue.active_fault.until_tick >= state.tick + 1
-                else AnomalyClass.NORMAL
-            )
-            for ue in state.ues
-        }
+        labels = [AnomalyClass.NORMAL] * config.n_ues
+        for ue_id, fault in state.faults.items():
+            if fault.until_tick >= state.tick + 1:
+                labels[ue_id] = fault.spec.cls
         state, reports, _ = ran_sim.step(state)
         plan, kpis, _ = twin_engine.twin_tick(reports, state.cells, config.link)
         if sampling:

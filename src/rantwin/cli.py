@@ -328,7 +328,7 @@ def _parse_class(value) -> AnomalyClass:
             if value == name:
                 return cls
         raise ConfigurationError(f"unknown anomaly class name {value!r}")
-    return AnomalyClass(int(value))
+    return AnomalyClass(ran_sim.json_int(value, "class"))
 
 
 def load_schedule(path) -> list[ric.ScheduledFault]:
@@ -352,13 +352,13 @@ def load_schedule(path) -> list[ric.ScheduledFault]:
                 raise ConfigurationError("class must be an error class")
             schedule.append(
                 ric.ScheduledFault(
-                    onset_tick=int(entry["onset_tick"]),
-                    ue_id=int(entry["ue_id"]),
+                    onset_tick=ran_sim.json_int(entry["onset_tick"], "onset_tick"),
+                    ue_id=ran_sim.json_int(entry["ue_id"], "ue_id"),
                     spec=FaultSpec(
                         cls=cls,
                         offset_db=float(entry["offset_db"]),
                         jitter_db=float(entry["jitter_db"]),
-                        duration_ticks=int(entry["duration_ticks"]),
+                        duration_ticks=ran_sim.json_int(entry["duration_ticks"], "duration_ticks"),
                     ),
                 )
             )

@@ -156,12 +156,11 @@ def noise_power_per_re_dbm(params: LinkBudgetParams) -> float:
     return params.noise_density_dbm_hz + 10.0 * math.log10(re_bw_hz) + params.noise_figure_db
 
 
-def evolve_shadowing(
-    prev_db: float, rho: float, sigma_db: float, rng: np.random.Generator
-) -> float:
-    """AR(1) shadowing step: rho*prev + sqrt(1-rho^2)*N(0, sigma).
+def evolve_shadowing(prev_db, rho: float, sigma_db: float, rng: np.random.Generator):
+    """AR(1) shadowing step: rho*prev + sqrt(1-rho^2)*N(0, sigma), elementwise.
 
-    Always consumes exactly one draw so callers keep a stable random stream.
+    Always consumes exactly one draw per element, in row-major order, so
+    callers keep a stable random stream.
     """
-    innovation = rng.normal(0.0, sigma_db)
+    innovation = rng.normal(0.0, sigma_db, size=np.shape(prev_db))
     return rho * prev_db + math.sqrt(max(0.0, 1.0 - rho * rho)) * innovation

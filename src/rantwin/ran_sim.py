@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -97,22 +98,14 @@ class ActiveFault:
     until_tick: int
 
 
-@dataclass
-class UeState:
-    ue_id: int
-    position: tuple[float, float]
-    velocity: tuple[float, float]
-    serving_cell: int
-    traffic_priority: int
-    demand_mbps: float
-    shadowing_db: dict[int, float]
-    active_fault: ActiveFault | None = None
-    achieved_mbps: float = 0.0
-    # Allocation-weight boost installed by a control action; active while
-    # the report tick is <= boost_until_tick.
-    boost_factor: float = 1.0
-    boost_until_tick: int = -1
-    last_channel: ChannelSample | None = None
+class UeView:
+    """One UE's id and serving cell, as `SimState.ues` lists them."""
+
+    __slots__ = ("ue_id", "serving_cell")
+
+    def __init__(self, ue_id: int, serving_cell: int):
+        self.ue_id = ue_id
+        self.serving_cell = serving_cell
 
 
 @dataclass(frozen=True)
@@ -133,34 +126,93 @@ class TickKpis:
     n_handovers: int
 
 
-@dataclass
+@dataclass(eq=False)
 class SimState:
+    """The network at one tick, one column per UE attribute.
+
+    Row i of every UE column belongs to ue_id i, and column j of
+    `shadowing_db` to cells[j], so cells[j].cell_id must be j. Arrays have
+    no single truth value, so states compare by identity; compare
+    `snapshot()`s instead.
+    """
+
     config: SimConfig
     tick: int
     cells: list[CellState]
-    ues: list[UeState]
     rng: np.random.Generator
+    position: np.ndarray  # (U, 2) m
+    velocity: np.ndarray  # (U, 2) m/s
+    shadowing_db: np.ndarray  # (U, C)
+    serving_cell: np.ndarray  # (U,) int
+    priority: np.ndarray  # (U,) int, 1..N_PRIORITY_CLASSES
+    demand_mbps: np.ndarray  # (U,)
+    # Rate realised by the last allocation, carried in the next reports.
+    # apply_allocation replaces the array and never writes into it.
+    achieved_mbps: np.ndarray  # (U,)
+    # Allocation-weight boost installed by a control action; active while
+    # the report tick is <= boost_until_tick.
+    boost_factor: np.ndarray  # (U,)
+    boost_until_tick: np.ndarray  # (U,) int
+    faults: dict[int, ActiveFault] = field(default_factory=dict)
+    # The true (uncorrupted) channel of every UE at the last step.
+    last_channel: list[ChannelSample] = field(default_factory=list)
+
+    def __post_init__(self):
+        for i, cell in enumerate(self.cells):
+            if cell.cell_id != i:
+                raise DomainError(
+                    f"cells[{i}] has cell_id {cell.cell_id}; cell ids must equal their "
+                    "position, which indexes the shadowing and RSRP columns"
+                )
 
     def clone(self) -> "SimState":
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = self.rng.bit_generator.state
-        ues = [replace(ue, shadowing_db=dict(ue.shadowing_db)) for ue in self.ues]
-        return SimState(self.config, self.tick, list(self.cells), ues, rng)
+        return SimState(
+            self.config,
+            self.tick,
+            list(self.cells),
+            rng,
+            self.position.copy(),
+            self.velocity.copy(),
+            self.shadowing_db.copy(),
+            self.serving_cell.copy(),
+            self.priority.copy(),
+            self.demand_mbps.copy(),
+            self.achieved_mbps.copy(),
+            self.boost_factor.copy(),
+            self.boost_until_tick.copy(),
+            dict(self.faults),
+            list(self.last_channel),
+        )
 
-    def ue(self, ue_id: int) -> UeState:
-        for ue in self.ues:
-            if ue.ue_id == ue_id:
-                return ue
-        raise DomainError(f"unknown ue_id {ue_id}")
+    @property
+    def ues(self) -> list[UeView]:
+        """(ue_id, serving_cell) of every UE, read from the columns at each access."""
+        return list(map(UeView, range(len(self.serving_cell)), self.serving_cell.tolist()))
+
+    def ue_index(self, ue_id: int) -> int:
+        """Row of `ue_id` in the UE columns."""
+        if not 0 <= ue_id < len(self.serving_cell):
+            raise DomainError(f"unknown ue_id {ue_id}")
+        return ue_id
 
     def cell(self, cell_id: int) -> CellState:
-        for cell in self.cells:
-            if cell.cell_id == cell_id:
-                return cell
-        raise DomainError(f"unknown cell_id {cell_id}")
+        if not 0 <= cell_id < len(self.cells):
+            raise DomainError(f"unknown cell_id {cell_id}")
+        return self.cells[cell_id]
 
     def snapshot(self) -> dict:
         """Plain JSON-able view of the full state, used for equality checks."""
+        position = self.position.tolist()
+        velocity = self.velocity.tolist()
+        serving = self.serving_cell.tolist()
+        priority = self.priority.tolist()
+        demand = self.demand_mbps.tolist()
+        shadowing = self.shadowing_db.tolist()
+        achieved = self.achieved_mbps.tolist()
+        boost = self.boost_factor.tolist()
+        boost_until = self.boost_until_tick.tolist()
         return {
             "tick": self.tick,
             "cells": [
@@ -174,21 +226,21 @@ class SimState:
             ],
             "ues": [
                 {
-                    "ue_id": u.ue_id,
-                    "position": list(u.position),
-                    "velocity": list(u.velocity),
-                    "serving_cell": u.serving_cell,
-                    "traffic_priority": u.traffic_priority,
-                    "demand_mbps": u.demand_mbps,
-                    "shadowing_db": {str(k): v for k, v in sorted(u.shadowing_db.items())},
-                    "achieved_mbps": u.achieved_mbps,
-                    "boost_factor": u.boost_factor,
-                    "boost_until_tick": u.boost_until_tick,
+                    "ue_id": i,
+                    "position": position[i],
+                    "velocity": velocity[i],
+                    "serving_cell": serving[i],
+                    "traffic_priority": priority[i],
+                    "demand_mbps": demand[i],
+                    "shadowing_db": {str(k): v for k, v in enumerate(shadowing[i])},
+                    "achieved_mbps": achieved[i],
+                    "boost_factor": boost[i],
+                    "boost_until_tick": boost_until[i],
                     "fault_until_tick": (
-                        u.active_fault.until_tick if u.active_fault is not None else None
+                        self.faults[i].until_tick if i in self.faults else None
                     ),
                 }
-                for u in self.ues
+                for i in range(len(serving))
             ],
             "rng": repr(self.rng.bit_generator.state),
         }
@@ -204,40 +256,59 @@ def _grid_positions(n_cells: int, area_m: float) -> list[tuple[float, float]]:
     return positions
 
 
-def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+def _scalar_map(fn, *arrays: np.ndarray) -> np.ndarray:
+    """`fn` applied element by element to Python floats, in the shape of arrays[0].
 
-
-def _rsrp_map(ue_pos, shadowing_db, cells, link) -> dict[int, float]:
-    out = {}
-    for cell in cells:
-        d = max(_distance(ue_pos, cell.position), 1e-6)
-        pl = radio_model.path_loss_db(d, link)
-        out[cell.cell_id] = radio_model.rsrp_dbm(
-            cell.tx_power_per_re_dbm, pl, shadowing_db[cell.cell_id]
-        )
-    return out
-
-
-def select_serving_cell(
-    ue: UeState, rsrp_by_cell: dict[int, float], hysteresis_db: float
-) -> int:
-    """Keep the serving cell unless a neighbor beats it by more than the margin.
-
-    Ties among qualifying neighbors break toward the lowest cell_id.
+    hypot, log10 and 10**x go through here, not through numpy's ufuncs:
+    the ufuncs differ from `math` and float `**` in the last ulp on a few
+    percent of inputs, and every report must carry exactly the bits of the
+    scalar link model in `radio_model`.
     """
-    if not rsrp_by_cell:
-        raise DomainError("rsrp_by_cell must not be empty")
-    if ue.serving_cell not in rsrp_by_cell:
-        raise DomainError(f"serving cell {ue.serving_cell} missing from RSRP map")
-    serving_rsrp = rsrp_by_cell[ue.serving_cell]
-    best = ue.serving_cell
-    best_rsrp = serving_rsrp
-    for cell_id in sorted(rsrp_by_cell):
-        r = rsrp_by_cell[cell_id]
-        if cell_id != ue.serving_cell and r > serving_rsrp + hysteresis_db and r > best_rsrp:
-            best, best_rsrp = cell_id, r
-    return best
+    flat = [a.ravel().tolist() for a in arrays]
+    out = np.fromiter(map(fn, *flat), dtype=np.float64, count=len(flat[0]))
+    return out.reshape(arrays[0].shape)
+
+
+# `10.0 ** x`, the float power of radio_model.db_to_linear
+_pow10 = partial(pow, 10.0)
+
+
+def _rsrp_matrix(
+    position: np.ndarray, shadowing_db: np.ndarray, cells: list[CellState], link: LinkBudgetParams
+) -> np.ndarray:
+    """(U, C) RSRP in dBm, each entry as `radio_model.rsrp_dbm` computes it."""
+    cell_xy = np.array([c.position for c in cells], dtype=np.float64)
+    tx = np.array([c.tx_power_per_re_dbm for c in cells], dtype=np.float64)
+    dx = position[:, 0:1] - cell_xy[:, 0]
+    dy = position[:, 1:2] - cell_xy[:, 1]
+    distance = np.maximum(_scalar_map(math.hypot, dx, dy), 1e-6)
+    # radio_model.path_loss_db, elementwise
+    d = np.maximum(distance, link.ref_distance_m)
+    path_loss = link.ref_path_loss_db + 10.0 * link.path_loss_exponent * _scalar_map(
+        math.log10, d / link.ref_distance_m
+    )
+    return tx - path_loss + shadowing_db
+
+
+def select_serving_cells(
+    rsrp_dbm: np.ndarray, serving_cell: np.ndarray, hysteresis_db: float
+) -> np.ndarray:
+    """Serving cell of every UE after reselection, from its (U, C) RSRP row.
+
+    A UE keeps its serving cell unless another cell beats it by more than
+    the margin; then the strongest such cell wins, ties toward the lowest
+    cell_id.
+    """
+    n_ues, n_cells = rsrp_dbm.shape
+    if n_cells == 0:
+        raise DomainError("rsrp_dbm must have at least one cell column")
+    if n_ues and not 0 <= serving_cell.min() <= serving_cell.max() < n_cells:
+        raise DomainError(f"serving cell outside 0..{n_cells - 1}")
+    rows = np.arange(n_ues)
+    qualifies = rsrp_dbm > (rsrp_dbm[rows, serving_cell] + hysteresis_db)[:, None]
+    qualifies[rows, serving_cell] = False
+    best = np.argmax(np.where(qualifies, rsrp_dbm, -np.inf), axis=1)
+    return np.where(qualifies.any(axis=1), best, serving_cell)
 
 
 def init_sim(config: SimConfig) -> SimState:
@@ -248,38 +319,46 @@ def init_sim(config: SimConfig) -> SimState:
         CellState(i, pos, config.tx_power_per_re_dbm, config.total_prbs)
         for i, pos in enumerate(_grid_positions(config.n_cells, config.area_m))
     ]
-    ues = []
-    for ue_id in range(config.n_ues):
-        pos = (rng.uniform(0.0, config.area_m), rng.uniform(0.0, config.area_m))
+    n = config.n_ues
+    position = np.empty((n, 2))
+    velocity = np.empty((n, 2))
+    shadowing = np.empty((n, len(cells)))
+    priority = np.empty(n, dtype=np.int64)
+    demand = np.empty(n)
+    # One UE at a time: each UE's draws interleave several distributions.
+    for ue_id in range(n):
+        position[ue_id] = (rng.uniform(0.0, config.area_m), rng.uniform(0.0, config.area_m))
         speed = rng.uniform(config.mobility.min_speed_mps, config.mobility.max_speed_mps)
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        velocity = (speed * math.cos(angle), speed * math.sin(angle))
-        priority = int(rng.integers(1, N_PRIORITY_CLASSES + 1))
-        demand = float(rng.exponential(config.traffic.mean_demand_mbps[priority - 1]))
-        shadowing = {
-            cell.cell_id: float(rng.normal(0.0, config.link.shadowing_sigma_db))
-            for cell in cells
-        }
-        ue = UeState(
-            ue_id=ue_id,
-            position=pos,
-            velocity=velocity,
-            serving_cell=0,
-            traffic_priority=priority,
-            demand_mbps=demand,
-            shadowing_db=shadowing,
-        )
-        rsrp = _rsrp_map(pos, shadowing, cells, config.link)
-        ue.serving_cell = min(rsrp, key=lambda cid: (-rsrp[cid], cid))
-        ues.append(ue)
-    return SimState(config=config, tick=0, cells=cells, ues=ues, rng=rng)
+        velocity[ue_id] = (speed * math.cos(angle), speed * math.sin(angle))
+        p = int(rng.integers(1, N_PRIORITY_CLASSES + 1))
+        priority[ue_id] = p
+        demand[ue_id] = rng.exponential(config.traffic.mean_demand_mbps[p - 1])
+        shadowing[ue_id] = [rng.normal(0.0, config.link.shadowing_sigma_db) for _ in cells]
+    rsrp = _rsrp_matrix(position, shadowing, cells, config.link)
+    return SimState(
+        config=config,
+        tick=0,
+        cells=cells,
+        rng=rng,
+        position=position,
+        velocity=velocity,
+        shadowing_db=shadowing,
+        serving_cell=np.argmax(rsrp, axis=1),
+        priority=priority,
+        demand_mbps=demand,
+        achieved_mbps=np.zeros(n),
+        boost_factor=np.ones(n),
+        boost_until_tick=np.full(n, -1, dtype=np.int64),
+    )
 
 
 def set_fault(state: SimState, ue_id: int, spec: "FaultSpec") -> None:
     """Attach a fault to a UE: reports of the next `duration_ticks` ticks
     are corrupted (ticks state.tick+1 .. state.tick+duration)."""
-    ue = state.ue(ue_id)
-    ue.active_fault = ActiveFault(spec=spec, until_tick=state.tick + spec.duration_ticks)
+    state.faults[state.ue_index(ue_id)] = ActiveFault(
+        spec=spec, until_tick=state.tick + spec.duration_ticks
+    )
 
 
 def step(state: SimState) -> tuple[SimState, list[MeasurementReport], TickKpis]:
@@ -287,115 +366,123 @@ def step(state: SimState) -> tuple[SimState, list[MeasurementReport], TickKpis]:
 
     Stage order: mobility, shadowing, reselection, channel sampling, fault
     corruption of the reported channel, traffic resampling, report emission.
-    A fault never touches `ue.last_channel`, the true channel.
+    A fault never touches `last_channel`, the true channel.
     """
     from .anomaly import inject_fault  # deferred: anomaly drives this simulator
 
     cfg = state.config
+    link = cfg.link
     new = state.clone()
     new.tick = state.tick + 1
     rng = new.rng
     dt = cfg.tick_ms / 1000.0
-    link = cfg.link
+    area = cfg.area_m
     noise_mw = radio_model.dbm_to_mw(radio_model.noise_power_per_re_dbm(link))
 
-    # (1) mobility with reflective walls
-    for ue in new.ues:
-        x, y = ue.position
-        vx, vy = ue.velocity
-        x += vx * dt
-        y += vy * dt
-        while not 0.0 <= x <= cfg.area_m:
-            if x < 0.0:
-                x, vx = -x, -vx
-            else:
-                x, vx = 2.0 * cfg.area_m - x, -vx
-        while not 0.0 <= y <= cfg.area_m:
-            if y < 0.0:
-                y, vy = -y, -vy
-            else:
-                y, vy = 2.0 * cfg.area_m - y, -vy
-        ue.position = (x, y)
-        ue.velocity = (vx, vy)
+    # (1) mobility with reflective walls, until every coordinate is inside
+    position = new.position + new.velocity * dt
+    velocity = new.velocity
+    while True:
+        below = position < 0.0
+        above = position > area
+        outside = below | above
+        if not outside.any():
+            break
+        position = np.where(below, -position, np.where(above, 2.0 * area - position, position))
+        velocity = np.where(outside, -velocity, velocity)
+    new.position, new.velocity = position, velocity
 
-    # (2) shadowing evolution
-    for ue in new.ues:
-        for cell in new.cells:
-            ue.shadowing_db[cell.cell_id] = radio_model.evolve_shadowing(
-                ue.shadowing_db[cell.cell_id], cfg.shadowing_rho, link.shadowing_sigma_db, rng
+    # (2) shadowing evolution, one draw per (UE, cell) in row order
+    new.shadowing_db = radio_model.evolve_shadowing(
+        state.shadowing_db, cfg.shadowing_rho, link.shadowing_sigma_db, rng
+    )
+
+    # (3) serving-cell reselection
+    rsrp = _rsrp_matrix(new.position, new.shadowing_db, new.cells, link)
+    serving = select_serving_cells(rsrp, state.serving_cell, cfg.hysteresis_db)
+    n_handovers = int(np.count_nonzero(serving != state.serving_cell))
+    new.serving_cell = serving
+
+    # (4) channel sampling. The interferer sums add the cell columns in cell
+    # order with 0.0 for the serving cell, as the scalar sums do: SINR over
+    # noise + interferers, RSSI over serving + interferers + noise.
+    rows = np.arange(len(serving))
+    mw = _scalar_map(_pow10, rsrp / 10.0)
+    serving_mw = mw[rows, serving]
+    interference = np.zeros(len(serving))
+    noise_and_interference = np.full(len(serving), noise_mw)
+    for c in range(len(new.cells)):
+        p = np.where(serving == c, 0.0, mw[:, c])
+        interference = interference + p
+        noise_and_interference = noise_and_interference + p
+    total_mw = serving_mw + interference + noise_mw
+    sinr = 10.0 * _scalar_map(math.log10, serving_mw / noise_and_interference)
+    rssi = 10.0 * _scalar_map(math.log10, total_mw)
+    rsrq = 10.0 * _scalar_map(math.log10, serving_mw / total_mw)
+    cqi = np.searchsorted(radio_model.CQI_SINR_THRESHOLDS_DB, sinr, side="right")
+    new.last_channel = list(
+        map(
+            ChannelSample,
+            rsrp[rows, serving].tolist(),
+            rssi.tolist(),
+            rsrq.tolist(),
+            sinr.tolist(),
+            cqi.tolist(),
+        )
+    )
+
+    # (5) fault corruption of the reported channel, in ue_id order
+    channels = list(new.last_channel)
+    for ue_id in sorted(new.faults):
+        fault = new.faults[ue_id]
+        if new.tick <= fault.until_tick:
+            channels[ue_id] = inject_fault(channels[ue_id], fault.spec, rng)
+        if new.tick >= fault.until_tick:
+            del new.faults[ue_id]
+
+    # (6) traffic demand resampling
+    means = np.array(cfg.traffic.mean_demand_mbps, dtype=np.float64)
+    new.demand_mbps = rng.exponential(means[new.priority - 1])
+
+    # (7) report emission
+    reports = [
+        MeasurementReport(
+            new.tick,
+            ue_id,
+            cell_id,
+            channel,
+            {c: r for c, r in enumerate(rsrp_row) if c != cell_id},
+            demand,
+            priority,
+            achieved,
+        )
+        for ue_id, (cell_id, channel, rsrp_row, demand, priority, achieved) in enumerate(
+            zip(
+                serving.tolist(),
+                channels,
+                rsrp.tolist(),
+                new.demand_mbps.tolist(),
+                new.priority.tolist(),
+                new.achieved_mbps.tolist(),
             )
-
-    # (3) serving-cell reselection, (4) channel sampling
-    n_handovers = 0
-    channels: list[ChannelSample] = []
-    neighbors: list[dict[int, float]] = []
-    for ue in new.ues:
-        rsrp_by_cell = _rsrp_map(ue.position, ue.shadowing_db, new.cells, link)
-        chosen = select_serving_cell(ue, rsrp_by_cell, cfg.hysteresis_db)
-        if chosen != ue.serving_cell:
-            n_handovers += 1
-            ue.serving_cell = chosen
-
-        serving_mw = radio_model.dbm_to_mw(rsrp_by_cell[ue.serving_cell])
-        interferers = [
-            radio_model.dbm_to_mw(rsrp_by_cell[c.cell_id])
-            for c in new.cells
-            if c.cell_id != ue.serving_cell
-        ]
-        sinr = radio_model.sinr_db(serving_mw, interferers, noise_mw)
-        total_mw = serving_mw + sum(interferers) + noise_mw
-        channel = ChannelSample(
-            rsrp_dbm=rsrp_by_cell[ue.serving_cell],
-            rssi_dbm=radio_model.mw_to_dbm(total_mw),
-            rsrq_db=radio_model.rsrq_db(serving_mw, total_mw),
-            sinr_db=sinr,
-            cqi=radio_model.cqi_from_sinr(sinr),
         )
-        ue.last_channel = channel
-        channels.append(channel)
-        neighbors.append({cid: r for cid, r in rsrp_by_cell.items() if cid != ue.serving_cell})
-
-    # (5) fault corruption of the reported channel
-    for i, ue in enumerate(new.ues):
-        if ue.active_fault is not None:
-            if new.tick <= ue.active_fault.until_tick:
-                channels[i] = inject_fault(channels[i], ue.active_fault.spec, rng)
-            if new.tick >= ue.active_fault.until_tick:
-                ue.active_fault = None
-
-    # (6) traffic demand resampling, (7) report emission
-    reports = []
-    for ue, channel, neighbor_rsrp in zip(new.ues, channels, neighbors):
-        ue.demand_mbps = float(
-            rng.exponential(cfg.traffic.mean_demand_mbps[ue.traffic_priority - 1])
-        )
-        reports.append(
-            MeasurementReport(
-                tick=new.tick,
-                ue_id=ue.ue_id,
-                serving_cell=ue.serving_cell,
-                channel=channel,
-                neighbor_rsrp_dbm=neighbor_rsrp,
-                demand_mbps=ue.demand_mbps,
-                priority=ue.traffic_priority,
-                achieved_mbps=ue.achieved_mbps,
-            )
-        )
+    ]
     return new, reports, TickKpis(tick=new.tick, n_handovers=n_handovers)
 
 
 def apply_allocation(state: SimState, plan: "AllocationPlan", link: LinkBudgetParams) -> None:
     """Realize a PRB plan on the live network: each UE's achieved rate for the
     tick is its grant times the per-PRB rate of its TRUE channel, capped at
-    its offered demand. Stored for the next tick's reports."""
-    for ue in state.ues:
-        grant = plan.grants.get(ue.ue_id, 0)
-        if grant <= 0 or ue.last_channel is None:
-            ue.achieved_mbps = 0.0
-            continue
-        se = radio_model.spectral_efficiency_bps_hz(ue.last_channel.sinr_db, ue.last_channel.cqi)
-        rate = grant * link.prb_bandwidth_hz * se / 1e6
-        ue.achieved_mbps = min(rate, ue.demand_mbps)
+    its offered demand. Stored, as a new array, for the next tick's reports."""
+    demand = state.demand_mbps.tolist()
+    achieved = [0.0] * len(demand)
+    for ue_id, channel in enumerate(state.last_channel):
+        grant = plan.grants.get(ue_id, 0)
+        if grant > 0:
+            se = radio_model.spectral_efficiency_bps_hz(channel.sinr_db, channel.cqi)
+            rate = grant * link.prb_bandwidth_hz * se / 1e6
+            achieved[ue_id] = min(rate, demand[ue_id])
+    state.achieved_mbps = np.array(achieved, dtype=np.float64)
 
 
 def sim_config_to_dict(config: SimConfig) -> dict:
@@ -435,6 +522,13 @@ def _check_keys(given: dict, allowed, where: str) -> None:
                                  f"in {where}: {', '.join(unknown)}")
 
 
+def json_int(value, name: str) -> int:
+    """`value` if it is a JSON integer; a float or a boolean is rejected, not truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def sim_config_from_dict(data: dict) -> SimConfig:
     """Build a SimConfig from a (possibly partial) dict; unknown keys error."""
     if not isinstance(data, dict):
@@ -456,14 +550,14 @@ def sim_config_from_dict(data: dict) -> SimConfig:
         means = section("traffic")["mean_demand_mbps"]
         traffic = TrafficConfig(mean_demand_mbps=tuple(float(v) for v in means))
         return SimConfig(
-            n_cells=int(merged["n_cells"]),
-            n_ues=int(merged["n_ues"]),
+            n_cells=json_int(merged["n_cells"], "config.n_cells"),
+            n_ues=json_int(merged["n_ues"], "config.n_ues"),
             area_m=float(merged["area_m"]),
             tick_ms=float(merged["tick_ms"]),
-            n_ticks=int(merged["n_ticks"]),
-            seed=int(merged["seed"]),
+            n_ticks=json_int(merged["n_ticks"], "config.n_ticks"),
+            seed=json_int(merged["seed"], "config.seed"),
             tx_power_per_re_dbm=float(merged["tx_power_per_re_dbm"]),
-            total_prbs=int(merged["total_prbs"]),
+            total_prbs=json_int(merged["total_prbs"], "config.total_prbs"),
             hysteresis_db=float(merged["hysteresis_db"]),
             shadowing_rho=float(merged["shadowing_rho"]),
             link=link,

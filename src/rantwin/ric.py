@@ -217,13 +217,13 @@ class DtXapp:
 
 def apply_control(state: SimState, action: ControlAction) -> SimState:
     """Realize a control action on the RAN state (mutates and returns it)."""
-    ue = state.ue(action.ue_id)
+    row = state.ue_index(action.ue_id)
     if isinstance(action.kind, ForceHandover):
         state.cell(action.kind.target_cell)  # raises on unknown cell
-        ue.serving_cell = action.kind.target_cell
+        state.serving_cell[row] = action.kind.target_cell
     elif isinstance(action.kind, PrbBoost):
-        ue.boost_factor = action.kind.factor
-        ue.boost_until_tick = action.tick + action.kind.duration_ticks
+        state.boost_factor[row] = action.kind.factor
+        state.boost_until_tick[row] = action.tick + action.kind.duration_ticks
     else:
         raise DomainError(f"unknown control kind {action.kind!r}")
     return state
@@ -231,11 +231,8 @@ def apply_control(state: SimState, action: ControlAction) -> SimState:
 
 def allocation_weights(state: SimState) -> dict[int, float]:
     """Priority weights including any active control-plane boost."""
-    return {
-        ue.ue_id: float(ue.traffic_priority)
-        * (ue.boost_factor if state.tick <= ue.boost_until_tick else 1.0)
-        for ue in state.ues
-    }
+    boost = np.where(state.tick <= state.boost_until_tick, state.boost_factor, 1.0)
+    return dict(enumerate((state.priority * boost).tolist()))
 
 
 @dataclass(frozen=True)
@@ -316,7 +313,9 @@ def closed_loop_run(
         by_onset.setdefault(fault.onset_tick, []).append(fault)
     log.fault_events = events
 
-    achieved_history: dict[int, list[float]] = {ue.ue_id: [] for ue in state.ues}
+    # achieved_mbps of the last BASELINE_WINDOW_TICKS ticks; apply_allocation
+    # replaces the array each tick, so the stored arrays never change.
+    achieved_history: deque[np.ndarray] = deque(maxlen=BASELINE_WINDOW_TICKS)
 
     for _ in range(config.n_ticks):
         onset = state.tick + 1
@@ -324,7 +323,7 @@ def closed_loop_run(
             ran_sim.set_fault(state, fault.ue_id, fault.spec)
             for event in events:
                 if event.onset_tick == onset and event.ue_id == fault.ue_id:
-                    history = achieved_history[fault.ue_id][-BASELINE_WINDOW_TICKS:]
+                    history = [achieved[fault.ue_id] for achieved in achieved_history]
                     event.baseline_mbps = float(np.mean(history)) if history else 0.0
 
         state, reports, _ = ran_sim.step(state)
@@ -351,12 +350,11 @@ def closed_loop_run(
                     event.action_tick = action.tick
                     break
 
-        for ue in state.ues:
-            achieved_history[ue.ue_id].append(ue.achieved_mbps)
+        achieved_history.append(state.achieved_mbps)
         for event in events:
             if event.action_tick is not None and event.restore_tick is None:
                 if state.tick > event.action_tick:
-                    achieved = achieved_history[event.ue_id][-1]
+                    achieved = state.achieved_mbps[event.ue_id]
                     if achieved >= RESTORE_FRACTION * event.baseline_mbps:
                         event.restore_tick = state.tick
 

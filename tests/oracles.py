@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths it checks: brute-force
 enumeration and a linear scan for the allocator, central finite differences
-for the gradients, a literal threshold-table scan for the CQI mapping, and a
-per-UE loop of single-row (1, d) matmuls for the xApp's batched classifier.
+for the gradients, a literal threshold-table scan for the CQI mapping, a
+per-UE loop of single-row (1, d) matmuls for the xApp's batched classifier,
+and a per-UE loop over Python floats for the columnar simulator step.
 """
 
 import itertools
@@ -11,10 +12,11 @@ import math
 
 import numpy as np
 
-from rantwin.anomaly import AnomalyClass, extract_features, standardize
+from rantwin import radio_model as rm
+from rantwin.anomaly import AnomalyClass, extract_features, inject_fault, standardize
 from rantwin.mlp import MlpModel, _forward_batch, _loss_grads_arrays, _softmax
 from rantwin.radio_model import ChannelSample
-from rantwin.ran_sim import CellState, MeasurementReport
+from rantwin.ran_sim import CellState, MeasurementReport, TickKpis
 from rantwin.ric import ControlAction, Detection, _UeDebounce
 from rantwin.twin_engine import per_prb_rate_mbps, twin_tick
 
@@ -206,3 +208,127 @@ def per_ue_on_indication(xapp, indication, weights=None):
                 actions.append(ControlAction(indication.tick, report.ue_id, kind, predicted))
             state.armed = False
     return plan, actions, detections
+
+
+def scalar_serving_cell(serving_cell, rsrp_by_cell, hysteresis_db):
+    """Keep the serving cell unless a neighbor beats it by more than the
+    margin; ties among qualifying neighbors break toward the lowest cell_id."""
+    serving_rsrp = rsrp_by_cell[serving_cell]
+    best = serving_cell
+    best_rsrp = serving_rsrp
+    for cell_id in sorted(rsrp_by_cell):
+        r = rsrp_by_cell[cell_id]
+        if cell_id != serving_cell and r > serving_rsrp + hysteresis_db and r > best_rsrp:
+            best, best_rsrp = cell_id, r
+    return best
+
+
+def scalar_step(state):
+    """ran_sim.step as one loop per UE over Python floats and scalar draws,
+    calling the scalar link model of radio_model for every (UE, cell)."""
+    cfg = state.config
+    link = cfg.link
+    new = state.clone()
+    new.tick = state.tick + 1
+    rng = new.rng
+    dt = cfg.tick_ms / 1000.0
+    noise_mw = rm.dbm_to_mw(rm.noise_power_per_re_dbm(link))
+    n_ues = len(state.serving_cell)
+
+    # (1) mobility with reflective walls
+    positions, velocities = [], []
+    for (x, y), (vx, vy) in zip(state.position.tolist(), state.velocity.tolist()):
+        x += vx * dt
+        y += vy * dt
+        while not 0.0 <= x <= cfg.area_m:
+            if x < 0.0:
+                x, vx = -x, -vx
+            else:
+                x, vx = 2.0 * cfg.area_m - x, -vx
+        while not 0.0 <= y <= cfg.area_m:
+            if y < 0.0:
+                y, vy = -y, -vy
+            else:
+                y, vy = 2.0 * cfg.area_m - y, -vy
+        positions.append([x, y])
+        velocities.append([vx, vy])
+
+    # (2) shadowing evolution, one scalar draw per (UE, cell)
+    rho, sigma = cfg.shadowing_rho, link.shadowing_sigma_db
+    shadowing = state.shadowing_db.tolist()
+    for row in shadowing:
+        for c in range(len(row)):
+            innovation = rng.normal(0.0, sigma)
+            row[c] = rho * row[c] + math.sqrt(max(0.0, 1.0 - rho * rho)) * innovation
+
+    # (3) reselection, (4) channel sampling
+    serving = state.serving_cell.tolist()
+    n_handovers = 0
+    channels, neighbors = [], []
+    for i in range(n_ues):
+        rsrp = {}
+        for cell in new.cells:
+            d = max(math.hypot(positions[i][0] - cell.position[0],
+                               positions[i][1] - cell.position[1]), 1e-6)
+            rsrp[cell.cell_id] = rm.rsrp_dbm(
+                cell.tx_power_per_re_dbm, rm.path_loss_db(d, link), shadowing[i][cell.cell_id]
+            )
+        chosen = scalar_serving_cell(serving[i], rsrp, cfg.hysteresis_db)
+        if chosen != serving[i]:
+            n_handovers += 1
+            serving[i] = chosen
+        serving_mw = rm.dbm_to_mw(rsrp[serving[i]])
+        interferers = [rm.dbm_to_mw(rsrp[c.cell_id]) for c in new.cells if c.cell_id != serving[i]]
+        sinr = rm.sinr_db(serving_mw, interferers, noise_mw)
+        # an explicit loop, not sum(): Python >= 3.12 compensates sum() of floats
+        interference = 0.0
+        for p in interferers:
+            interference += p
+        total_mw = serving_mw + interference + noise_mw
+        channels.append(
+            ChannelSample(
+                rsrp_dbm=rsrp[serving[i]],
+                rssi_dbm=rm.mw_to_dbm(total_mw),
+                rsrq_db=rm.rsrq_db(serving_mw, total_mw),
+                sinr_db=sinr,
+                cqi=rm.cqi_from_sinr(sinr),
+            )
+        )
+        neighbors.append({cid: r for cid, r in rsrp.items() if cid != serving[i]})
+
+    # (5) fault corruption of the reported channel
+    reported = list(channels)
+    for i in range(n_ues):
+        fault = new.faults.get(i)
+        if fault is not None:
+            if new.tick <= fault.until_tick:
+                reported[i] = inject_fault(reported[i], fault.spec, rng)
+            if new.tick >= fault.until_tick:
+                del new.faults[i]
+
+    # (6) traffic demand resampling, (7) report emission
+    priorities = state.priority.tolist()
+    achieved = state.achieved_mbps.tolist()
+    demands, reports = [], []
+    for i in range(n_ues):
+        demands.append(float(rng.exponential(cfg.traffic.mean_demand_mbps[priorities[i] - 1])))
+        reports.append(
+            MeasurementReport(
+                tick=new.tick,
+                ue_id=i,
+                serving_cell=serving[i],
+                channel=reported[i],
+                neighbor_rsrp_dbm=neighbors[i],
+                demand_mbps=demands[i],
+                priority=priorities[i],
+                achieved_mbps=achieved[i],
+            )
+        )
+
+    new.position = np.array(positions, dtype=np.float64).reshape(n_ues, 2)
+    new.velocity = np.array(velocities, dtype=np.float64).reshape(n_ues, 2)
+    new.shadowing_db = np.array(shadowing, dtype=np.float64).reshape(state.shadowing_db.shape)
+    new.serving_cell = np.array(serving, dtype=np.int64)
+    new.demand_mbps = np.array(demands, dtype=np.float64)
+    new.last_channel = channels
+    return new, reports, TickKpis(tick=new.tick, n_handovers=n_handovers)

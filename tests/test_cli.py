@@ -53,6 +53,14 @@ class TestGenDataset:
         assert rc == 2
         assert f"config.{section} must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [("n_ues", 5.7), ("seed", True), ("total_prbs", 49.9)])
+    def test_non_integer_value_exits_2(self, tmp_path, capsys, name, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        rc = main(["gen-dataset", "--config", str(cfg), "--out", str(tmp_path / "d.csv")])
+        assert rc == 2
+        assert f"config.{name} must be an integer" in capsys.readouterr().err
+
     def test_failure_still_writes_manifest(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = main(["gen-dataset", "--out", str(out), "--n-samples", "0"])
@@ -324,6 +332,24 @@ class TestClosedLoop:
         ])
         assert rc == 2
         assert "schedule fault #1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("onset_tick", 5.9), ("ue_id", 1.2), ("duration_ticks", 10.8), ("class", 2.5),
+        ("ue_id", True), ("class", True),
+    ])
+    def test_non_integer_schedule_value_exits_2(self, untrained, tmp_path, capsys, field, value):
+        # a float or a boolean is rejected, not truncated to an int
+        good = {"onset_tick": 5, "ue_id": 1, "class": 1,
+                "offset_db": -20.0, "jitter_db": 3.0, "duration_ticks": 10}
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"faults": [good, {**good, field: value}]}))
+        rc = main([
+            "closed-loop", "--model", str(untrained["model"]),
+            "--stats", str(untrained["stats"]), "--schedule", str(schedule),
+            "--out-dir", str(tmp_path / "loop"),
+        ])
+        assert rc == 2
+        assert f"schedule fault #1: {field} must be an integer" in capsys.readouterr().err
 
     def test_missing_model_exits_2(self, trained, tmp_path, capsys):
         rc = main([

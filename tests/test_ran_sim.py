@@ -15,11 +15,13 @@ from rantwin.ran_sim import (
     MobilityConfig,
     SimConfig,
     SimState,
-    UeState,
     init_sim,
-    select_serving_cell,
+    select_serving_cells,
     step,
 )
+from rantwin.ric import ControlAction, ForceHandover, PrbBoost, allocation_weights, apply_control
+
+from oracles import scalar_serving_cell, scalar_step
 
 SMALL = SimConfig(n_cells=3, n_ues=12, n_ticks=50, seed=9)
 
@@ -57,6 +59,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=f"config.{section} must be a JSON object"):
             ran_sim.sim_config_from_dict({section: value})
 
+    @pytest.mark.parametrize("name", ["n_cells", "n_ues", "n_ticks", "seed", "total_prbs"])
+    @pytest.mark.parametrize("value", [5.7, 5.0, True, "5"])
+    def test_integer_field_rejects_non_integer(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"config.{name} must be an integer"):
+            ran_sim.sim_config_from_dict({name: value})
+
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n_cells": 2, "traffic": {"mean_demand_mbps": [1, 2, 3, 4]}}))
@@ -80,12 +88,10 @@ class TestInit:
         assert len(state.ues) == 50
         assert len(state.cells) == 3
         assert {ue.serving_cell for ue in state.ues} <= {0, 1, 2}
-        for ue in state.ues:
-            assert 0.0 <= ue.position[0] <= 600.0
-            assert 0.0 <= ue.position[1] <= 600.0
-            assert 1 <= ue.traffic_priority <= 4
-            assert ue.demand_mbps >= 0.0
-            assert set(ue.shadowing_db) == {0, 1, 2}
+        assert ((0.0 <= state.position) & (state.position <= 600.0)).all()
+        assert ((1 <= state.priority) & (state.priority <= 4)).all()
+        assert (state.demand_mbps >= 0.0).all()
+        assert state.shadowing_db.shape == (50, 3)
 
     def test_cells_on_grid_inside_area(self):
         for n in (1, 2, 3, 4, 5, 9):
@@ -96,25 +102,50 @@ class TestInit:
                 assert 0.0 < c.position[1] < 600.0
 
 
+class TestSimState:
+    def test_cell_ids_must_match_their_position(self):
+        state = init_sim(SimConfig(n_cells=2, n_ues=3, seed=1))
+        swapped = [dataclasses.replace(c, cell_id=1 - c.cell_id) for c in state.cells]
+        with pytest.raises(DomainError, match="cell_id"):
+            dataclasses.replace(state, cells=swapped)
+        with pytest.raises(DomainError, match="cell_id"):
+            dataclasses.replace(state, cells=state.cells[1:])
+
+
 class TestSelectServingCell:
-    def _ue(self, serving=0):
-        return UeState(0, (0, 0), (0, 0), serving, 1, 1.0, {})
+    @staticmethod
+    def _select(rsrp_row, serving=0):
+        return select_serving_cells(np.array([rsrp_row]), np.array([serving]), 3.0).tolist()[0]
 
     def test_single_cell(self):
-        assert select_serving_cell(self._ue(), {0: -100.0}, 3.0) == 0
+        assert self._select([-100.0]) == 0
 
     def test_exactly_at_hysteresis_no_handover(self):
-        assert select_serving_cell(self._ue(), {0: -100.0, 1: -97.0}, 3.0) == 0
+        assert self._select([-100.0, -97.0]) == 0
 
     def test_above_hysteresis_hands_over(self):
-        assert select_serving_cell(self._ue(), {0: -100.0, 1: -95.0}, 3.0) == 1
+        assert self._select([-100.0, -95.0]) == 1
 
     def test_tie_breaks_to_lowest_cell_id(self):
-        assert select_serving_cell(self._ue(), {0: -100.0, 1: -90.0, 2: -90.0}, 3.0) == 1
+        assert self._select([-100.0, -90.0, -90.0]) == 1
 
     def test_missing_serving_cell_rejected(self):
         with pytest.raises(DomainError):
-            select_serving_cell(self._ue(serving=7), {0: -100.0}, 3.0)
+            self._select([-100.0], serving=7)
+
+    def test_matches_scalar_rule_row_by_row(self):
+        # whole-dB RSRP on up to 7 cells gives many ties and margins exactly
+        # at the hysteresis
+        rng = np.random.default_rng(12)
+        rsrp = np.round(rng.uniform(-110.0, -90.0, size=(400, 7)))
+        serving = rng.integers(0, 7, size=400)
+        chosen = select_serving_cells(rsrp, serving, 3.0)
+        expected = [
+            scalar_serving_cell(s, dict(enumerate(row)), 3.0)
+            for s, row in zip(serving.tolist(), rsrp.tolist())
+        ]
+        assert chosen.tolist() == expected
+        assert 0 < sum(c != s for c, s in zip(expected, serving.tolist())) < 400
 
 
 def _two_cell_corridor(start_x: float, speed: float) -> SimState:
@@ -133,16 +164,21 @@ def _two_cell_corridor(start_x: float, speed: float) -> SimState:
         CellState(0, (0.0, 0.0), config.tx_power_per_re_dbm, config.total_prbs),
         CellState(1, (1000.0, 0.0), config.tx_power_per_re_dbm, config.total_prbs),
     ]
-    ue = UeState(
-        ue_id=0,
-        position=(start_x, 0.0),
-        velocity=(speed, 0.0),
-        serving_cell=0,
-        traffic_priority=2,
-        demand_mbps=1.0,
-        shadowing_db={0: 0.0, 1: 0.0},
+    return SimState(
+        config,
+        0,
+        cells,
+        np.random.default_rng(0),
+        position=np.array([[start_x, 0.0]]),
+        velocity=np.array([[speed, 0.0]]),
+        shadowing_db=np.zeros((1, 2)),
+        serving_cell=np.array([0]),
+        priority=np.array([2]),
+        demand_mbps=np.array([1.0]),
+        achieved_mbps=np.zeros(1),
+        boost_factor=np.ones(1),
+        boost_until_tick=np.array([-1]),
     )
-    return SimState(config, 0, cells, [ue], np.random.default_rng(0))
 
 
 class TestStep:
@@ -162,8 +198,7 @@ class TestStep:
             s, reports, _ = step(s)
             for r0, r in zip(first, reports):
                 assert r.channel.rsrp_dbm == r0.channel.rsrp_dbm
-        for ue0, ue in zip(state.ues, s.ues):
-            assert ue.position == ue0.position
+        assert np.array_equal(s.position, state.position)
 
     def test_step_is_pure(self):
         state = init_sim(SMALL)
@@ -198,9 +233,7 @@ class TestStep:
             assert len(state.ues) == 8
             assert len(state.cells) == 2
             assert len(reports) == 8
-            for ue in state.ues:
-                assert 0.0 <= ue.position[0] <= 50.0
-                assert 0.0 <= ue.position[1] <= 50.0
+            assert ((0.0 <= state.position) & (state.position <= 50.0)).all()
 
     def test_one_report_per_ue_per_tick(self):
         state = init_sim(SMALL)
@@ -214,25 +247,30 @@ class TestStep:
         for _ in range(5):
             state, reports, _ = step(state)
             noise_mw = rm.dbm_to_mw(rm.noise_power_per_re_dbm(state.config.link))
-            for report, ue in zip(reports, state.ues):
+            for report, position, shadowing, serving in zip(
+                reports,
+                state.position.tolist(),
+                state.shadowing_db.tolist(),
+                state.serving_cell.tolist(),
+            ):
                 rsrp = {}
                 for cell in state.cells:
-                    d = max(math.hypot(ue.position[0] - cell.position[0],
-                                       ue.position[1] - cell.position[1]), 1e-6)
+                    d = max(math.hypot(position[0] - cell.position[0],
+                                       position[1] - cell.position[1]), 1e-6)
                     rsrp[cell.cell_id] = rm.rsrp_dbm(
                         cell.tx_power_per_re_dbm,
                         rm.path_loss_db(d, state.config.link),
-                        ue.shadowing_db[cell.cell_id],
+                        shadowing[cell.cell_id],
                     )
-                serving_mw = rm.dbm_to_mw(rsrp[ue.serving_cell])
-                interf = [rm.dbm_to_mw(v) for cid, v in rsrp.items() if cid != ue.serving_cell]
+                serving_mw = rm.dbm_to_mw(rsrp[serving])
+                interf = [rm.dbm_to_mw(v) for cid, v in rsrp.items() if cid != serving]
                 total = serving_mw + sum(interf) + noise_mw
-                assert report.channel.rsrp_dbm == rsrp[ue.serving_cell]
+                assert report.channel.rsrp_dbm == rsrp[serving]
                 assert report.channel.sinr_db == rm.sinr_db(serving_mw, interf, noise_mw)
                 assert report.channel.rssi_dbm == rm.mw_to_dbm(total)
                 assert report.channel.rsrq_db == rm.rsrq_db(serving_mw, total)
                 assert report.channel.cqi == rm.cqi_from_sinr(report.channel.sinr_db)
-                assert set(report.neighbor_rsrp_dbm) == set(rsrp) - {ue.serving_cell}
+                assert set(report.neighbor_rsrp_dbm) == set(rsrp) - {serving}
 
     @pytest.mark.parametrize(
         "cls, family",
@@ -246,10 +284,10 @@ class TestStep:
         state = init_sim(SMALL)
         ran_sim.set_fault(state, 4, default_fault_specs()[cls])
         new, reports, _ = step(state)
-        for report, ue in zip(reports, new.ues):
-            assert report.demand_mbps == ue.demand_mbps
-            true, seen = ue.last_channel, report.channel
-            if ue.ue_id != 4:
+        for report, demand, true in zip(reports, new.demand_mbps.tolist(), new.last_channel):
+            assert report.demand_mbps == demand
+            seen = report.channel
+            if report.ue_id != 4:
                 assert seen == true
                 continue
             changed = {f.name for f in dataclasses.fields(seen)
@@ -276,7 +314,7 @@ class TestStep:
         handover_tick = None
         for _ in range(60):
             state, _, kpis = step(state)
-            if state.ues[0].serving_cell == 1:
+            if state.serving_cell[0] == 1:
                 handover_tick = state.tick
                 break
         assert handover_tick == expected_tick
@@ -314,7 +352,99 @@ class TestAllocationApplication:
         state, reports, _ = step(state)
         plan, _, _ = twin_engine.twin_tick(reports, state.cells, SMALL.link)
         ran_sim.apply_allocation(state, plan, SMALL.link)
-        for ue in state.ues:
-            assert 0.0 <= ue.achieved_mbps <= ue.demand_mbps + 1e-12
-            if plan.grants.get(ue.ue_id, 0) == 0:
-                assert ue.achieved_mbps == 0.0
+        for ue_id, (achieved, demand) in enumerate(
+            zip(state.achieved_mbps.tolist(), state.demand_mbps.tolist())
+        ):
+            assert 0.0 <= achieved <= demand + 1e-12
+            if plan.grants.get(ue_id, 0) == 0:
+                assert achieved == 0.0
+
+    def test_replaces_the_achieved_array(self):
+        # closed_loop_run keeps earlier ticks' arrays as its baseline window
+        from rantwin import twin_engine
+
+        state = init_sim(SMALL)
+        state, reports, _ = step(state)
+        plan, _, _ = twin_engine.twin_tick(reports, state.cells, SMALL.link)
+        ran_sim.apply_allocation(state, plan, SMALL.link)
+        first = state.achieved_mbps
+        kept = first.copy()
+        state, reports, _ = step(state)
+        plan, _, _ = twin_engine.twin_tick(reports, state.cells, SMALL.link)
+        ran_sim.apply_allocation(state, plan, SMALL.link)
+        assert state.achieved_mbps is not first
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(state.achieved_mbps, kept)
+
+
+def _assert_step_matches_scalar(state, n_ticks, faults=(), controls=False):
+    """Step `state` n_ticks times, checking every tick against scalar_step on
+    the same input. `faults` maps a tick to (ue_id, spec) pairs set before it.
+    With `controls`, allocation, PRB boosts and forced handovers run between
+    ticks, so reports carry achieved rates and reselection starts from
+    steered cells. Returns the number of handovers and reflections seen."""
+    from rantwin import twin_engine
+
+    faults = dict(faults)
+    handovers = reflections = 0
+    for _ in range(n_ticks):
+        for ue_id, spec in faults.get(state.tick + 1, ()):
+            ran_sim.set_fault(state, ue_id, spec)
+        ref, ref_reports, ref_kpis = scalar_step(state)
+        new, reports, kpis = step(state)
+        assert reports == ref_reports
+        assert kpis == ref_kpis
+        assert new.last_channel == ref.last_channel
+        assert np.array_equal(new.serving_cell, ref.serving_cell)
+        assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert new.snapshot() == ref.snapshot()
+        handovers += kpis.n_handovers
+        reflections += int(np.count_nonzero(new.velocity != state.velocity))
+        state = new
+        if controls:
+            weights = allocation_weights(state)
+            plan, _, _ = twin_engine.twin_tick(reports, state.cells, state.config.link, weights)
+            ran_sim.apply_allocation(state, plan, state.config.link)
+            ue_id = state.tick % len(state.serving_cell)
+            if state.tick % 7 == 0:
+                target = max(reports[ue_id].neighbor_rsrp_dbm, default=0,
+                             key=reports[ue_id].neighbor_rsrp_dbm.get)
+                apply_control(state, ControlAction(state.tick, ue_id, ForceHandover(target),
+                                                   AnomalyClass.RSRP_ERROR))
+            if state.tick % 11 == 0:
+                apply_control(state, ControlAction(state.tick, ue_id, PrbBoost(2.0, 5),
+                                                   AnomalyClass.SINR_ERROR))
+    return handovers, reflections
+
+
+class TestStepMatchesScalarOracle:
+    def test_default_network_with_faults_and_control(self):
+        specs = default_fault_specs(duration_ticks=40)
+        faults = {
+            10 + 30 * k: [(7 * k % 50, specs[cls]), ((7 * k + 3) % 50, specs[cls])]
+            for k, cls in enumerate(list(AnomalyClass)[1:] * 3)
+        }
+        state = init_sim(SimConfig(n_cells=3, n_ues=50, seed=17))
+        handovers, _ = _assert_step_matches_scalar(state, 300, faults, controls=True)
+        assert handovers > 0
+
+    @pytest.mark.parametrize("n_cells, n_ues", [(7, 12), (19, 8)])
+    def test_many_cells(self, n_cells, n_ues):
+        specs = default_fault_specs(duration_ticks=5)
+        faults = {3: [(1, specs[AnomalyClass.SINR_ERROR])],
+                  4: [(2, specs[AnomalyClass.RSRQ_ERROR])]}
+        state = init_sim(SimConfig(n_cells=n_cells, n_ues=n_ues, area_m=300.0, seed=n_cells))
+        handovers, _ = _assert_step_matches_scalar(state, 40, faults, controls=True)
+        assert handovers > 0
+
+    def test_reflection_heavy(self):
+        config = SimConfig(
+            n_cells=2,
+            n_ues=8,
+            area_m=50.0,
+            tick_ms=2000.0,
+            seed=3,
+            mobility=MobilityConfig(min_speed_mps=5.0, max_speed_mps=20.0),
+        )
+        _, reflections = _assert_step_matches_scalar(init_sim(config), 60)
+        assert reflections > 100

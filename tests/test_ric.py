@@ -294,7 +294,7 @@ class TestClosedLoop:
             state, reports, _ = ran_sim.step(state)
             plan, _, _ = twin_engine.twin_tick(reports, state.cells, config.link)
             ran_sim.apply_allocation(state, plan, config.link)
-            achieved_plain.append([ue.achieved_mbps for ue in state.ues])
+            achieved_plain.append(state.achieved_mbps.tolist())
         plain_snapshot = state.snapshot()
 
         achieved_loop = []
@@ -308,7 +308,7 @@ class TestClosedLoop:
             plan, actions, _ = xapp.on_indication(sub.pop(), weights=allocation_weights(state))
             assert actions == []
             ran_sim.apply_allocation(state, plan, config.link)
-            achieved_loop.append([ue.achieved_mbps for ue in state.ues])
+            achieved_loop.append(state.achieved_mbps.tolist())
 
         assert achieved_loop == achieved_plain
         assert state.snapshot() == plain_snapshot
