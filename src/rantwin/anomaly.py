@@ -12,15 +12,15 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import repeat
 
 import numpy as np
 
 from . import radio_model, ran_sim, twin_engine
 from .errors import ConfigurationError, DataFormatError, DomainError
 from .radio_model import ChannelSample
-from .ran_sim import MeasurementReport, SimConfig
-from .twin_engine import AllocationPlan, PredictedKpi
+from .ran_sim import ReportBatch, SimConfig
+from .twin_engine import AllocationPlan
 
 log = logging.getLogger(__name__)
 
@@ -135,41 +135,29 @@ class FeatureStats:
 
 
 def extract_features(
-    report: MeasurementReport, kpi: PredictedKpi, plan: AllocationPlan
+    reports: ReportBatch, predicted_mbps: np.ndarray, plan: AllocationPlan, row: int
 ) -> np.ndarray:
-    """Pack the 8 classifier inputs in their frozen file-format order."""
-    return np.array(_feature_row(report, kpi, plan), dtype=np.float64)
+    """The 8 classifier inputs of report `row`: that row of `feature_matrix`."""
+    return feature_matrix(reports, predicted_mbps, plan)[row]
 
 
 def feature_matrix(
-    reports: Sequence[MeasurementReport], kpis: Sequence[PredictedKpi], plan: AllocationPlan
+    reports: ReportBatch, predicted_mbps: np.ndarray, plan: AllocationPlan
 ) -> np.ndarray:
-    """`extract_features` of every (report, kpi) pair, as one (n, 8) matrix."""
-    if len(kpis) != len(reports):
-        raise DomainError(f"{len(reports)} reports but {len(kpis)} kpis")
-    rows = [_feature_row(report, kpi, plan) for report, kpi in zip(reports, kpis)]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
-
-
-def _feature_row(report: MeasurementReport, kpi: PredictedKpi, plan: AllocationPlan) -> tuple:
-    if kpi.ue_id != report.ue_id:
-        raise DomainError(f"report ue {report.ue_id} does not match kpi ue {kpi.ue_id}")
-    if plan.tick != report.tick:
-        raise DomainError(f"report tick {report.tick} does not match plan tick {plan.tick}")
-    total = plan.cell_totals.get(report.serving_cell)
-    if total is None:
-        raise DomainError(f"plan has no cell totals for cell {report.serving_cell}")
-    ch = report.channel
-    return (
-        ch.rsrp_dbm,
-        ch.rsrq_db,
-        ch.sinr_db,
-        float(ch.cqi),
-        report.achieved_mbps,
-        kpi.predicted_mbps,
-        plan.grants.get(report.ue_id, 0) / total,
-        float(report.priority),
-    )
+    """The 8 classifier inputs of every report in their frozen file-format
+    order, as one (n, 8) matrix; `predicted_mbps` has one entry per report."""
+    if len(predicted_mbps) != len(reports):
+        raise DomainError(f"{len(reports)} reports but {len(predicted_mbps)} predictions")
+    if plan.tick != reports.tick:
+        raise DomainError(f"report tick {reports.tick} does not match plan tick {plan.tick}")
+    serving = reports.serving_cell.tolist()
+    total = np.fromiter(map(plan.cell_totals.get, serving, repeat(-1)), np.int64, len(serving))
+    if (total < 0).any():
+        raise DomainError(f"plan has no cell totals for cell {serving[int(np.argmax(total < 0))]}")
+    ch = reports.channel
+    columns = (ch.rsrp_dbm, ch.rsrq_db, ch.sinr_db, ch.cqi, reports.achieved_mbps, predicted_mbps,
+               plan.grants_of(reports.ue_id) / total, reports.priority)
+    return np.stack(columns, axis=1, dtype=np.float64)
 
 
 def standardize(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
@@ -246,14 +234,14 @@ def generate_dataset(
             if fault.until_tick >= state.tick + 1:
                 labels[ue_id] = fault.spec.cls
         state, reports, _ = ran_sim.step(state)
-        plan, kpis, _ = twin_engine.twin_tick(reports, state.cells, config.link)
+        plan, predicted_mbps, _ = twin_engine.twin_tick(reports, state.cells, config.link)
         if sampling:
-            kpi_by_ue = {k.ue_id: k for k in kpis}
-            for report in reports:
-                label = labels[report.ue_id]
+            x = feature_matrix(reports, predicted_mbps, plan)
+            for row, ue_id in enumerate(reports.ue_id.tolist()):
+                label = labels[ue_id]
                 if len(pools[label]) < 4 * quotas[label] + 8:
-                    features = extract_features(report, kpi_by_ue[report.ue_id], plan)
-                    pools[label].append(LabeledSample(features, label, report.ue_id, report.tick))
+                    # a copy, so the sample does not keep the whole matrix alive
+                    pools[label].append(LabeledSample(x[row].copy(), label, ue_id, reports.tick))
         ran_sim.apply_allocation(state, plan, config.link)
         if all(len(pools[c]) >= quotas[c] for c in AnomalyClass):
             break

@@ -9,7 +9,8 @@ unless stated otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -69,6 +70,57 @@ class ChannelSample:
             raise DomainError(f"rsrq_db must be <= 0, got {self.rsrq_db}")
         if not 0 <= self.cqi <= 15:
             raise DomainError(f"cqi must be in [0, 15], got {self.cqi}")
+
+
+def fields_equal(a, b) -> bool:
+    """Equality of dataclasses whose fields are arrays, each compared whole."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelColumns:
+    """The ChannelSample of many UEs, one (U,) array per field, with the
+    checks of ChannelSample on every row. Nothing writes into the arrays."""
+
+    __eq__ = fields_equal
+
+    rsrp_dbm: np.ndarray
+    rssi_dbm: np.ndarray
+    rsrq_db: np.ndarray
+    sinr_db: np.ndarray
+    cqi: np.ndarray  # int
+
+    def __post_init__(self):
+        if len({len(column) for column in vars(self).values()}) > 1:
+            raise DomainError("channel columns must have equal lengths")
+        if (self.rsrq_db > 1e-12).any():
+            raise DomainError(f"rsrq_db must be <= 0, got {self.rsrq_db.max()}")
+        if ((self.cqi < 0) | (self.cqi > 15)).any():
+            raise DomainError(f"cqi must be in [0, 15], got {self.cqi.min()}..{self.cqi.max()}")
+
+    def row(self, i: int) -> ChannelSample:
+        return ChannelSample(*(column[i].item() for column in vars(self).values()))
+
+
+def scalar_map(fn, *arrays: np.ndarray) -> np.ndarray:
+    """`fn` applied element by element to Python numbers, in the shape of arrays[0].
+
+    The simulator's hypot, log10 and 10**x and the spectral efficiency go
+    through here, not through numpy's ufuncs: the ufuncs differ from `math`
+    and float `**` in the last ulp on a few percent of inputs, and every
+    report, grant and rate must carry exactly the bits of the scalar link
+    model.
+    """
+    flat = [a.ravel().tolist() for a in arrays]
+    out = np.fromiter(map(fn, *flat), dtype=np.float64, count=len(flat[0]))
+    return out.reshape(arrays[0].shape)
+
+
+# `10.0 ** x`, the float power of db_to_linear
+pow10 = partial(pow, 10.0)
 
 
 def db_to_linear(db: float) -> float:
@@ -148,6 +200,12 @@ def spectral_efficiency_bps_hz(sinr: float, cqi: int) -> float:
         raise DomainError(f"cqi must be in [0, 15], got {cqi}")
     cap = CQI_EFFICIENCY_BPS_HZ[cqi]
     return min(math.log2(1.0 + db_to_linear(sinr)), cap)
+
+
+def spectral_efficiencies(sinr_db: np.ndarray, cqi: np.ndarray) -> np.ndarray:
+    """`spectral_efficiency_bps_hz` of every (sinr, cqi) pair, bit for bit."""
+    shannon = scalar_map(math.log2, 1.0 + scalar_map(pow10, sinr_db / 10.0))
+    return np.minimum(shannon, np.array(CQI_EFFICIENCY_BPS_HZ)[cqi])
 
 
 def noise_power_per_re_dbm(params: LinkBudgetParams) -> float:

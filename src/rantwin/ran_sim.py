@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import radio_model
 from .errors import ConfigurationError, DomainError
-from .radio_model import ChannelSample, LinkBudgetParams
+from .radio_model import ChannelColumns, LinkBudgetParams, fields_equal, scalar_map
 
 if TYPE_CHECKING:
     from .anomaly import FaultSpec
@@ -98,32 +97,53 @@ class ActiveFault:
     until_tick: int
 
 
+@dataclass(slots=True)
 class UeView:
     """One UE's id and serving cell, as `SimState.ues` lists them."""
 
-    __slots__ = ("ue_id", "serving_cell")
-
-    def __init__(self, ue_id: int, serving_cell: int):
-        self.ue_id = ue_id
-        self.serving_cell = serving_cell
-
-
-@dataclass(frozen=True)
-class MeasurementReport:
-    tick: int
     ue_id: int
     serving_cell: int
-    channel: ChannelSample
-    neighbor_rsrp_dbm: dict[int, float]
-    demand_mbps: float
-    priority: int
-    achieved_mbps: float
+
+
+@dataclass(frozen=True, eq=False)
+class ReportBatch:
+    """One tick's measurement reports, row i from the UE `ue_id[i]`.
+
+    `channel` is the channel as reported, faults included. `rsrp_dbm` is the
+    true RSRP of every cell, column j for cell_id j: the serving cell and
+    the neighbours. Nothing writes into the arrays.
+    """
+
+    tick: int
+    ue_id: np.ndarray  # (U,) int
+    serving_cell: np.ndarray  # (U,) int
+    channel: ChannelColumns
+    rsrp_dbm: np.ndarray  # (U, C)
+    demand_mbps: np.ndarray  # (U,)
+    priority: np.ndarray  # (U,) int
+    achieved_mbps: np.ndarray  # (U,)
+
+    __eq__ = fields_equal
+
+    def __post_init__(self):
+        columns = (self.serving_cell, self.channel.cqi, self.rsrp_dbm, self.demand_mbps,
+                   self.priority, self.achieved_mbps)
+        if any(len(column) != len(self.ue_id) for column in columns):
+            raise DomainError(f"every report column needs {len(self.ue_id)} rows, one per ue_id")
+
+    def __len__(self) -> int:
+        return len(self.ue_id)
 
 
 @dataclass(frozen=True)
 class TickKpis:
     tick: int
     n_handovers: int
+
+
+# The array columns of SimState, one row per UE.
+_UE_COLUMNS = ("position", "velocity", "shadowing_db", "serving_cell", "priority", "demand_mbps",
+               "achieved_mbps", "boost_factor", "boost_until_tick")
 
 
 @dataclass(eq=False)
@@ -154,8 +174,9 @@ class SimState:
     boost_factor: np.ndarray  # (U,)
     boost_until_tick: np.ndarray  # (U,) int
     faults: dict[int, ActiveFault] = field(default_factory=dict)
-    # The true (uncorrupted) channel of every UE at the last step.
-    last_channel: list[ChannelSample] = field(default_factory=list)
+    # The true (uncorrupted) channel of every UE at the last step; step
+    # replaces it and nothing writes into it.
+    last_channel: ChannelColumns | None = None
 
     def __post_init__(self):
         for i, cell in enumerate(self.cells):
@@ -166,24 +187,19 @@ class SimState:
                 )
 
     def clone(self) -> "SimState":
-        rng = np.random.Generator(np.random.PCG64())
+        """A copy of the columns apply_control writes into; the other arrays
+        are shared, because step and apply_allocation replace them whole."""
+        # A fixed seed spares drawing entropy from the OS for a generator
+        # whose state the next line overwrites.
+        rng = np.random.Generator(np.random.PCG64(0))
         rng.bit_generator.state = self.rng.bit_generator.state
-        return SimState(
-            self.config,
-            self.tick,
-            list(self.cells),
-            rng,
-            self.position.copy(),
-            self.velocity.copy(),
-            self.shadowing_db.copy(),
-            self.serving_cell.copy(),
-            self.priority.copy(),
-            self.demand_mbps.copy(),
-            self.achieved_mbps.copy(),
-            self.boost_factor.copy(),
-            self.boost_until_tick.copy(),
-            dict(self.faults),
-            list(self.last_channel),
+        return replace(
+            self,
+            rng=rng,
+            serving_cell=self.serving_cell.copy(),
+            boost_factor=self.boost_factor.copy(),
+            boost_until_tick=self.boost_until_tick.copy(),
+            faults=dict(self.faults),
         )
 
     @property
@@ -203,45 +219,14 @@ class SimState:
         return self.cells[cell_id]
 
     def snapshot(self) -> dict:
-        """Plain JSON-able view of the full state, used for equality checks."""
-        position = self.position.tolist()
-        velocity = self.velocity.tolist()
-        serving = self.serving_cell.tolist()
-        priority = self.priority.tolist()
-        demand = self.demand_mbps.tolist()
-        shadowing = self.shadowing_db.tolist()
-        achieved = self.achieved_mbps.tolist()
-        boost = self.boost_factor.tolist()
-        boost_until = self.boost_until_tick.tolist()
+        """Plain JSON-able copy of the full state but `last_channel`, used
+        for equality checks."""
         return {
             "tick": self.tick,
-            "cells": [
-                {
-                    "cell_id": c.cell_id,
-                    "position": list(c.position),
-                    "tx_power_per_re_dbm": c.tx_power_per_re_dbm,
-                    "total_prbs": c.total_prbs,
-                }
-                for c in self.cells
-            ],
-            "ues": [
-                {
-                    "ue_id": i,
-                    "position": position[i],
-                    "velocity": velocity[i],
-                    "serving_cell": serving[i],
-                    "traffic_priority": priority[i],
-                    "demand_mbps": demand[i],
-                    "shadowing_db": {str(k): v for k, v in enumerate(shadowing[i])},
-                    "achieved_mbps": achieved[i],
-                    "boost_factor": boost[i],
-                    "boost_until_tick": boost_until[i],
-                    "fault_until_tick": (
-                        self.faults[i].until_tick if i in self.faults else None
-                    ),
-                }
-                for i in range(len(serving))
-            ],
+            "cells": [[c.cell_id, list(c.position), c.tx_power_per_re_dbm, c.total_prbs]
+                      for c in self.cells],
+            **{name: getattr(self, name).tolist() for name in _UE_COLUMNS},
+            "fault_until_tick": [[u, f.until_tick] for u, f in sorted(self.faults.items())],
             "rng": repr(self.rng.bit_generator.state),
         }
 
@@ -256,23 +241,6 @@ def _grid_positions(n_cells: int, area_m: float) -> list[tuple[float, float]]:
     return positions
 
 
-def _scalar_map(fn, *arrays: np.ndarray) -> np.ndarray:
-    """`fn` applied element by element to Python floats, in the shape of arrays[0].
-
-    hypot, log10 and 10**x go through here, not through numpy's ufuncs:
-    the ufuncs differ from `math` and float `**` in the last ulp on a few
-    percent of inputs, and every report must carry exactly the bits of the
-    scalar link model in `radio_model`.
-    """
-    flat = [a.ravel().tolist() for a in arrays]
-    out = np.fromiter(map(fn, *flat), dtype=np.float64, count=len(flat[0]))
-    return out.reshape(arrays[0].shape)
-
-
-# `10.0 ** x`, the float power of radio_model.db_to_linear
-_pow10 = partial(pow, 10.0)
-
-
 def _rsrp_matrix(
     position: np.ndarray, shadowing_db: np.ndarray, cells: list[CellState], link: LinkBudgetParams
 ) -> np.ndarray:
@@ -281,10 +249,10 @@ def _rsrp_matrix(
     tx = np.array([c.tx_power_per_re_dbm for c in cells], dtype=np.float64)
     dx = position[:, 0:1] - cell_xy[:, 0]
     dy = position[:, 1:2] - cell_xy[:, 1]
-    distance = np.maximum(_scalar_map(math.hypot, dx, dy), 1e-6)
+    distance = np.maximum(scalar_map(math.hypot, dx, dy), 1e-6)
     # radio_model.path_loss_db, elementwise
     d = np.maximum(distance, link.ref_distance_m)
-    path_loss = link.ref_path_loss_db + 10.0 * link.path_loss_exponent * _scalar_map(
+    path_loss = link.ref_path_loss_db + 10.0 * link.path_loss_exponent * scalar_map(
         math.log10, d / link.ref_distance_m
     )
     return tx - path_loss + shadowing_db
@@ -361,7 +329,7 @@ def set_fault(state: SimState, ue_id: int, spec: "FaultSpec") -> None:
     )
 
 
-def step(state: SimState) -> tuple[SimState, list[MeasurementReport], TickKpis]:
+def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     """Advance one tick. The input state is left untouched.
 
     Stage order: mobility, shadowing, reselection, channel sampling, fault
@@ -407,7 +375,7 @@ def step(state: SimState) -> tuple[SimState, list[MeasurementReport], TickKpis]:
     # order with 0.0 for the serving cell, as the scalar sums do: SINR over
     # noise + interferers, RSSI over serving + interferers + noise.
     rows = np.arange(len(serving))
-    mw = _scalar_map(_pow10, rsrp / 10.0)
+    mw = scalar_map(radio_model.pow10, rsrp / 10.0)
     serving_mw = mw[rows, serving]
     interference = np.zeros(len(serving))
     noise_and_interference = np.full(len(serving), noise_mw)
@@ -416,27 +384,20 @@ def step(state: SimState) -> tuple[SimState, list[MeasurementReport], TickKpis]:
         interference = interference + p
         noise_and_interference = noise_and_interference + p
     total_mw = serving_mw + interference + noise_mw
-    sinr = 10.0 * _scalar_map(math.log10, serving_mw / noise_and_interference)
-    rssi = 10.0 * _scalar_map(math.log10, total_mw)
-    rsrq = 10.0 * _scalar_map(math.log10, serving_mw / total_mw)
+    sinr = 10.0 * scalar_map(math.log10, serving_mw / noise_and_interference)
+    rssi = 10.0 * scalar_map(math.log10, total_mw)
+    rsrq = 10.0 * scalar_map(math.log10, serving_mw / total_mw)
     cqi = np.searchsorted(radio_model.CQI_SINR_THRESHOLDS_DB, sinr, side="right")
-    new.last_channel = list(
-        map(
-            ChannelSample,
-            rsrp[rows, serving].tolist(),
-            rssi.tolist(),
-            rsrq.tolist(),
-            sinr.tolist(),
-            cqi.tolist(),
-        )
-    )
+    new.last_channel = ChannelColumns(rsrp[rows, serving], rssi, rsrq, sinr, cqi)
 
     # (5) fault corruption of the reported channel, in ue_id order
-    channels = list(new.last_channel)
+    reported = {name: column.copy() for name, column in vars(new.last_channel).items()}
     for ue_id in sorted(new.faults):
         fault = new.faults[ue_id]
         if new.tick <= fault.until_tick:
-            channels[ue_id] = inject_fault(channels[ue_id], fault.spec, rng)
+            sample = inject_fault(new.last_channel.row(ue_id), fault.spec, rng)
+            for name, value in vars(sample).items():
+                reported[name][ue_id] = value
         if new.tick >= fault.until_tick:
             del new.faults[ue_id]
 
@@ -444,29 +405,18 @@ def step(state: SimState) -> tuple[SimState, list[MeasurementReport], TickKpis]:
     means = np.array(cfg.traffic.mean_demand_mbps, dtype=np.float64)
     new.demand_mbps = rng.exponential(means[new.priority - 1])
 
-    # (7) report emission
-    reports = [
-        MeasurementReport(
-            new.tick,
-            ue_id,
-            cell_id,
-            channel,
-            {c: r for c, r in enumerate(rsrp_row) if c != cell_id},
-            demand,
-            priority,
-            achieved,
-        )
-        for ue_id, (cell_id, channel, rsrp_row, demand, priority, achieved) in enumerate(
-            zip(
-                serving.tolist(),
-                channels,
-                rsrp.tolist(),
-                new.demand_mbps.tolist(),
-                new.priority.tolist(),
-                new.achieved_mbps.tolist(),
-            )
-        )
-    ]
+    # (7) report emission. serving_cell is copied because apply_control
+    # writes into the state's column.
+    reports = ReportBatch(
+        new.tick,
+        rows,
+        serving.copy(),
+        ChannelColumns(**reported),
+        rsrp,
+        new.demand_mbps,
+        new.priority,
+        new.achieved_mbps,
+    )
     return new, reports, TickKpis(tick=new.tick, n_handovers=n_handovers)
 
 
@@ -474,15 +424,14 @@ def apply_allocation(state: SimState, plan: "AllocationPlan", link: LinkBudgetPa
     """Realize a PRB plan on the live network: each UE's achieved rate for the
     tick is its grant times the per-PRB rate of its TRUE channel, capped at
     its offered demand. Stored, as a new array, for the next tick's reports."""
-    demand = state.demand_mbps.tolist()
-    achieved = [0.0] * len(demand)
-    for ue_id, channel in enumerate(state.last_channel):
-        grant = plan.grants.get(ue_id, 0)
-        if grant > 0:
-            se = radio_model.spectral_efficiency_bps_hz(channel.sinr_db, channel.cqi)
-            rate = grant * link.prb_bandwidth_hz * se / 1e6
-            achieved[ue_id] = min(rate, demand[ue_id])
-    state.achieved_mbps = np.array(achieved, dtype=np.float64)
+    grant = plan.grants_of(np.arange(len(state.demand_mbps)))
+    granted = np.flatnonzero(grant > 0)
+    true = state.last_channel
+    se = radio_model.spectral_efficiencies(true.sinr_db[granted], true.cqi[granted])
+    achieved = np.zeros(len(grant))
+    rate = grant[granted] * link.prb_bandwidth_hz * se / 1e6
+    achieved[granted] = np.minimum(rate, state.demand_mbps[granted])
+    state.achieved_mbps = achieved
 
 
 def sim_config_to_dict(config: SimConfig) -> dict:
@@ -577,13 +526,14 @@ def load_sim_config(path) -> SimConfig:
     return sim_config_from_dict(data)
 
 
-def report_to_dict(report: MeasurementReport) -> dict:
-    """JSON-able view of a report; field names match the wire schema."""
-    ch = report.channel
+def report_to_dict(reports: ReportBatch, i: int) -> dict:
+    """JSON-able view of report row i; field names match the wire schema."""
+    ch = reports.channel.row(i)
+    serving = int(reports.serving_cell[i])
     return {
-        "tick": report.tick,
-        "ue_id": report.ue_id,
-        "serving_cell": report.serving_cell,
+        "tick": reports.tick,
+        "ue_id": int(reports.ue_id[i]),
+        "serving_cell": serving,
         "channel": {
             "rsrp_dbm": ch.rsrp_dbm,
             "rssi_dbm": ch.rssi_dbm,
@@ -591,8 +541,10 @@ def report_to_dict(report: MeasurementReport) -> dict:
             "sinr_db": ch.sinr_db,
             "cqi": ch.cqi,
         },
-        "neighbor_rsrp_dbm": {str(k): v for k, v in sorted(report.neighbor_rsrp_dbm.items())},
-        "demand_mbps": report.demand_mbps,
-        "priority": report.priority,
-        "achieved_mbps": report.achieved_mbps,
+        "neighbor_rsrp_dbm": {
+            str(c): r for c, r in enumerate(reports.rsrp_dbm[i].tolist()) if c != serving
+        },
+        "demand_mbps": float(reports.demand_mbps[i]),
+        "priority": int(reports.priority[i]),
+        "achieved_mbps": float(reports.achieved_mbps[i]),
     }

@@ -15,19 +15,20 @@ from . import anomaly, mlp, ran_sim, twin_engine
 from .anomaly import AnomalyClass, FaultSpec, FeatureStats
 from .errors import ConfigurationError, DomainError, ProtocolError
 from .mlp import MlpModel
-from .ran_sim import MeasurementReport, SimConfig, SimState
+from .ran_sim import ReportBatch, SimConfig, SimState
 from .twin_engine import AllocationPlan
 
 
 @dataclass(frozen=True)
 class Indication:
     tick: int
-    reports: tuple[MeasurementReport, ...]
+    reports: ReportBatch
 
     def __post_init__(self):
-        for r in self.reports:
-            if r.tick != self.tick:
-                raise DomainError(f"report tick {r.tick} does not match indication tick {self.tick}")
+        if self.reports.tick != self.tick:
+            raise DomainError(
+                f"report tick {self.reports.tick} does not match indication tick {self.tick}"
+            )
 
 
 @dataclass(frozen=True)
@@ -108,15 +109,18 @@ class RemediationPolicy:
     boost_duration_ticks: int = 100
 
     def action_for(
-        self, cause: AnomalyClass, report: MeasurementReport
+        self, cause: AnomalyClass, rsrp_dbm: np.ndarray, serving_cell: int
     ) -> PrbBoost | ForceHandover | None:
+        """The action for a UE with RSRP `rsrp_dbm` of every cell (entry j
+        for cell_id j); the strongest neighbour is the first maximum, so ties
+        go to the lowest cell_id."""
         if cause in self.boost_classes:
             return PrbBoost(self.boost_factor, self.boost_duration_ticks)
         if cause in self.handover_classes:
-            if not report.neighbor_rsrp_dbm:
+            if len(rsrp_dbm) < 2:
                 return None  # single-cell network: nowhere to steer
-            target = min(report.neighbor_rsrp_dbm, key=lambda c: (-report.neighbor_rsrp_dbm[c], c))
-            return ForceHandover(target_cell=target)
+            neighbours = np.where(np.arange(len(rsrp_dbm)) == serving_cell, -np.inf, rsrp_dbm)
+            return ForceHandover(target_cell=int(np.argmax(neighbours)))
         return None
 
 
@@ -128,14 +132,6 @@ class Detection:
     probs: tuple[float, float, float, float]
 
 
-@dataclass
-class _UeDebounce:
-    streak_cls: AnomalyClass | None = None
-    streak_len: int = 0
-    normal_streak: int = 0
-    armed: bool = True
-
-
 class DtXapp:
     """The DT application hosted in the controller.
 
@@ -143,7 +139,8 @@ class DtXapp:
     standardized feature vector in one batched pass, and emits one control
     action per confirmed anomaly: a prediction must repeat for
     `confirm_ticks` consecutive ticks to fire, and the UE must read Normal
-    for `clear_ticks` ticks to re-arm.
+    for `clear_ticks` ticks to re-arm. Every indication must report the same
+    UEs in the same order, because the debounce state is kept per report row.
     """
 
     def __init__(
@@ -167,51 +164,54 @@ class DtXapp:
         self.policy = policy if policy is not None else RemediationPolicy()
         self.confirm_ticks = confirm_ticks
         self.clear_ticks = clear_ticks
-        self._debounce: dict[int, _UeDebounce] = {}
+        # Debounce state per report row, set up by the first indication: the
+        # class of the row's non-Normal streak (-1 for none), the streak's
+        # length, the length of its Normal streak, and whether it may fire.
+        self._ue_id: np.ndarray | None = None
 
     def on_indication(
         self, indication: Indication, weights=None
     ) -> tuple[AllocationPlan, list[ControlAction], list[Detection]]:
-        plan, kpis, _ = twin_engine.twin_tick(
-            indication.reports, self.cells, self.link_params, weights
-        )
-        x = anomaly.standardize(anomaly.feature_matrix(indication.reports, kpis, plan), self.stats)
-        probs = mlp.forward_rows(self.model, x)
-        codes = np.argmax(probs, axis=1).tolist()
-        actions: list[ControlAction] = []
-        detections: list[Detection] = []
-        for report, code, row in zip(indication.reports, codes, probs.tolist()):
-            state = self._debounce.setdefault(report.ue_id, _UeDebounce())
-            if code == AnomalyClass.NORMAL:
-                state.streak_cls = None
-                state.streak_len = 0
-                state.normal_streak += 1
-                if not state.armed and state.normal_streak >= self.clear_ticks:
-                    state.armed = True
-                continue
+        reports = indication.reports
+        if self._ue_id is None:
+            n = len(reports)
+            self._ue_id = reports.ue_id.copy()
+            self._streak_cls = np.full(n, -1)
+            self._streak_len = np.zeros(n, dtype=np.int64)
+            self._normal_streak = np.zeros(n, dtype=np.int64)
+            self._armed = np.ones(n, dtype=bool)
+        elif not np.array_equal(reports.ue_id, self._ue_id):
+            raise DomainError("an indication reports other UEs than the earlier ones")
 
-            predicted = AnomalyClass(code)
-            detections.append(
-                Detection(indication.tick, report.ue_id, predicted, tuple(row))
+        plan, predicted_mbps, _ = twin_engine.twin_tick(
+            reports, self.cells, self.link_params, weights
+        )
+        x = anomaly.standardize(anomaly.feature_matrix(reports, predicted_mbps, plan), self.stats)
+        probs = mlp.forward_rows(self.model, x)
+        code = np.argmax(probs, axis=1)
+        normal = code == AnomalyClass.NORMAL
+        self._normal_streak = np.where(normal, self._normal_streak + 1, 0)
+        self._armed = self._armed | (normal & (self._normal_streak >= self.clear_ticks))
+        self._streak_len = np.where(
+            normal, 0, np.where(code == self._streak_cls, self._streak_len + 1, 1)
+        )
+        self._streak_cls = np.where(normal, -1, code)
+        fire = ~normal & self._armed & (self._streak_len >= self.confirm_ticks)
+        self._armed = self._armed & ~fire
+
+        flagged = np.flatnonzero(~normal)
+        detections = [
+            Detection(indication.tick, ue_id, AnomalyClass(c), tuple(p))
+            for ue_id, c, p in zip(
+                reports.ue_id[flagged].tolist(), code[flagged].tolist(), probs[flagged].tolist()
             )
-            state.normal_streak = 0
-            if predicted == state.streak_cls:
-                state.streak_len += 1
-            else:
-                state.streak_cls = predicted
-                state.streak_len = 1
-            if state.armed and state.streak_len >= self.confirm_ticks:
-                kind = self.policy.action_for(predicted, report)
-                if kind is not None:
-                    actions.append(
-                        ControlAction(
-                            tick=indication.tick,
-                            ue_id=report.ue_id,
-                            kind=kind,
-                            cause=predicted,
-                        )
-                    )
-                state.armed = False
+        ]
+        actions: list[ControlAction] = []
+        for i in np.flatnonzero(fire).tolist():
+            cause = AnomalyClass(int(code[i]))
+            kind = self.policy.action_for(cause, reports.rsrp_dbm[i], int(reports.serving_cell[i]))
+            if kind is not None:
+                actions.append(ControlAction(indication.tick, int(reports.ue_id[i]), kind, cause))
         return plan, actions, detections
 
 
@@ -229,10 +229,11 @@ def apply_control(state: SimState, action: ControlAction) -> SimState:
     return state
 
 
-def allocation_weights(state: SimState) -> dict[int, float]:
-    """Priority weights including any active control-plane boost."""
+def allocation_weights(state: SimState) -> np.ndarray:
+    """Priority weight of every UE, row i for ue_id i, including any active
+    control-plane boost."""
     boost = np.where(state.tick <= state.boost_until_tick, state.boost_factor, 1.0)
-    return dict(enumerate((state.priority * boost).tolist()))
+    return state.priority * boost
 
 
 @dataclass(frozen=True)
@@ -306,12 +307,16 @@ def closed_loop_run(
     xapp = DtXapp(model, stats, state.cells, config.link, policy, confirm_ticks, clear_ticks)
 
     log = EpisodeLog(n_ticks=config.n_ticks)
-    events: list[FaultEvent] = []
     by_onset: dict[int, list[ScheduledFault]] = {}
+    # each UE's fault events, in fault_id order
+    by_ue: dict[int, list[FaultEvent]] = {}
     for i, fault in enumerate(fault_schedule):
-        events.append(FaultEvent(i, fault.ue_id, fault.spec.cls, fault.onset_tick))
+        event = FaultEvent(i, fault.ue_id, fault.spec.cls, fault.onset_tick)
+        log.fault_events.append(event)
         by_onset.setdefault(fault.onset_tick, []).append(fault)
-    log.fault_events = events
+        by_ue.setdefault(fault.ue_id, []).append(event)
+    # events with an action and no restoration yet
+    awaiting_restore: list[FaultEvent] = []
 
     # achieved_mbps of the last BASELINE_WINDOW_TICKS ticks; apply_allocation
     # replaces the array each tick, so the stored arrays never change.
@@ -321,13 +326,13 @@ def closed_loop_run(
         onset = state.tick + 1
         for fault in by_onset.get(onset, ()):
             ran_sim.set_fault(state, fault.ue_id, fault.spec)
-            for event in events:
-                if event.onset_tick == onset and event.ue_id == fault.ue_id:
+            for event in by_ue[fault.ue_id]:
+                if event.onset_tick == onset:
                     history = [achieved[fault.ue_id] for achieved in achieved_history]
                     event.baseline_mbps = float(np.mean(history)) if history else 0.0
 
         state, reports, _ = ran_sim.step(state)
-        bus.publish(Indication(tick=state.tick, reports=tuple(reports)))
+        bus.publish(Indication(tick=state.tick, reports=reports))
         indication = subscription.pop()
         plan, actions, detections = xapp.on_indication(
             indication, weights=allocation_weights(state)
@@ -339,24 +344,23 @@ def closed_loop_run(
         log.detections.extend(detections)
         log.actions.extend(actions)
         for action in actions:
-            for event in events:
+            for event in by_ue.get(action.ue_id, ()):
                 if (
-                    event.ue_id == action.ue_id
-                    and event.detect_tick is None
+                    event.detect_tick is None
                     and action.tick >= event.onset_tick
                     and action.cause == event.cls
                 ):
                     event.detect_tick = action.tick
                     event.action_tick = action.tick
+                    awaiting_restore.append(event)
                     break
 
         achieved_history.append(state.achieved_mbps)
-        for event in events:
-            if event.action_tick is not None and event.restore_tick is None:
-                if state.tick > event.action_tick:
-                    achieved = state.achieved_mbps[event.ue_id]
-                    if achieved >= RESTORE_FRACTION * event.baseline_mbps:
-                        event.restore_tick = state.tick
+        for event in list(awaiting_restore):
+            achieved = state.achieved_mbps[event.ue_id]
+            if state.tick > event.action_tick and achieved >= RESTORE_FRACTION * event.baseline_mbps:
+                event.restore_tick = state.tick
+                awaiting_restore.remove(event)
 
     return log
 
@@ -367,7 +371,9 @@ def message_to_dict(message) -> dict:
         return {
             "type": "indication",
             "tick": message.tick,
-            "reports": [ran_sim.report_to_dict(r) for r in message.reports],
+            "reports": [
+                ran_sim.report_to_dict(message.reports, i) for i in range(len(message.reports))
+            ],
         }
     if isinstance(message, ControlAction):
         out = {

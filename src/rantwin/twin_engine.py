@@ -8,17 +8,19 @@ damaging and detectable downstream.
 
 from __future__ import annotations
 
-import heapq
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import repeat
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from . import radio_model
 from .errors import DomainError
-from .radio_model import LinkBudgetParams
+from .radio_model import LinkBudgetParams, fields_equal
 
 if TYPE_CHECKING:
-    from .ran_sim import CellState, MeasurementReport
+    from .ran_sim import CellState, ReportBatch
 
 
 @dataclass(frozen=True)
@@ -26,18 +28,20 @@ class AllocationPlan:
     tick: int
     grants: dict[int, int]
     cell_totals: dict[int, int]
-    # Per-UE spectral efficiency (bps/Hz) the allocator read from the reports.
-    spectral_efficiency: dict[int, float] = field(default_factory=dict)
+    # Spectral efficiency (bps/Hz) the allocator read from each report, in
+    # report order.
+    spectral_efficiency: np.ndarray | None = None
+
+    __eq__ = fields_equal
+
+    def grants_of(self, ue_id: np.ndarray) -> np.ndarray:
+        """The grant of each UE in `ue_id`, 0 for a UE the plan does not name."""
+        return np.fromiter(
+            map(self.grants.get, ue_id.tolist(), repeat(0)), dtype=np.int64, count=len(ue_id)
+        )
 
 
-@dataclass(frozen=True)
-class PredictedKpi:
-    ue_id: int
-    predicted_mbps: float
-    spectral_efficiency: float
-
-
-def _prb_rate_mbps(spectral_efficiency: float, params: LinkBudgetParams) -> float:
+def _prb_rate_mbps(spectral_efficiency, params: LinkBudgetParams):
     return params.prb_bandwidth_hz * spectral_efficiency / 1e6
 
 
@@ -46,80 +50,79 @@ def per_prb_rate_mbps(sinr_db: float, cqi: int, params: LinkBudgetParams) -> flo
 
 
 def allocate_prbs(
-    reports: Sequence["MeasurementReport"],
+    reports: "ReportBatch",
     cells: Sequence["CellState"],
     params: LinkBudgetParams,
-    weights: Mapping[int, float] | None = None,
+    weights: np.ndarray | None = None,
 ) -> AllocationPlan:
     """Greedy weighted allocation, one PRB at a time per cell.
 
     Each PRB goes to the UE maximizing weight * min(per-PRB rate, remaining
-    demand); ties break toward the lowest ue_id. `weights` overrides the
-    default weight (the report's priority value), which is how control-plane
-    PRB boosts enter.
+    demand), where each PRB won takes the rate off the remaining demand;
+    ties break toward the lowest ue_id. `weights`, one per report, replaces
+    the default weight (the report's priority value), which is how
+    control-plane PRB boosts enter.
 
-    A UE's utility changes only when it wins a PRB, so each cell keeps a heap
-    keyed (-utility, ue_id) and re-pushes only the winner. UEs with utility
-    <= 0 never win and are left out.
+    A UE's utilities never rise: n_full PRBs at weight * rate, then one PRB
+    at weight * remainder. So the greedy order is each cell's (UE, utility)
+    groups sorted by (-utility, ue_id), and the cell's PRBs fill the groups
+    in that order. Groups with utility <= 0 never win.
     """
-    cell_by_id = {c.cell_id: c for c in cells}
-    grants: dict[int, int] = {}
-    by_cell: dict[int, list] = {}
-    for r in reports:
-        if r.serving_cell not in cell_by_id:
-            raise DomainError(f"report for ue {r.ue_id} references unknown cell {r.serving_cell}")
-        if r.ue_id in grants:
-            raise DomainError(f"more than one report for ue {r.ue_id}")
-        grants[r.ue_id] = 0
-        by_cell.setdefault(r.serving_cell, []).append(r)
+    ue_id = reports.ue_id
+    ids = ue_id.tolist()
+    n = len(ids)
+    if len(set(ids)) < n:
+        repeated = next(u for i, u in enumerate(ids) if u in ids[:i])
+        raise DomainError(f"more than one report for ue {repeated}")
+    totals = {c.cell_id: c.total_prbs for c in cells}
+    serving = reports.serving_cell
+    cell_prbs = np.fromiter(map(totals.get, serving.tolist(), repeat(-1)), dtype=np.int64, count=n)
+    if (cell_prbs < 0).any():
+        i = int(np.argmax(cell_prbs < 0))
+        raise DomainError(f"report for ue {ue_id[i]} references unknown cell {serving[i]}")
 
-    tick = reports[0].tick if reports else 0
-    se: dict[int, float] = {}
-    for cell_id, cell_reports in by_cell.items():
-        remaining: dict[int, float] = {}
-        rate: dict[int, float] = {}
-        weight: dict[int, float] = {}
-        heap = []
-        for r in cell_reports:
-            ue_id = r.ue_id
-            se[ue_id] = radio_model.spectral_efficiency_bps_hz(r.channel.sinr_db, r.channel.cqi)
-            rate[ue_id] = _prb_rate_mbps(se[ue_id], params)
-            remaining[ue_id] = r.demand_mbps
-            w = float(r.priority)
-            if weights is not None and ue_id in weights:
-                w = float(weights[ue_id])
-            weight[ue_id] = w
-            utility = w * min(rate[ue_id], remaining[ue_id])
-            if utility > 0.0:
-                heap.append((-utility, ue_id))
-        heapq.heapify(heap)
-        for _ in range(cell_by_id[cell_id].total_prbs):
-            if not heap:
-                break
-            ue_id = heap[0][1]
-            grants[ue_id] += 1
-            remaining[ue_id] = max(0.0, remaining[ue_id] - rate[ue_id])
-            utility = weight[ue_id] * min(rate[ue_id], remaining[ue_id])
-            if utility > 0.0:
-                heapq.heapreplace(heap, (-utility, ue_id))
-            else:
-                heapq.heappop(heap)
+    se = radio_model.spectral_efficiencies(reports.channel.sinr_db, reports.channel.cqi)
+    rate = _prb_rate_mbps(se, params)
+    weight = reports.priority if weights is None else np.asarray(weights, dtype=np.float64)
+    # Remaining demand before each PRB, by the repeated subtraction of the
+    # one-PRB-at-a-time loop, so every comparison sees the same bits.
+    depth = max(totals.values(), default=0)
+    steps = np.empty((n, depth + 1))
+    steps[:, 0] = reports.demand_mbps
+    steps[:, 1:] = rate[:, None]
+    remaining = np.subtract.accumulate(steps, axis=1)
+    n_full = (remaining[:, :depth] >= rate[:, None]).sum(axis=1)
+    remainder = np.maximum(remaining[np.arange(n), n_full], 0.0)
+
+    row = np.concatenate([np.arange(n), np.arange(n)])
+    utility = np.concatenate([weight * rate, weight * np.minimum(rate, remainder)])
+    count = np.concatenate([n_full, n_full < depth])
+    live = (utility > 0.0) & (count > 0)
+    row, utility, count = row[live], utility[live], count[live]
+    order = np.lexsort((ue_id[row], -utility, serving[row]))
+    row, count, cell = row[order], count[order], serving[row[order]]
+    before = np.cumsum(count) - count
+    # PRBs that earlier groups of the same cell took
+    taken = before - before[np.searchsorted(cell, cell)]
+    granted = np.minimum(np.maximum(cell_prbs[row] - taken, 0), count)
+    grants = np.bincount(row, weights=granted, minlength=n).astype(np.int64)
 
     return AllocationPlan(
-        tick=tick,
-        grants=grants,
-        cell_totals={c.cell_id: c.total_prbs for c in cells},
+        tick=reports.tick,
+        grants=dict(zip(ids, grants.tolist())),
+        cell_totals=totals,
         spectral_efficiency=se,
     )
 
 
 def twin_tick(
-    reports: Sequence["MeasurementReport"],
+    reports: "ReportBatch",
     cells: Sequence["CellState"],
     params: LinkBudgetParams,
-    weights: Mapping[int, float] | None = None,
-) -> tuple[AllocationPlan, list[PredictedKpi], float]:
-    """One engine pass: allocate, predict per UE, report elapsed wall-clock ms.
+    weights: np.ndarray | None = None,
+) -> tuple[AllocationPlan, np.ndarray, float]:
+    """One engine pass: allocate, predict each report's throughput (Mbps),
+    report elapsed wall-clock ms.
 
     The prediction reuses the spectral efficiency the allocator computed.
 
@@ -128,15 +131,6 @@ def twin_tick(
     """
     t0 = time.perf_counter()
     plan = allocate_prbs(reports, cells, params, weights)
-    kpis = []
-    for r in reports:
-        se = plan.spectral_efficiency[r.ue_id]
-        kpis.append(
-            PredictedKpi(
-                ue_id=r.ue_id,
-                predicted_mbps=plan.grants[r.ue_id] * _prb_rate_mbps(se, params),
-                spectral_efficiency=se,
-            )
-        )
+    predicted_mbps = plan.grants_of(reports.ue_id) * _prb_rate_mbps(plan.spectral_efficiency, params)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
-    return plan, kpis, elapsed_ms
+    return plan, predicted_mbps, elapsed_ms

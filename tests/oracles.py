@@ -3,22 +3,98 @@
 Everything here deliberately avoids the code paths it checks: brute-force
 enumeration and a linear scan for the allocator, central finite differences
 for the gradients, a literal threshold-table scan for the CQI mapping, a
-per-UE loop of single-row (1, d) matmuls for the xApp's batched classifier,
-and a per-UE loop over Python floats for the columnar simulator step.
+per-UE loop of single-row (1, d) matmuls and dict-based debounce state for
+the xApp's batched classifier, and a per-UE loop over Python floats for the
+columnar simulator step. They read reports one UE at a time, as `Report`
+objects; `mk_batch` and `report_rows` convert to and from a `ReportBatch`.
 """
 
 import itertools
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from rantwin import radio_model as rm
-from rantwin.anomaly import AnomalyClass, extract_features, inject_fault, standardize
+from rantwin.anomaly import AnomalyClass, inject_fault, standardize
 from rantwin.mlp import MlpModel, _forward_batch, _loss_grads_arrays, _softmax
-from rantwin.radio_model import ChannelSample
-from rantwin.ran_sim import CellState, MeasurementReport, TickKpis
-from rantwin.ric import ControlAction, Detection, _UeDebounce
-from rantwin.twin_engine import per_prb_rate_mbps, twin_tick
+from rantwin.radio_model import ChannelColumns, ChannelSample
+from rantwin.ran_sim import CellState, ReportBatch, TickKpis
+from rantwin.ric import ControlAction, Detection, ForceHandover, PrbBoost
+from rantwin.twin_engine import per_prb_rate_mbps
+
+
+@dataclass(frozen=True)
+class Report:
+    """One UE's measurement report, with its neighbour RSRPs as a dict."""
+
+    tick: int
+    ue_id: int
+    serving_cell: int
+    channel: ChannelSample
+    neighbor_rsrp_dbm: dict[int, float]
+    demand_mbps: float
+    priority: int
+    achieved_mbps: float
+
+
+def columns_of(samples) -> ChannelColumns:
+    """ChannelColumns whose row i is samples[i]."""
+    return ChannelColumns(*(
+        np.array([getattr(s, f.name) for s in samples],
+                 dtype=np.int64 if f.name == "cqi" else np.float64)
+        for f in fields(ChannelSample)
+    ))
+
+
+def mk_batch(reports, tick=1) -> ReportBatch:
+    """The reports as one ReportBatch, in their order; `tick` is used only
+    when there are none. A cell missing from a report reads -inf RSRP."""
+    ticks = {r.tick for r in reports}
+    if len(ticks) > 1:
+        raise ValueError(f"reports of several ticks: {sorted(ticks)}")
+    n_cells = 1 + max(
+        [r.serving_cell for r in reports] + [c for r in reports for c in r.neighbor_rsrp_dbm],
+        default=0,
+    )
+    rsrp = np.full((len(reports), n_cells), -np.inf)
+    for i, r in enumerate(reports):
+        rsrp[i, r.serving_cell] = r.channel.rsrp_dbm
+        for cell_id, value in r.neighbor_rsrp_dbm.items():
+            rsrp[i, cell_id] = value
+    return ReportBatch(
+        tick=ticks.pop() if ticks else tick,
+        ue_id=np.array([r.ue_id for r in reports], dtype=np.int64),
+        serving_cell=np.array([r.serving_cell for r in reports], dtype=np.int64),
+        channel=columns_of([r.channel for r in reports]),
+        rsrp_dbm=rsrp,
+        demand_mbps=np.array([r.demand_mbps for r in reports], dtype=np.float64),
+        priority=np.array([r.priority for r in reports], dtype=np.int64),
+        achieved_mbps=np.array([r.achieved_mbps for r in reports], dtype=np.float64),
+    )
+
+
+def report_rows(batch: ReportBatch) -> list[Report]:
+    """Every row of the batch as a Report; the neighbours are the RSRP
+    columns other than the serving cell's."""
+    return [
+        Report(
+            batch.tick, ue_id, serving, batch.channel.row(i),
+            {c: r for c, r in enumerate(rsrp) if c != serving}, demand, priority, achieved,
+        )
+        for i, (ue_id, serving, rsrp, demand, priority, achieved) in enumerate(zip(
+            batch.ue_id.tolist(), batch.serving_cell.tolist(), batch.rsrp_dbm.tolist(),
+            batch.demand_mbps.tolist(), batch.priority.tolist(), batch.achieved_mbps.tolist(),
+        ))
+    ]
+
+
+def weight_array(reports, overrides):
+    """One allocation weight per report: its priority unless `overrides`
+    (ue_id -> weight) names it; None without overrides."""
+    if overrides is None:
+        return None
+    return np.array([float(overrides.get(r.ue_id, r.priority)) for r in reports])
 
 
 def mk_report(
@@ -34,7 +110,7 @@ def mk_report(
     achieved=0.0,
     neighbors=None,
 ):
-    return MeasurementReport(
+    return Report(
         tick=tick,
         ue_id=ue_id,
         serving_cell=cell_id,
@@ -174,18 +250,49 @@ def single_row_probs(model: MlpModel, x) -> np.ndarray:
     return _softmax(logits)[0]
 
 
-def per_ue_on_indication(xapp, indication, weights=None):
-    """DtXapp.on_indication as a per-UE loop: one feature vector, one
-    single-row classification and one debounce update per report."""
-    plan, kpis, _ = twin_tick(indication.reports, xapp.cells, xapp.link_params, weights)
-    kpi_by_ue = {k.ue_id: k for k in kpis}
+@dataclass
+class UeDebounce:
+    streak_cls: AnomalyClass | None = None
+    streak_len: int = 0
+    normal_streak: int = 0
+    armed: bool = True
+
+
+def policy_action(policy, cause, report):
+    """RemediationPolicy.action_for by a scan of the report's neighbour dict:
+    the strongest neighbour, ties toward the lowest cell_id."""
+    if cause in policy.boost_classes:
+        return PrbBoost(policy.boost_factor, policy.boost_duration_ticks)
+    if cause in policy.handover_classes and report.neighbor_rsrp_dbm:
+        neighbors = report.neighbor_rsrp_dbm
+        return ForceHandover(min(neighbors, key=lambda c: (-neighbors[c], c)))
+    return None
+
+
+def per_ue_on_indication(xapp, indication, debounce, weights=None):
+    """DtXapp.on_indication as a per-UE loop: linear-scan grants, then per
+    report one feature vector, one single-row classification and one
+    debounce update. `debounce` maps ue_id -> UeDebounce and is kept by the
+    caller between ticks. Returns (grants, actions, detections)."""
+    reports = report_rows(indication.reports)
+    overrides = None if weights is None else {
+        r.ue_id: w for r, w in zip(reports, np.asarray(weights).tolist())
+    }
+    grants = linear_scan_allocation(reports, xapp.cells, xapp.link_params, overrides)
+    totals = {c.cell_id: c.total_prbs for c in xapp.cells}
     actions = []
     detections = []
-    for report in indication.reports:
-        features = extract_features(report, kpi_by_ue[report.ue_id], plan)
+    for report in reports:
+        ch = report.channel
+        grant = grants[report.ue_id]
+        features = np.array([
+            ch.rsrp_dbm, ch.rsrq_db, ch.sinr_db, float(ch.cqi), report.achieved_mbps,
+            grant * per_prb_rate_mbps(ch.sinr_db, ch.cqi, xapp.link_params),
+            grant / totals[report.serving_cell], float(report.priority),
+        ])
         probs = single_row_probs(xapp.model, standardize(features, xapp.stats))
         predicted = AnomalyClass(int(np.argmax(probs)))
-        state = xapp._debounce.setdefault(report.ue_id, _UeDebounce())
+        state = debounce.setdefault(report.ue_id, UeDebounce())
         if predicted == AnomalyClass.NORMAL:
             state.streak_cls = None
             state.streak_len = 0
@@ -203,11 +310,11 @@ def per_ue_on_indication(xapp, indication, weights=None):
             state.streak_cls = predicted
             state.streak_len = 1
         if state.armed and state.streak_len >= xapp.confirm_ticks:
-            kind = xapp.policy.action_for(predicted, report)
+            kind = policy_action(xapp.policy, predicted, report)
             if kind is not None:
                 actions.append(ControlAction(indication.tick, report.ue_id, kind, predicted))
             state.armed = False
-    return plan, actions, detections
+    return grants, actions, detections
 
 
 def scalar_serving_cell(serving_cell, rsrp_by_cell, hysteresis_db):
@@ -313,7 +420,7 @@ def scalar_step(state):
     for i in range(n_ues):
         demands.append(float(rng.exponential(cfg.traffic.mean_demand_mbps[priorities[i] - 1])))
         reports.append(
-            MeasurementReport(
+            Report(
                 tick=new.tick,
                 ue_id=i,
                 serving_cell=serving[i],
@@ -330,5 +437,5 @@ def scalar_step(state):
     new.shadowing_db = np.array(shadowing, dtype=np.float64).reshape(state.shadowing_db.shape)
     new.serving_cell = np.array(serving, dtype=np.int64)
     new.demand_mbps = np.array(demands, dtype=np.float64)
-    new.last_channel = channels
+    new.last_channel = columns_of(channels)
     return new, reports, TickKpis(tick=new.tick, n_handovers=n_handovers)

@@ -22,6 +22,7 @@ from oracles import (
     brute_force_best_objective,
     finite_difference_grads,
     max_relative_error,
+    mk_batch,
     mk_cell,
     mk_report,
 )
@@ -165,7 +166,7 @@ def test_criterion_10_full_tick_budget(artifacts):
                 ran_sim.set_fault(state, fault.ue_id, fault.spec)
             t0 = time.perf_counter()
             state, reports, _ = ran_sim.step(state)
-            bus.publish(ric.Indication(tick=state.tick, reports=tuple(reports)))
+            bus.publish(ric.Indication(tick=state.tick, reports=reports))
             plan, actions, _ = xapp.on_indication(sub.pop(), weights=ric.allocation_weights(state))
             ran_sim.apply_allocation(state, plan, config.link)
             for action in actions:
@@ -231,7 +232,7 @@ def test_criterion_7_allocation_oracle():
                 for u in range(n_ues)
             ]
             cell = mk_cell(total_prbs=total)
-            plan = twin_engine.allocate_prbs(reports, [cell], params)
+            plan = twin_engine.allocate_prbs(mk_batch(reports), [cell], params)
             greedy = allocation_objective(plan.grants, reports, params)
             best = brute_force_best_objective(reports, total, params)
             assert greedy >= 0.95 * best - 1e-12, f"instance {i}: {greedy} vs {best}"
@@ -312,7 +313,7 @@ def test_criterion_9_invariant_suite():
                 )
                 for u in range(12)
             ]
-            plan = twin_engine.allocate_prbs(reports, cells, params)
+            plan = twin_engine.allocate_prbs(mk_batch(reports), cells, params)
             for cell in cells:
                 used = sum(
                     plan.grants[r.ue_id] for r in reports if r.serving_cell == cell.cell_id
@@ -348,13 +349,13 @@ def test_criterion_9_invariant_suite():
         bus = ric.MessageBus()
         subs = [bus.subscribe(), bus.subscribe()]
         for t in (1, 2, 3):
-            bus.publish(ric.Indication(tick=t, reports=()))
+            bus.publish(ric.Indication(tick=t, reports=mk_batch([], tick=t)))
         for sub in subs:
             assert [sub.pop().tick for _ in range(3)] == [1, 2, 3]
             with pytest.raises(ProtocolError):
                 sub.pop()
         with pytest.raises(ProtocolError):
-            bus.publish(ric.Indication(tick=3, reports=()))
+            bus.publish(ric.Indication(tick=3, reports=mk_batch([], tick=3)))
 
         # loop safety: an always-Normal stub leaves the trajectory unchanged
         config = ran_sim.SimConfig(n_cells=2, n_ues=6, n_ticks=25, seed=91)
@@ -379,7 +380,7 @@ def test_criterion_9_invariant_suite():
         xapp = ric.DtXapp(stub, stats, state.cells, config.link)
         for _ in range(config.n_ticks):
             state, reports, _ = ran_sim.step(state)
-            bus.publish(ric.Indication(tick=state.tick, reports=tuple(reports)))
+            bus.publish(ric.Indication(tick=state.tick, reports=reports))
             plan, actions, _ = xapp.on_indication(sub.pop(), weights=ric.allocation_weights(state))
             assert actions == []
             ran_sim.apply_allocation(state, plan, config.link)

@@ -20,9 +20,9 @@ from rantwin.anomaly import (
     standardize,
 )
 from rantwin.errors import ConfigurationError, DataFormatError, DomainError
-from rantwin.twin_engine import AllocationPlan, PredictedKpi
+from rantwin.twin_engine import AllocationPlan
 
-from oracles import cqi_table_scan, mk_report
+from oracles import cqi_table_scan, mk_batch, mk_report
 
 
 class TestAnomalyClass:
@@ -87,54 +87,55 @@ class TestExtractFeatures:
             ue_id=3, cell_id=0, tick=9, rsrp=-95.0, rsrq=-8.0, sinr=6.0, cqi=7,
             demand=4.0, priority=3, achieved=2.1,
         )
-        kpi = PredictedKpi(ue_id=3, predicted_mbps=2.4, spectral_efficiency=1.4)
+        predicted = np.array([2.4])
         plan = AllocationPlan(tick=9, grants={3: 5}, cell_totals={0: 50})
-        return report, kpi, plan
+        return report, predicted, plan
 
     def test_packing_order(self):
-        report, kpi, plan = self._triple()
-        vec = extract_features(report, kpi, plan)
+        report, predicted, plan = self._triple()
+        vec = extract_features(mk_batch([report]), predicted, plan, 0)
         assert vec.tolist() == [-95.0, -8.0, 6.0, 7.0, 2.1, 2.4, 0.1, 3.0]
         assert vec.shape == (8,)
         assert np.isfinite(vec).all()
 
     def test_zero_grant(self):
-        report, kpi, plan = self._triple()
-        kpi = PredictedKpi(ue_id=3, predicted_mbps=0.0, spectral_efficiency=1.4)
+        report, _, _ = self._triple()
         plan = AllocationPlan(tick=9, grants={}, cell_totals={0: 50})
-        vec = extract_features(report, kpi, plan)
+        vec = extract_features(mk_batch([report]), np.array([0.0]), plan, 0)
         assert vec[5] == 0.0
         assert vec[6] == 0.0
 
     def test_mismatches_rejected(self):
-        report, kpi, plan = self._triple()
+        report, predicted, plan = self._triple()
         with pytest.raises(DomainError):
-            extract_features(report, PredictedKpi(4, 2.4, 1.4), plan)
+            extract_features(mk_batch([report]), np.array([2.4, 2.4]), plan, 0)
         with pytest.raises(DomainError):
-            extract_features(report, kpi, AllocationPlan(8, {3: 5}, {0: 50}))
+            extract_features(mk_batch([report]), predicted, AllocationPlan(8, {3: 5}, {0: 50}), 0)
 
     def test_matrix_rows_equal_single_extraction(self):
         reports = [mk_report(ue_id=u, tick=9, rsrp=-80.0 - u, achieved=0.3 * u) for u in range(5)]
-        kpis = [PredictedKpi(u, 0.7 * u, 1.4) for u in range(5)]
+        predicted = np.array([0.7 * u for u in range(5)])
         plan = AllocationPlan(tick=9, grants={0: 3, 2: 9, 4: 1}, cell_totals={0: 50})
-        x = feature_matrix(reports, kpis, plan)
+        x = feature_matrix(mk_batch(reports), predicted, plan)
         assert x.shape == (5, 8)
-        for row, report, kpi in zip(x, reports, kpis):
-            assert np.array_equal(row, extract_features(report, kpi, plan))
-        assert feature_matrix([], [], plan).shape == (0, 8)
+        for i, (row, r) in enumerate(zip(x, reports)):
+            ch = r.channel
+            assert row.tolist() == [ch.rsrp_dbm, ch.rsrq_db, ch.sinr_db, float(ch.cqi),
+                                    r.achieved_mbps, 0.7 * i, plan.grants.get(r.ue_id, 0) / 50,
+                                    float(r.priority)]
+            assert np.array_equal(row, extract_features(mk_batch(reports), predicted, plan, i))
+        assert feature_matrix(mk_batch([], tick=9), np.zeros(0), plan).shape == (0, 8)
 
     def test_matrix_checks_every_report(self):
-        report, kpi, plan = self._triple()
-        good = (report, kpi)
-        for bad in (
-            (report, PredictedKpi(4, 2.4, 1.4)),
-            (replace(report, tick=8), kpi),
-            (replace(report, serving_cell=1), kpi),
+        report, predicted, plan = self._triple()
+        other = replace(report, ue_id=4)
+        for batch, bad_predicted in (
+            (mk_batch([report, other]), predicted),
+            (mk_batch([replace(report, tick=8), replace(other, tick=8)]), np.zeros(2)),
+            (mk_batch([report, replace(other, serving_cell=1)]), np.zeros(2)),
         ):
             with pytest.raises(DomainError):
-                feature_matrix([good[0], bad[0]], [good[1], bad[1]], plan)
-        with pytest.raises(DomainError):
-            feature_matrix([report, report], [kpi], plan)
+                feature_matrix(batch, bad_predicted, plan)
 
 
 class TestGenerateDataset:
@@ -142,6 +143,11 @@ class TestGenerateDataset:
         counts = Counter(int(s.label) for s in default_dataset)
         assert len(default_dataset) == 2505
         assert counts == {0: 627, 1: 626, 2: 626, 3: 626}
+
+    def test_samples_own_their_features(self, default_dataset):
+        # a view into the tick's feature matrix would keep the whole matrix alive
+        assert all(s.features.base is None for s in default_dataset)
+        assert {s.features.shape for s in default_dataset} == {(8,)}
 
     def test_all_normal_mix(self):
         config = ran_sim.SimConfig(n_ues=10, n_ticks=120)

@@ -9,7 +9,7 @@ from rantwin import radio_model as rm
 from rantwin import ran_sim
 from rantwin.anomaly import AnomalyClass, default_fault_specs
 from rantwin.errors import ConfigurationError, DomainError
-from rantwin.radio_model import LinkBudgetParams
+from rantwin.radio_model import ChannelColumns, LinkBudgetParams
 from rantwin.ran_sim import (
     CellState,
     MobilityConfig,
@@ -21,7 +21,7 @@ from rantwin.ran_sim import (
 )
 from rantwin.ric import ControlAction, ForceHandover, PrbBoost, allocation_weights, apply_control
 
-from oracles import scalar_serving_cell, scalar_step
+from oracles import report_rows, scalar_serving_cell, scalar_step
 
 SMALL = SimConfig(n_cells=3, n_ues=12, n_ticks=50, seed=9)
 
@@ -112,6 +112,43 @@ class TestSimState:
             dataclasses.replace(state, cells=state.cells[1:])
 
 
+class TestReportBatch:
+    @staticmethod
+    def _columns(**change):
+        values = {"rsrp_dbm": [-90.0, -80.0], "rssi_dbm": [-89.0, -79.0], "rsrq_db": [-1.0, -1.0],
+                  "sinr_db": [5.0, 9.0], "cqi": [7, 9], **change}
+        return ChannelColumns(**{k: np.array(v) for k, v in values.items()})
+
+    @pytest.mark.parametrize("change, match", [
+        ({"rsrq_db": [-1.0, 0.5]}, "rsrq_db"),
+        ({"cqi": [7, 16]}, "cqi"),
+        ({"cqi": [-1, 9]}, "cqi"),
+        ({"sinr_db": [5.0]}, "equal lengths"),
+    ])
+    def test_channel_columns_check_every_row(self, change, match):
+        with pytest.raises(DomainError, match=match):
+            self._columns(**change)
+
+    @pytest.mark.parametrize("column", ["serving_cell", "rsrp_dbm", "demand_mbps", "priority",
+                                        "achieved_mbps"])
+    def test_every_column_has_one_row_per_ue(self, column):
+        state, reports, _ = step(init_sim(SMALL))
+        short = getattr(reports, column)[:-1]
+        with pytest.raises(DomainError, match="one per ue_id"):
+            dataclasses.replace(reports, **{column: short})
+        with pytest.raises(DomainError, match="one per ue_id"):
+            dataclasses.replace(reports, channel=self._columns())
+
+    def test_equality_is_exact(self):
+        _, a, _ = step(init_sim(SMALL))
+        _, b, _ = step(init_sim(SMALL))
+        assert a == b
+        nudged = a.demand_mbps.copy()
+        nudged[3] = np.nextafter(nudged[3], 1e9)
+        assert dataclasses.replace(a, demand_mbps=nudged) != a
+        assert dataclasses.replace(a, tick=a.tick + 1) != a
+
+
 class TestSelectServingCell:
     @staticmethod
     def _select(rsrp_row, serving=0):
@@ -196,7 +233,7 @@ class TestStep:
         s = state
         for _ in range(5):
             s, reports, _ = step(s)
-            for r0, r in zip(first, reports):
+            for r0, r in zip(report_rows(first), report_rows(reports)):
                 assert r.channel.rsrp_dbm == r0.channel.rsrp_dbm
         assert np.array_equal(s.position, state.position)
 
@@ -216,7 +253,7 @@ class TestStep:
             state, reports, kpis = step(state)
             assert state.tick == expected
             assert kpis.tick == expected
-            assert all(r.tick == expected for r in reports)
+            assert all(r.tick == expected for r in report_rows(reports))
 
     def test_population_conserved_and_contained(self):
         config = SimConfig(
@@ -239,7 +276,7 @@ class TestStep:
         state = init_sim(SMALL)
         for _ in range(10):
             state, reports, _ = step(state)
-            assert sorted(r.ue_id for r in reports) == sorted(u.ue_id for u in state.ues)
+            assert sorted(reports.ue_id.tolist()) == sorted(u.ue_id for u in state.ues)
 
     def test_uncorrupted_reports_match_direct_recomputation(self):
         # oracle: rebuild every channel sample from geometry + shadowing state
@@ -248,7 +285,7 @@ class TestStep:
             state, reports, _ = step(state)
             noise_mw = rm.dbm_to_mw(rm.noise_power_per_re_dbm(state.config.link))
             for report, position, shadowing, serving in zip(
-                reports,
+                report_rows(reports),
                 state.position.tolist(),
                 state.shadowing_db.tolist(),
                 state.serving_cell.tolist(),
@@ -284,7 +321,8 @@ class TestStep:
         state = init_sim(SMALL)
         ran_sim.set_fault(state, 4, default_fault_specs()[cls])
         new, reports, _ = step(state)
-        for report, demand, true in zip(reports, new.demand_mbps.tolist(), new.last_channel):
+        true_channels = [new.last_channel.row(i) for i in range(len(reports))]
+        for report, demand, true in zip(report_rows(reports), new.demand_mbps.tolist(), true_channels):
             assert report.demand_mbps == demand
             seen = report.channel
             if report.ue_id != 4:
@@ -325,7 +363,7 @@ class TestStep:
             out = []
             for _ in range(SMALL.n_ticks):
                 state, reports, _ = step(state)
-                out.extend(ran_sim.report_to_dict(r) for r in reports)
+                out.extend(ran_sim.report_to_dict(reports, i) for i in range(len(reports)))
             return out
 
         assert run() == run()
@@ -335,7 +373,8 @@ class TestReportExport:
     def test_jsonl_shape(self):
         state = init_sim(SimConfig(n_cells=2, n_ues=3, seed=11))
         state, reports, _ = step(state)
-        lines = [json.dumps(ran_sim.report_to_dict(r), sort_keys=True) for r in reports]
+        lines = [json.dumps(ran_sim.report_to_dict(reports, i), sort_keys=True)
+                 for i in range(len(reports))]
         assert len(lines) == 3
         row = json.loads(lines[0])
         assert row["tick"] == 1
@@ -392,7 +431,7 @@ def _assert_step_matches_scalar(state, n_ticks, faults=(), controls=False):
             ran_sim.set_fault(state, ue_id, spec)
         ref, ref_reports, ref_kpis = scalar_step(state)
         new, reports, kpis = step(state)
-        assert reports == ref_reports
+        assert report_rows(reports) == ref_reports
         assert kpis == ref_kpis
         assert new.last_channel == ref.last_channel
         assert np.array_equal(new.serving_cell, ref.serving_cell)
@@ -407,8 +446,8 @@ def _assert_step_matches_scalar(state, n_ticks, faults=(), controls=False):
             ran_sim.apply_allocation(state, plan, state.config.link)
             ue_id = state.tick % len(state.serving_cell)
             if state.tick % 7 == 0:
-                target = max(reports[ue_id].neighbor_rsrp_dbm, default=0,
-                             key=reports[ue_id].neighbor_rsrp_dbm.get)
+                neighbors = report_rows(reports)[ue_id].neighbor_rsrp_dbm
+                target = max(neighbors, default=0, key=neighbors.get)
                 apply_control(state, ControlAction(state.tick, ue_id, ForceHandover(target),
                                                    AnomalyClass.RSRP_ERROR))
             if state.tick % 11 == 0:

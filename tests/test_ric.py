@@ -18,7 +18,15 @@ from rantwin.ric import (
     closed_loop_run,
 )
 
-from oracles import linear_scan_allocation, mk_cell, mk_report, per_ue_on_indication
+from oracles import (
+    linear_scan_allocation,
+    mk_batch,
+    mk_cell,
+    mk_report,
+    per_ue_on_indication,
+    report_rows,
+    weight_array,
+)
 
 LINK = SimConfig().link
 
@@ -40,11 +48,11 @@ def constant_model(target: int | None):
 
 
 def indication_for(tick, n_ues=2, demand=5.0):
-    reports = tuple(
+    reports = [
         mk_report(ue_id=u, tick=tick, demand=demand, neighbors={1: -95.0, 2: -99.0})
         for u in range(n_ues)
-    )
-    return Indication(tick=tick, reports=reports)
+    ]
+    return Indication(tick=tick, reports=mk_batch(reports))
 
 
 class TestMessageBus:
@@ -52,29 +60,29 @@ class TestMessageBus:
         bus = MessageBus()
         sub = bus.subscribe()
         for t in (1, 2, 3):
-            bus.publish(Indication(tick=t, reports=()))
+            bus.publish(Indication(tick=t, reports=mk_batch([], tick=t)))
         assert [sub.pop().tick for _ in range(3)] == [1, 2, 3]
 
     def test_fan_out_to_all_subscribers(self):
         bus = MessageBus()
         a, b = bus.subscribe(), bus.subscribe()
         for t in (1, 2, 3):
-            bus.publish(Indication(tick=t, reports=()))
+            bus.publish(Indication(tick=t, reports=mk_batch([], tick=t)))
         assert [a.pop().tick for _ in range(3)] == [1, 2, 3]
         assert [b.pop().tick for _ in range(3)] == [1, 2, 3]
 
     def test_duplicate_tick_rejected(self):
         bus = MessageBus()
         bus.subscribe()
-        bus.publish(Indication(tick=2, reports=()))
+        bus.publish(Indication(tick=2, reports=mk_batch([], tick=2)))
         with pytest.raises(ProtocolError):
-            bus.publish(Indication(tick=2, reports=()))
+            bus.publish(Indication(tick=2, reports=mk_batch([], tick=2)))
 
     def test_regressing_tick_rejected(self):
         bus = MessageBus()
-        bus.publish(Indication(tick=5, reports=()))
+        bus.publish(Indication(tick=5, reports=mk_batch([], tick=5)))
         with pytest.raises(ProtocolError):
-            bus.publish(Indication(tick=4, reports=()))
+            bus.publish(Indication(tick=4, reports=mk_batch([], tick=4)))
 
     def test_pop_without_pending_rejected(self):
         bus = MessageBus()
@@ -85,14 +93,14 @@ class TestMessageBus:
     def test_exactly_once(self):
         bus = MessageBus()
         sub = bus.subscribe()
-        bus.publish(Indication(tick=1, reports=()))
+        bus.publish(Indication(tick=1, reports=mk_batch([], tick=1)))
         assert sub.pop().tick == 1
         with pytest.raises(ProtocolError):
             sub.pop()
 
     def test_indication_tick_consistency_enforced(self):
         with pytest.raises(DomainError):
-            Indication(tick=2, reports=(mk_report(tick=3),))
+            Indication(tick=2, reports=mk_batch([mk_report(tick=3)]))
 
 
 class TestDtXapp:
@@ -165,11 +173,32 @@ class TestDtXapp:
         assert kind.factor == 2.0
         assert kind.duration_ticks == 100
 
+    def test_other_ues_rejected(self):
+        xapp = self._xapp(constant_model(None))
+        xapp.on_indication(indication_for(1, n_ues=2))
+        with pytest.raises(DomainError, match="other UEs"):
+            xapp.on_indication(indication_for(2, n_ues=3))
+
     def test_missing_model_or_stats_rejected(self):
         with pytest.raises(ConfigurationError):
             DtXapp(None, unit_stats(), [mk_cell()], LINK)
         with pytest.raises(ConfigurationError):
             DtXapp(constant_model(None), None, [mk_cell()], LINK)
+
+
+class TestRemediationPolicy:
+    def test_handover_target_is_the_strongest_neighbour(self):
+        policy = ric.RemediationPolicy()
+        rsrp = np.array([-95.0, -80.0, -90.0, -80.0])
+        # cells 1 and 3 tie: the lowest cell_id wins unless it is serving
+        for serving, target in ((0, 1), (1, 3), (2, 1), (3, 1)):
+            kind = policy.action_for(AnomalyClass.RSRQ_ERROR, rsrp, serving)
+            assert kind == ForceHandover(target_cell=target)
+
+    def test_single_cell_has_nowhere_to_steer(self):
+        policy = ric.RemediationPolicy()
+        assert policy.action_for(AnomalyClass.RSRP_ERROR, np.array([-80.0]), 0) is None
+        assert policy.action_for(AnomalyClass.SINR_ERROR, np.array([-80.0]), 0) == PrbBoost(2.0, 100)
 
 
 class TestBatchedXapp:
@@ -186,21 +215,24 @@ class TestBatchedXapp:
         state = ran_sim.init_sim(config)
         batched = DtXapp(pipeline["model"], pipeline["stats"], state.cells, config.link)
         looped = DtXapp(pipeline["model"], pipeline["stats"], state.cells, config.link)
+        debounce = {}
         n_detections = n_actions = 0
         for _ in range(config.n_ticks):
             if state.tick + 1 in faults:
                 ran_sim.set_fault(state, *faults[state.tick + 1])
             state, reports, _ = ran_sim.step(state)
-            indication = Indication(tick=state.tick, reports=tuple(reports))
+            indication = Indication(tick=state.tick, reports=reports)
             weights = allocation_weights(state)
             plan, actions, detections = batched.on_indication(indication, weights)
-            ref_plan, ref_actions, ref_detections = per_ue_on_indication(
-                looped, indication, weights
+            ref_grants, ref_actions, ref_detections = per_ue_on_indication(
+                looped, indication, debounce, weights
             )
             assert detections == ref_detections
             assert actions == ref_actions
-            assert plan.grants == ref_plan.grants
-            assert plan.grants == linear_scan_allocation(reports, state.cells, config.link, weights)
+            assert plan.grants == ref_grants
+            assert plan.grants == linear_scan_allocation(
+                report_rows(reports), state.cells, config.link, dict(enumerate(weights.tolist()))
+            )
             ran_sim.apply_allocation(state, plan, config.link)
             for action in actions:
                 apply_control(state, action)
@@ -240,9 +272,9 @@ class TestApplyControl:
             mk_report(ue_id=1, cqi=15, sinr=30.0, demand=20 * per_prb, priority=2),
         ]
         cell = mk_cell(total_prbs=10)
-        before, _, _ = twin_engine.twin_tick(reports, [cell], LINK)
+        before, _, _ = twin_engine.twin_tick(mk_batch(reports), [cell], LINK)
         boosted, _, _ = twin_engine.twin_tick(
-            reports, [cell], LINK, weights={0: 2.0, 1: 2.0 * 2.0}
+            mk_batch(reports), [cell], LINK, weights=weight_array(reports, {0: 2.0, 1: 2.0 * 2.0})
         )
         assert boosted.grants[1] >= before.grants[1]
         assert boosted.grants[1] == 10
@@ -260,7 +292,7 @@ class TestApplyControl:
             state, _, _ = ran_sim.step(state)
             assert allocation_weights(state)[0] == pytest.approx(2.0 * baseline[0])
         state, _, _ = ran_sim.step(state)
-        assert allocation_weights(state) == baseline
+        assert np.array_equal(allocation_weights(state), baseline)
 
 
 class TestClosedLoop:
@@ -304,7 +336,7 @@ class TestClosedLoop:
         xapp = DtXapp(constant_model(None), unit_stats(), state.cells, config.link)
         for _ in range(config.n_ticks):
             state, reports, _ = ran_sim.step(state)
-            bus.publish(Indication(tick=state.tick, reports=tuple(reports)))
+            bus.publish(Indication(tick=state.tick, reports=reports))
             plan, actions, _ = xapp.on_indication(sub.pop(), weights=allocation_weights(state))
             assert actions == []
             ran_sim.apply_allocation(state, plan, config.link)

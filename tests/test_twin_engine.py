@@ -12,8 +12,10 @@ from oracles import (
     allocation_objective,
     brute_force_best_objective,
     linear_scan_allocation,
+    mk_batch,
     mk_cell,
     mk_report,
+    weight_array,
 )
 
 PARAMS = LinkBudgetParams()
@@ -21,8 +23,8 @@ PARAMS = LinkBudgetParams()
 
 def predicted_mbps(report, total_prbs):
     """twin_tick's predicted throughput for one UE alone in a cell."""
-    plan, kpis, _ = twin_tick([report], [mk_cell(total_prbs=total_prbs)], PARAMS)
-    return plan.grants[report.ue_id], kpis[0].predicted_mbps
+    plan, predicted, _ = twin_tick(mk_batch([report]), [mk_cell(total_prbs=total_prbs)], PARAMS)
+    return plan.grants[report.ue_id], predicted[0]
 
 
 class TestPredictThroughput:
@@ -49,7 +51,7 @@ class TestPredictThroughput:
 class TestAllocatePrbs:
     def test_single_ue_gets_everything(self):
         reports = [mk_report(ue_id=0, cqi=15, sinr=30.0, demand=1e9)]
-        plan = allocate_prbs(reports, [mk_cell(total_prbs=10)], PARAMS)
+        plan = allocate_prbs(mk_batch(reports), [mk_cell(total_prbs=10)], PARAMS)
         assert plan.grants[0] == 10
 
     def test_priority_dominance(self):
@@ -60,7 +62,7 @@ class TestAllocatePrbs:
             mk_report(ue_id=0, cqi=15, sinr=30.0, demand=demand, priority=4),
             mk_report(ue_id=1, cqi=15, sinr=30.0, demand=demand, priority=1),
         ]
-        plan = allocate_prbs(reports, [mk_cell(total_prbs=10)], PARAMS)
+        plan = allocate_prbs(mk_batch(reports), [mk_cell(total_prbs=10)], PARAMS)
         assert plan.grants[0] >= plan.grants[1]
         assert plan.grants[0] * per_prb >= demand - 1e-9
 
@@ -71,25 +73,25 @@ class TestAllocatePrbs:
             mk_report(ue_id=2, cqi=7, sinr=5.0, demand=2.0, priority=2),
         ]
         cell = mk_cell(total_prbs=10)
-        plan = allocate_prbs(reports, [cell], PARAMS)
+        plan = allocate_prbs(mk_batch(reports), [cell], PARAMS)
         greedy = allocation_objective(plan.grants, reports, PARAMS)
         best = brute_force_best_objective(reports, 10, PARAMS)
         assert greedy == pytest.approx(best, rel=1e-9)
 
     def test_unknown_cell_rejected(self):
         with pytest.raises(DomainError):
-            allocate_prbs([mk_report(cell_id=3)], [mk_cell(cell_id=0)], PARAMS)
+            allocate_prbs(mk_batch([mk_report(cell_id=3)]), [mk_cell(cell_id=0)], PARAMS)
 
     def test_no_grants_beyond_demand(self):
         # tiny demand: leftover PRBs must not be dumped on satisfied UEs
         per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
         reports = [mk_report(ue_id=0, cqi=15, sinr=30.0, demand=1.5 * per_prb)]
-        plan = allocate_prbs(reports, [mk_cell(total_prbs=10)], PARAMS)
+        plan = allocate_prbs(mk_batch(reports), [mk_cell(total_prbs=10)], PARAMS)
         assert plan.grants[0] == 2
 
     def test_zero_rate_ues_get_nothing(self):
         reports = [mk_report(ue_id=0, cqi=0, sinr=-20.0, demand=5.0)]
-        plan = allocate_prbs(reports, [mk_cell(total_prbs=10)], PARAMS)
+        plan = allocate_prbs(mk_batch(reports), [mk_cell(total_prbs=10)], PARAMS)
         assert plan.grants[0] == 0
 
     def test_duplicate_ue_rejected(self):
@@ -101,10 +103,10 @@ class TestAllocatePrbs:
             mk_report(ue_id=0, cqi=15, sinr=30.0, demand=per_prb),
         ]
         with pytest.raises(DomainError, match="ue 0"):
-            allocate_prbs(reports, [mk_cell(total_prbs=10)], PARAMS)
+            allocate_prbs(mk_batch(reports), [mk_cell(total_prbs=10)], PARAMS)
         cells = [mk_cell(cell_id=0), mk_cell(cell_id=1)]
         with pytest.raises(DomainError, match="ue 4"):
-            allocate_prbs([mk_report(ue_id=4, cell_id=0), mk_report(ue_id=4, cell_id=1)],
+            allocate_prbs(mk_batch([mk_report(ue_id=4, cell_id=0), mk_report(ue_id=4, cell_id=1)]),
                           cells, PARAMS)
 
 
@@ -144,7 +146,7 @@ class TestHeapMatchesLinearScan:
         covered = dict.fromkeys(("tie", "zero_demand", "nonpositive_weight", "spare_prbs"), 0)
         for _ in range(300):
             reports, cells, weights = _oracle_instance(rng)
-            plan = allocate_prbs(reports, cells, PARAMS, weights)
+            plan = allocate_prbs(mk_batch(reports), cells, PARAMS, weight_array(reports, weights))
             assert plan.grants == linear_scan_allocation(reports, cells, PARAMS, weights)
 
             keys = [(r.serving_cell, r.channel.sinr_db, r.channel.cqi, r.demand_mbps,
@@ -162,7 +164,7 @@ class TestHeapMatchesLinearScan:
         reports = [
             mk_report(ue_id=u, cqi=15, sinr=30.0, demand=2 * per_prb) for u in (9, 4, 7, 2)
         ]
-        plan = allocate_prbs(reports, [mk_cell(total_prbs=5)], PARAMS)
+        plan = allocate_prbs(mk_batch(reports), [mk_cell(total_prbs=5)], PARAMS)
         assert plan.grants == {9: 0, 4: 2, 7: 1, 2: 2}
         assert plan.grants == linear_scan_allocation(reports, [mk_cell(total_prbs=5)], PARAMS)
 
@@ -191,7 +193,7 @@ class TestGreedyProperties:
         rng = np.random.default_rng(17)
         for _ in range(50):
             reports, cell = _random_instance(rng)
-            plan = allocate_prbs(reports, [cell], PARAMS)
+            plan = allocate_prbs(mk_batch(reports), [cell], PARAMS)
             greedy = allocation_objective(plan.grants, reports, PARAMS)
             best = brute_force_best_objective(reports, cell.total_prbs, PARAMS)
             assert greedy >= best * 0.95 - 1e-12
@@ -212,7 +214,7 @@ class TestGreedyProperties:
                 )
                 for u in range(int(rng.integers(1, 10)))
             ]
-            plan = allocate_prbs(reports, cells, PARAMS)
+            plan = allocate_prbs(mk_batch(reports), cells, PARAMS)
             for cell in cells:
                 used = sum(
                     g for ue, g in plan.grants.items()
@@ -226,7 +228,7 @@ class TestGreedyProperties:
         for _ in range(40):
             reports, cell = _random_instance(rng, max_ues=3, max_prbs=12)
             target = int(rng.integers(0, len(reports)))
-            base = allocate_prbs(reports, [cell], PARAMS)
+            base = allocate_prbs(mk_batch(reports), [cell], PARAMS)
             bumped_reports = [
                 r if i != target else mk_report(
                     ue_id=r.ue_id, sinr=r.channel.sinr_db, cqi=r.channel.cqi,
@@ -234,44 +236,45 @@ class TestGreedyProperties:
                 )
                 for i, r in enumerate(reports)
             ]
-            bumped = allocate_prbs(bumped_reports, [cell], PARAMS)
+            bumped = allocate_prbs(mk_batch(bumped_reports), [cell], PARAMS)
             assert bumped.grants[reports[target].ue_id] >= base.grants[reports[target].ue_id]
 
     def test_demand_cap_with_granularity_slack(self):
         rng = np.random.default_rng(20)
         for _ in range(40):
             reports, cell = _random_instance(rng)
-            plan, kpis, _ = twin_tick(reports, [cell], PARAMS)
-            for report, kpi in zip(reports, kpis):
+            plan, predicted, _ = twin_tick(mk_batch(reports), [cell], PARAMS)
+            for report, predicted_mbps in zip(reports, predicted):
                 per_prb = twin_engine.per_prb_rate_mbps(
                     report.channel.sinr_db, report.channel.cqi, PARAMS
                 )
-                assert kpi.predicted_mbps <= report.demand_mbps + per_prb + 1e-12
+                assert predicted_mbps <= report.demand_mbps + per_prb + 1e-12
 
 
 class TestTwinTick:
     def test_empty_reports(self):
-        plan, kpis, elapsed = twin_tick([], [mk_cell()], PARAMS)
+        plan, predicted, elapsed = twin_tick(mk_batch([]), [mk_cell()], PARAMS)
         assert plan.grants == {}
-        assert kpis == []
+        assert len(predicted) == 0
         assert elapsed >= 0.0
 
     def test_one_kpi_per_report(self):
         reports = [mk_report(ue_id=u, demand=2.0) for u in range(5)]
-        plan, kpis, _ = twin_tick(reports, [mk_cell(total_prbs=20)], PARAMS)
-        assert len(kpis) == len(reports)
-        assert [k.ue_id for k in kpis] == [r.ue_id for r in reports]
+        plan, predicted, _ = twin_tick(mk_batch(reports), [mk_cell(total_prbs=20)], PARAMS)
+        assert len(predicted) == len(reports)
+        assert list(plan.grants) == [r.ue_id for r in reports]
 
     def test_kpis_match_predict_throughput(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             reports, cells, weights = _oracle_instance(rng)
-            plan, kpis, _ = twin_tick(reports, cells, PARAMS, weights)
-            for report, kpi in zip(reports, kpis):
+            plan, predicted, _ = twin_tick(mk_batch(reports), cells, PARAMS,
+                                           weight_array(reports, weights))
+            for report, predicted_mbps, se in zip(reports, predicted, plan.spectral_efficiency):
                 sinr, cqi = report.channel.sinr_db, report.channel.cqi
                 grant = plan.grants[report.ue_id]
-                assert kpi.predicted_mbps == grant * twin_engine.per_prb_rate_mbps(sinr, cqi, PARAMS)
-                assert kpi.spectral_efficiency == radio_model.spectral_efficiency_bps_hz(sinr, cqi)
+                assert predicted_mbps == grant * twin_engine.per_prb_rate_mbps(sinr, cqi, PARAMS)
+                assert se == radio_model.spectral_efficiency_bps_hz(sinr, cqi)
 
     def test_weight_override_changes_allocation(self):
         per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
@@ -280,7 +283,94 @@ class TestTwinTick:
             mk_report(ue_id=1, cqi=15, sinr=30.0, demand=20 * per_prb, priority=1),
         ]
         cell = mk_cell(total_prbs=10)
-        base, _, _ = twin_tick(reports, [cell], PARAMS)
-        boosted, _, _ = twin_tick(reports, [cell], PARAMS, weights={1: 2.0})
+        base, _, _ = twin_tick(mk_batch(reports), [cell], PARAMS)
+        boosted, _, _ = twin_tick(mk_batch(reports), [cell], PARAMS,
+                                  weights=weight_array(reports, {1: 2.0}))
         assert boosted.grants[1] >= base.grants[1]
         assert boosted.grants[1] == 10
+
+
+class TestTopKEdgeCases:
+    """The top-K allocator against the linear scan where its derivation has
+    edges: full groups larger than the cell, exact remainders, zero rates,
+    non-positive weights, arbitrary ue_ids, no reports and one-PRB cells."""
+
+    @staticmethod
+    def _grants(reports, cells, overrides=None):
+        plan = allocate_prbs(mk_batch(reports), cells, PARAMS, weight_array(reports, overrides))
+        assert plan.grants == linear_scan_allocation(reports, cells, PARAMS, overrides)
+        return plan.grants
+
+    def test_full_prbs_beyond_the_cell_total(self):
+        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        reports = [
+            mk_report(ue_id=0, cqi=15, sinr=30.0, demand=40 * per_prb, priority=1),
+            mk_report(ue_id=1, cqi=15, sinr=30.0, demand=40 * per_prb, priority=2),
+            mk_report(ue_id=2, cqi=9, sinr=10.0, demand=1e9, priority=4),
+        ]
+        assert self._grants(reports, [mk_cell(total_prbs=10)]) == {0: 0, 1: 10, 2: 0}
+
+    def test_demand_an_exact_multiple_of_the_rate(self):
+        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        # two PRBs of demand leave exactly 0.0, so no third PRB
+        assert 2 * per_prb - per_prb - per_prb == 0.0
+        # seven leave one ulp-sized remainder after seven subtractions, which
+        # wins an eighth PRB; demand - 7 * rate would be 0.0 instead
+        remaining = 7 * per_prb
+        for _ in range(7):
+            remaining -= per_prb
+        assert remaining > 0.0 and 7 * per_prb - 7 * per_prb == 0.0
+        reports = [
+            mk_report(ue_id=0, cqi=15, sinr=30.0, demand=2 * per_prb),
+            mk_report(ue_id=1, cqi=15, sinr=30.0, demand=7 * per_prb),
+        ]
+        assert self._grants(reports, [mk_cell(total_prbs=20)]) == {0: 2, 1: 8}
+
+    def test_cqi_zero_has_no_rate(self):
+        reports = [
+            mk_report(ue_id=0, cqi=0, sinr=-20.0, demand=5.0, priority=4),
+            mk_report(ue_id=1, cqi=0, sinr=35.0, demand=5.0, priority=4),
+            mk_report(ue_id=2, cqi=9, sinr=10.0, demand=1.0),
+        ]
+        assert self._grants(reports, [mk_cell(total_prbs=10)]) == {0: 0, 1: 0, 2: 3}
+
+    def test_zero_and_negative_weights(self):
+        reports = [mk_report(ue_id=u, cqi=15, sinr=30.0, demand=3.0) for u in range(3)]
+        grants = self._grants(reports, [mk_cell(total_prbs=10)], {0: 0.0, 1: -1.0})
+        assert grants == {0: 0, 1: 0, 2: 4}
+
+    def test_unsorted_non_contiguous_ue_ids(self):
+        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        reports = [
+            mk_report(ue_id=u, cell_id=c, cqi=15, sinr=30.0, demand=2 * per_prb)
+            for u, c in ((42, 1), (7, 0), (19, 1), (3, 0), (88, 0))
+        ]
+        cells = [mk_cell(cell_id=0, total_prbs=3), mk_cell(cell_id=1, total_prbs=3)]
+        grants = self._grants(reports, cells)
+        assert grants == {42: 1, 7: 1, 19: 2, 3: 2, 88: 0}
+        assert list(grants) == [42, 7, 19, 3, 88]
+
+    def test_empty_batch(self):
+        plan = allocate_prbs(mk_batch([], tick=4), [mk_cell()], PARAMS)
+        assert plan.grants == {}
+        assert plan.tick == 4
+
+    def test_cell_with_one_prb(self):
+        reports = [
+            mk_report(ue_id=u, cell_id=u % 2, cqi=12, sinr=20.0, demand=4.0) for u in (5, 2, 9, 4)
+        ]
+        cells = [mk_cell(cell_id=0, total_prbs=1), mk_cell(cell_id=1, total_prbs=1)]
+        assert self._grants(reports, cells) == {5: 1, 2: 1, 9: 0, 4: 0}
+
+
+class TestBatchChecks:
+    def test_duplicate_ue_id_named(self):
+        reports = [mk_report(ue_id=u) for u in (31, 8, 31, 2)]
+        with pytest.raises(DomainError, match="more than one report for ue 31"):
+            allocate_prbs(mk_batch(reports), [mk_cell()], PARAMS)
+
+    def test_unknown_serving_cell_named(self):
+        reports = [mk_report(ue_id=40, cell_id=1), mk_report(ue_id=6, cell_id=2)]
+        cells = [mk_cell(cell_id=0), mk_cell(cell_id=1)]
+        with pytest.raises(DomainError, match="ue 6 references unknown cell 2"):
+            allocate_prbs(mk_batch(reports), cells, PARAMS)
