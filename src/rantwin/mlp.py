@@ -135,25 +135,46 @@ def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def _loss_grads_arrays(
-    model: MlpModel, x: np.ndarray, y: np.ndarray
+    model: MlpModel, x: np.ndarray, y: np.ndarray, grad_w=None, grad_b=None, rows=None
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """Mean cross-entropy of (x, y) and its gradients.
+
+    The gradients are written into `grad_w` and `grad_b`, arrays shaped like
+    the model's weights and biases, or into fresh arrays when they are not
+    given. `rows` is `np.arange(n)` for the n rows of x, or a longer arange.
+    """
     n = x.shape[0]
+    rows = np.arange(n) if rows is None else rows[:n]
     activations, logits = _forward_batch(model, x)
     probs = _softmax(logits)
-    loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
+    loss = float(-np.log(np.maximum(probs[rows, y], 1e-300)).mean())
 
     delta = probs
-    delta[np.arange(n), y] -= 1.0
+    delta[rows, y] -= 1.0
     delta /= n
 
-    grad_w = [np.empty(0)] * len(model.weights)
-    grad_b = [np.empty(0)] * len(model.biases)
+    if grad_w is None:
+        grad_w = [np.empty(w.shape) for w in model.weights]
+        grad_b = [np.empty(b.shape) for b in model.biases]
     for l in range(len(model.weights) - 1, -1, -1):
-        grad_w[l] = delta.T @ activations[l]
-        grad_b[l] = delta.sum(axis=0)
+        np.matmul(delta.T, activations[l], out=grad_w[l])
+        np.add.reduce(delta, axis=0, out=grad_b[l])
         if l > 0:
             delta = (delta @ model.weights[l]) * (activations[l] > 0.0)
     return loss, grad_w, grad_b
+
+
+def _layer_views(flat: np.ndarray, model: MlpModel) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views of `flat` shaped like the model's weights and biases, laid out
+    W0, b0, W1, b1, ... in layer order."""
+    weights, biases = [], []
+    pos = 0
+    for w, b in zip(model.weights, model.biases):
+        weights.append(flat[pos:pos + w.size].reshape(w.shape))
+        pos += w.size
+        biases.append(flat[pos:pos + b.size].reshape(b.shape))
+        pos += b.size
+    return weights, biases
 
 
 def _as_arrays(batch, what: str = "batch") -> tuple[np.ndarray, np.ndarray]:
@@ -183,45 +204,77 @@ def train(
 ) -> tuple[MlpModel, TrainReport]:
     """Mini-batch Adam with a seeded shuffle per epoch.
 
-    Raises TrainingError on non-finite loss (naming the epoch) or when the
-    full-dataset loss fails to decrease over the run.
+    Trains the model's own weight and bias arrays in place and returns the
+    model. Raises TrainingError on non-finite loss (naming the epoch) or when
+    the full-dataset loss fails to decrease over the run.
+
+    The parameters, their gradients and both Adam moments live in flat
+    buffers, and the layer arrays are views of them, so one Adam step is a
+    few ufunc calls over all parameters. Each call is the elementwise IEEE
+    operation the per-layer update applies, in the same order, so every
+    element gets the same bits; the gradient matmuls keep their per-layer
+    shapes.
     """
     x_train, y_train = _as_arrays(train_samples, "train set")
     x_test, y_test = _as_arrays(test_samples, "test set")
     n = x_train.shape[0]
+    batch_size = config.batch_size
     rng = np.random.default_rng(config.seed)
-
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
     b1, b2, eps, lr = config.adam_beta1, config.adam_beta2, config.adam_epsilon, config.learning_rate
 
+    size = sum(w.size + b.size for w, b in zip(model.weights, model.biases))
+    theta, grad, m, v, scratch1, scratch2 = np.zeros((6, size))
+    work = MlpModel(model.layer_dims, *_layer_views(theta, model))
+    grad_w, grad_b = _layer_views(grad, model)
+    for dst, src in zip(work.weights + work.biases, model.weights + model.biases):
+        np.copyto(dst, src)
+    rows = np.arange(min(batch_size, n))
+
     report = TrainReport()
-    report.initial_loss, _, _ = _loss_grads_arrays(model, x_train, y_train)
+    report.initial_loss, _, _ = _loss_grads_arrays(work, x_train, y_train)
 
     step_count = 0
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            loss, grad_w, grad_b = _loss_grads_arrays(model, x_train[idx], y_train[idx])
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch + 1}")
-            epoch_losses.append(loss)
-            step_count += 1
-            corr1 = 1.0 - b1 ** step_count
-            corr2 = 1.0 - b2 ** step_count
-            for l in range(len(model.weights)):
-                m_w[l] = b1 * m_w[l] + (1 - b1) * grad_w[l]
-                v_w[l] = b2 * v_w[l] + (1 - b2) * grad_w[l] ** 2
-                model.weights[l] -= lr * (m_w[l] / corr1) / (np.sqrt(v_w[l] / corr2) + eps)
-                m_b[l] = b1 * m_b[l] + (1 - b1) * grad_b[l]
-                v_b[l] = b2 * v_b[l] + (1 - b2) * grad_b[l] ** 2
-                model.biases[l] -= lr * (m_b[l] / corr1) / (np.sqrt(v_b[l] / corr2) + eps)
-        report.train_loss.append(float(np.mean(epoch_losses)))
-        report.test_accuracy.append(float((predict_batch(model, x_test) == y_test).mean()))
+    try:
+        for epoch in range(config.epochs):
+            perm = rng.permutation(n)
+            x_epoch, y_epoch = x_train[perm], y_train[perm]
+            epoch_losses = []
+            for start in range(0, n, batch_size):
+                loss, _, _ = _loss_grads_arrays(
+                    work, x_epoch[start:start + batch_size], y_epoch[start:start + batch_size],
+                    grad_w, grad_b, rows,
+                )
+                if not np.isfinite(loss):
+                    raise TrainingError(f"non-finite loss at epoch {epoch + 1}")
+                epoch_losses.append(loss)
+                step_count += 1
+                corr1 = 1.0 - b1 ** step_count
+                corr2 = 1.0 - b2 ** step_count
+                # m = b1*m + (1-b1)*g
+                np.multiply(m, b1, out=m)
+                np.multiply(grad, 1 - b1, out=scratch1)
+                np.add(m, scratch1, out=m)
+                # v = b2*v + (1-b2)*g**2
+                np.multiply(v, b2, out=v)
+                np.square(grad, out=scratch1)
+                np.multiply(scratch1, 1 - b2, out=scratch1)
+                np.add(v, scratch1, out=v)
+                # theta -= lr*(m/corr1) / (sqrt(v/corr2) + eps); reordering any
+                # of these, as in lr/corr1*m, moves the last bits.
+                np.divide(m, corr1, out=scratch1)
+                np.multiply(scratch1, lr, out=scratch1)
+                np.divide(v, corr2, out=scratch2)
+                np.sqrt(scratch2, out=scratch2)
+                np.add(scratch2, eps, out=scratch2)
+                np.divide(scratch1, scratch2, out=scratch1)
+                np.subtract(theta, scratch1, out=theta)
+            report.train_loss.append(float(np.mean(epoch_losses)))
+            report.test_accuracy.append(float((predict_batch(work, x_test) == y_test).mean()))
+    finally:
+        # The caller's arrays get whatever training reached and share no
+        # memory with the buffers.
+        for dst, src in zip(model.weights + model.biases, work.weights + work.biases):
+            np.copyto(dst, src)
 
     report.final_loss, _, _ = _loss_grads_arrays(model, x_train, y_train)
     if not np.isfinite(report.final_loss):

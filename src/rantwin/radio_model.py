@@ -29,6 +29,12 @@ CQI_EFFICIENCY_BPS_HZ = (
     1.9141, 2.4063, 2.7305, 3.3223, 3.9023, 4.5234, 5.1152, 5.5547,
 )
 
+# The two tables as read-only arrays, for the column functions.
+CQI_SINR_THRESHOLDS_DB_ARRAY = np.array(CQI_SINR_THRESHOLDS_DB)
+CQI_EFFICIENCY_BPS_HZ_ARRAY = np.array(CQI_EFFICIENCY_BPS_HZ)
+CQI_SINR_THRESHOLDS_DB_ARRAY.flags.writeable = False
+CQI_EFFICIENCY_BPS_HZ_ARRAY.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class LinkBudgetParams:
@@ -205,7 +211,7 @@ def spectral_efficiency_bps_hz(sinr: float, cqi: int) -> float:
 def spectral_efficiencies(sinr_db: np.ndarray, cqi: np.ndarray) -> np.ndarray:
     """`spectral_efficiency_bps_hz` of every (sinr, cqi) pair, bit for bit."""
     shannon = scalar_map(math.log2, 1.0 + scalar_map(pow10, sinr_db / 10.0))
-    return np.minimum(shannon, np.array(CQI_EFFICIENCY_BPS_HZ)[cqi])
+    return np.minimum(shannon, CQI_EFFICIENCY_BPS_HZ_ARRAY[cqi])
 
 
 def noise_power_per_re_dbm(params: LinkBudgetParams) -> float:

@@ -8,9 +8,10 @@ report streams.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -177,6 +178,10 @@ class SimState:
     # The true (uncorrupted) channel of every UE at the last step; step
     # replaces it and nothing writes into it.
     last_channel: ChannelColumns | None = None
+    # The cells' positions (C, 2) and powers (C,), built from `cells` once:
+    # the cells of a network never change, and clones share the arrays.
+    cell_xy: np.ndarray = field(init=False, repr=False)
+    cell_tx_dbm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for i, cell in enumerate(self.cells):
@@ -185,6 +190,8 @@ class SimState:
                     f"cells[{i}] has cell_id {cell.cell_id}; cell ids must equal their "
                     "position, which indexes the shadowing and RSRP columns"
                 )
+        self.cell_xy = np.array([c.position for c in self.cells], dtype=np.float64)
+        self.cell_tx_dbm = np.array([c.tx_power_per_re_dbm for c in self.cells], dtype=np.float64)
 
     def clone(self) -> "SimState":
         """A copy of the columns apply_control writes into; the other arrays
@@ -193,14 +200,13 @@ class SimState:
         # whose state the next line overwrites.
         rng = np.random.Generator(np.random.PCG64(0))
         rng.bit_generator.state = self.rng.bit_generator.state
-        return replace(
-            self,
-            rng=rng,
-            serving_cell=self.serving_cell.copy(),
-            boost_factor=self.boost_factor.copy(),
-            boost_until_tick=self.boost_until_tick.copy(),
-            faults=dict(self.faults),
-        )
+        new = copy.copy(self)
+        new.rng = rng
+        new.serving_cell = self.serving_cell.copy()
+        new.boost_factor = self.boost_factor.copy()
+        new.boost_until_tick = self.boost_until_tick.copy()
+        new.faults = dict(self.faults)
+        return new
 
     @property
     def ues(self) -> list[UeView]:
@@ -241,21 +247,20 @@ def _grid_positions(n_cells: int, area_m: float) -> list[tuple[float, float]]:
     return positions
 
 
-def _rsrp_matrix(
-    position: np.ndarray, shadowing_db: np.ndarray, cells: list[CellState], link: LinkBudgetParams
-) -> np.ndarray:
-    """(U, C) RSRP in dBm, each entry as `radio_model.rsrp_dbm` computes it."""
-    cell_xy = np.array([c.position for c in cells], dtype=np.float64)
-    tx = np.array([c.tx_power_per_re_dbm for c in cells], dtype=np.float64)
-    dx = position[:, 0:1] - cell_xy[:, 0]
-    dy = position[:, 1:2] - cell_xy[:, 1]
+def _rsrp_matrix(state: SimState) -> np.ndarray:
+    """(U, C) RSRP in dBm at the state's positions and shadowing, each entry
+    as `radio_model.rsrp_dbm` computes it."""
+    link = state.config.link
+    position = state.position
+    dx = position[:, 0:1] - state.cell_xy[:, 0]
+    dy = position[:, 1:2] - state.cell_xy[:, 1]
     distance = np.maximum(scalar_map(math.hypot, dx, dy), 1e-6)
     # radio_model.path_loss_db, elementwise
     d = np.maximum(distance, link.ref_distance_m)
     path_loss = link.ref_path_loss_db + 10.0 * link.path_loss_exponent * scalar_map(
         math.log10, d / link.ref_distance_m
     )
-    return tx - path_loss + shadowing_db
+    return state.cell_tx_dbm - path_loss + state.shadowing_db
 
 
 def select_serving_cells(
@@ -303,8 +308,7 @@ def init_sim(config: SimConfig) -> SimState:
         priority[ue_id] = p
         demand[ue_id] = rng.exponential(config.traffic.mean_demand_mbps[p - 1])
         shadowing[ue_id] = [rng.normal(0.0, config.link.shadowing_sigma_db) for _ in cells]
-    rsrp = _rsrp_matrix(position, shadowing, cells, config.link)
-    return SimState(
+    state = SimState(
         config=config,
         tick=0,
         cells=cells,
@@ -312,13 +316,15 @@ def init_sim(config: SimConfig) -> SimState:
         position=position,
         velocity=velocity,
         shadowing_db=shadowing,
-        serving_cell=np.argmax(rsrp, axis=1),
+        serving_cell=np.zeros(n, dtype=np.int64),
         priority=priority,
         demand_mbps=demand,
         achieved_mbps=np.zeros(n),
         boost_factor=np.ones(n),
         boost_until_tick=np.full(n, -1, dtype=np.int64),
     )
+    state.serving_cell = np.argmax(_rsrp_matrix(state), axis=1)
+    return state
 
 
 def set_fault(state: SimState, ue_id: int, spec: "FaultSpec") -> None:
@@ -366,7 +372,7 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     )
 
     # (3) serving-cell reselection
-    rsrp = _rsrp_matrix(new.position, new.shadowing_db, new.cells, link)
+    rsrp = _rsrp_matrix(new)
     serving = select_serving_cells(rsrp, state.serving_cell, cfg.hysteresis_db)
     n_handovers = int(np.count_nonzero(serving != state.serving_cell))
     new.serving_cell = serving
@@ -387,7 +393,7 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     sinr = 10.0 * scalar_map(math.log10, serving_mw / noise_and_interference)
     rssi = 10.0 * scalar_map(math.log10, total_mw)
     rsrq = 10.0 * scalar_map(math.log10, serving_mw / total_mw)
-    cqi = np.searchsorted(radio_model.CQI_SINR_THRESHOLDS_DB, sinr, side="right")
+    cqi = np.searchsorted(radio_model.CQI_SINR_THRESHOLDS_DB_ARRAY, sinr, side="right")
     new.last_channel = ChannelColumns(rsrp[rows, serving], rssi, rsrq, sinr, cqi)
 
     # (5) fault corruption of the reported channel, in ue_id order

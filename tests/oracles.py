@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths it checks: brute-force
 enumeration and a linear scan for the allocator, central finite differences
-for the gradients, a literal threshold-table scan for the CQI mapping, a
+for the gradients, a per-layer Adam loop with fresh gradient arrays for
+training, a literal threshold-table scan for the CQI mapping, a
 per-UE loop of single-row (1, d) matmuls and dict-based debounce state for
 the xApp's batched classifier, and a per-UE loop over Python floats for the
 columnar simulator step. They read reports one UE at a time, as `Report`
@@ -17,7 +18,18 @@ import numpy as np
 
 from rantwin import radio_model as rm
 from rantwin.anomaly import AnomalyClass, inject_fault, standardize
-from rantwin.mlp import MlpModel, _forward_batch, _loss_grads_arrays, _softmax
+from rantwin.errors import TrainingError
+from rantwin.mlp import (
+    MlpModel,
+    TrainConfig,
+    TrainReport,
+    _as_arrays,
+    _forward_batch,
+    _loss_grads_arrays,
+    _softmax,
+    model_digest,
+    predict_batch,
+)
 from rantwin.radio_model import ChannelColumns, ChannelSample
 from rantwin.ran_sim import CellState, ReportBatch, TickKpis
 from rantwin.ric import ControlAction, Detection, ForceHandover, PrbBoost
@@ -248,6 +260,80 @@ def single_row_probs(model: MlpModel, x) -> np.ndarray:
     """Class probabilities of one input row through plain (1, d) matmuls."""
     _, logits = _forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
     return _softmax(logits)[0]
+
+
+def reference_loss_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
+    """Loss and per-layer gradients as fresh arrays, one matmul and one sum
+    per layer."""
+    n = x.shape[0]
+    activations, logits = _forward_batch(model, x)
+    probs = _softmax(logits)
+    loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
+
+    delta = probs
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+
+    grad_w = [np.empty(0)] * len(model.weights)
+    grad_b = [np.empty(0)] * len(model.biases)
+    for l in range(len(model.weights) - 1, -1, -1):
+        grad_w[l] = delta.T @ activations[l]
+        grad_b[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ model.weights[l]) * (activations[l] > 0.0)
+    return loss, grad_w, grad_b
+
+
+def reference_train(model: MlpModel, train_samples, test_samples, config: TrainConfig):
+    """`mlp.train` as a per-layer Adam loop over (x, label) pairs: a fresh
+    gather of each batch and separate moment arrays for every weight and
+    bias, updated in place in the model's own arrays."""
+    x_train, y_train = _as_arrays(train_samples, "train set")
+    x_test, y_test = _as_arrays(test_samples, "test set")
+    n = x_train.shape[0]
+    rng = np.random.default_rng(config.seed)
+
+    m_w = [np.zeros_like(w) for w in model.weights]
+    v_w = [np.zeros_like(w) for w in model.weights]
+    m_b = [np.zeros_like(b) for b in model.biases]
+    v_b = [np.zeros_like(b) for b in model.biases]
+    b1, b2, eps, lr = config.adam_beta1, config.adam_beta2, config.adam_epsilon, config.learning_rate
+
+    report = TrainReport()
+    report.initial_loss, _, _ = reference_loss_grads(model, x_train, y_train)
+
+    step_count = 0
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        epoch_losses = []
+        for start in range(0, n, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            loss, grad_w, grad_b = reference_loss_grads(model, x_train[idx], y_train[idx])
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite loss at epoch {epoch + 1}")
+            epoch_losses.append(loss)
+            step_count += 1
+            corr1 = 1.0 - b1 ** step_count
+            corr2 = 1.0 - b2 ** step_count
+            for l in range(len(model.weights)):
+                m_w[l] = b1 * m_w[l] + (1 - b1) * grad_w[l]
+                v_w[l] = b2 * v_w[l] + (1 - b2) * grad_w[l] ** 2
+                model.weights[l] -= lr * (m_w[l] / corr1) / (np.sqrt(v_w[l] / corr2) + eps)
+                m_b[l] = b1 * m_b[l] + (1 - b1) * grad_b[l]
+                v_b[l] = b2 * v_b[l] + (1 - b2) * grad_b[l] ** 2
+                model.biases[l] -= lr * (m_b[l] / corr1) / (np.sqrt(v_b[l] / corr2) + eps)
+        report.train_loss.append(float(np.mean(epoch_losses)))
+        report.test_accuracy.append(float((predict_batch(model, x_test) == y_test).mean()))
+
+    report.final_loss, _, _ = reference_loss_grads(model, x_train, y_train)
+    if not np.isfinite(report.final_loss):
+        raise TrainingError(f"non-finite loss at epoch {config.epochs}")
+    if report.final_loss >= report.initial_loss:
+        raise TrainingError(
+            f"training failed to reduce the loss ({report.initial_loss} -> {report.final_loss})"
+        )
+    report.final_model_hash = model_digest(model)
+    return model, report
 
 
 @dataclass

@@ -19,7 +19,12 @@ from rantwin.mlp import (
     train,
 )
 
-from oracles import finite_difference_grads, max_relative_error, single_row_probs
+from oracles import (
+    finite_difference_grads,
+    max_relative_error,
+    reference_train,
+    single_row_probs,
+)
 
 
 def zero_model(hidden=()):
@@ -278,6 +283,77 @@ class TestTrain:
             train(init_model([8], seed=6), [], test_set, TrainConfig(epochs=1))
         with pytest.raises(DomainError, match="test set must be non-empty"):
             train(init_model([8], seed=6), train_set, [], TrainConfig(epochs=1))
+
+
+class TestTrainMatchesReference:
+    """`train` against the per-layer Adam loop of `oracles.reference_train`,
+    compared with exact equality."""
+
+    N_TRAIN = 45  # batch size 7 leaves a ragged last batch of 3
+
+    def _sets(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 1.0, size=(self.N_TRAIN + 20, 8))
+        y = np.argmax(x[:, :4], axis=1)
+        pairs = list(zip(x, y))
+        return pairs[: self.N_TRAIN], pairs[self.N_TRAIN:]
+
+    def _assert_same(self, got, want):
+        (model, report), (ref_model, ref_report) = got, want
+        for a, b in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+        assert report.train_loss == ref_report.train_loss
+        assert report.test_accuracy == ref_report.test_accuracy
+        assert report.initial_loss == ref_report.initial_loss
+        assert report.final_loss == ref_report.final_loss
+        assert report.final_model_hash == ref_report.final_model_hash
+
+    @pytest.mark.parametrize("hidden", [[], [8], [16, 16], [4, 4, 4]])
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, N_TRAIN + 5])
+    def test_bit_identical_to_reference(self, hidden, batch_size):
+        train_set, test_set = self._sets(len(hidden) + batch_size)
+        cfg = TrainConfig(epochs=4, batch_size=batch_size, learning_rate=1e-2, seed=batch_size)
+        self._assert_same(
+            train(init_model(hidden, seed=3), train_set, test_set, cfg),
+            reference_train(init_model(hidden, seed=3), train_set, test_set, cfg),
+        )
+
+    def test_second_call_on_the_returned_model(self):
+        train_set, test_set = self._sets(1)
+        first = TrainConfig(epochs=3, batch_size=7, learning_rate=1e-2, seed=1)
+        second = TrainConfig(epochs=3, batch_size=5, learning_rate=1e-2, seed=2)
+        model, _ = train(init_model([8], seed=4), train_set, test_set, first)
+        ref_model, _ = reference_train(init_model([8], seed=4), train_set, test_set, first)
+        self._assert_same(
+            train(model, train_set, test_set, second),
+            reference_train(ref_model, train_set, test_set, second),
+        )
+
+    def test_caller_arrays_hold_the_trained_values(self):
+        train_set, test_set = self._sets(2)
+        cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=1e-2, seed=3)
+        model = init_model([8, 8], seed=5)
+        held_w, held_b = model.weights[0], model.biases[-1]
+        before = held_w.copy()
+        trained, _ = train(model, train_set, test_set, cfg)
+        ref_model, _ = reference_train(init_model([8, 8], seed=5), train_set, test_set, cfg)
+        assert trained is model
+        assert trained.weights[0] is held_w and trained.biases[-1] is held_b
+        assert not np.array_equal(held_w, before)
+        assert np.array_equal(held_w, ref_model.weights[0])
+        assert np.array_equal(held_b, ref_model.biases[-1])
+
+    def test_returned_arrays_share_no_memory(self):
+        train_set, test_set = self._sets(3)
+        trained, _ = train(init_model([8, 8], seed=6), train_set, test_set,
+                           TrainConfig(epochs=2, batch_size=7, seed=4))
+        arrays = trained.weights + trained.biases
+        for i, a in enumerate(arrays):
+            # views of one flat buffer would share no memory but own none
+            assert a.flags.owndata
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestSerialization:
