@@ -116,7 +116,7 @@ def _load_config(path: str | None) -> ran_sim.SimConfig:
 
 
 def _standardized_arrays(samples: list[LabeledSample], stats: FeatureStats):
-    x = np.stack([anomaly.standardize(s.features, stats) for s in samples])
+    x = anomaly.standardize(np.stack([s.features for s in samples]), stats)
     y = np.array([int(s.label) for s in samples], dtype=np.int64)
     return x, y
 
@@ -207,6 +207,19 @@ def _select_split(samples, which: str, train_fraction: float, split_seed: int):
     return train_set if which == "train" else test_set
 
 
+def _load_split_inputs(args):
+    """The model, the stats, the dataset, its `args.split` split and that
+    split's standardized features and labels; an empty split is an error."""
+    model = mlp.load_model(_require_file(args.model, "model"))
+    stats = anomaly.read_stats_csv(_require_file(args.stats, "stats"))
+    samples = anomaly.read_dataset_csv(_require_file(args.dataset, "dataset"))
+    subset = _select_split(samples, args.split, args.train_fraction, args.split_seed)
+    if not subset:
+        raise ConfigurationError(f"{args.split} split is empty")
+    x, y = _standardized_arrays(subset, stats)
+    return model, stats, samples, subset, x, y
+
+
 def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     with Manifest(
@@ -216,13 +229,7 @@ def cmd_eval(args) -> int:
         {"split_seed": args.split_seed},
         [args.model, args.stats, args.dataset],
     ) as manifest:
-        model = mlp.load_model(_require_file(args.model, "model"))
-        stats = anomaly.read_stats_csv(_require_file(args.stats, "stats"))
-        samples = anomaly.read_dataset_csv(_require_file(args.dataset, "dataset"))
-        subset = _select_split(samples, args.split, args.train_fraction, args.split_seed)
-        if not subset:
-            raise ConfigurationError(f"{args.split} split is empty")
-        x, y = _standardized_arrays(subset, stats)
+        model, stats, samples, subset, x, y = _load_split_inputs(args)
         predictions = mlp.predict_batch(model, x)
         cm = evaluation.confusion(predictions, y)
         acc = cm.accuracy()
@@ -270,13 +277,7 @@ def cmd_tsne(args) -> int:
         {"split_seed": args.split_seed, "tsne_seed": args.seed},
         [args.model, args.stats, args.dataset],
     ) as manifest:
-        model = mlp.load_model(_require_file(args.model, "model"))
-        stats = anomaly.read_stats_csv(_require_file(args.stats, "stats"))
-        samples = anomaly.read_dataset_csv(_require_file(args.dataset, "dataset"))
-        subset = _select_split(samples, args.split, args.train_fraction, args.split_seed)
-        if not subset:
-            raise ConfigurationError(f"{args.split} split is empty")
-        x, _ = _standardized_arrays(subset, stats)
+        model, _, _, subset, x, _ = _load_split_inputs(args)
         probs = mlp.forward_rows(model, x)
 
         config = evaluation.TsneConfig(
@@ -356,8 +357,8 @@ def load_schedule(path) -> list[ric.ScheduledFault]:
                     ue_id=ran_sim.json_int(entry["ue_id"], "ue_id"),
                     spec=FaultSpec(
                         cls=cls,
-                        offset_db=float(entry["offset_db"]),
-                        jitter_db=float(entry["jitter_db"]),
+                        offset_db=ran_sim.json_float(entry["offset_db"], "offset_db"),
+                        jitter_db=ran_sim.json_float(entry["jitter_db"], "jitter_db"),
                         duration_ticks=ran_sim.json_int(entry["duration_ticks"], "duration_ticks"),
                     ),
                 )

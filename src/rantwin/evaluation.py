@@ -14,6 +14,15 @@ from .errors import ConfigurationError, DomainError, NumericError
 
 _EPS = np.finfo(np.float64).eps
 
+# Gradient-descent momentum during early exaggeration and after it, and the
+# factor P is exaggerated by.
+MOMENTUM = 0.5
+FINAL_MOMENTUM = 0.8
+EARLY_EXAGGERATION = 12.0
+# Entropy tolerance (nats) and step limit of the per-point bandwidth search.
+PERPLEXITY_TOL = 1e-5
+PERPLEXITY_MAX_STEPS = 50
+
 
 def accuracy(predictions, labels) -> float:
     if len(predictions) != len(labels):
@@ -72,9 +81,6 @@ class TsneConfig:
     perplexity: float = 30.0
     iterations: int = 1000
     learning_rate: float = 200.0
-    momentum: float = 0.5
-    final_momentum: float = 0.8
-    early_exaggeration: float = 12.0
     exaggeration_iters: int = 250
     seed: int = 33
 
@@ -85,14 +91,6 @@ class TsneConfig:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
         if self.learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("momentum", "final_momentum"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1), got {v}")
-        if self.early_exaggeration < 1.0:
-            raise ConfigurationError(
-                f"early_exaggeration must be >= 1, got {self.early_exaggeration}"
-            )
         if self.exaggeration_iters < 0:
             raise ConfigurationError("exaggeration_iters must be >= 0")
 
@@ -111,14 +109,12 @@ def _squared_distances(x: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def conditional_gaussian_probs(
-    d2: np.ndarray, perplexity: float, tol: float = 1e-5, max_steps: int = 50
-) -> tuple[np.ndarray, np.ndarray]:
+def conditional_gaussian_probs(d2: np.ndarray, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-row Gaussian conditionals whose entropy matches log(perplexity).
 
     The precision beta_i = 1/(2 sigma_i^2) is found by bisection with
-    doubling/halving expansion, at most `max_steps` steps, entropy tolerance
-    `tol` (in nats). Returns (P_conditional, beta).
+    doubling/halving expansion, at most PERPLEXITY_MAX_STEPS steps, to within
+    PERPLEXITY_TOL. Returns (P_conditional, beta).
     """
     n = d2.shape[0]
     target_entropy = np.log(perplexity)
@@ -127,7 +123,7 @@ def conditional_gaussian_probs(
     for i in range(n):
         beta, beta_min, beta_max = 1.0, -np.inf, np.inf
         di = np.delete(d2[i], i)
-        for _ in range(max_steps):
+        for _ in range(PERPLEXITY_MAX_STEPS):
             expd = np.exp(-di * beta)
             sum_e = expd.sum()
             if sum_e <= 0.0:
@@ -137,7 +133,7 @@ def conditional_gaussian_probs(
                 pi = expd / sum_e
                 entropy = np.log(sum_e) + beta * float((di * pi).sum())
             diff = entropy - target_entropy
-            if abs(diff) <= tol:
+            if abs(diff) <= PERPLEXITY_TOL:
                 break
             if diff > 0:
                 beta_min = beta
@@ -171,7 +167,7 @@ def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
     Pipeline: pairwise squared distances; per-point bandwidth search to the
     configured perplexity; symmetrized P; seeded Gaussian init (sigma 1e-4);
     gradient descent on KL(P||Q) with a Student-t(1) Q, momentum switching
-    from `momentum` to `final_momentum` when early exaggeration ends, and
+    from MOMENTUM to FINAL_MOMENTUM when early exaggeration ends, and
     per-coordinate adaptive gains. Returns the embedding plus the KL at
     initialization and after the last iteration (both unexaggerated).
     """
@@ -202,8 +198,8 @@ def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
     min_gain = 0.01
     for it in range(config.iterations):
         exaggerating = it < config.exaggeration_iters
-        p_eff = p * config.early_exaggeration if exaggerating else p
-        momentum = config.momentum if exaggerating else config.final_momentum
+        p_eff = p * EARLY_EXAGGERATION if exaggerating else p
+        momentum = MOMENTUM if exaggerating else FINAL_MOMENTUM
 
         q, w = q_matrix(y)
         pq = (p_eff - q) * w

@@ -15,6 +15,11 @@ from .errors import ConfigurationError, DataFormatError, DomainError, TrainingEr
 
 MODEL_MAGIC = "RANTWIN-MLP v1"
 
+# Adam's moment decay rates and the term that keeps its step finite.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class MlpModel:
@@ -28,9 +33,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 21
 
     def __post_init__(self):
@@ -40,12 +42,6 @@ class TrainConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("adam_beta1", "adam_beta2"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigurationError(f"{name} must be in (0, 1), got {v}")
-        if self.adam_epsilon <= 0:
-            raise ConfigurationError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
 
 
 @dataclass
@@ -77,9 +73,11 @@ def init_model(hidden_dims: list[int], seed: int) -> MlpModel:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # The ufunc reductions are what .max() and .sum() call, without the
+    # Python-level method wrappers.
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _forward_batch(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -147,7 +145,7 @@ def _loss_grads_arrays(
     rows = np.arange(n) if rows is None else rows[:n]
     activations, logits = _forward_batch(model, x)
     probs = _softmax(logits)
-    loss = float(-np.log(np.maximum(probs[rows, y], 1e-300)).mean())
+    loss = float(-np.add.reduce(np.log(np.maximum(probs[rows, y], 1e-300))) / n)
 
     delta = probs
     delta[rows, y] -= 1.0
@@ -220,7 +218,7 @@ def train(
     n = x_train.shape[0]
     batch_size = config.batch_size
     rng = np.random.default_rng(config.seed)
-    b1, b2, eps, lr = config.adam_beta1, config.adam_beta2, config.adam_epsilon, config.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, config.learning_rate
 
     size = sum(w.size + b.size for w, b in zip(model.weights, model.biases))
     theta, grad, m, v, scratch1, scratch2 = np.zeros((6, size))

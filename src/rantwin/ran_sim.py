@@ -11,8 +11,8 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import TYPE_CHECKING, get_origin, get_type_hints
 
 import numpy as np
 
@@ -440,41 +440,18 @@ def apply_allocation(state: SimState, plan: "AllocationPlan", link: LinkBudgetPa
     state.achieved_mbps = achieved
 
 
-def sim_config_to_dict(config: SimConfig) -> dict:
-    """Fully expanded config, suitable for the config file and manifests."""
-    return {
-        "n_cells": config.n_cells,
-        "n_ues": config.n_ues,
-        "area_m": config.area_m,
-        "tick_ms": config.tick_ms,
-        "n_ticks": config.n_ticks,
-        "seed": config.seed,
-        "tx_power_per_re_dbm": config.tx_power_per_re_dbm,
-        "total_prbs": config.total_prbs,
-        "hysteresis_db": config.hysteresis_db,
-        "shadowing_rho": config.shadowing_rho,
-        "link": {
-            "ref_path_loss_db": config.link.ref_path_loss_db,
-            "ref_distance_m": config.link.ref_distance_m,
-            "path_loss_exponent": config.link.path_loss_exponent,
-            "shadowing_sigma_db": config.link.shadowing_sigma_db,
-            "noise_density_dbm_hz": config.link.noise_density_dbm_hz,
-            "prb_bandwidth_hz": config.link.prb_bandwidth_hz,
-            "noise_figure_db": config.link.noise_figure_db,
-        },
-        "mobility": {
-            "min_speed_mps": config.mobility.min_speed_mps,
-            "max_speed_mps": config.mobility.max_speed_mps,
-        },
-        "traffic": {"mean_demand_mbps": list(config.traffic.mean_demand_mbps)},
-    }
-
-
-def _check_keys(given: dict, allowed, where: str) -> None:
-    unknown = sorted(set(given) - set(allowed))
-    if unknown:
-        raise ConfigurationError(f"unknown config key{'s' if len(unknown) > 1 else ''} "
-                                 f"in {where}: {', '.join(unknown)}")
+def sim_config_to_dict(config) -> dict:
+    """Fully expanded config, suitable for the config file and manifests:
+    one key per dataclass field, nested configs as objects, tuples as lists."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            value = sim_config_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
 
 
 def json_int(value, name: str) -> int:
@@ -484,43 +461,43 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_float(value, name: str) -> float:
+    """`value` as a float if it is a JSON number; a boolean or a string is rejected."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _decode(cls, data, where: str):
+    """An instance of the config dataclass `cls` from a (possibly partial)
+    JSON object; each given field is decoded by its annotated type and the
+    others keep their defaults."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
+    if unknown:
+        raise ConfigurationError(f"unknown config key{'s' if len(unknown) > 1 else ''} "
+                                 f"in {where}: {', '.join(unknown)}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in data:
+            continue
+        hint, value, name = hints[f.name], data[f.name], f"{where}.{f.name}"
+        if is_dataclass(hint):
+            kwargs[f.name] = _decode(hint, value, name)
+        elif get_origin(hint) is tuple:  # a tuple of numbers
+            if not isinstance(value, list):
+                raise ConfigurationError(f"{name} must be a JSON list of numbers, got {value!r}")
+            kwargs[f.name] = tuple(json_float(v, f"{name}[{i}]") for i, v in enumerate(value))
+        else:
+            kwargs[f.name] = {int: json_int, float: json_float}[hint](value, name)
+    return cls(**kwargs)
+
+
 def sim_config_from_dict(data: dict) -> SimConfig:
     """Build a SimConfig from a (possibly partial) dict; unknown keys error."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("config must be a JSON object")
-    defaults = sim_config_to_dict(SimConfig())
-    _check_keys(data, defaults, "config")
-    merged = {**defaults, **data}
-
-    def section(name: str) -> dict:
-        given = merged[name]
-        if not isinstance(given, dict):
-            raise ConfigurationError(f"config.{name} must be a JSON object")
-        _check_keys(given, defaults[name], f"config.{name}")
-        return {**defaults[name], **given}
-
-    try:
-        link = LinkBudgetParams(**section("link"))
-        mobility = MobilityConfig(**section("mobility"))
-        means = section("traffic")["mean_demand_mbps"]
-        traffic = TrafficConfig(mean_demand_mbps=tuple(float(v) for v in means))
-        return SimConfig(
-            n_cells=json_int(merged["n_cells"], "config.n_cells"),
-            n_ues=json_int(merged["n_ues"], "config.n_ues"),
-            area_m=float(merged["area_m"]),
-            tick_ms=float(merged["tick_ms"]),
-            n_ticks=json_int(merged["n_ticks"], "config.n_ticks"),
-            seed=json_int(merged["seed"], "config.seed"),
-            tx_power_per_re_dbm=float(merged["tx_power_per_re_dbm"]),
-            total_prbs=json_int(merged["total_prbs"], "config.total_prbs"),
-            hysteresis_db=float(merged["hysteresis_db"]),
-            shadowing_rho=float(merged["shadowing_rho"]),
-            link=link,
-            mobility=mobility,
-            traffic=traffic,
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigurationError(f"bad config value: {e}") from e
+    return _decode(SimConfig, data, "config")
 
 
 def load_sim_config(path) -> SimConfig:

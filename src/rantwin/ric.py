@@ -132,14 +132,20 @@ class Detection:
     probs: tuple[float, float, float, float]
 
 
+# Consecutive ticks a non-Normal prediction must repeat to fire an action,
+# and consecutive Normal ticks after which the UE may fire again.
+CONFIRM_TICKS = 3
+CLEAR_TICKS = 10
+
+
 class DtXapp:
     """The DT application hosted in the controller.
 
     Per indication it runs the twin engine, classifies every UE from its
     standardized feature vector in one batched pass, and emits one control
     action per confirmed anomaly: a prediction must repeat for
-    `confirm_ticks` consecutive ticks to fire, and the UE must read Normal
-    for `clear_ticks` ticks to re-arm. Every indication must report the same
+    CONFIRM_TICKS consecutive ticks to fire, and the UE must read Normal
+    for CLEAR_TICKS ticks to re-arm. Every indication must report the same
     UEs in the same order, because the debounce state is kept per report row.
     """
 
@@ -150,20 +156,14 @@ class DtXapp:
         cells,
         link_params,
         policy: RemediationPolicy | None = None,
-        confirm_ticks: int = 3,
-        clear_ticks: int = 10,
     ):
         if model is None or stats is None:
             raise ConfigurationError("DtXapp requires a trained model and feature stats")
-        if confirm_ticks < 1 or clear_ticks < 0:
-            raise ConfigurationError("confirm_ticks must be >= 1 and clear_ticks >= 0")
         self.model = model
         self.stats = stats
         self.cells = list(cells)
         self.link_params = link_params
         self.policy = policy if policy is not None else RemediationPolicy()
-        self.confirm_ticks = confirm_ticks
-        self.clear_ticks = clear_ticks
         # Debounce state per report row, set up by the first indication: the
         # class of the row's non-Normal streak (-1 for none), the streak's
         # length, the length of its Normal streak, and whether it may fire.
@@ -191,12 +191,12 @@ class DtXapp:
         code = np.argmax(probs, axis=1)
         normal = code == AnomalyClass.NORMAL
         self._normal_streak = np.where(normal, self._normal_streak + 1, 0)
-        self._armed = self._armed | (normal & (self._normal_streak >= self.clear_ticks))
+        self._armed = self._armed | (normal & (self._normal_streak >= CLEAR_TICKS))
         self._streak_len = np.where(
             normal, 0, np.where(code == self._streak_cls, self._streak_len + 1, 1)
         )
         self._streak_cls = np.where(normal, -1, code)
-        fire = ~normal & self._armed & (self._streak_len >= self.confirm_ticks)
+        fire = ~normal & self._armed & (self._streak_len >= CONFIRM_TICKS)
         self._armed = self._armed & ~fire
 
         flagged = np.flatnonzero(~normal)
@@ -283,8 +283,6 @@ def closed_loop_run(
     stats: FeatureStats,
     fault_schedule: list[ScheduledFault],
     policy: RemediationPolicy | None = None,
-    confirm_ticks: int = 3,
-    clear_ticks: int = 10,
 ) -> EpisodeLog:
     """Run simulator, bus and xApp in per-tick lockstep.
 
@@ -304,7 +302,7 @@ def closed_loop_run(
     state = ran_sim.init_sim(config)
     bus = MessageBus()
     subscription = bus.subscribe()
-    xapp = DtXapp(model, stats, state.cells, config.link, policy, confirm_ticks, clear_ticks)
+    xapp = DtXapp(model, stats, state.cells, config.link, policy)
 
     log = EpisodeLog(n_ticks=config.n_ticks)
     by_onset: dict[int, list[ScheduledFault]] = {}

@@ -20,6 +20,9 @@ from rantwin import radio_model as rm
 from rantwin.anomaly import AnomalyClass, inject_fault, standardize
 from rantwin.errors import TrainingError
 from rantwin.mlp import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     MlpModel,
     TrainConfig,
     TrainReport,
@@ -32,7 +35,7 @@ from rantwin.mlp import (
 )
 from rantwin.radio_model import ChannelColumns, ChannelSample
 from rantwin.ran_sim import CellState, ReportBatch, TickKpis
-from rantwin.ric import ControlAction, Detection, ForceHandover, PrbBoost
+from rantwin.ric import CLEAR_TICKS, CONFIRM_TICKS, ControlAction, Detection, ForceHandover, PrbBoost
 from rantwin.twin_engine import per_prb_rate_mbps
 
 
@@ -297,7 +300,7 @@ def reference_train(model: MlpModel, train_samples, test_samples, config: TrainC
     v_w = [np.zeros_like(w) for w in model.weights]
     m_b = [np.zeros_like(b) for b in model.biases]
     v_b = [np.zeros_like(b) for b in model.biases]
-    b1, b2, eps, lr = config.adam_beta1, config.adam_beta2, config.adam_epsilon, config.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, config.learning_rate
 
     report = TrainReport()
     report.initial_loss, _, _ = reference_loss_grads(model, x_train, y_train)
@@ -383,7 +386,7 @@ def per_ue_on_indication(xapp, indication, debounce, weights=None):
             state.streak_cls = None
             state.streak_len = 0
             state.normal_streak += 1
-            if not state.armed and state.normal_streak >= xapp.clear_ticks:
+            if not state.armed and state.normal_streak >= CLEAR_TICKS:
                 state.armed = True
             continue
         detections.append(
@@ -395,7 +398,7 @@ def per_ue_on_indication(xapp, indication, debounce, weights=None):
         else:
             state.streak_cls = predicted
             state.streak_len = 1
-        if state.armed and state.streak_len >= xapp.confirm_ticks:
+        if state.armed and state.streak_len >= CONFIRM_TICKS:
             kind = policy_action(xapp.policy, predicted, report)
             if kind is not None:
                 actions.append(ControlAction(indication.tick, report.ue_id, kind, predicted))

@@ -4,12 +4,21 @@ import json
 import numpy as np
 import pytest
 
-from rantwin import anomaly, mlp
+from rantwin import anomaly, mlp, ran_sim
 from rantwin.cli import main
 
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def float_leaves(section: dict, prefix: str = ""):
+    """Dotted names of the float values of a config dict, nested sections included."""
+    for name, value in section.items():
+        if isinstance(value, dict):
+            yield from float_leaves(value, f"{prefix}{name}.")
+        elif isinstance(value, float):
+            yield prefix + name
 
 
 class TestGenDataset:
@@ -60,6 +69,20 @@ class TestGenDataset:
         rc = main(["gen-dataset", "--config", str(cfg), "--out", str(tmp_path / "d.csv")])
         assert rc == 2
         assert f"config.{name} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(float_leaves(ran_sim.sim_config_to_dict(ran_sim.SimConfig()))))
+    @pytest.mark.parametrize("value", [True, "36.6"])
+    def test_non_number_float_value_exits_2(self, tmp_path, capsys, name, value):
+        # a boolean or a numeric string is rejected, not read as a number
+        body = value
+        for key in reversed(name.split(".")):
+            body = {key: body}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        rc = main(["gen-dataset", "--config", str(cfg), "--out", str(tmp_path / "d.csv"),
+                   "--n-samples", "40"])
+        assert rc == 2
+        assert f"config.{name} must be a number" in capsys.readouterr().err
 
     def test_failure_still_writes_manifest(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -350,6 +373,21 @@ class TestClosedLoop:
         ])
         assert rc == 2
         assert f"schedule fault #1: {field} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["offset_db", "jitter_db"])
+    @pytest.mark.parametrize("value", [True, "3.0"])
+    def test_non_number_schedule_value_exits_2(self, untrained, tmp_path, capsys, field, value):
+        good = {"onset_tick": 5, "ue_id": 1, "class": 1,
+                "offset_db": -20.0, "jitter_db": 3.0, "duration_ticks": 10}
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"faults": [good, {**good, field: value}]}))
+        rc = main([
+            "closed-loop", "--model", str(untrained["model"]),
+            "--stats", str(untrained["stats"]), "--schedule", str(schedule),
+            "--out-dir", str(tmp_path / "loop"),
+        ])
+        assert rc == 2
+        assert f"schedule fault #1: {field} must be a number" in capsys.readouterr().err
 
     def test_missing_model_exits_2(self, trained, tmp_path, capsys):
         rc = main([

@@ -141,10 +141,6 @@ class TestTsne:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             TsneConfig(perplexity=0.5)
-        with pytest.raises(ConfigurationError):
-            TsneConfig(momentum=1.0)
-        with pytest.raises(ConfigurationError):
-            TsneConfig(early_exaggeration=0.5)
 
     def test_embedding_is_finite_2d(self):
         rng = np.random.default_rng(10)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -24,6 +25,34 @@ from rantwin.ric import ControlAction, ForceHandover, PrbBoost, allocation_weigh
 from oracles import report_rows, scalar_serving_cell, scalar_step
 
 SMALL = SimConfig(n_cells=3, n_ues=12, n_ticks=50, seed=9)
+
+
+def _leaves(config, path=()):
+    """(path, value) of every leaf field of a config dataclass."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, path + (f.name,))
+        else:
+            yield path + (f.name,), value
+
+
+DEFAULT_LEAVES = dict(_leaves(SimConfig()))
+FLOAT_LEAVES = [path for path, value in DEFAULT_LEAVES.items() if isinstance(value, float)]
+
+
+def _only(path, value) -> dict:
+    """A partial config dict that sets the leaf `path` and nothing else."""
+    for name in reversed(path):
+        value = {name: value}
+    return value
+
+
+def _other_value(value):
+    """A valid value of the same type as the default `value`, unequal to it."""
+    if isinstance(value, tuple):
+        return [v / 2 for v in value]
+    return value / 2 if isinstance(value, float) else value + 1
 
 
 class TestConfig:
@@ -64,6 +93,30 @@ class TestConfig:
     def test_integer_field_rejects_non_integer(self, name, value):
         with pytest.raises(ConfigurationError, match=f"config.{name} must be an integer"):
             ran_sim.sim_config_from_dict({name: value})
+
+    @pytest.mark.parametrize("path", list(DEFAULT_LEAVES), ids=".".join)
+    def test_each_leaf_decodes_alone_and_round_trips(self, path):
+        value = _other_value(DEFAULT_LEAVES[path])
+        cfg = ran_sim.sim_config_from_dict(_only(path, value))
+        changed = [p for p, default in DEFAULT_LEAVES.items()
+                   if functools.reduce(getattr, p, cfg) != default]
+        assert changed == [path]
+        decoded = functools.reduce(getattr, path, cfg)
+        assert type(decoded) is type(DEFAULT_LEAVES[path])
+        assert decoded == (tuple(value) if isinstance(value, list) else value)
+        assert ran_sim.sim_config_from_dict(ran_sim.sim_config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("path", FLOAT_LEAVES, ids=".".join)
+    @pytest.mark.parametrize("value", [True, "36.6", None])
+    def test_float_field_rejects_non_number(self, path, value):
+        name = "config." + ".".join(path)
+        with pytest.raises(ConfigurationError, match=f"{name} must be a number"):
+            ran_sim.sim_config_from_dict(_only(path, value))
+
+    @pytest.mark.parametrize("value", ["2468", 5, [2, 4, True, 8], [2, "4", 6, 8]])
+    def test_demand_means_must_be_a_list_of_numbers(self, value):
+        with pytest.raises(ConfigurationError, match=r"config\.traffic\.mean_demand_mbps"):
+            ran_sim.sim_config_from_dict({"traffic": {"mean_demand_mbps": value}})
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "config.json"

@@ -143,13 +143,13 @@ class TestDtXapp:
     def test_rearm_requires_clear_window(self):
         error = constant_model(int(AnomalyClass.SINR_ERROR))
         normal = constant_model(None)
-        xapp = self._xapp(error, confirm_ticks=3, clear_ticks=4)
+        xapp = self._xapp(error)
         fired = {}
         t = 0
-        # confirm (3 error ticks), then 3 normal ticks (below clear window),
-        # then 3 error ticks: still disarmed, no second action
+        # confirm (3 error ticks), then 9 normal ticks (below the 10-tick
+        # clear window), then 3 error ticks: still disarmed, no second action
         for phase, (model, ticks) in enumerate(
-            [(error, 3), (normal, 3), (error, 3), (normal, 4), (error, 3)]
+            [(error, 3), (normal, 9), (error, 3), (normal, 10), (error, 3)]
         ):
             xapp.model = model
             for _ in range(ticks):
@@ -158,7 +158,7 @@ class TestDtXapp:
                 if actions:
                     fired.setdefault(phase, 0)
                     fired[phase] += len(actions)
-        # re-armed only after the 4-tick normal window in phase 3
+        # re-armed only after the 10-tick normal window in phase 3
         assert fired == {0: 1, 4: 1}
 
     def test_sinr_error_gets_prb_boost(self):
