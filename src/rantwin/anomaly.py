@@ -11,14 +11,14 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from . import radio_model, ran_sim, twin_engine
 from .errors import ConfigurationError, DataFormatError, DomainError
-from .radio_model import ChannelSample
+from .radio_model import ChannelColumns
 from .ran_sim import ReportBatch, SimConfig
 from .twin_engine import AllocationPlan
 
@@ -86,24 +86,39 @@ def default_fault_specs(duration_ticks: int = 50) -> dict[AnomalyClass, FaultSpe
     }
 
 
-def inject_fault(
-    channel: ChannelSample, spec: FaultSpec, rng: np.random.Generator
-) -> ChannelSample:
-    """Corrupt exactly the measurement family owned by the fault class.
+def inject_faults(
+    channel: ChannelColumns, rows: list[int], specs: list[FaultSpec], rng: np.random.Generator
+) -> ChannelColumns:
+    """The channel as reported when row rows[k] carries the fault specs[k].
 
-    SINR corruption also recomputes the CQI, because the CQI report follows
-    the (corrupted) SINR estimate. Draws exactly one jitter sample.
+    Each fault corrupts exactly the measurement family its class owns. SINR
+    corruption also recomputes the CQI, because the CQI report follows the
+    (corrupted) SINR estimate. Draws exactly one jitter sample per fault, in
+    the order given. `channel` is not written into; without faults it is
+    returned as it is.
     """
-    delta = spec.offset_db + float(rng.uniform(-spec.jitter_db, spec.jitter_db))
-    if spec.cls == AnomalyClass.RSRP_ERROR:
-        return replace(channel, rsrp_dbm=channel.rsrp_dbm + delta)
-    if spec.cls == AnomalyClass.RSRQ_ERROR:
-        return replace(channel, rsrq_db=min(0.0, channel.rsrq_db + delta))
-    if spec.cls == AnomalyClass.SINR_ERROR:
-        corrupted = channel.sinr_db + delta
-        return replace(channel, sinr_db=corrupted, cqi=radio_model.cqi_from_sinr(corrupted))
-    # FaultSpec forbids NORMAL
-    raise DomainError("cannot inject a Normal fault")  # pragma: no cover
+    if not specs:
+        return channel
+    rows = np.array(rows, dtype=np.int64)
+    cls = np.array([spec.cls for spec in specs])
+    jitter = np.array([spec.jitter_db for spec in specs])
+    delta = np.array([spec.offset_db for spec in specs]) + rng.uniform(-jitter, jitter)
+
+    def corrupted(klass, column):
+        """The rows that `klass` hits, and their column values plus the delta."""
+        hit = cls == klass
+        return rows[hit], column[rows[hit]] + delta[hit]
+
+    rsrp, rsrq, sinr, cqi = (channel.rsrp_dbm.copy(), channel.rsrq_db.copy(),
+                             channel.sinr_db.copy(), channel.cqi.copy())
+    hit, value = corrupted(AnomalyClass.RSRP_ERROR, rsrp)
+    rsrp[hit] = value
+    hit, value = corrupted(AnomalyClass.RSRQ_ERROR, rsrq)
+    rsrq[hit] = np.where(value < 0.0, value, 0.0)  # min(0.0, value)
+    hit, value = corrupted(AnomalyClass.SINR_ERROR, sinr)
+    sinr[hit] = value
+    cqi[hit] = np.searchsorted(radio_model.CQI_SINR_THRESHOLDS_DB_ARRAY, value, side="right")
+    return ChannelColumns(rsrp, channel.rssi_dbm, rsrq, sinr, cqi)
 
 
 @dataclass(frozen=True)

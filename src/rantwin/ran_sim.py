@@ -342,7 +342,7 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     corruption of the reported channel, traffic resampling, report emission.
     A fault never touches `last_channel`, the true channel.
     """
-    from .anomaly import inject_fault  # deferred: anomaly drives this simulator
+    from .anomaly import inject_faults  # deferred: anomaly drives this simulator
 
     cfg = state.config
     link = cfg.link
@@ -397,14 +397,11 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     new.last_channel = ChannelColumns(rsrp[rows, serving], rssi, rsrq, sinr, cqi)
 
     # (5) fault corruption of the reported channel, in ue_id order
-    reported = {name: column.copy() for name, column in vars(new.last_channel).items()}
-    for ue_id in sorted(new.faults):
-        fault = new.faults[ue_id]
-        if new.tick <= fault.until_tick:
-            sample = inject_fault(new.last_channel.row(ue_id), fault.spec, rng)
-            for name, value in vars(sample).items():
-                reported[name][ue_id] = value
-        if new.tick >= fault.until_tick:
+    faulted = sorted(new.faults)
+    active = [ue_id for ue_id in faulted if new.tick <= new.faults[ue_id].until_tick]
+    reported = inject_faults(new.last_channel, active, [new.faults[u].spec for u in active], rng)
+    for ue_id in faulted:
+        if new.tick >= new.faults[ue_id].until_tick:
             del new.faults[ue_id]
 
     # (6) traffic demand resampling
@@ -417,7 +414,7 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
         new.tick,
         rows,
         serving.copy(),
-        ChannelColumns(**reported),
+        reported,
         rsrp,
         new.demand_mbps,
         new.priority,

@@ -5,19 +5,19 @@ enumeration and a linear scan for the allocator, central finite differences
 for the gradients, a per-layer Adam loop with fresh gradient arrays for
 training, a literal threshold-table scan for the CQI mapping, a
 per-UE loop of single-row (1, d) matmuls and dict-based debounce state for
-the xApp's batched classifier, and a per-UE loop over Python floats for the
-columnar simulator step. They read reports one UE at a time, as `Report`
+the xApp's batched classifier, and a per-UE loop over Python floats, with
+one fault corruption per report, for the columnar simulator step. They read reports one UE at a time, as `Report`
 objects; `mk_batch` and `report_rows` convert to and from a `ReportBatch`.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from rantwin import radio_model as rm
-from rantwin.anomaly import AnomalyClass, inject_fault, standardize
+from rantwin.anomaly import AnomalyClass, standardize
 from rantwin.errors import TrainingError
 from rantwin.mlp import (
     ADAM_BETA1,
@@ -404,6 +404,21 @@ def per_ue_on_indication(xapp, indication, debounce, weights=None):
                 actions.append(ControlAction(indication.tick, report.ue_id, kind, predicted))
             state.armed = False
     return grants, actions, detections
+
+
+def inject_fault(channel: ChannelSample, spec, rng: np.random.Generator) -> ChannelSample:
+    """One report's fault corruption: exactly the measurement family owned
+    by the fault class, with one scalar jitter draw. SINR corruption also
+    recomputes the CQI by the scalar table lookup."""
+    delta = spec.offset_db + float(rng.uniform(-spec.jitter_db, spec.jitter_db))
+    if spec.cls == AnomalyClass.RSRP_ERROR:
+        return replace(channel, rsrp_dbm=channel.rsrp_dbm + delta)
+    if spec.cls == AnomalyClass.RSRQ_ERROR:
+        return replace(channel, rsrq_db=min(0.0, channel.rsrq_db + delta))
+    if spec.cls == AnomalyClass.SINR_ERROR:
+        corrupted = channel.sinr_db + delta
+        return replace(channel, sinr_db=corrupted, cqi=rm.cqi_from_sinr(corrupted))
+    raise ValueError(f"no fault of class {spec.cls!r}")
 
 
 def scalar_serving_cell(serving_cell, rsrp_by_cell, hysteresis_db):

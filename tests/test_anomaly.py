@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rantwin import anomaly, ran_sim
+from rantwin import radio_model as rm
 from rantwin.anomaly import (
     AnomalyClass,
     FaultSpec,
@@ -15,14 +16,14 @@ from rantwin.anomaly import (
     extract_features,
     feature_matrix,
     generate_dataset,
-    inject_fault,
+    inject_faults,
     split_dataset,
     standardize,
 )
 from rantwin.errors import ConfigurationError, DataFormatError, DomainError
 from rantwin.twin_engine import AllocationPlan
 
-from oracles import cqi_table_scan, mk_batch, mk_report
+from oracles import columns_of, cqi_table_scan, mk_batch, mk_report
 
 
 class TestAnomalyClass:
@@ -40,6 +41,11 @@ class TestAnomalyClass:
 
 def mk_channel(**kwargs):
     return mk_report(**kwargs).channel
+
+
+def inject_fault(channel, spec, rng):
+    """`inject_faults` on a one-row channel."""
+    return inject_faults(columns_of([channel]), [0], [spec], rng).row(0)
 
 
 class TestInjectFault:
@@ -71,6 +77,17 @@ class TestInjectFault:
         assert out.cqi == 2
         assert out.rsrp_dbm == ch.rsrp_dbm
         assert out.rsrq_db == ch.rsrq_db
+
+    @pytest.mark.parametrize("k", range(len(rm.CQI_SINR_THRESHOLDS_DB)))
+    def test_sinr_fault_cqi_at_each_threshold(self, k):
+        # a corrupted SINR exactly at a CQI threshold, and one ulp below it
+        threshold = rm.CQI_SINR_THRESHOLDS_DB[k]
+        for offset in (threshold, np.nextafter(threshold, -np.inf)):
+            ch = mk_channel(sinr=0.0, cqi=cqi_table_scan(0.0))
+            out = inject_fault(ch, FaultSpec(AnomalyClass.SINR_ERROR, offset, 0.0, 10),
+                               np.random.default_rng(0))
+            assert out.sinr_db == offset
+            assert out.cqi == cqi_table_scan(offset) == k + (offset == threshold)
 
     def test_jitter_bounded_and_deterministic(self):
         ch = mk_channel(rsrp=-90.0)

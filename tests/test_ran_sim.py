@@ -8,7 +8,7 @@ import pytest
 
 from rantwin import radio_model as rm
 from rantwin import ran_sim
-from rantwin.anomaly import AnomalyClass, default_fault_specs
+from rantwin.anomaly import AnomalyClass, FaultSpec, default_fault_specs
 from rantwin.errors import ConfigurationError, DomainError
 from rantwin.radio_model import ChannelColumns, LinkBudgetParams
 from rantwin.ran_sim import (
@@ -22,7 +22,7 @@ from rantwin.ran_sim import (
 )
 from rantwin.ric import ControlAction, ForceHandover, PrbBoost, allocation_weights, apply_control
 
-from oracles import report_rows, scalar_serving_cell, scalar_step
+from oracles import inject_fault, report_rows, scalar_serving_cell, scalar_step
 
 SMALL = SimConfig(n_cells=3, n_ues=12, n_ticks=50, seed=9)
 
@@ -540,3 +540,51 @@ class TestStepMatchesScalarOracle:
         )
         _, reflections = _assert_step_matches_scalar(init_sim(config), 60)
         assert reflections > 100
+
+
+class TestFaultStageMatchesPerRowReference:
+    # (onset tick, ue_id, spec), set in an order that is not ue_id order
+    FAULTS = [
+        (2, 9, FaultSpec(AnomalyClass.RSRP_ERROR, -20.0, 3.0, 6)),
+        (2, 3, FaultSpec(AnomalyClass.SINR_ERROR, -15.0, 0.0, 4)),
+        (3, 5, FaultSpec(AnomalyClass.RSRQ_ERROR, 30.0, 2.0, 5)),  # clamps at 0.0
+        (3, 1, FaultSpec(AnomalyClass.SINR_ERROR, -8.0, 3.0, 7)),
+        (4, 11, FaultSpec(AnomalyClass.RSRQ_ERROR, -10.0, 2.0, 1)),
+        (4, 0, FaultSpec(AnomalyClass.RSRP_ERROR, 6.0, 0.0, 3)),
+        (9, 3, FaultSpec(AnomalyClass.RSRQ_ERROR, -4.0, 1.0, 2)),
+    ]
+
+    def test_episode_with_every_class(self):
+        """Every tick's reported channel equals, with ==, the per-row
+        inject_fault of each active fault in ue_id order applied to the
+        step's own true channel, with the step's draws replayed around it."""
+        config = SimConfig(n_cells=3, n_ues=12, seed=5)
+        means = np.array(config.traffic.mean_demand_mbps)
+        state = init_sim(config)
+        clamped = corrupted = 0
+        for _ in range(16):
+            for onset, ue_id, spec in self.FAULTS:
+                if onset == state.tick + 1:
+                    ran_sim.set_fault(state, ue_id, spec)
+            new, reports, _ = step(state)
+
+            rng = np.random.Generator(np.random.PCG64(0))
+            rng.bit_generator.state = state.rng.bit_generator.state
+            rng.normal(0.0, config.link.shadowing_sigma_db, size=state.shadowing_db.shape)
+            expected = [new.last_channel.row(i) for i in range(config.n_ues)]
+            for ue_id in sorted(state.faults):
+                fault = state.faults[ue_id]
+                if new.tick <= fault.until_tick:
+                    expected[ue_id] = inject_fault(expected[ue_id], fault.spec, rng)
+                    corrupted += 1
+            rng.exponential(means[state.priority - 1])
+
+            assert [reports.channel.row(i) for i in range(config.n_ues)] == expected
+            assert rng.bit_generator.state == new.rng.bit_generator.state
+            assert sorted(new.faults) == sorted(
+                u for u, f in state.faults.items() if new.tick < f.until_tick)
+            clamped += expected[5].rsrq_db == 0.0
+            state = new
+        assert corrupted == sum(spec.duration_ticks for _, _, spec in self.FAULTS)
+        assert clamped == 5
+        assert not state.faults
