@@ -18,7 +18,7 @@ import numpy as np
 
 from . import radio_model
 from .errors import ConfigurationError, DomainError
-from .radio_model import ChannelColumns, LinkBudgetParams, fields_equal, scalar_map
+from .radio_model import ChannelColumns, LinkBudgetParams, fields_equal
 
 if TYPE_CHECKING:
     from .anomaly import FaultSpec
@@ -248,17 +248,15 @@ def _grid_positions(n_cells: int, area_m: float) -> list[tuple[float, float]]:
 
 
 def _rsrp_matrix(state: SimState) -> np.ndarray:
-    """(U, C) RSRP in dBm at the state's positions and shadowing, each entry
-    as `radio_model.rsrp_dbm` computes it."""
+    """(U, C) RSRP in dBm at the state's positions and shadowing: the
+    formula of `radio_model.rsrp_dbm` and `path_loss_db`, elementwise."""
     link = state.config.link
     position = state.position
     dx = position[:, 0:1] - state.cell_xy[:, 0]
     dy = position[:, 1:2] - state.cell_xy[:, 1]
-    distance = np.maximum(scalar_map(math.hypot, dx, dy), 1e-6)
-    # radio_model.path_loss_db, elementwise
-    d = np.maximum(distance, link.ref_distance_m)
-    path_loss = link.ref_path_loss_db + 10.0 * link.path_loss_exponent * scalar_map(
-        math.log10, d / link.ref_distance_m
+    d = np.maximum(np.maximum(np.hypot(dx, dy), 1e-6), link.ref_distance_m)
+    path_loss = link.ref_path_loss_db + 10.0 * link.path_loss_exponent * np.log10(
+        d / link.ref_distance_m
     )
     return state.cell_tx_dbm - path_loss + state.shadowing_db
 
@@ -381,7 +379,7 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     # order with 0.0 for the serving cell, as the scalar sums do: SINR over
     # noise + interferers, RSSI over serving + interferers + noise.
     rows = np.arange(len(serving))
-    mw = scalar_map(radio_model.pow10, rsrp / 10.0)
+    mw = np.power(10.0, rsrp / 10.0)
     serving_mw = mw[rows, serving]
     interference = np.zeros(len(serving))
     noise_and_interference = np.full(len(serving), noise_mw)
@@ -390,9 +388,9 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
         interference = interference + p
         noise_and_interference = noise_and_interference + p
     total_mw = serving_mw + interference + noise_mw
-    sinr = 10.0 * scalar_map(math.log10, serving_mw / noise_and_interference)
-    rssi = 10.0 * scalar_map(math.log10, total_mw)
-    rsrq = 10.0 * scalar_map(math.log10, serving_mw / total_mw)
+    sinr = 10.0 * np.log10(serving_mw / noise_and_interference)
+    rssi = 10.0 * np.log10(total_mw)
+    rsrq = 10.0 * np.log10(serving_mw / total_mw)
     cqi = np.searchsorted(radio_model.CQI_SINR_THRESHOLDS_DB_ARRAY, sinr, side="right")
     new.last_channel = ChannelColumns(rsrp[rows, serving], rssi, rsrq, sinr, cqi)
 

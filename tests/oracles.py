@@ -12,7 +12,7 @@ objects; `mk_batch` and `report_rows` convert to and from a `ReportBatch`.
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,53 @@ from rantwin.radio_model import ChannelColumns, ChannelSample
 from rantwin.ran_sim import CellState, ReportBatch, TickKpis
 from rantwin.ric import CLEAR_TICKS, CONFIRM_TICKS, ControlAction, Detection, ForceHandover, PrbBoost
 from rantwin.twin_engine import per_prb_rate_mbps
+
+
+# The vectorized link math calls numpy's hypot, log10, power and log2; the
+# oracles call `math` and float `**`. Each function is within 1 ulp of the
+# exact value, and the chains of a few such steps leave the two sides a few
+# ulps apart, so floats of the link model compare within ULPS. A dB figure
+# counts the ulps at a magnitude of at least DB_SCALE: RSRQ, SINR and RSSI
+# derive from RSRPs of about -60 to -140 dBm, so their rounding error is
+# set by that scale, not by their own (an SINR near 0 dB has tiny ulps).
+ULPS = 8
+DB_SCALE = 128.0
+
+
+def ulps_apart(actual, expected, scale=0.0):
+    """|actual - expected| in ulps of the larger of |actual|, |expected| and
+    `scale`, elementwise."""
+    a = np.asarray(actual, dtype=np.float64)
+    e = np.asarray(expected, dtype=np.float64)
+    return np.abs(a - e) / np.spacing(np.maximum(np.maximum(np.abs(a), np.abs(e)), scale))
+
+
+def assert_close(actual, expected, scale=DB_SCALE, where="value"):
+    """`actual == expected`, except that floats (and float arrays) need only
+    lie within ULPS of each other at `scale`. Types, integers, dict keys and
+    lengths must match exactly."""
+    assert type(actual) is type(expected), f"{where}: {type(actual)} != {type(expected)}"
+    if is_dataclass(expected):
+        for f in fields(expected):
+            assert_close(getattr(actual, f.name), getattr(expected, f.name), scale,
+                         f"{where}.{f.name}")
+    elif isinstance(expected, dict):
+        assert actual.keys() == expected.keys(), where
+        for key in expected:
+            assert_close(actual[key], expected[key], scale, f"{where}[{key!r}]")
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_close(a, e, scale, f"{where}[{i}]")
+    elif isinstance(expected, float) or (isinstance(expected, np.ndarray)
+                                         and expected.dtype.kind == "f"):
+        assert np.shape(actual) == np.shape(expected), where
+        worst = float(np.max(ulps_apart(actual, expected, scale), initial=0.0))
+        assert worst <= ULPS, f"{where}: {actual!r} and {expected!r} are {worst} ulps apart"
+    elif isinstance(expected, np.ndarray):
+        assert np.array_equal(actual, expected), where
+    else:
+        assert actual == expected, f"{where}: {actual!r} != {expected!r}"
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,16 @@ from rantwin.ran_sim import (
 )
 from rantwin.ric import ControlAction, ForceHandover, PrbBoost, allocation_weights, apply_control
 
-from oracles import inject_fault, report_rows, scalar_serving_cell, scalar_step
+from oracles import (
+    DB_SCALE,
+    ULPS,
+    assert_close,
+    inject_fault,
+    report_rows,
+    scalar_serving_cell,
+    scalar_step,
+    ulps_apart,
+)
 
 SMALL = SimConfig(n_cells=3, n_ues=12, n_ticks=50, seed=9)
 
@@ -355,10 +364,13 @@ class TestStep:
                 serving_mw = rm.dbm_to_mw(rsrp[serving])
                 interf = [rm.dbm_to_mw(v) for cid, v in rsrp.items() if cid != serving]
                 total = serving_mw + sum(interf) + noise_mw
-                assert report.channel.rsrp_dbm == rsrp[serving]
-                assert report.channel.sinr_db == rm.sinr_db(serving_mw, interf, noise_mw)
-                assert report.channel.rssi_dbm == rm.mw_to_dbm(total)
-                assert report.channel.rsrq_db == rm.rsrq_db(serving_mw, total)
+                for value, expected in (
+                    (report.channel.rsrp_dbm, rsrp[serving]),
+                    (report.channel.sinr_db, rm.sinr_db(serving_mw, interf, noise_mw)),
+                    (report.channel.rssi_dbm, rm.mw_to_dbm(total)),
+                    (report.channel.rsrq_db, rm.rsrq_db(serving_mw, total)),
+                ):
+                    assert ulps_apart(value, expected, DB_SCALE) <= ULPS
                 assert report.channel.cqi == rm.cqi_from_sinr(report.channel.sinr_db)
                 assert set(report.neighbor_rsrp_dbm) == set(rsrp) - {serving}
 
@@ -471,8 +483,10 @@ class TestAllocationApplication:
 
 def _assert_step_matches_scalar(state, n_ticks, faults=(), controls=False):
     """Step `state` n_ticks times, checking every tick against scalar_step on
-    the same input. `faults` maps a tick to (ue_id, spec) pairs set before it.
-    With `controls`, allocation, PRB boosts and forced handovers run between
+    the same input: floats within the ulps of `assert_close`, integers, the
+    rng and the state snapshot exactly. Both sides step from the vectorized
+    state, so an ulp of difference never carries into the next tick.
+    `faults` maps a tick to (ue_id, spec) pairs set before it. With `controls`, allocation, PRB boosts and forced handovers run between
     ticks, so reports carry achieved rates and reselection starts from
     steered cells. Returns the number of handovers and reflections seen."""
     from rantwin import twin_engine
@@ -484,9 +498,9 @@ def _assert_step_matches_scalar(state, n_ticks, faults=(), controls=False):
             ran_sim.set_fault(state, ue_id, spec)
         ref, ref_reports, ref_kpis = scalar_step(state)
         new, reports, kpis = step(state)
-        assert report_rows(reports) == ref_reports
+        assert_close(report_rows(reports), ref_reports)
         assert kpis == ref_kpis
-        assert new.last_channel == ref.last_channel
+        assert_close(new.last_channel, ref.last_channel)
         assert np.array_equal(new.serving_cell, ref.serving_cell)
         assert new.rng.bit_generator.state == ref.rng.bit_generator.state
         assert new.snapshot() == ref.snapshot()

@@ -9,12 +9,14 @@ from rantwin.radio_model import LinkBudgetParams
 from rantwin.twin_engine import allocate_prbs, twin_tick
 
 from oracles import (
+    ULPS,
     allocation_objective,
     brute_force_best_objective,
     linear_scan_allocation,
     mk_batch,
     mk_cell,
     mk_report,
+    ulps_apart,
     weight_array,
 )
 
@@ -273,8 +275,9 @@ class TestTwinTick:
             for report, predicted_mbps, se in zip(reports, predicted, plan.spectral_efficiency):
                 sinr, cqi = report.channel.sinr_db, report.channel.cqi
                 grant = plan.grants[report.ue_id]
-                assert predicted_mbps == grant * twin_engine.per_prb_rate_mbps(sinr, cqi, PARAMS)
-                assert se == radio_model.spectral_efficiency_bps_hz(sinr, cqi)
+                expected = grant * twin_engine.per_prb_rate_mbps(sinr, cqi, PARAMS)
+                assert ulps_apart(predicted_mbps, expected) <= ULPS
+                assert ulps_apart(se, radio_model.spectral_efficiency_bps_hz(sinr, cqi)) <= ULPS
 
     def test_weight_override_changes_allocation(self):
         per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
