@@ -277,15 +277,14 @@ def cmd_tsne(args) -> int:
         {"split_seed": args.split_seed, "tsne_seed": args.seed},
         [args.model, args.stats, args.dataset],
     ) as manifest:
-        model, _, _, subset, x, _ = _load_split_inputs(args)
-        probs = mlp.forward_rows(model, x)
-
         config = evaluation.TsneConfig(
             perplexity=args.perplexity,
             iterations=args.iterations,
             learning_rate=args.learning_rate,
             seed=args.seed,
         )
+        model, _, _, subset, x, _ = _load_split_inputs(args)
+        probs = mlp.forward_rows(model, x)
         embedding = evaluation.tsne(probs, config)
         score = evaluation.silhouette(embedding.points, [int(s.label) for s in subset])
 

@@ -5,6 +5,7 @@ to quantify cluster separation in that embedding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +86,13 @@ class TsneConfig:
     seed: int = 33
 
     def __post_init__(self):
-        if self.perplexity <= 1.0:
-            raise ConfigurationError(f"perplexity must be > 1, got {self.perplexity}")
+        if not (math.isfinite(self.perplexity) and self.perplexity > 1.0):
+            raise ConfigurationError(f"perplexity must be finite and > 1, got {self.perplexity}")
         if self.iterations < 1:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.exaggeration_iters < 0:
             raise ConfigurationError("exaggeration_iters must be >= 0")
 

@@ -457,10 +457,17 @@ def json_int(value, name: str) -> int:
 
 
 def json_float(value, name: str) -> float:
-    """`value` as a float if it is a JSON number; a boolean or a string is rejected."""
+    """`value` as a float if it is a finite JSON number. A boolean, a string,
+    NaN, an infinity and an integer too large for a float are rejected."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{name} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be finite, got {number}")
+    return number
 
 
 def _decode(cls, data, where: str):

@@ -6,8 +6,9 @@ for the gradients, a per-layer Adam loop with fresh gradient arrays for
 training, a literal threshold-table scan for the CQI mapping, a
 per-UE loop of single-row (1, d) matmuls and dict-based debounce state for
 the xApp's batched classifier, and a per-UE loop over Python floats, with
-one fault corruption per report, for the columnar simulator step. They read reports one UE at a time, as `Report`
-objects; `mk_batch` and `report_rows` convert to and from a `ReportBatch`.
+one fault corruption per report, for the columnar simulator step. They read
+reports one UE at a time, as `Report` objects; `mk_batch` and `report_rows`
+convert to and from a `ReportBatch`.
 """
 
 import itertools

@@ -177,6 +177,31 @@ def test_criterion_10_full_tick_budget(artifacts):
         assert median_ms < config.tick_ms
 
 
+def test_criterion_11_full_tick_budget_at_scale(artifacts):
+    with criterion(11, "full controller tick median < tick_ms over 200 ticks "
+                       "(19 cells / 1000 UEs, no faults)"):
+        config = ran_sim.SimConfig(n_cells=19, n_ues=1000)
+        model = mlp.load_model(artifacts["paths"]["model"])
+        stats = anomaly.read_stats_csv(artifacts["paths"]["stats"])
+        state = ran_sim.init_sim(config)
+        bus = ric.MessageBus()
+        sub = bus.subscribe()
+        xapp = ric.DtXapp(model, stats, state.cells, config.link)
+        elapsed = []
+        for _ in range(200):
+            t0 = time.perf_counter()
+            state, reports, _ = ran_sim.step(state)
+            bus.publish(ric.Indication(tick=state.tick, reports=reports))
+            plan, actions, _ = xapp.on_indication(sub.pop(), weights=ric.allocation_weights(state))
+            ran_sim.apply_allocation(state, plan, config.link)
+            for action in actions:
+                ric.apply_control(state, action)
+            elapsed.append((time.perf_counter() - t0) * 1e3)
+        median_ms = statistics.median(elapsed)
+        print(f"  full tick median {median_ms:.3f} ms over {len(elapsed)} ticks")
+        assert median_ms < config.tick_ms
+
+
 def test_criterion_5_closed_loop(artifacts):
     with criterion(5, ">= 2/3 faults detected correctly within 20 ticks; "
                       "detected faults restored within 100 ticks; < 60 s"):

@@ -84,6 +84,22 @@ class TestGenDataset:
         assert rc == 2
         assert f"config.{name} must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, name", [
+        ('{"area_m": NaN}', "area_m"),
+        ('{"tick_ms": 1' + "0" * 400 + "}", "tick_ms"),
+        ('{"hysteresis_db": 1e999}', "hysteresis_db"),
+        ('{"link": {"noise_figure_db": -Infinity}}', "link.noise_figure_db"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, text, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(["gen-dataset", "--config", str(cfg), "--out", str(tmp_path / "d.csv"),
+                   "--n-samples", "40"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config.{name} must be finite" in err or f"config.{name} is too large" in err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_failure_still_writes_manifest(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = main(["gen-dataset", "--out", str(out), "--n-samples", "0"])
@@ -171,6 +187,15 @@ class TestTrain:
         report = (tmp_path / "report.csv").read_text().splitlines()
         assert report[0] == "epoch,train_loss,test_accuracy"
         assert len(report) == 13
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2(self, tmp_path, capsys, value):
+        # rejected with the other flags, before the dataset is read
+        rc = main(train_args(tmp_path / "missing.csv", tmp_path,
+                             extra=("--learning-rate", value)))
+        assert rc == 2
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "model.txt").exists()
 
     def test_corrupt_row_exits_2_naming_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -288,6 +313,18 @@ class TestTsne:
         assert rc == 2
         assert "perplexity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, name", [("--perplexity", "perplexity"),
+                                            ("--learning-rate", "learning_rate")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, flag, name, value):
+        # rejected with the other flags, before any input file is read
+        missing = str(tmp_path / "missing")
+        rc = main(["tsne", "--model", missing, "--stats", missing, "--dataset", missing,
+                   "--out", str(tmp_path / "emb.csv"), flag, value])
+        assert rc == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "emb.csv").exists()
+
     def test_fixed_seed_identical_embedding(self, trained, tmp_path):
         outs = [tmp_path / "e1.csv", tmp_path / "e2.csv"]
         for out in outs:
@@ -388,6 +425,21 @@ class TestClosedLoop:
         ])
         assert rc == 2
         assert f"schedule fault #1: {field} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["offset_db", "jitter_db"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_schedule_value_exits_2(self, untrained, tmp_path, capsys, field, value):
+        good = {"onset_tick": 5, "ue_id": 1, "class": 1,
+                "offset_db": -20.0, "jitter_db": 3.0, "duration_ticks": 10}
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"faults": [good, {**good, field: value}]}))
+        rc = main([
+            "closed-loop", "--model", str(untrained["model"]),
+            "--stats", str(untrained["stats"]), "--schedule", str(schedule),
+            "--out-dir", str(tmp_path / "loop"),
+        ])
+        assert rc == 2
+        assert f"schedule fault #1: {field} must be finite" in capsys.readouterr().err
 
     def test_missing_model_exits_2(self, trained, tmp_path, capsys):
         rc = main([

@@ -142,6 +142,12 @@ class TestTsne:
         with pytest.raises(ConfigurationError):
             TsneConfig(perplexity=0.5)
 
+    @pytest.mark.parametrize("field", ["perplexity", "learning_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            TsneConfig(**{field: value})
+
     def test_embedding_is_finite_2d(self):
         rng = np.random.default_rng(10)
         x = rng.normal(0, 1, size=(25, 4))

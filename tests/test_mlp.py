@@ -223,6 +223,11 @@ class TestTrain:
         pairs = list(zip(x, y))
         return pairs[: n // 2], pairs[n // 2:]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_config_rejects_non_finite_or_non_positive_rate(self, value):
+        with pytest.raises(ConfigurationError, match="learning_rate must be finite and > 0"):
+            TrainConfig(learning_rate=value)
+
     def test_vanishing_learning_rate_freezes_parameters(self):
         rng = np.random.default_rng(10)
         train_set, test_set = self._tiny_sets(rng)

@@ -122,6 +122,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=f"{name} must be a number"):
             ran_sim.sim_config_from_dict(_only(path, value))
 
+    @pytest.mark.parametrize("path", FLOAT_LEAVES, ids=".".join)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_float_field_rejects_non_finite(self, path, value):
+        name = "config." + ".".join(path)
+        with pytest.raises(ConfigurationError, match=f"{name} (must be finite|is too large)"):
+            ran_sim.sim_config_from_dict(_only(path, value))
+
+    def test_demand_means_must_be_finite(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"config\.traffic\.mean_demand_mbps\[1\] must be finite"):
+            ran_sim.sim_config_from_dict({"traffic": {"mean_demand_mbps": [2, math.inf, 6, 8]}})
+
     @pytest.mark.parametrize("value", ["2468", 5, [2, 4, True, 8], [2, "4", 6, 8]])
     def test_demand_means_must_be_a_list_of_numbers(self, value):
         with pytest.raises(ConfigurationError, match=r"config\.traffic\.mean_demand_mbps"):
