@@ -36,10 +36,7 @@ FEATURE_NAMES = (
 )
 N_FEATURES = len(FEATURE_NAMES)
 
-DATASET_HEADER = (
-    "rsrp_dbm,rsrq_db,sinr_db,cqi,achieved_mbps,predicted_mbps,"
-    "grant_fraction,priority,label,ue_id,tick"
-)
+DATASET_HEADER = ",".join((*FEATURE_NAMES, "label", "ue_id", "tick"))
 
 # Ticks discarded at the start of dataset generation so achieved/predicted
 # KPIs reflect a settled allocation loop.
@@ -159,8 +156,8 @@ def extract_features(
 def feature_matrix(
     reports: ReportBatch, predicted_mbps: np.ndarray, plan: AllocationPlan
 ) -> np.ndarray:
-    """The 8 classifier inputs of every report in their frozen file-format
-    order, as one (n, 8) matrix; `predicted_mbps` has one entry per report."""
+    """The 8 classifier inputs of every report, in FEATURE_NAMES order, as
+    one (n, 8) matrix; `predicted_mbps` has one entry per report."""
     if len(predicted_mbps) != len(reports):
         raise DomainError(f"{len(reports)} reports but {len(predicted_mbps)} predictions")
     if plan.tick != reports.tick:
@@ -170,9 +167,17 @@ def feature_matrix(
     if (total < 0).any():
         raise DomainError(f"plan has no cell totals for cell {serving[int(np.argmax(total < 0))]}")
     ch = reports.channel
-    columns = (ch.rsrp_dbm, ch.rsrq_db, ch.sinr_db, ch.cqi, reports.achieved_mbps, predicted_mbps,
-               plan.grants_of(reports.ue_id) / total, reports.priority)
-    return np.stack(columns, axis=1, dtype=np.float64)
+    columns = {
+        "rsrp_dbm": ch.rsrp_dbm,
+        "rsrq_db": ch.rsrq_db,
+        "sinr_db": ch.sinr_db,
+        "cqi": ch.cqi,
+        "achieved_mbps": reports.achieved_mbps,
+        "predicted_mbps": predicted_mbps,
+        "grant_fraction": plan.grants_of(reports.ue_id) / total,
+        "priority": reports.priority,
+    }
+    return np.stack([columns[name] for name in FEATURE_NAMES], axis=1, dtype=np.float64)
 
 
 def standardize(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
@@ -223,20 +228,19 @@ def generate_dataset(
     # while most of the population stays clean.
     concurrent = max(1, config.n_ues // 12)
 
-    pools: dict[AnomalyClass, list[LabeledSample]] = {c: [] for c in AnomalyClass}
+    # per class, one (ticks, features, ue_ids) block of rows per sampled tick
+    pools: dict[AnomalyClass, list[tuple]] = {c: [] for c in AnomalyClass}
+    n_pooled = dict.fromkeys(AnomalyClass, 0)
     error_classes = [c for c in AnomalyClass if c != AnomalyClass.NORMAL and quotas[c] > 0]
 
     for _ in range(config.n_ticks):
         sampling = state.tick + 1 > WARMUP_TICKS
         if sampling:
-            active = {c: 0 for c in error_classes}
-            idle = []
-            for ue_id in range(config.n_ues):
-                fault = state.faults.get(ue_id)
-                if fault is None:
-                    idle.append(ue_id)
-                elif fault.spec.cls in active:
+            active = dict.fromkeys(error_classes, 0)
+            for fault in state.faults.values():
+                if fault.spec.cls in active:
                     active[fault.spec.cls] += 1
+            idle = sorted(set(range(config.n_ues)).difference(state.faults))
             for c in error_classes:
                 while active[c] < concurrent and idle:
                     pick = int(rng.integers(0, len(idle)))
@@ -244,24 +248,23 @@ def generate_dataset(
                     ran_sim.set_fault(state, ue_id, fault_defaults[c])
                     active[c] += 1
 
-        labels = [AnomalyClass.NORMAL] * config.n_ues
+        # every fault in the set is live on the next tick; row i is ue_id i
+        labels = np.zeros(config.n_ues, dtype=np.int64)
         for ue_id, fault in state.faults.items():
-            if fault.until_tick >= state.tick + 1:
-                labels[ue_id] = fault.spec.cls
+            labels[ue_id] = fault.spec.cls
         state, reports, _ = ran_sim.step(state)
         plan, predicted_mbps, _ = twin_engine.twin_tick(reports, state.cells, config.link)
         if sampling:
             x = feature_matrix(reports, predicted_mbps, plan)
-            for row, ue_id in enumerate(reports.ue_id.tolist()):
-                label = labels[ue_id]
-                if len(pools[label]) < 4 * quotas[label] + 8:
-                    # a copy, so the sample does not keep the whole matrix alive
-                    pools[label].append(LabeledSample(x[row].copy(), label, ue_id, reports.tick))
+            for c in AnomalyClass:
+                rows = np.flatnonzero(labels == c)[:4 * quotas[c] + 8 - n_pooled[c]]
+                pools[c].append((np.full(len(rows), reports.tick), x[rows], reports.ue_id[rows]))
+                n_pooled[c] += len(rows)
         ran_sim.apply_allocation(state, plan, config.link)
-        if all(len(pools[c]) >= quotas[c] for c in AnomalyClass):
+        if all(n_pooled[c] >= quotas[c] for c in AnomalyClass):
             break
 
-    short = {CLASS_NAMES[c]: quotas[c] - len(pools[c]) for c in AnomalyClass if len(pools[c]) < quotas[c]}
+    short = {CLASS_NAMES[c]: quotas[c] - n_pooled[c] for c in AnomalyClass if n_pooled[c] < quotas[c]}
     if short:
         raise ConfigurationError(
             f"simulation horizon too short to fill class quotas (missing {short}); "
@@ -270,9 +273,13 @@ def generate_dataset(
 
     selected: list[LabeledSample] = []
     for c in AnomalyClass:
-        pool = pools[c]
-        picks = rng.permutation(len(pool))[: quotas[c]]
-        selected.extend(pool[i] for i in sorted(picks))
+        picks = np.sort(rng.permutation(n_pooled[c])[: quotas[c]]).tolist()
+        # every sampled tick left a block, so no class's pool is an empty list
+        ticks, features, ue_ids = (np.concatenate(column) for column in zip(*pools[c]))
+        # each sample owns a copy of its row, not a view of the pool
+        selected.extend(
+            LabeledSample(features[i].copy(), c, int(ue_ids[i]), int(ticks[i])) for i in picks
+        )
     selected.sort(key=lambda s: (s.tick, s.ue_id))
     return selected
 

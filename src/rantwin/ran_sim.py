@@ -394,13 +394,12 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     cqi = np.searchsorted(radio_model.CQI_SINR_THRESHOLDS_DB_ARRAY, sinr, side="right")
     new.last_channel = ChannelColumns(rsrp[rows, serving], rssi, rsrq, sinr, cqi)
 
-    # (5) fault corruption of the reported channel, in ue_id order
+    # (5) fault corruption of the reported channel, in ue_id order. Every
+    # fault in the set is live: set_fault gives until_tick >= tick + 1, and a
+    # fault is dropped on its last tick.
     faulted = sorted(new.faults)
-    active = [ue_id for ue_id in faulted if new.tick <= new.faults[ue_id].until_tick]
-    reported = inject_faults(new.last_channel, active, [new.faults[u].spec for u in active], rng)
-    for ue_id in faulted:
-        if new.tick >= new.faults[ue_id].until_tick:
-            del new.faults[ue_id]
+    reported = inject_faults(new.last_channel, faulted, [new.faults[u].spec for u in faulted], rng)
+    new.faults = {u: f for u, f in new.faults.items() if f.until_tick > new.tick}
 
     # (6) traffic demand resampling
     means = np.array(cfg.traffic.mean_demand_mbps, dtype=np.float64)

@@ -18,6 +18,9 @@ from .mlp import MlpModel
 from .ran_sim import ReportBatch, SimConfig, SimState
 from .twin_engine import AllocationPlan
 
+# _CLASS_BY_CODE[c] is AnomalyClass(c), without an enum call per flagged row
+_CLASS_BY_CODE = tuple(AnomalyClass)
+
 
 @dataclass(frozen=True)
 class Indication:
@@ -201,14 +204,14 @@ class DtXapp:
 
         flagged = np.flatnonzero(~normal)
         detections = [
-            Detection(indication.tick, ue_id, AnomalyClass(c), tuple(p))
+            Detection(indication.tick, ue_id, _CLASS_BY_CODE[c], tuple(p))
             for ue_id, c, p in zip(
                 reports.ue_id[flagged].tolist(), code[flagged].tolist(), probs[flagged].tolist()
             )
         ]
         actions: list[ControlAction] = []
         for i in np.flatnonzero(fire).tolist():
-            cause = AnomalyClass(int(code[i]))
+            cause = _CLASS_BY_CODE[code[i]]
             kind = self.policy.action_for(cause, reports.rsrp_dbm[i], int(reports.serving_cell[i]))
             if kind is not None:
                 actions.append(ControlAction(indication.tick, int(reports.ue_id[i]), kind, cause))
@@ -305,13 +308,13 @@ def closed_loop_run(
     xapp = DtXapp(model, stats, state.cells, config.link, policy)
 
     log = EpisodeLog(n_ticks=config.n_ticks)
-    by_onset: dict[int, list[ScheduledFault]] = {}
-    # each UE's fault events, in fault_id order
+    # (fault, event) pairs by onset tick and each UE's events, in fault_id order
+    by_onset: dict[int, list[tuple[ScheduledFault, FaultEvent]]] = {}
     by_ue: dict[int, list[FaultEvent]] = {}
     for i, fault in enumerate(fault_schedule):
         event = FaultEvent(i, fault.ue_id, fault.spec.cls, fault.onset_tick)
         log.fault_events.append(event)
-        by_onset.setdefault(fault.onset_tick, []).append(fault)
+        by_onset.setdefault(fault.onset_tick, []).append((fault, event))
         by_ue.setdefault(fault.ue_id, []).append(event)
     # events with an action and no restoration yet
     awaiting_restore: list[FaultEvent] = []
@@ -321,13 +324,10 @@ def closed_loop_run(
     achieved_history: deque[np.ndarray] = deque(maxlen=BASELINE_WINDOW_TICKS)
 
     for _ in range(config.n_ticks):
-        onset = state.tick + 1
-        for fault in by_onset.get(onset, ()):
+        for fault, event in by_onset.get(state.tick + 1, ()):
             ran_sim.set_fault(state, fault.ue_id, fault.spec)
-            for event in by_ue[fault.ue_id]:
-                if event.onset_tick == onset:
-                    history = [achieved[fault.ue_id] for achieved in achieved_history]
-                    event.baseline_mbps = float(np.mean(history)) if history else 0.0
+            history = [achieved[fault.ue_id] for achieved in achieved_history]
+            event.baseline_mbps = float(np.mean(history)) if history else 0.0
 
         state, reports, _ = ran_sim.step(state)
         bus.publish(Indication(tick=state.tick, reports=reports))

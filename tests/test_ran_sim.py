@@ -614,3 +614,22 @@ class TestFaultStageMatchesPerRowReference:
         assert corrupted == sum(spec.duration_ticks for _, _, spec in self.FAULTS)
         assert clamped == 5
         assert not state.faults
+
+    def test_fault_set_holds_only_live_faults(self):
+        """step corrupts every fault in state.faults without re-testing its
+        expiry, so after every step each until_tick lies in the future."""
+        config = SimConfig(n_cells=3, n_ues=50, seed=7)
+        specs = list(default_fault_specs().values())
+        rng = np.random.default_rng(1)
+        state = init_sim(config)
+        faulted_ticks = 0
+        for _ in range(200):
+            for ue_id in rng.choice(config.n_ues, size=2, replace=False).tolist():
+                spec = dataclasses.replace(
+                    specs[int(rng.integers(0, 3))], duration_ticks=int(rng.integers(1, 6)))
+                ran_sim.set_fault(state, ue_id, spec)
+            assert all(f.until_tick >= state.tick + 1 for f in state.faults.values())
+            state, _, _ = step(state)
+            assert all(f.until_tick > state.tick for f in state.faults.values())
+            faulted_ticks += bool(state.faults)
+        assert faulted_ticks > 100
