@@ -94,44 +94,36 @@ def _forward_batch(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np
     return activations, logits
 
 
-def _stacked_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Logits of shape (n, 1, classes) for an (n, inputs) matrix, row by row.
-
-    Each layer is a stacked (n, 1, d) @ (d, k) product, which numpy runs as n
-    single-row BLAS calls, so every row gets exactly the bits it would get
-    alone. A plain (n, d) @ (d, k) gemm blocks the reduction differently and
-    moves the last ulp of most probabilities, which would make inference
-    results, and the episode logs built from them, depend on the batch size.
-    """
+def _checked_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Logits (n, classes) of an (n, inputs) matrix with finite values."""
     if not np.isfinite(x).all():
         raise DomainError("input contains non-finite values")
-    a = x[:, None, :]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(0.0, a @ w.T + b)
-    return a @ model.weights[-1].T + model.biases[-1]
+    return _forward_batch(model, x)[1]
 
 
 def forward_rows(model: MlpModel, x) -> np.ndarray:
     """Class probabilities (n, classes) for an (n, inputs) matrix; each row
-    is bit-identical to `forward` on that row alone and sums to 1."""
+    sums to 1. Each layer is one gemm over the whole batch, so a row's last
+    bits depend on the batch's shape and on the BLAS build."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
         raise DomainError(f"input must have shape (n, {model.layer_dims[0]}), got {x.shape}")
-    return _softmax(_stacked_logits(model, x))[:, 0, :]
+    return _softmax(_checked_logits(model, x))
 
 
 def forward(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sample pass returning (logits, probs); probs sum to 1."""
+    """Single-sample pass returning (logits, probs), the one-row batch of
+    `forward_rows`; probs sum to 1."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.layer_dims[0],):
         raise DomainError(f"input must have shape ({model.layer_dims[0]},), got {x.shape}")
-    logits = _stacked_logits(model, x[None, :])[0, 0]
-    return logits, _softmax(logits)
+    logits = _checked_logits(model, x[None, :])
+    return logits[0], _softmax(logits)[0]
 
 
-def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    _, logits = _forward_batch(model, np.asarray(x, dtype=np.float64))
-    return np.argmax(_softmax(logits), axis=1)
+def predict_batch(model: MlpModel, x) -> np.ndarray:
+    """The class code of every row: the argmax of `forward_rows`."""
+    return np.argmax(forward_rows(model, x), axis=1)
 
 
 def _loss_grads_arrays(

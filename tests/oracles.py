@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths it checks: brute-force
 enumeration and a linear scan for the allocator, central finite differences
 for the gradients, a per-layer Adam loop with fresh gradient arrays for
 training, a literal threshold-table scan for the CQI mapping, a
-per-UE loop of single-row (1, d) matmuls and dict-based debounce state for
-the xApp's batched classifier, and a per-UE loop over Python floats, with
+per-UE loop of feature vectors and dict-based debounce state for the
+xApp's columns (it classifies with the xApp's one `forward_rows` call),
+and a per-UE loop over Python floats, with
 one fault corruption per report, for the columnar simulator step. They read
 reports one UE at a time, as `Report` objects; `mk_batch` and `report_rows`
 convert to and from a `ReportBatch`.
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from rantwin import radio_model as rm
-from rantwin.anomaly import AnomalyClass, standardize
+from rantwin.anomaly import N_FEATURES, AnomalyClass, standardize
 from rantwin.errors import TrainingError
 from rantwin.mlp import (
     ADAM_BETA1,
@@ -31,6 +32,7 @@ from rantwin.mlp import (
     _forward_batch,
     _loss_grads_arrays,
     _softmax,
+    forward_rows,
     model_digest,
     predict_batch,
 )
@@ -307,12 +309,6 @@ def max_relative_error(analytic, numeric, floor=1e-8):
     return worst
 
 
-def single_row_probs(model: MlpModel, x) -> np.ndarray:
-    """Class probabilities of one input row through plain (1, d) matmuls."""
-    _, logits = _forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    return _softmax(logits)[0]
-
-
 def reference_loss_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
     """Loss and per-layer gradients as fresh arrays, one matmul and one sum
     per layer."""
@@ -407,27 +403,31 @@ def policy_action(policy, cause, report):
 
 
 def per_ue_on_indication(xapp, indication, debounce, weights=None):
-    """DtXapp.on_indication as a per-UE loop: linear-scan grants, then per
-    report one feature vector, one single-row classification and one
-    debounce update. `debounce` maps ue_id -> UeDebounce and is kept by the
-    caller between ticks. Returns (grants, actions, detections)."""
+    """DtXapp.on_indication as a per-UE loop: linear-scan grants and one
+    feature vector per report, one `forward_rows` call on the tick's stacked
+    rows (the xApp's batch, so the probabilities compare with ==), then one
+    debounce update per report. `debounce` maps ue_id -> UeDebounce and is
+    kept by the caller between ticks. Returns (grants, actions,
+    detections)."""
     reports = report_rows(indication.reports)
     overrides = None if weights is None else {
         r.ue_id: w for r, w in zip(reports, np.asarray(weights).tolist())
     }
     grants = linear_scan_allocation(reports, xapp.cells, xapp.link_params, overrides)
     totals = {c.cell_id: c.total_prbs for c in xapp.cells}
-    actions = []
-    detections = []
+    rows = []
     for report in reports:
         ch = report.channel
         grant = grants[report.ue_id]
-        features = np.array([
+        rows.append(standardize(np.array([
             ch.rsrp_dbm, ch.rsrq_db, ch.sinr_db, float(ch.cqi), report.achieved_mbps,
             grant * per_prb_rate_mbps(ch.sinr_db, ch.cqi, xapp.link_params),
             grant / totals[report.serving_cell], float(report.priority),
-        ])
-        probs = single_row_probs(xapp.model, standardize(features, xapp.stats))
+        ]), xapp.stats))
+    all_probs = forward_rows(xapp.model, np.array(rows).reshape(len(rows), N_FEATURES))
+    actions = []
+    detections = []
+    for report, probs in zip(reports, all_probs):
         predicted = AnomalyClass(int(np.argmax(probs)))
         state = debounce.setdefault(report.ue_id, UeDebounce())
         if predicted == AnomalyClass.NORMAL:
