@@ -125,10 +125,11 @@ class TestForwardRows:
 
     # A row's probabilities come from one gemm per layer over the whole
     # batch, so their last bits depend on the batch's shape. A reordered
-    # sum of d terms moves by at most about d * eps * sum|terms|; with d <= 32
-    # and logits up to about 100 here that is under 1e-12, and a softmax
-    # probability moves by the relative amount its logit moves absolutely.
-    # Measured worst case over these models and sizes: 9.9e-15.
+    # sum of d terms moves by at most about d * eps * sum|terms|, and a
+    # softmax probability moves by the relative amount its logit moves
+    # absolutely. With d <= 32 and logits of at most 23 in magnitude here,
+    # 1e-12 is about 100 times the measured worst case over these models
+    # and sizes, 9.9e-15.
     ROW_RTOL = 1e-12
 
     def _cases(self):
