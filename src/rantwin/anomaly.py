@@ -91,30 +91,36 @@ def inject_faults(
     Each fault corrupts exactly the measurement family its class owns. SINR
     corruption also recomputes the CQI, because the CQI report follows the
     (corrupted) SINR estimate. Draws exactly one jitter sample per fault, in
-    the order given. `channel` is not written into; without faults it is
-    returned as it is.
+    the order given. `channel` is not written into: a column no fault hits
+    is shared with it, and without faults it is returned as it is.
     """
     if not specs:
         return channel
-    rows = np.array(rows, dtype=np.int64)
-    cls = np.array([spec.cls for spec in specs])
     jitter = np.array([spec.jitter_db for spec in specs])
     delta = np.array([spec.offset_db for spec in specs]) + rng.uniform(-jitter, jitter)
+    faults_of = {}  # class -> indices into specs, in order
+    for k, spec in enumerate(specs):
+        faults_of.setdefault(spec.cls, []).append(k)
 
     def corrupted(klass, column):
-        """The rows that `klass` hits, and their column values plus the delta."""
-        hit = cls == klass
-        return rows[hit], column[rows[hit]] + delta[hit]
+        """A copy of `column`, the rows that `klass` hits, and their column
+        values plus the delta."""
+        k = faults_of[klass]
+        hit = [rows[i] for i in k]
+        return column.copy(), hit, column[hit] + delta[k]
 
-    rsrp, rsrq, sinr, cqi = (channel.rsrp_dbm.copy(), channel.rsrq_db.copy(),
-                             channel.sinr_db.copy(), channel.cqi.copy())
-    hit, value = corrupted(AnomalyClass.RSRP_ERROR, rsrp)
-    rsrp[hit] = value
-    hit, value = corrupted(AnomalyClass.RSRQ_ERROR, rsrq)
-    rsrq[hit] = np.where(value < 0.0, value, 0.0)  # min(0.0, value)
-    hit, value = corrupted(AnomalyClass.SINR_ERROR, sinr)
-    sinr[hit] = value
-    cqi[hit] = np.searchsorted(radio_model.CQI_SINR_THRESHOLDS_DB_ARRAY, value, side="right")
+    rsrp, rsrq, sinr, cqi = channel.rsrp_dbm, channel.rsrq_db, channel.sinr_db, channel.cqi
+    if AnomalyClass.RSRP_ERROR in faults_of:
+        rsrp, hit, value = corrupted(AnomalyClass.RSRP_ERROR, rsrp)
+        rsrp[hit] = value
+    if AnomalyClass.RSRQ_ERROR in faults_of:
+        rsrq, hit, value = corrupted(AnomalyClass.RSRQ_ERROR, rsrq)
+        rsrq[hit] = np.where(value < 0.0, value, 0.0)  # min(0.0, value)
+    if AnomalyClass.SINR_ERROR in faults_of:
+        sinr, hit, value = corrupted(AnomalyClass.SINR_ERROR, sinr)
+        sinr[hit] = value
+        cqi = cqi.copy()
+        cqi[hit] = np.searchsorted(radio_model.CQI_SINR_THRESHOLDS_DB_ARRAY, value, side="right")
     return ChannelColumns(rsrp, channel.rssi_dbm, rsrq, sinr, cqi)
 
 

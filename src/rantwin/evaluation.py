@@ -104,11 +104,23 @@ class Embedding2D:
     final_kl: float
 
 
-def _squared_distances(x: np.ndarray) -> np.ndarray:
+def _squared_distances(
+    x: np.ndarray, out: np.ndarray | None = None, gram: np.ndarray | None = None
+) -> np.ndarray:
+    """Pairwise squared distances, clipped at 0, with a zero diagonal.
+
+    Written into `out` when given; `gram`, shaped like `out`, then holds
+    2 x @ x.T on return. x @ x.T keeps its operands, so numpy calls the same
+    BLAS routine (syrk) with or without `gram`, and the elementwise steps
+    round the same wherever they write.
+    """
     sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    g = np.matmul(x, x.T, out=gram)
+    np.multiply(2.0, g, out=g)
+    d2 = np.add(sq[:, None], sq[None, :], out=out)
+    np.subtract(d2, g, out=d2)
     np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def conditional_gaussian_probs(d2: np.ndarray, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
@@ -154,13 +166,39 @@ def conditional_gaussian_probs(d2: np.ndarray, perplexity: float) -> tuple[np.nd
 def joint_probabilities(points: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized affinities P = (P(j|i) + P(i|j)) / 2n; sums to 1."""
     x = np.asarray(points, dtype=np.float64)
-    p_cond, _ = conditional_gaussian_probs(_squared_distances(x), perplexity)
-    return (p_cond + p_cond.T) / (2.0 * x.shape[0])
+    d2 = _squared_distances(x)
+    p_cond, _ = conditional_gaussian_probs(d2, perplexity)
+    p = np.add(p_cond, p_cond.T, out=d2)
+    return np.divide(p, 2.0 * x.shape[0], out=p)
 
 
-def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+def _kl_divergence(p: np.ndarray, q: np.ndarray, scratch: np.ndarray) -> float:
+    """KL(P || Q) over the entries where P > 0; overwrites `scratch`.
+
+    The ratio and the product are taken over the whole matrix, each element
+    rounding as it would alone. The log and the sum run on the compressed
+    vector of the P > 0 entries, so the log sees the same contiguous input
+    and the sum keeps its pairwise tree.
+    """
     mask = p > 0
-    return float((p[mask] * np.log(p[mask] / np.maximum(q[mask], _EPS))).sum())
+    ratio = np.maximum(q, _EPS, out=scratch)
+    np.divide(p, ratio, out=ratio)
+    log_ratio = ratio[mask]
+    np.log(log_ratio, out=log_ratio)
+    ratio[mask] = log_ratio
+    del log_ratio  # so that only one compressed vector is alive at a time
+    terms = np.multiply(p, ratio, out=ratio)
+    return float(terms[mask].sum())
+
+
+def _student_t_q(y: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Q = w / w.sum() into `q`, with w = 1 / (1 + |y_i - y_j|^2) and a zero
+    diagonal left in `w`."""
+    _squared_distances(y, out=w, gram=q)
+    np.add(1.0, w, out=w)
+    np.divide(1.0, w, out=w)
+    np.fill_diagonal(w, 0.0)
+    return np.divide(w, w.sum(), out=q)
 
 
 def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
@@ -187,24 +225,26 @@ def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
 
-    def q_matrix(y_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = 1.0 / (1.0 + _squared_distances(y_))
-        np.fill_diagonal(w, 0.0)
-        return w / w.sum(), w
+    # Besides P, the descent keeps two n x n buffers, and P *
+    # EARLY_EXAGGERATION while exaggerating: w holds the Student-t kernel,
+    # and q holds y @ y.T, then Q, then (P - Q) * w with P exaggerated or not.
+    w = np.empty((n, n))
+    q = np.empty((n, n))
+    initial_kl = _kl_divergence(p, _student_t_q(y, w, q), w)
 
-    q, _ = q_matrix(y)
-    initial_kl = _kl_divergence(p, q)
-
+    p_exaggerated = p * EARLY_EXAGGERATION if config.exaggeration_iters > 0 else None
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
     min_gain = 0.01
     for it in range(config.iterations):
         exaggerating = it < config.exaggeration_iters
-        p_eff = p * EARLY_EXAGGERATION if exaggerating else p
+        if not exaggerating:
+            p_exaggerated = None
         momentum = MOMENTUM if exaggerating else FINAL_MOMENTUM
 
-        q, w = q_matrix(y)
-        pq = (p_eff - q) * w
+        pq = _student_t_q(y, w, q)
+        np.subtract(p_exaggerated if exaggerating else p, pq, out=pq)
+        np.multiply(pq, w, out=pq)
         grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
 
         same_sign = (grad > 0) == (velocity > 0)
@@ -216,8 +256,8 @@ def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
         if not np.isfinite(y).all():
             raise NumericError(f"non-finite embedding at iteration {it + 1}")
 
-    q, _ = q_matrix(y)
-    final_kl = _kl_divergence(p, q)
+    p_exaggerated = None  # freed before the final KL if exaggeration lasted to the end
+    final_kl = _kl_divergence(p, _student_t_q(y, w, q), w)
     return Embedding2D(points=y, initial_kl=initial_kl, final_kl=final_kl)
 
 
@@ -234,7 +274,8 @@ def silhouette(points: np.ndarray, labels) -> float:
     if classes.size < 2:
         raise DomainError("silhouette requires at least 2 distinct labels")
 
-    d = np.sqrt(_squared_distances(x))
+    d = _squared_distances(x)
+    np.sqrt(d, out=d)
     scores = np.zeros(x.shape[0])
     members = {c: np.flatnonzero(labels == c) for c in classes}
     for i in range(x.shape[0]):

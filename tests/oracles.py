@@ -6,10 +6,11 @@ for the gradients, a per-layer Adam loop with fresh gradient arrays for
 training, a literal threshold-table scan for the CQI mapping, a
 per-UE loop of feature vectors and dict-based debounce state for the
 xApp's columns (it classifies with the xApp's one `forward_rows` call),
-and a per-UE loop over Python floats, with
-one fault corruption per report, for the columnar simulator step. They read
-reports one UE at a time, as `Report` objects; `mk_batch` and `report_rows`
-convert to and from a `ReportBatch`.
+a per-UE loop over Python floats, with one fault corruption per report,
+for the columnar simulator step, and a t-SNE that allocates a fresh array
+for every intermediate, where `evaluation.tsne` writes into preallocated
+buffers. The network oracles read reports one UE at a time, as `Report`
+objects; `mk_batch` and `report_rows` convert to and from a `ReportBatch`.
 """
 
 import itertools
@@ -20,7 +21,16 @@ import numpy as np
 
 from rantwin import radio_model as rm
 from rantwin.anomaly import N_FEATURES, AnomalyClass, standardize
-from rantwin.errors import TrainingError
+from rantwin.errors import ConfigurationError, NumericError, TrainingError
+from rantwin.evaluation import (
+    _EPS,
+    EARLY_EXAGGERATION,
+    FINAL_MOMENTUM,
+    MOMENTUM,
+    Embedding2D,
+    TsneConfig,
+    conditional_gaussian_probs,
+)
 from rantwin.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -591,3 +601,80 @@ def scalar_step(state):
     new.demand_mbps = np.array(demands, dtype=np.float64)
     new.last_channel = columns_of(channels)
     return new, reports, TickKpis(tick=new.tick, n_handovers=n_handovers)
+
+
+def reference_squared_distances(x: np.ndarray) -> np.ndarray:
+    sq = (x * x).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.fill_diagonal(d2, 0.0)
+    return np.maximum(d2, 0.0)
+
+
+def reference_joint_probabilities(points: np.ndarray, perplexity: float) -> np.ndarray:
+    """Symmetrized affinities P = (P(j|i) + P(i|j)) / 2n; sums to 1."""
+    x = np.asarray(points, dtype=np.float64)
+    p_cond, _ = conditional_gaussian_probs(reference_squared_distances(x), perplexity)
+    return (p_cond + p_cond.T) / (2.0 * x.shape[0])
+
+
+def reference_kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    mask = p > 0
+    return float((p[mask] * np.log(p[mask] / np.maximum(q[mask], _EPS))).sum())
+
+
+def reference_tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
+    """Exact t-SNE to 2-D.
+
+    Pipeline: pairwise squared distances; per-point bandwidth search to the
+    configured perplexity; symmetrized P; seeded Gaussian init (sigma 1e-4);
+    gradient descent on KL(P||Q) with a Student-t(1) Q, momentum switching
+    from MOMENTUM to FINAL_MOMENTUM when early exaggeration ends, and
+    per-coordinate adaptive gains. Returns the embedding plus the KL at
+    initialization and after the last iteration (both unexaggerated).
+    """
+    x = np.asarray(points, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 4:
+        raise ConfigurationError(f"need at least 4 points, got shape {x.shape}")
+    n = x.shape[0]
+    if config.perplexity >= (n - 1) / 3.0:
+        raise ConfigurationError(
+            f"perplexity {config.perplexity} infeasible for {n} points "
+            f"(must be < (n-1)/3 = {(n - 1) / 3.0:.2f})"
+        )
+
+    p = reference_joint_probabilities(x, config.perplexity)
+    rng = np.random.default_rng(config.seed)
+    y = rng.normal(0.0, 1e-4, size=(n, 2))
+
+    def q_matrix(y_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = 1.0 / (1.0 + reference_squared_distances(y_))
+        np.fill_diagonal(w, 0.0)
+        return w / w.sum(), w
+
+    q, _ = q_matrix(y)
+    initial_kl = reference_kl_divergence(p, q)
+
+    velocity = np.zeros_like(y)
+    gains = np.ones_like(y)
+    min_gain = 0.01
+    for it in range(config.iterations):
+        exaggerating = it < config.exaggeration_iters
+        p_eff = p * EARLY_EXAGGERATION if exaggerating else p
+        momentum = MOMENTUM if exaggerating else FINAL_MOMENTUM
+
+        q, w = q_matrix(y)
+        pq = (p_eff - q) * w
+        grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
+
+        same_sign = (grad > 0) == (velocity > 0)
+        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+        np.clip(gains, min_gain, None, out=gains)
+        velocity = momentum * velocity - config.learning_rate * gains * grad
+        y = y + velocity
+        y = y - y.mean(axis=0)
+        if not np.isfinite(y).all():
+            raise NumericError(f"non-finite embedding at iteration {it + 1}")
+
+    q, _ = q_matrix(y)
+    final_kl = reference_kl_divergence(p, q)
+    return Embedding2D(points=y, initial_kl=initial_kl, final_kl=final_kl)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rantwin import evaluation
 from rantwin.errors import ConfigurationError, DomainError
 from rantwin.evaluation import (
     TsneConfig,
@@ -13,6 +15,8 @@ from rantwin.evaluation import (
     silhouette,
     tsne,
 )
+
+from oracles import reference_joint_probabilities, reference_squared_distances, reference_tsne
 
 
 class TestAccuracy:
@@ -154,6 +158,61 @@ class TestTsne:
         emb = tsne(x, TsneConfig(perplexity=5.0, iterations=60, seed=11))
         assert emb.points.shape == (25, 2)
         assert np.isfinite(emb.points).all()
+
+
+class TestTsneMatchesReference:
+    """The preallocated descent runs every IEEE operation of the reference,
+    in the same order, so the two agree to the bit."""
+
+    @pytest.mark.parametrize("n, perplexity", [(8, 2.0), (40, 8.0), (150, 30.0)])
+    @pytest.mark.parametrize("exaggeration_iters", [0, 25, 60, 80])
+    def test_bit_identical(self, n, perplexity, exaggeration_iters):
+        rng = np.random.default_rng(n)
+        x = rng.dirichlet(np.ones(4), size=n)  # like the classifier's probabilities
+        config = TsneConfig(perplexity=perplexity, iterations=60,
+                            exaggeration_iters=exaggeration_iters, seed=n + 1)
+        assert np.array_equal(joint_probabilities(x, perplexity),
+                              reference_joint_probabilities(x, perplexity))
+        ours = tsne(x, config)
+        theirs = reference_tsne(x, config)
+        assert np.array_equal(ours.points, theirs.points)
+        assert ours.initial_kl == theirs.initial_kl
+        assert ours.final_kl == theirs.final_kl
+
+    def test_silhouette_distances_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        for n in (8, 40, 150):
+            pts = rng.normal(0, 5, size=(n, 2))
+            labels = rng.integers(0, 3, size=n)
+            ours = silhouette(pts, labels)
+            with monkeypatch.context() as patched:
+                patched.setattr(evaluation, "_squared_distances", reference_squared_distances)
+                theirs = silhouette(pts, labels)
+            assert ours == theirs
+
+
+class TestTsneMemory:
+    # numpy reports its data buffers to tracemalloc. The slack covers Python
+    # objects and numpy's fixed-size iterator buffers (about 128 KiB for a
+    # broadcast add), neither of which grows with n.
+    N = 200
+    SLACK_BYTES = 2**17
+
+    @pytest.mark.parametrize("exaggeration_iters", [0, 10, 30])
+    def test_peak_at_most_five_n_by_n_buffers(self, exaggeration_iters):
+        n = self.N
+        x = np.random.default_rng(15).normal(0, 1, size=(n, 4))
+        config = TsneConfig(perplexity=30.0, iterations=20,
+                            exaggeration_iters=exaggeration_iters, seed=16)
+        tracemalloc.start()
+        try:
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            tsne(x, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 5 * n * n * 8 + self.SLACK_BYTES
 
 
 class TestSilhouette:
