@@ -96,8 +96,10 @@ def inject_faults(
     """
     if not specs:
         return channel
-    jitter = np.array([spec.jitter_db for spec in specs])
-    delta = np.array([spec.offset_db for spec in specs]) + rng.uniform(-jitter, jitter)
+    # A scalar uniform(-j, j) is the double of the array call's entry.
+    delta = np.array(
+        [spec.offset_db + rng.uniform(-spec.jitter_db, spec.jitter_db) for spec in specs]
+    )
     faults_of = {}  # class -> indices into specs, in order
     for k, spec in enumerate(specs):
         faults_of.setdefault(spec.cls, []).append(k)
@@ -183,7 +185,10 @@ def feature_matrix(
         "grant_fraction": plan.grants_of(reports.ue_id) / total,
         "priority": reports.priority,
     }
-    return np.stack([columns[name] for name in FEATURE_NAMES], axis=1, dtype=np.float64)
+    x = np.empty((len(reports), N_FEATURES))
+    for j, name in enumerate(FEATURE_NAMES):
+        x[:, j] = columns[name]
+    return x
 
 
 def standardize(features: np.ndarray, stats: FeatureStats) -> np.ndarray:

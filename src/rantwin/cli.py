@@ -301,6 +301,15 @@ def cmd_tsne(args) -> int:
             f"KL {embedding.initial_kl:.4f} -> {embedding.final_kl:.4f}; "
             f"silhouette {score:.4f}"
         )
+        if embedding.final_kl >= embedding.initial_kl:
+            # The step size does not scale with n; on a handful of points the
+            # descent can overshoot and the embedding is no better than its start.
+            print(
+                f"warning: t-SNE on {len(subset)} points did not descend (KL "
+                f"{embedding.initial_kl:.4f} -> {embedding.final_kl:.4f}); try a smaller "
+                f"--learning-rate than {args.learning_rate:g}",
+                file=sys.stderr,
+            )
     return EXIT_OK
 
 

@@ -99,12 +99,19 @@ class ChannelColumns:
     cqi: np.ndarray  # int
 
     def __post_init__(self):
-        if len({len(column) for column in vars(self).values()}) > 1:
+        n = len(self.rsrp_dbm)
+        if not n == len(self.rssi_dbm) == len(self.rsrq_db) == len(self.sinr_db) == len(self.cqi):
             raise DomainError("channel columns must have equal lengths")
-        if (self.rsrq_db > 1e-12).any():
-            raise DomainError(f"rsrq_db must be <= 0, got {self.rsrq_db.max()}")
-        if ((self.cqi < 0) | (self.cqi > 15)).any():
-            raise DomainError(f"cqi must be in [0, 15], got {self.cqi.min()}..{self.cqi.max()}")
+        if not n:
+            return
+        # fmax and fmin skip NaN unless every entry is NaN, and a NaN passes
+        # both checks, as it does entry by entry.
+        top = np.fmax.reduce(self.rsrq_db)
+        if top > 1e-12:
+            raise DomainError(f"rsrq_db must be <= 0, got {top}")
+        low, high = np.fmin.reduce(self.cqi), np.fmax.reduce(self.cqi)
+        if low < 0 or high > 15:
+            raise DomainError(f"cqi must be in [0, 15], got {low}..{high}")
 
     def row(self, i: int) -> ChannelSample:
         return ChannelSample(*(column[i].item() for column in vars(self).values()))

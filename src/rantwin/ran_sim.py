@@ -8,7 +8,7 @@ report streams.
 
 from __future__ import annotations
 
-import copy
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -142,6 +142,15 @@ class TickKpis:
     n_handovers: int
 
 
+@functools.cache
+def _clone_seed() -> np.random.SeedSequence:
+    """The seed of the throwaway generator of `SimState.clone`, whose state
+    the clone overwrites. Built once, because seeding from an int builds a
+    SeedSequence, and on first use, so that importing this module does not
+    load numpy.random."""
+    return np.random.SeedSequence(0)
+
+
 # The array columns of SimState, one row per UE.
 _UE_COLUMNS = ("position", "velocity", "shadowing_db", "serving_cell", "priority", "demand_mbps",
                "achieved_mbps", "boost_factor", "boost_until_tick")
@@ -198,9 +207,10 @@ class SimState:
         are shared, because step and apply_allocation replace them whole."""
         # A fixed seed spares drawing entropy from the OS for a generator
         # whose state the next line overwrites.
-        rng = np.random.Generator(np.random.PCG64(0))
+        rng = np.random.Generator(np.random.PCG64(_clone_seed()))
         rng.bit_generator.state = self.rng.bit_generator.state
-        new = copy.copy(self)
+        new = object.__new__(SimState)
+        new.__dict__.update(self.__dict__)
         new.rng = rng
         new.serving_cell = self.serving_cell.copy()
         new.boost_factor = self.boost_factor.copy()
@@ -254,7 +264,7 @@ def _rsrp_matrix(state: SimState) -> np.ndarray:
     position = state.position
     dx = position[:, 0:1] - state.cell_xy[:, 0]
     dy = position[:, 1:2] - state.cell_xy[:, 1]
-    d = np.maximum(np.maximum(np.hypot(dx, dy), 1e-6), link.ref_distance_m)
+    d = np.maximum(np.hypot(dx, dy), max(1e-6, link.ref_distance_m))
     path_loss = link.ref_path_loss_db + 10.0 * link.path_loss_exponent * np.log10(
         d / link.ref_distance_m
     )
@@ -273,13 +283,35 @@ def select_serving_cells(
     n_ues, n_cells = rsrp_dbm.shape
     if n_cells == 0:
         raise DomainError("rsrp_dbm must have at least one cell column")
-    if n_ues and not 0 <= serving_cell.min() <= serving_cell.max() < n_cells:
+    if n_ues and not (
+        0 <= np.minimum.reduce(serving_cell) <= np.maximum.reduce(serving_cell) < n_cells
+    ):
         raise DomainError(f"serving cell outside 0..{n_cells - 1}")
     rows = np.arange(n_ues)
     qualifies = rsrp_dbm > (rsrp_dbm[rows, serving_cell] + hysteresis_db)[:, None]
     qualifies[rows, serving_cell] = False
     best = np.argmax(np.where(qualifies, rsrp_dbm, -np.inf), axis=1)
     return np.where(qualifies.any(axis=1), best, serving_cell)
+
+
+def _interferer_sums(
+    mw: np.ndarray, serving: np.ndarray, noise_mw: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per UE, the power of every cell but the serving one in the (U, C)
+    `mw`, summed from 0.0 and from `noise_mw`.
+
+    The cells are added in cell order, with 0.0 for the serving cell, as
+    the scalar sums do. An axis-0 reduce of C-contiguous (C, U) rows adds
+    them in that order while the UE axis is the inner loop; one spare
+    column keeps it so for a single UE, whose lone column numpy would sum
+    pairwise.
+    """
+    n_ues = len(serving)
+    others = np.zeros((mw.shape[1], n_ues + 1))
+    others[:, :n_ues] = mw.T
+    others[serving, np.arange(n_ues)] = 0.0
+    return (np.add.reduce(others, axis=0)[:n_ues],
+            np.add.reduce(others, axis=0, initial=noise_mw)[:n_ues])
 
 
 def init_sim(config: SimConfig) -> SimState:
@@ -340,8 +372,6 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     corruption of the reported channel, traffic resampling, report emission.
     A fault never touches `last_channel`, the true channel.
     """
-    from .anomaly import inject_faults  # deferred: anomaly drives this simulator
-
     cfg = state.config
     link = cfg.link
     new = state.clone()
@@ -375,18 +405,12 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     n_handovers = int(np.count_nonzero(serving != state.serving_cell))
     new.serving_cell = serving
 
-    # (4) channel sampling. The interferer sums add the cell columns in cell
-    # order with 0.0 for the serving cell, as the scalar sums do: SINR over
-    # noise + interferers, RSSI over serving + interferers + noise.
+    # (4) channel sampling: SINR over noise + interferers, RSSI over
+    # serving + interferers + noise
     rows = np.arange(len(serving))
     mw = np.power(10.0, rsrp / 10.0)
     serving_mw = mw[rows, serving]
-    interference = np.zeros(len(serving))
-    noise_and_interference = np.full(len(serving), noise_mw)
-    for c in range(len(new.cells)):
-        p = np.where(serving == c, 0.0, mw[:, c])
-        interference = interference + p
-        noise_and_interference = noise_and_interference + p
+    interference, noise_and_interference = _interferer_sums(mw, serving, noise_mw)
     total_mw = serving_mw + interference + noise_mw
     sinr = 10.0 * np.log10(serving_mw / noise_and_interference)
     rssi = 10.0 * np.log10(total_mw)
@@ -398,12 +422,16 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     # fault in the set is live: set_fault gives until_tick >= tick + 1, and a
     # fault is dropped on its last tick.
     faulted = sorted(new.faults)
-    reported = inject_faults(new.last_channel, faulted, [new.faults[u].spec for u in faulted], rng)
+    specs = [new.faults[u].spec for u in faulted]
+    reported = anomaly.inject_faults(new.last_channel, faulted, specs, rng)
     new.faults = {u: f for u, f in new.faults.items() if f.until_tick > new.tick}
 
     # (6) traffic demand resampling
     means = np.array(cfg.traffic.mean_demand_mbps, dtype=np.float64)
-    new.demand_mbps = rng.exponential(means[new.priority - 1])
+    # scale * standard_exponential is what rng.exponential(scale) computes
+    # per draw: the same doubles and generator state, without the per-element
+    # parameter broadcast.
+    new.demand_mbps = means[new.priority - 1] * rng.standard_exponential(len(new.priority))
 
     # (7) report emission. serving_cell is copied because apply_control
     # writes into the state's column.
@@ -532,3 +560,8 @@ def report_to_dict(reports: ReportBatch, i: int) -> dict:
         "priority": int(reports.priority[i]),
         "achieved_mbps": float(reports.achieved_mbps[i]),
     }
+
+
+# anomaly drives this simulator and imports it, so step's fault stage is
+# bound here, once both modules can be loaded in either order.
+from . import anomaly  # noqa: E402

@@ -20,6 +20,8 @@ from .twin_engine import AllocationPlan
 
 # _CLASS_BY_CODE[c] is AnomalyClass(c), without an enum call per flagged row
 _CLASS_BY_CODE = tuple(AnomalyClass)
+# The code of Normal as a plain int, which numpy compares faster than the enum
+_NORMAL_CODE = int(AnomalyClass.NORMAL)
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,7 @@ class DtXapp:
             self._streak_len = np.zeros(n, dtype=np.int64)
             self._normal_streak = np.zeros(n, dtype=np.int64)
             self._armed = np.ones(n, dtype=bool)
-        elif not np.array_equal(reports.ue_id, self._ue_id):
+        elif reports.ue_id.shape != self._ue_id.shape or not (reports.ue_id == self._ue_id).all():
             raise DomainError("an indication reports other UEs than the earlier ones")
 
         plan, predicted_mbps, _ = twin_engine.twin_tick(
@@ -192,7 +194,7 @@ class DtXapp:
         x = anomaly.standardize(anomaly.feature_matrix(reports, predicted_mbps, plan), self.stats)
         probs = mlp.forward_rows(self.model, x)
         code = np.argmax(probs, axis=1)
-        normal = code == AnomalyClass.NORMAL
+        normal = code == _NORMAL_CODE
         self._normal_streak = np.where(normal, self._normal_streak + 1, 0)
         self._armed = self._armed | (normal & (self._normal_streak >= CLEAR_TICKS))
         self._streak_len = np.where(

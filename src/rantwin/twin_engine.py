@@ -84,24 +84,26 @@ def allocate_prbs(
     se = radio_model.spectral_efficiencies(reports.channel.sinr_db, reports.channel.cqi)
     rate = _prb_rate_mbps(se, params)
     weight = reports.priority if weights is None else np.asarray(weights, dtype=np.float64)
-    # Remaining demand before each PRB, by the repeated subtraction of the
-    # one-PRB-at-a-time loop, so every comparison sees the same bits.
+    # Remaining demand before each PRB, row k after k PRBs, by the repeated
+    # subtraction of the one-PRB-at-a-time loop, so every comparison sees the
+    # same bits.
     depth = max(totals.values(), default=0)
-    steps = np.empty((n, depth + 1))
-    steps[:, 0] = reports.demand_mbps
-    steps[:, 1:] = rate[:, None]
-    remaining = np.subtract.accumulate(steps, axis=1)
-    n_full = (remaining[:, :depth] >= rate[:, None]).sum(axis=1)
-    remainder = np.maximum(remaining[np.arange(n), n_full], 0.0)
+    steps = np.empty((depth + 1, n))
+    steps[0] = reports.demand_mbps
+    steps[1:] = rate
+    remaining = np.subtract.accumulate(steps, axis=0)
+    n_full = np.add.reduce(remaining[:depth] >= rate, axis=0)
+    ue_rows = np.arange(n)
+    remainder = np.maximum(remaining[n_full, ue_rows], 0.0)
 
-    row = np.concatenate([np.arange(n), np.arange(n)])
+    row = np.concatenate((ue_rows, ue_rows))
     utility = np.concatenate([weight * rate, weight * np.minimum(rate, remainder)])
-    count = np.concatenate([n_full, n_full < depth])
-    live = (utility > 0.0) & (count > 0)
-    row, utility, count = row[live], utility[live], count[live]
+    # A group with utility <= 0 gets a count of 0: it takes no PRBs and adds
+    # 0 to the PRBs taken before the groups after it.
+    count = np.where(utility > 0.0, np.concatenate([n_full, n_full < depth]), 0)
     order = np.lexsort((ue_id[row], -utility, serving[row]))
     row, count, cell = row[order], count[order], serving[row[order]]
-    before = np.cumsum(count) - count
+    before = np.add.accumulate(count) - count
     # PRBs that earlier groups of the same cell took
     taken = before - before[np.searchsorted(cell, cell)]
     granted = np.minimum(np.maximum(cell_prbs[row] - taken, 0), count)

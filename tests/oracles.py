@@ -7,10 +7,11 @@ training, a literal threshold-table scan for the CQI mapping, a
 per-UE loop of feature vectors and dict-based debounce state for the
 xApp's columns (it classifies with the xApp's one `forward_rows` call),
 a per-UE loop over Python floats, with one fault corruption per report,
-for the columnar simulator step, and a t-SNE that allocates a fresh array
-for every intermediate, where `evaluation.tsne` writes into preallocated
-buffers. The network oracles read reports one UE at a time, as `Report`
-objects; `mk_batch` and `report_rows` convert to and from a `ReportBatch`.
+for the columnar simulator step, one add per cell for its interferer sums,
+and a t-SNE that allocates a fresh array for every intermediate, where
+`evaluation.tsne` writes into preallocated buffers. The network oracles
+read reports one UE at a time, as `Report` objects; `mk_batch` and
+`report_rows` convert to and from a `ReportBatch`.
 """
 
 import itertools
@@ -490,6 +491,18 @@ def scalar_serving_cell(serving_cell, rsrp_by_cell, hysteresis_db):
         if cell_id != serving_cell and r > serving_rsrp + hysteresis_db and r > best_rsrp:
             best, best_rsrp = cell_id, r
     return best
+
+
+def loop_interferer_sums(mw, serving, noise_mw):
+    """`ran_sim._interferer_sums` as one elementwise add per cell column, in
+    cell order, with 0.0 for each UE's serving cell."""
+    interference = np.zeros(len(serving))
+    noise_and_interference = np.full(len(serving), noise_mw)
+    for c in range(mw.shape[1]):
+        p = np.where(serving == c, 0.0, mw[:, c])
+        interference = interference + p
+        noise_and_interference = noise_and_interference + p
+    return interference, noise_and_interference
 
 
 def scalar_step(state):

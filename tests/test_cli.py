@@ -299,10 +299,31 @@ class TestTsne:
             "--perplexity", "12", "--iterations", "150",
         ])
         assert rc == 0
-        assert "silhouette" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "silhouette" in captured.out
+        assert "did not descend" not in captured.err
         lines = out.read_text().splitlines()
         assert lines[0] == "ue_id,tick,label,x,y"
         assert len(lines) == 81  # 20% of 400
+
+    def test_warns_when_kl_does_not_fall(self, tmp_path, capsys):
+        # The 40 default samples of the CI smoke run leave 8 test-split
+        # points, which diverge at the default learning rate.
+        dataset = tmp_path / "d.csv"
+        assert main(["gen-dataset", "--out", str(dataset), "--n-samples", "40"]) == 0
+        assert main(["train", "--dataset", str(dataset), "--model-out", str(tmp_path / "m.txt"),
+                     "--stats-out", str(tmp_path / "s.csv"),
+                     "--report-out", str(tmp_path / "r.csv")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "emb.csv"
+        rc = main(["tsne", "--model", str(tmp_path / "m.txt"), "--stats", str(tmp_path / "s.csv"),
+                   "--dataset", str(dataset), "--out", str(out),
+                   "--perplexity", "2", "--iterations", "100"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "t-SNE on 8 points did not descend" in err
+        assert "smaller --learning-rate than 200" in err
+        assert len(out.read_text().splitlines()) == 9
 
     def test_infeasible_perplexity_exits_2(self, trained, tmp_path, capsys):
         rc = main([

@@ -27,6 +27,7 @@ from oracles import (
     ULPS,
     assert_close,
     inject_fault,
+    loop_interferer_sums,
     report_rows,
     scalar_serving_cell,
     scalar_step,
@@ -195,6 +196,7 @@ class TestReportBatch:
 
     @pytest.mark.parametrize("change, match", [
         ({"rsrq_db": [-1.0, 0.5]}, "rsrq_db"),
+        ({"rsrq_db": [np.nan, 0.5]}, "rsrq_db"),
         ({"cqi": [7, 16]}, "cqi"),
         ({"cqi": [-1, 9]}, "cqi"),
         ({"sinr_db": [5.0]}, "equal lengths"),
@@ -202,6 +204,18 @@ class TestReportBatch:
     def test_channel_columns_check_every_row(self, change, match):
         with pytest.raises(DomainError, match=match):
             self._columns(**change)
+
+    @pytest.mark.parametrize("change", [
+        {"rsrq_db": [np.nan, np.nan]},
+        {"rsrq_db": [np.nan, -1.0]},
+        {"rsrq_db": [1e-12, 0.0]},
+        {"cqi": [0, 15]},
+        {"cqi": [np.nan, 15.0]},
+        {name: [] for name in ("rsrp_dbm", "rssi_dbm", "rsrq_db", "sinr_db", "cqi")},
+    ])
+    def test_channel_columns_accept_every_valid_row(self, change):
+        # a NaN fails no row's check, and zero rows fail none
+        self._columns(**change)
 
     @pytest.mark.parametrize("column", ["serving_cell", "rsrp_dbm", "demand_mbps", "priority",
                                         "achieved_mbps"])
@@ -257,6 +271,87 @@ class TestSelectServingCell:
         ]
         assert chosen.tolist() == expected
         assert 0 < sum(c != s for c, s in zip(expected, serving.tolist())) < 400
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestExactDraws:
+    """The column forms of step draw and sum exactly what the array-parameter
+    draws and the per-cell loop give: equal bits, not equal within ulps."""
+
+    @pytest.mark.parametrize("n_cells", [1, 3, 7, 19])
+    @pytest.mark.parametrize("n_ues", [1, 2, 50, 1000])
+    def test_interferer_sums_equal_the_per_cell_loop(self, n_cells, n_ues):
+        rng = np.random.default_rng([n_cells, n_ues])
+        mw = np.power(10.0, rng.uniform(-140.0, -40.0, size=(n_ues, n_cells)) / 10.0)
+        serving = rng.integers(0, n_cells, size=n_ues)
+        noise_mw = rm.dbm_to_mw(rm.noise_power_per_re_dbm(LinkBudgetParams()))
+        got = ran_sim._interferer_sums(mw, serving, noise_mw)
+        expected = loop_interferer_sums(mw, serving, noise_mw)
+        assert all(_same_bits(g, e) for g, e in zip(got, expected))
+
+    def test_step_draws_equal_the_array_parameter_draws(self):
+        state = init_sim(SMALL)
+        specs = default_fault_specs()
+        faulted = {2: specs[AnomalyClass.RSRP_ERROR], 5: specs[AnomalyClass.SINR_ERROR]}
+        for ue_id, spec in faulted.items():
+            ran_sim.set_fault(state, ue_id, spec)
+        new, reports, _ = step(state)
+
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = state.rng.bit_generator.state
+        rng.normal(0.0, SMALL.link.shadowing_sigma_db, size=state.shadowing_db.shape)
+        jitter = np.array([spec.jitter_db for spec in faulted.values()])
+        offset = np.array([spec.offset_db for spec in faulted.values()])
+        delta = offset + rng.uniform(-jitter, jitter)
+        means = np.array(SMALL.traffic.mean_demand_mbps)
+        demand = rng.exponential(means[state.priority - 1])
+
+        assert _same_bits(reports.channel.rsrp_dbm[[2]], new.last_channel.rsrp_dbm[[2]] + delta[0])
+        assert _same_bits(reports.channel.sinr_db[[5]], new.last_channel.sinr_db[[5]] + delta[1])
+        assert _same_bits(new.demand_mbps, demand)
+        assert new.rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("scale", [[2.0, 4.0, 6.0, 8.0], [0.0, 1e-300, 3.5, 1e300]])
+    def test_scaled_standard_exponential_is_the_exponential_draw(self, scale):
+        scale = np.tile(scale, 25)
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        assert _same_bits(scale * a.standard_exponential(len(scale)), b.exponential(scale))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_scalar_uniforms_are_the_array_draw(self):
+        jitter = np.array([3.0, 0.0, 2.0, 1e-9, 3.0])
+        a, b = np.random.default_rng(12), np.random.default_rng(12)
+        scalar = np.array([a.uniform(-j, j) for j in jitter.tolist()])
+        assert _same_bits(scalar, b.uniform(-jitter, jitter))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestClone:
+    def test_generator_equal_and_independent(self):
+        state = init_sim(SMALL)
+        clone = state.clone()
+        assert clone.rng is not state.rng
+        assert clone.rng.bit_generator.state == state.rng.bit_generator.state
+        drawn = clone.rng.standard_normal(8)
+        assert clone.rng.bit_generator.state != state.rng.bit_generator.state
+        assert _same_bits(state.rng.standard_normal(8), drawn)
+
+    def test_columns_apply_control_writes_are_not_shared(self):
+        state = init_sim(SMALL)
+        ran_sim.set_fault(state, 1, default_fault_specs()[AnomalyClass.RSRP_ERROR])
+        before = state.snapshot()
+        clone = state.clone()
+        assert clone.snapshot() == before
+        for name in ("serving_cell", "boost_factor", "boost_until_tick"):
+            assert not np.shares_memory(getattr(clone, name), getattr(state, name))
+        apply_control(clone, ControlAction(1, 0, ForceHandover(2), AnomalyClass.RSRP_ERROR))
+        apply_control(clone, ControlAction(1, 3, PrbBoost(2.0, 10), AnomalyClass.SINR_ERROR))
+        ran_sim.set_fault(clone, 4, default_fault_specs()[AnomalyClass.SINR_ERROR])
+        assert state.snapshot() == before
+        assert clone.snapshot() != before
 
 
 def _two_cell_corridor(start_x: float, speed: float) -> SimState:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,10 @@ class TestDtXapp:
         xapp.on_indication(indication_for(1, n_ues=2))
         with pytest.raises(DomainError, match="other UEs"):
             xapp.on_indication(indication_for(2, n_ues=3))
+        # as many UEs, in another order
+        swapped = dataclasses.replace(indication_for(2).reports, ue_id=np.array([1, 0]))
+        with pytest.raises(DomainError, match="other UEs"):
+            xapp.on_indication(Indication(tick=2, reports=swapped))
 
     def test_missing_model_or_stats_rejected(self):
         with pytest.raises(ConfigurationError):
