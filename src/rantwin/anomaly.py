@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -37,6 +38,16 @@ FEATURE_NAMES = (
 N_FEATURES = len(FEATURE_NAMES)
 
 DATASET_HEADER = ",".join((*FEATURE_NAMES, "label", "ue_id", "tick"))
+
+# A dataset is one np.recarray of this dtype, a row per labeled sample: its
+# columns are `data.features` (n, N_FEATURES) and `data.label`, `data.ue_id`
+# and `data.tick` (n,), and iterating it yields records with those fields.
+DATASET_DTYPE = np.dtype([
+    ("features", np.float64, (N_FEATURES,)),
+    ("label", np.int64),
+    ("ue_id", np.int64),
+    ("tick", np.int64),
+])
 
 # Ticks discarded at the start of dataset generation so achieved/predicted
 # KPIs reflect a settled allocation loop.
@@ -127,14 +138,6 @@ def inject_faults(
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    features: np.ndarray
-    label: AnomalyClass
-    ue_id: int
-    tick: int
-
-
-@dataclass(frozen=True)
 class FeatureStats:
     """Per-feature mean and standard deviation, computed on training data only."""
 
@@ -142,8 +145,10 @@ class FeatureStats:
     std: np.ndarray
 
     @classmethod
-    def from_samples(cls, samples: list[LabeledSample]) -> "FeatureStats":
-        x = np.stack([s.features for s in samples])
+    def from_samples(cls, samples: np.recarray) -> "FeatureStats":
+        if len(samples) == 0:
+            raise DomainError("cannot compute feature stats of an empty dataset")
+        x = samples.features
         mean = x.mean(axis=0)
         std = x.std(axis=0)
         constant = std == 0.0
@@ -215,20 +220,20 @@ def generate_dataset(
     class_mix: tuple[float, float, float, float],
     fault_defaults: dict[AnomalyClass, FaultSpec],
     seed: int,
-) -> list[LabeledSample]:
+) -> np.recarray:
     """Run the simulator with the twin in the loop and harvest labeled samples.
 
     Faults are started at (tick, ue) slots drawn from the dataset generator so
     that a few UEs per error class are faulted at any time; candidate samples
     are pooled per class and subsampled to the exact largest-remainder class
-    counts. Output is sorted by (tick, ue_id).
+    counts. Returns a DATASET_DTYPE record array sorted by (tick, ue_id).
     """
     if n_samples <= 0:
         raise ConfigurationError("n_samples must be positive")
     if len(class_mix) != N_CLASSES:
         raise ConfigurationError(f"class_mix needs {N_CLASSES} fractions")
-    if any(f < 0 for f in class_mix):
-        raise ConfigurationError("class_mix fractions must be >= 0")
+    if not all(math.isfinite(f) and f >= 0 for f in class_mix):
+        raise ConfigurationError(f"class_mix fractions must be finite and >= 0, got {class_mix}")
     if abs(sum(class_mix) - 1.0) > 1e-9:
         raise ConfigurationError(f"class_mix must sum to 1, got {sum(class_mix)}")
 
@@ -282,42 +287,41 @@ def generate_dataset(
             "increase n_ticks or n_ues"
         )
 
-    selected: list[LabeledSample] = []
+    selected = []  # per class, its (features, label, ue_id, tick) columns
     for c in AnomalyClass:
-        picks = np.sort(rng.permutation(n_pooled[c])[: quotas[c]]).tolist()
+        picks = np.sort(rng.permutation(n_pooled[c])[: quotas[c]])
         # every sampled tick left a block, so no class's pool is an empty list
         ticks, features, ue_ids = (np.concatenate(column) for column in zip(*pools[c]))
-        # each sample owns a copy of its row, not a view of the pool
-        selected.extend(
-            LabeledSample(features[i].copy(), c, int(ue_ids[i]), int(ticks[i])) for i in picks
-        )
-    selected.sort(key=lambda s: (s.tick, s.ue_id))
-    return selected
+        selected.append((features[picks], np.full(len(picks), int(c)), ue_ids[picks], ticks[picks]))
+    data = np.rec.fromarrays(
+        [np.concatenate(column) for column in zip(*selected)], dtype=DATASET_DTYPE
+    )
+    # (tick, ue_id) names one report, so this order is total
+    return data[np.lexsort((data.ue_id, data.tick))]
 
 
 def split_dataset(
-    data: list[LabeledSample], train_fraction: float, seed: int
-) -> tuple[list[LabeledSample], list[LabeledSample]]:
+    data: np.recarray, train_fraction: float, seed: int
+) -> tuple[np.recarray, np.recarray]:
     """Stratified split: per-class seeded shuffle, floor-sized train share,
     topped up by largest remainder so the train side totals
     floor(fraction * n). Classes too small to split (fewer than 2 samples,
     or a zero floor share) stay whole in the test side, with a warning.
+    Both sides keep the rows in dataset order.
     """
     if not 0.0 < train_fraction < 1.0:
         raise DomainError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    if not data:
+    if len(data) == 0:
         raise DomainError("cannot split an empty dataset")
 
-    by_class: dict[AnomalyClass, list[int]] = {}
-    for i, s in enumerate(data):
-        by_class.setdefault(s.label, []).append(i)
-
+    # np.unique would import numpy.ma, about 1 MB, on its first call
+    classes = np.flatnonzero(np.bincount(data.label)).tolist()
     rng = np.random.default_rng(seed)
     shuffled = {}
     base = {}
-    for c in sorted(by_class):
-        idx = by_class[c]
-        shuffled[c] = [idx[j] for j in rng.permutation(len(idx))]
+    for c in classes:
+        idx = np.flatnonzero(data.label == c)
+        shuffled[c] = idx[rng.permutation(len(idx))]
         base[c] = int(math.floor(train_fraction * len(idx)))
 
     target_train = int(math.floor(train_fraction * len(data)))
@@ -326,45 +330,43 @@ def split_dataset(
     # sample for each side of the split.
     eligible = [
         c
-        for c in sorted(by_class)
-        if len(by_class[c]) >= 2 and base[c] >= 1 and base[c] + 1 <= len(by_class[c]) - 1
+        for c in classes
+        if len(shuffled[c]) >= 2 and base[c] >= 1 and base[c] + 1 <= len(shuffled[c]) - 1
     ]
-    eligible.sort(key=lambda c: (-(train_fraction * len(by_class[c]) - base[c]), int(c)))
+    eligible.sort(key=lambda c: (-(train_fraction * len(shuffled[c]) - base[c]), c))
     for c in eligible[:max(0, deficit)]:
         base[c] += 1
 
-    degenerate = [c for c in sorted(by_class) if base[c] == 0]
+    degenerate = [c for c in classes if base[c] == 0]
     if degenerate:
         log.warning(
             "degenerate split: class(es) %s contribute no training samples",
             [CLASS_NAMES[c] for c in degenerate],
         )
 
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for c in sorted(by_class):
-        train_idx.extend(shuffled[c][: base[c]])
-        test_idx.extend(shuffled[c][base[c]:])
-    train_idx.sort()
-    test_idx.sort()
-    return [data[i] for i in train_idx], [data[i] for i in test_idx]
+    train_idx = np.concatenate([shuffled[c][: base[c]] for c in classes])
+    test_idx = np.concatenate([shuffled[c][base[c]:] for c in classes])
+    return data[np.sort(train_idx)], data[np.sort(test_idx)]
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def write_dataset_csv(samples: list[LabeledSample], path) -> None:
+def write_dataset_csv(samples: np.recarray, path) -> None:
+    columns = (samples.features, samples.label.tolist(),
+               samples.ue_id.tolist(), samples.tick.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(DATASET_HEADER + "\n")
-        for s in samples:
-            fields = [_fmt(v) for v in s.features]
-            fields += [str(int(s.label)), str(s.ue_id), str(s.tick)]
-            fh.write(",".join(fields) + "\n")
+        for features, label, ue_id, tick in zip(*columns):
+            fh.write(",".join([*map(_fmt, features), str(label), str(ue_id), str(tick)]) + "\n")
 
 
-def read_dataset_csv(path) -> list[LabeledSample]:
-    samples = []
+def read_dataset_csv(path) -> np.recarray:
+    # Each line's feature row and its (label, ue_id, tick), in flat buffers of
+    # machine numbers: lists of Python numbers would grow the heap by about
+    # 1 MB per 2500 lines, and the process's peak memory with it.
+    features, codes = array("d"), array("q")
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != DATASET_HEADER:
@@ -379,18 +381,23 @@ def read_dataset_csv(path) -> list[LabeledSample]:
                     f"line {lineno}: expected {N_FEATURES + 3} fields, got {len(parts)}"
                 )
             try:
-                features = np.array([float(v) for v in parts[:N_FEATURES]], dtype=np.float64)
-                label = int(parts[N_FEATURES])
-                ue_id = int(parts[N_FEATURES + 1])
-                tick = int(parts[N_FEATURES + 2])
+                row = [float(v) for v in parts[:N_FEATURES]]
+                label, ue_id, tick = map(int, parts[N_FEATURES:])
             except ValueError as e:
                 raise DataFormatError(f"line {lineno}: {e}") from e
             if not 0 <= label < N_CLASSES:
                 raise DataFormatError(f"line {lineno}: label {label} outside 0..{N_CLASSES - 1}")
-            if not np.isfinite(features).all():
+            if not all(map(math.isfinite, row)):
                 raise DataFormatError(f"line {lineno}: non-finite feature value")
-            samples.append(LabeledSample(features, AnomalyClass(label), ue_id, tick))
-    return samples
+            try:
+                codes.extend((label, ue_id, tick))
+            except OverflowError as e:
+                raise DataFormatError(f"line {lineno}: ue_id or tick outside int64: {e}") from e
+            features.extend(row)
+    label_ue_tick = np.frombuffer(codes, np.int64).reshape(-1, 3).T
+    return np.rec.fromarrays(
+        [np.frombuffer(features).reshape(-1, N_FEATURES), *label_ue_tick], dtype=DATASET_DTYPE
+    )
 
 
 def write_stats_csv(stats: FeatureStats, path) -> None:

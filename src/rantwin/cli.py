@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import anomaly, evaluation, mlp, ran_sim, ric
-from .anomaly import AnomalyClass, CLASS_NAMES, FaultSpec, FeatureStats, LabeledSample
+from .anomaly import AnomalyClass, CLASS_NAMES, FaultSpec, FeatureStats
 from .errors import (
     ConfigurationError,
     DataFormatError,
@@ -115,12 +115,6 @@ def _load_config(path: str | None) -> ran_sim.SimConfig:
     return ran_sim.load_sim_config(_require_file(path, "config"))
 
 
-def _standardized_arrays(samples: list[LabeledSample], stats: FeatureStats):
-    x = anomaly.standardize(np.stack([s.features for s in samples]), stats)
-    y = np.array([int(s.label) for s in samples], dtype=np.int64)
-    return x, y
-
-
 def cmd_gen_dataset(args) -> int:
     with Manifest(
         Path(args.out).with_suffix(Path(args.out).suffix + ".manifest.json"),
@@ -140,7 +134,8 @@ def cmd_gen_dataset(args) -> int:
         )
         anomaly.write_dataset_csv(samples, args.out)
         manifest.add_output(args.out)
-        counts = {CLASS_NAMES[c]: sum(1 for s in samples if s.label == c) for c in AnomalyClass}
+        counts = dict(zip(CLASS_NAMES.values(),
+                          np.bincount(samples.label, minlength=anomaly.N_CLASSES).tolist()))
         print(f"wrote {len(samples)} samples to {args.out} (class counts: {counts})")
     return EXIT_OK
 
@@ -172,15 +167,16 @@ def cmd_train(args) -> int:
         )
         samples = anomaly.read_dataset_csv(_require_file(args.dataset, "dataset"))
         train_set, test_set = anomaly.split_dataset(samples, args.train_fraction, args.split_seed)
-        if not train_set or not test_set:
+        if len(train_set) == 0 or len(test_set) == 0:
             raise ConfigurationError("split produced an empty train or test side")
         stats = FeatureStats.from_samples(train_set)
-        x_train, y_train = _standardized_arrays(train_set, stats)
-        x_test, y_test = _standardized_arrays(test_set, stats)
+        x_train = anomaly.standardize(train_set.features, stats)
+        x_test = anomaly.standardize(test_set.features, stats)
 
         model = mlp.init_model(hidden, seed=args.train_seed)
         model, report = mlp.train(
-            model, list(zip(x_train, y_train)), list(zip(x_test, y_test)), train_config
+            model, list(zip(x_train, train_set.label)), list(zip(x_test, test_set.label)),
+            train_config,
         )
 
         mlp.save_model(model, args.model_out)
@@ -214,10 +210,9 @@ def _load_split_inputs(args):
     stats = anomaly.read_stats_csv(_require_file(args.stats, "stats"))
     samples = anomaly.read_dataset_csv(_require_file(args.dataset, "dataset"))
     subset = _select_split(samples, args.split, args.train_fraction, args.split_seed)
-    if not subset:
+    if len(subset) == 0:
         raise ConfigurationError(f"{args.split} split is empty")
-    x, y = _standardized_arrays(subset, stats)
-    return model, stats, samples, subset, x, y
+    return model, stats, samples, subset, anomaly.standardize(subset.features, stats), subset.label
 
 
 def cmd_eval(args) -> int:
@@ -252,8 +247,8 @@ def cmd_eval(args) -> int:
 
         if args.split == "train":
             test_set = _select_split(samples, "test", args.train_fraction, args.split_seed)
-            xt, yt = _standardized_arrays(test_set, stats)
-            test_acc = evaluation.accuracy(mlp.predict_batch(model, xt), yt)
+            xt = anomaly.standardize(test_set.features, stats)
+            test_acc = evaluation.accuracy(mlp.predict_batch(model, xt), test_set.label)
             if acc < test_acc:
                 print(
                     f"warning: train-split accuracy {acc:.4f} below test accuracy "
@@ -286,15 +281,14 @@ def cmd_tsne(args) -> int:
         model, _, _, subset, x, _ = _load_split_inputs(args)
         probs = mlp.forward_rows(model, x)
         embedding = evaluation.tsne(probs, config)
-        score = evaluation.silhouette(embedding.points, [int(s.label) for s in subset])
+        score = evaluation.silhouette(embedding.points, subset.label)
 
+        rows = zip(subset.ue_id.tolist(), subset.tick.tolist(), subset.label.tolist(),
+                   embedding.points.tolist())
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("ue_id,tick,label,x,y\n")
-            for s, (px, py) in zip(subset, embedding.points):
-                fh.write(
-                    f"{s.ue_id},{s.tick},{int(s.label)},"
-                    f"{format(px, '.12g')},{format(py, '.12g')}\n"
-                )
+            for ue_id, tick, label, (px, py) in rows:
+                fh.write(f"{ue_id},{tick},{label},{format(px, '.12g')},{format(py, '.12g')}\n")
         manifest.add_output(args.out)
         print(
             f"embedded {len(subset)} {args.split}-split points; "

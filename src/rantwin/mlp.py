@@ -126,10 +126,11 @@ def predict_batch(model: MlpModel, x) -> np.ndarray:
     return np.argmax(forward_rows(model, x), axis=1)
 
 
-def _loss_grads_arrays(
+def loss_and_grads(
     model: MlpModel, x: np.ndarray, y: np.ndarray, grad_w=None, grad_b=None, rows=None
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean cross-entropy of (x, y) and its gradients.
+    """Mean cross-entropy of the (n, inputs) matrix x with class codes y,
+    and its per-layer weight and bias gradients.
 
     The gradients are written into `grad_w` and `grad_b`, arrays shaped like
     the model's weights and biases, or into fresh arrays when they are not
@@ -169,7 +170,7 @@ def _layer_views(flat: np.ndarray, model: MlpModel) -> tuple[list[np.ndarray], l
     return weights, biases
 
 
-def _as_arrays(batch, what: str = "batch") -> tuple[np.ndarray, np.ndarray]:
+def _as_arrays(batch, what: str) -> tuple[np.ndarray, np.ndarray]:
     if len(batch) == 0:
         raise DomainError(f"{what} must be non-empty")
     xs, ys = [], []
@@ -182,13 +183,6 @@ def _as_arrays(batch, what: str = "batch") -> tuple[np.ndarray, np.ndarray]:
         bad = y[(y < 0) | (y >= N_CLASSES)][0]
         raise DomainError(f"label code {bad} outside 0..{N_CLASSES - 1}")
     return x, y
-
-
-def loss_and_grads(model: MlpModel, batch) -> tuple[float, dict]:
-    """Mean cross-entropy and its gradients for a batch of (x, label) pairs."""
-    x, y = _as_arrays(batch)
-    loss, grad_w, grad_b = _loss_grads_arrays(model, x, y)
-    return loss, {"weights": grad_w, "biases": grad_b}
 
 
 def train(
@@ -223,7 +217,7 @@ def train(
     rows = np.arange(min(batch_size, n))
 
     report = TrainReport()
-    report.initial_loss, _, _ = _loss_grads_arrays(work, x_train, y_train)
+    report.initial_loss, _, _ = loss_and_grads(work, x_train, y_train)
 
     step_count = 0
     try:
@@ -232,7 +226,7 @@ def train(
             x_epoch, y_epoch = x_train[perm], y_train[perm]
             epoch_losses = []
             for start in range(0, n, batch_size):
-                loss, _, _ = _loss_grads_arrays(
+                loss, _, _ = loss_and_grads(
                     work, x_epoch[start:start + batch_size], y_epoch[start:start + batch_size],
                     grad_w, grad_b, rows,
                 )
@@ -268,7 +262,7 @@ def train(
         for dst, src in zip(model.weights + model.biases, work.weights + work.biases):
             np.copyto(dst, src)
 
-    report.final_loss, _, _ = _loss_grads_arrays(model, x_train, y_train)
+    report.final_loss, _, _ = loss_and_grads(model, x_train, y_train)
     if not np.isfinite(report.final_loss):
         raise TrainingError(f"non-finite loss at epoch {config.epochs}")
     if report.final_loss >= report.initial_loss:

@@ -22,9 +22,7 @@ def default_dataset():
 
 
 def standardized_arrays(samples, stats):
-    x = np.stack([anomaly.standardize(s.features, stats) for s in samples])
-    y = np.array([int(s.label) for s in samples], dtype=np.int64)
-    return x, y
+    return anomaly.standardize(samples.features, stats), samples.label
 
 
 @pytest.fixture(scope="session")

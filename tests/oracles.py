@@ -3,10 +3,11 @@
 Everything here deliberately avoids the code paths it checks: brute-force
 enumeration and a linear scan for the allocator, central finite differences
 for the gradients, a per-layer Adam loop with fresh gradient arrays for
-training, a literal threshold-table scan for the CQI mapping, a
-per-UE loop of feature vectors and dict-based debounce state for the
-xApp's columns (it classifies with the xApp's one `forward_rows` call),
-a per-UE loop over Python floats, with one fault corruption per report,
+training, per-sample index lists for the stratified dataset split, a
+literal threshold-table scan for the CQI mapping, a per-UE loop of
+feature vectors and dict-based debounce state for the xApp's columns (it
+classifies with the xApp's one `forward_rows` call), a per-UE loop over
+Python floats, with one fault corruption per report,
 for the columnar simulator step, one add per cell for its interferer sums,
 and a t-SNE that allocates a fresh array for every intermediate, where
 `evaluation.tsne` writes into preallocated buffers. The network oracles
@@ -41,9 +42,9 @@ from rantwin.mlp import (
     TrainReport,
     _as_arrays,
     _forward_batch,
-    _loss_grads_arrays,
     _softmax,
     forward_rows,
+    loss_and_grads,
     model_digest,
     predict_batch,
 )
@@ -286,7 +287,7 @@ def finite_difference_grads(model: MlpModel, x: np.ndarray, y: np.ndarray, eps: 
     grad_b = [np.zeros_like(b) for b in model.biases]
 
     def loss_at():
-        loss, _, _ = _loss_grads_arrays(model, x, y)
+        loss, _, _ = loss_and_grads(model, x, y)
         return loss
 
     for l, w in enumerate(model.weights):
@@ -392,6 +393,39 @@ def reference_train(model: MlpModel, train_samples, test_samples, config: TrainC
         )
     report.final_model_hash = model_digest(model)
     return model, report
+
+
+def reference_split_dataset(data, train_fraction: float, seed: int):
+    """`anomaly.split_dataset` over a sequence of samples, one at a time:
+    index lists per class, a shuffled copy of each, and (train, test) lists
+    of samples in dataset order. It checks and warns about nothing."""
+    by_class = {}
+    for i, s in enumerate(data):
+        by_class.setdefault(int(s.label), []).append(i)
+
+    rng = np.random.default_rng(seed)
+    shuffled = {}
+    base = {}
+    for c in sorted(by_class):
+        idx = by_class[c]
+        shuffled[c] = [idx[j] for j in rng.permutation(len(idx))]
+        base[c] = int(math.floor(train_fraction * len(idx)))
+
+    deficit = int(math.floor(train_fraction * len(data))) - sum(base.values())
+    eligible = [
+        c
+        for c in sorted(by_class)
+        if len(by_class[c]) >= 2 and base[c] >= 1 and base[c] + 1 <= len(by_class[c]) - 1
+    ]
+    eligible.sort(key=lambda c: (-(train_fraction * len(by_class[c]) - base[c]), c))
+    for c in eligible[:max(0, deficit)]:
+        base[c] += 1
+
+    train_idx, test_idx = [], []
+    for c in sorted(by_class):
+        train_idx.extend(shuffled[c][: base[c]])
+        test_idx.extend(shuffled[c][base[c]:])
+    return [data[i] for i in sorted(train_idx)], [data[i] for i in sorted(test_idx)]
 
 
 @dataclass

@@ -230,12 +230,9 @@ def test_criterion_6_gradient_oracle():
             n = int(rng.integers(1, 8))
             x = rng.normal(0.0, 1.5, size=(n, 8))
             y = rng.integers(0, 4, size=n)
-            _, grads = mlp.loss_and_grads(model, list(zip(x, y)))
+            _, grad_w, grad_b = mlp.loss_and_grads(model, x, y)
             fd_w, fd_b = finite_difference_grads(model, x, y, eps=1e-5)
-            err = max(
-                max_relative_error(grads["weights"], fd_w),
-                max_relative_error(grads["biases"], fd_b),
-            )
+            err = max(max_relative_error(grad_w, fd_w), max_relative_error(grad_b, fd_b))
             assert err < 1e-4, f"instance {i}: max relative error {err}"
 
 

@@ -8,10 +8,10 @@ import pytest
 from rantwin import anomaly, ran_sim
 from rantwin import radio_model as rm
 from rantwin.anomaly import (
+    DATASET_DTYPE,
     AnomalyClass,
     FaultSpec,
     FeatureStats,
-    LabeledSample,
     default_fault_specs,
     extract_features,
     feature_matrix,
@@ -23,7 +23,21 @@ from rantwin.anomaly import (
 from rantwin.errors import ConfigurationError, DataFormatError, DomainError
 from rantwin.twin_engine import AllocationPlan
 
-from oracles import columns_of, cqi_table_scan, mk_batch, mk_report
+from oracles import columns_of, cqi_table_scan, mk_batch, mk_report, reference_split_dataset
+
+
+def dataset_of(labels, features=None):
+    """A dataset with these labels; sample i has ue_id i and tick 1."""
+    n = len(labels)
+    features = np.zeros((n, 8)) if features is None else np.asarray(features, dtype=np.float64)
+    return np.rec.fromarrays(
+        [features, np.asarray(labels), np.arange(n), np.ones(n)], dtype=DATASET_DTYPE
+    )
+
+
+def row_keys(samples):
+    """The (tick, ue_id) of every sample, in order."""
+    return [(int(s.tick), int(s.ue_id)) for s in samples]
 
 
 class TestAnomalyClass:
@@ -161,10 +175,15 @@ class TestGenerateDataset:
         assert len(default_dataset) == 2505
         assert counts == {0: 627, 1: 626, 2: 626, 3: 626}
 
-    def test_samples_own_their_features(self, default_dataset):
-        # a view into the tick's feature matrix would keep the whole matrix alive
-        assert all(s.features.base is None for s in default_dataset)
-        assert {s.features.shape for s in default_dataset} == {(8,)}
+    def test_one_record_array_in_report_order(self, default_dataset):
+        assert isinstance(default_dataset, np.recarray)
+        assert default_dataset.dtype == DATASET_DTYPE
+        assert default_dataset.features.shape == (2505, 8)
+        first = next(iter(default_dataset))
+        assert first.features.shape == (8,) and int(first.label) == default_dataset.label[0]
+        # strictly increasing (tick, ue_id): each sample is a distinct report
+        keys = row_keys(default_dataset)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_all_normal_mix(self):
         config = ran_sim.SimConfig(n_ues=10, n_ticks=120)
@@ -189,6 +208,12 @@ class TestGenerateDataset:
             generate_dataset(config, 10, (0.3, 0.3, 0.3, 0.3), default_fault_specs(), 1)
         with pytest.raises(ConfigurationError):
             generate_dataset(config, 0, (0.25,) * 4, default_fault_specs(), 1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mix_rejected(self, bad):
+        config = ran_sim.SimConfig(n_ues=5, n_ticks=50)
+        with pytest.raises(ConfigurationError, match="finite"):
+            generate_dataset(config, 10, (bad, 0.5, 0.5, 0.0), default_fault_specs(), 1)
 
     def test_horizon_too_short_raises(self):
         config = ran_sim.SimConfig(n_ues=5, n_ticks=25)
@@ -229,12 +254,10 @@ class TestSplitDataset:
         assert not set(map(key, train)) & set(map(key, test))
 
     def test_degenerate_one_sample_per_class(self, caplog):
-        data = [
-            LabeledSample(np.zeros(8), AnomalyClass(c), ue_id=c, tick=1) for c in range(4)
-        ]
+        data = dataset_of(range(4))
         with caplog.at_level(logging.WARNING):
             train, test = split_dataset(data, 0.5, seed=1)
-        assert train == []
+        assert len(train) == 0
         assert len(test) == 4
         assert any("degenerate" in r.message for r in caplog.records)
 
@@ -245,11 +268,37 @@ class TestSplitDataset:
         assert [(s.tick, s.ue_id) for s in a[1]] == [(s.tick, s.ue_id) for s in b[1]]
 
     def test_bad_fraction(self):
-        data = [LabeledSample(np.zeros(8), AnomalyClass.NORMAL, 0, 1)] * 4
         with pytest.raises(DomainError):
-            split_dataset(data, 1.0, seed=1)
+            split_dataset(dataset_of([0] * 4), 1.0, seed=1)
         with pytest.raises(DomainError):
-            split_dataset([], 0.5, seed=1)
+            split_dataset(dataset_of([]), 0.5, seed=1)
+
+    def _assert_matches_reference(self, data, fraction, seed):
+        train, test = split_dataset(data, fraction, seed)
+        ref_train, ref_test = reference_split_dataset(data, fraction, seed)
+        assert row_keys(train) == row_keys(ref_train)
+        assert row_keys(test) == row_keys(ref_test)
+
+    def test_default_split_matches_reference(self, default_dataset):
+        self._assert_matches_reference(default_dataset, 0.8, 13)
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.37, 0.5, 0.9])
+    def test_matches_reference_over_seeds(self, default_dataset, fraction):
+        for seed in (0, 1, 99):
+            self._assert_matches_reference(default_dataset, fraction, seed)
+
+    def test_small_classes_match_reference_and_warn(self, caplog):
+        # RsrpError has 1 sample and RsrqError floor(0.3 * 2) = 0 train rows
+        labels = [0] * 9 + [1] + [2] * 2 + [3] * 5
+        data = dataset_of(np.random.default_rng(3).permutation(labels))
+        for seed in range(5):
+            self._assert_matches_reference(data, 0.3, seed)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                train, _ = split_dataset(data, 0.3, seed)
+            assert len(train) == 5
+            assert any("degenerate" in r.message and "['RsrpError', 'RsrqError']" in r.message
+                       for r in caplog.records)
 
 
 class TestStandardize:
@@ -270,14 +319,15 @@ class TestStandardize:
         assert np.array_equal(standardize(np.arange(8.0), stats), np.zeros(8))
 
     def test_constant_feature_warns_and_uses_unit_std(self, caplog):
-        rows = [
-            LabeledSample(np.array([1.0, i, i, i, i, i, 0.5, 2.0]), AnomalyClass.NORMAL, 0, i)
-            for i in range(5)
-        ]
+        rows = dataset_of([0] * 5, [[1.0, i, i, i, i, i, 0.5, 2.0] for i in range(5)])
         with caplog.at_level(logging.WARNING):
             stats = FeatureStats.from_samples(rows)
         assert stats.std[0] == 1.0
         assert any("constant feature" in r.message for r in caplog.records)
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(DomainError, match="empty"):
+            FeatureStats.from_samples(dataset_of([]))
 
 
 class TestCsvRoundTrip:
@@ -289,6 +339,32 @@ class TestCsvRoundTrip:
         for a, b in zip(default_dataset[:100], again):
             assert a.label == b.label and a.ue_id == b.ue_id and a.tick == b.tick
             assert np.allclose(a.features, b.features, rtol=1e-9, atol=1e-12)
+
+    def test_write_read_write_is_byte_identical(self, tmp_path, default_dataset):
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        anomaly.write_dataset_csv(default_dataset, p1)
+        first = anomaly.read_dataset_csv(p1)
+        anomaly.write_dataset_csv(first, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        again = anomaly.read_dataset_csv(p2)
+        assert first.dtype == again.dtype == DATASET_DTYPE
+        for name in DATASET_DTYPE.names:
+            assert np.array_equal(again[name], first[name])
+        for name in ("label", "ue_id", "tick"):
+            assert np.array_equal(first[name], default_dataset[name])
+
+    def test_header_only_reads_empty_dataset(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(anomaly.DATASET_HEADER + "\n")
+        data = anomaly.read_dataset_csv(path)
+        assert len(data) == 0 and data.dtype == DATASET_DTYPE
+        assert data.features.shape == (0, 8)
+
+    def test_int64_overflow_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(anomaly.DATASET_HEADER + "\n" + f"-90,-3,10,9,1,1,0.1,2,0,{2**63},5\n")
+        with pytest.raises(DataFormatError, match="line 2: ue_id or tick outside int64"):
+            anomaly.read_dataset_csv(path)
 
     def test_write_is_deterministic(self, tmp_path, default_dataset):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

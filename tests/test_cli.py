@@ -27,6 +27,15 @@ class TestGenDataset:
         assert rc == 2
         assert "n_samples must be positive" in capsys.readouterr().err
 
+    def test_nan_class_mix_exits_2_and_records_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        rc = main(["gen-dataset", "--out", str(out), "--class-mix", "nan,0.5,0.5,0"])
+        assert rc == 2
+        assert "class_mix fractions must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
+        assert manifest["error"].startswith("ConfigurationError: class_mix fractions")
+
     def test_small_run_row_count_and_manifest(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = main(["gen-dataset", "--out", str(out), "--n-samples", "80", "--seed", "3"])
@@ -258,12 +267,9 @@ class TestEval:
         model = mlp.load_model(trained["model"])
         stats = anomaly.read_stats_csv(trained["stats"])
         samples = anomaly.read_dataset_csv(trained["dataset"])
-        x = np.stack([anomaly.standardize(s.features, stats) for s in samples])
-        predicted = np.argmax(mlp.forward_rows(model, x), axis=1)
-        relabeled = [
-            anomaly.LabeledSample(s.features, anomaly.AnomalyClass(int(c)), s.ue_id, s.tick)
-            for s, c in zip(samples, predicted)
-        ]
+        x = anomaly.standardize(samples.features, stats)
+        relabeled = samples.copy()
+        relabeled.label = np.argmax(mlp.forward_rows(model, x), axis=1)
         dataset = tmp_path / "relabel.csv"
         anomaly.write_dataset_csv(relabeled, dataset)
         out = tmp_path / "eval"

@@ -178,7 +178,7 @@ class TestLossAndGrads:
     def test_uniform_model_loss_is_ln4(self):
         rng = np.random.default_rng(3)
         x, y = random_batch(rng, 10)
-        loss, _ = loss_and_grads(zero_model([16, 16]), list(zip(x, y)))
+        loss, _, _ = loss_and_grads(zero_model([16, 16]), x, y)
         assert loss == pytest.approx(math.log(4.0), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -186,39 +186,44 @@ class TestLossAndGrads:
         rng = np.random.default_rng(4)
         model = init_model([5], seed=5)
         x, y = random_batch(rng, 6)
-        _, grads = loss_and_grads(model, list(zip(x, y)))
+        _, grad_w, grad_b = loss_and_grads(model, x, y)
         fd_w, fd_b = finite_difference_grads(model, x, y, eps=1e-5)
-        assert max_relative_error(grads["weights"], fd_w) < 1e-4
-        assert max_relative_error(grads["biases"], fd_b) < 1e-4
+        assert max_relative_error(grad_w, fd_w) < 1e-4
+        assert max_relative_error(grad_b, fd_b) < 1e-4
 
     def test_duplicated_batch_invariance(self):
         rng = np.random.default_rng(5)
         model = init_model([6], seed=6)
         x, y = random_batch(rng, 4)
-        batch = list(zip(x, y))
-        loss1, g1 = loss_and_grads(model, batch)
-        loss2, g2 = loss_and_grads(model, batch + batch)
+        loss1, g1, _ = loss_and_grads(model, x, y)
+        loss2, g2, _ = loss_and_grads(model, np.concatenate([x, x]), np.concatenate([y, y]))
         assert loss1 == pytest.approx(loss2, rel=1e-12)
-        for a, b in zip(g1["weights"], g2["weights"]):
+        for a, b in zip(g1, g2):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         model = init_model([6], seed=7)
         x, y = random_batch(rng, 8)
-        batch = list(zip(x, y))
-        perm = [batch[i] for i in rng.permutation(8)]
-        loss1, g1 = loss_and_grads(model, batch)
-        loss2, g2 = loss_and_grads(model, perm)
+        perm = rng.permutation(8)
+        loss1, _, g1 = loss_and_grads(model, x, y)
+        loss2, _, g2 = loss_and_grads(model, x[perm], y[perm])
         assert loss1 == pytest.approx(loss2, rel=1e-12)
-        for a, b in zip(g1["biases"], g2["biases"]):
+        for a, b in zip(g1, g2):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
-    def test_bad_label_rejected(self):
-        with pytest.raises(DomainError):
-            loss_and_grads(zero_model(), [(np.zeros(8), 4)])
-        with pytest.raises(DomainError):
-            loss_and_grads(zero_model(), [])
+    def test_writes_into_given_buffers(self):
+        rng = np.random.default_rng(7)
+        model = init_model([6, 5], seed=8)
+        x, y = random_batch(rng, 5)
+        loss, fresh_w, fresh_b = loss_and_grads(model, x, y)
+        grad_w = [np.full(w.shape, np.nan) for w in model.weights]
+        grad_b = [np.full(b.shape, np.nan) for b in model.biases]
+        again, out_w, out_b = loss_and_grads(model, x, y, grad_w, grad_b, np.arange(32))
+        assert again == loss
+        assert all(a is b for a, b in zip(out_w + out_b, grad_w + grad_b))
+        for a, b in zip(grad_w + grad_b, fresh_w + fresh_b):
+            assert np.array_equal(a, b)
 
 
 class TestPredict:
@@ -306,6 +311,14 @@ class TestTrain:
                 init_model([8], seed=6), train_set, test_set,
                 TrainConfig(epochs=5, learning_rate=1e18, seed=7),
             )
+
+    def test_bad_label_rejected(self):
+        pairs = [(np.zeros(8), 0), (np.ones(8), 1)]
+        for bad in (4, -1):
+            with pytest.raises(DomainError, match=f"label code {bad} outside 0..3"):
+                train(zero_model(), [*pairs, (np.zeros(8), bad)], pairs, TrainConfig(epochs=1))
+            with pytest.raises(DomainError, match=f"label code {bad} outside 0..3"):
+                train(zero_model(), pairs, [(np.zeros(8), bad)], TrainConfig(epochs=1))
 
     def test_empty_side_rejected(self):
         rng = np.random.default_rng(15)
