@@ -80,8 +80,9 @@ class FaultSpec:
     def __post_init__(self):
         if self.cls == AnomalyClass.NORMAL:
             raise DomainError("FaultSpec class must be one of the error classes")
-        if self.jitter_db < 0:
-            raise DomainError(f"jitter_db must be >= 0, got {self.jitter_db}")
+        # inject_faults would turn a non-finite jitter into NaN offsets
+        if not 0 <= self.jitter_db < math.inf:
+            raise DomainError(f"jitter_db must be finite and >= 0, got {self.jitter_db}")
         if self.duration_ticks < 1:
             raise DomainError(f"duration_ticks must be >= 1, got {self.duration_ticks}")
 
@@ -107,10 +108,12 @@ def inject_faults(
     """
     if not specs:
         return channel
-    # A scalar uniform(-j, j) is the double of the array call's entry.
-    delta = np.array(
-        [spec.offset_db + rng.uniform(-spec.jitter_db, spec.jitter_db) for spec in specs]
-    )
+    # Generator.uniform(-j, j) draws -j + (j - -j) * random(), one by one
+    u = rng.random(len(specs)).tolist()
+    delta = np.array([
+        spec.offset_db + (-spec.jitter_db + (spec.jitter_db - -spec.jitter_db) * x)
+        for spec, x in zip(specs, u)
+    ])
     faults_of = {}  # class -> indices into specs, in order
     for k, spec in enumerate(specs):
         faults_of.setdefault(spec.cls, []).append(k)
@@ -224,8 +227,8 @@ def generate_dataset(
     """Run the simulator with the twin in the loop and harvest labeled samples.
 
     Faults are started at (tick, ue) slots drawn from the dataset generator so
-    that a few UEs per error class are faulted at any time; candidate samples
-    are pooled per class and subsampled to the exact largest-remainder class
+    that a few UEs per error class are faulted at any time; each class's first
+    4 * quota + 8 reports are subsampled to the exact largest-remainder class
     counts. Returns a DATASET_DTYPE record array sorted by (tick, ue_id).
     """
     if n_samples <= 0:
@@ -237,67 +240,63 @@ def generate_dataset(
     if abs(sum(class_mix) - 1.0) > 1e-9:
         raise ConfigurationError(f"class_mix must sum to 1, got {sum(class_mix)}")
 
-    quotas = dict(zip(AnomalyClass, largest_remainder_counts(n_samples, class_mix)))
+    quotas = largest_remainder_counts(n_samples, class_mix)
     rng = np.random.default_rng(seed)
     state = ran_sim.init_sim(config)
     # Enough concurrently faulted UEs per class to fill error quotas quickly,
     # while most of the population stays clean.
     concurrent = max(1, config.n_ues // 12)
-
-    # per class, one (ticks, features, ue_ids) block of rows per sampled tick
-    pools: dict[AnomalyClass, list[tuple]] = {c: [] for c in AnomalyClass}
-    n_pooled = dict.fromkeys(AnomalyClass, 0)
     error_classes = [c for c in AnomalyClass if c != AnomalyClass.NORMAL and quotas[c] > 0]
 
+    ticks, labels, features = [], [], []  # per sampled tick: its tick, (U,), (U, 8)
+    n_rows = [0] * N_CLASSES  # harvested rows per class
     for _ in range(config.n_ticks):
         sampling = state.tick + 1 > WARMUP_TICKS
         if sampling:
-            active = dict.fromkeys(error_classes, 0)
-            for fault in state.faults.values():
-                if fault.spec.cls in active:
-                    active[fault.spec.cls] += 1
-            idle = sorted(set(range(config.n_ues)).difference(state.faults))
-            for c in error_classes:
-                while active[c] < concurrent and idle:
-                    pick = int(rng.integers(0, len(idle)))
-                    ue_id = idle.pop(pick)
-                    ran_sim.set_fault(state, ue_id, fault_defaults[c])
-                    active[c] += 1
+            # every fault in the set is live on the next tick; row i is ue_id i
+            label = np.zeros(config.n_ues, dtype=np.int64)
+            label[list(state.faults)] = [fault.spec.cls for fault in state.faults.values()]
+            active = np.bincount(label, minlength=N_CLASSES).tolist()
+            if any(active[c] < concurrent for c in error_classes):
+                idle = sorted(set(range(config.n_ues)).difference(state.faults))
+                for c in error_classes:
+                    while active[c] < concurrent and idle:
+                        ue_id = idle.pop(int(rng.integers(0, len(idle))))
+                        ran_sim.set_fault(state, ue_id, fault_defaults[c])
+                        label[ue_id] = c
+                        active[c] += 1
+                        active[AnomalyClass.NORMAL] -= 1
 
-        # every fault in the set is live on the next tick; row i is ue_id i
-        labels = np.zeros(config.n_ues, dtype=np.int64)
-        for ue_id, fault in state.faults.items():
-            labels[ue_id] = fault.spec.cls
         state, reports, _ = ran_sim.step(state)
         plan, predicted_mbps, _ = twin_engine.twin_tick(reports, state.cells, config.link)
         if sampling:
-            x = feature_matrix(reports, predicted_mbps, plan)
-            for c in AnomalyClass:
-                rows = np.flatnonzero(labels == c)[:4 * quotas[c] + 8 - n_pooled[c]]
-                pools[c].append((np.full(len(rows), reports.tick), x[rows], reports.ue_id[rows]))
-                n_pooled[c] += len(rows)
+            ticks.append(reports.tick)
+            labels.append(label)
+            features.append(feature_matrix(reports, predicted_mbps, plan))
+            n_rows = [n + a for n, a in zip(n_rows, active)]
         ran_sim.apply_allocation(state, plan, config.link)
-        if all(n_pooled[c] >= quotas[c] for c in AnomalyClass):
+        if all(n >= q for n, q in zip(n_rows, quotas)):
             break
 
-    short = {CLASS_NAMES[c]: quotas[c] - n_pooled[c] for c in AnomalyClass if n_pooled[c] < quotas[c]}
+    short = {CLASS_NAMES[c]: quotas[c] - n_rows[c] for c in AnomalyClass if n_rows[c] < quotas[c]}
     if short:
         raise ConfigurationError(
             f"simulation horizon too short to fill class quotas (missing {short}); "
             "increase n_ticks or n_ues"
         )
 
-    selected = []  # per class, its (features, label, ue_id, tick) columns
+    # row r of the harvest is UE r % U's report of the (r // U)-th sampled tick
+    labels = np.concatenate(labels)
+    picked = []
     for c in AnomalyClass:
-        picks = np.sort(rng.permutation(n_pooled[c])[: quotas[c]])
-        # every sampled tick left a block, so no class's pool is an empty list
-        ticks, features, ue_ids = (np.concatenate(column) for column in zip(*pools[c]))
-        selected.append((features[picks], np.full(len(picks), int(c)), ue_ids[picks], ticks[picks]))
-    data = np.rec.fromarrays(
-        [np.concatenate(column) for column in zip(*selected)], dtype=DATASET_DTYPE
+        pool = np.flatnonzero(labels == c)[:4 * quotas[c] + 8]
+        picked.append(pool[rng.permutation(len(pool))[: quotas[c]]])
+    rows = np.sort(np.concatenate(picked))
+    tick_index, ue_id = np.divmod(rows, config.n_ues)
+    return np.rec.fromarrays(
+        [np.concatenate(features)[rows], labels[rows], ue_id, np.array(ticks)[tick_index]],
+        dtype=DATASET_DTYPE,
     )
-    # (tick, ue_id) names one report, so this order is total
-    return data[np.lexsort((data.ue_id, data.tick))]
 
 
 def split_dataset(

@@ -270,8 +270,9 @@ def silhouette(points: np.ndarray, labels) -> float:
     labels = np.asarray([int(v) for v in labels])
     if x.shape[0] != labels.shape[0]:
         raise DomainError("points and labels must have equal length")
-    classes = np.unique(labels)
-    if classes.size < 2:
+    # np.unique would import numpy.ma, about 1 MB, on its first call
+    classes = sorted(set(labels.tolist()))
+    if len(classes) < 2:
         raise DomainError("silhouette requires at least 2 distinct labels")
 
     d = _squared_distances(x)

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths it checks: brute-force
 enumeration and a linear scan for the allocator, central finite differences
 for the gradients, a per-layer Adam loop with fresh gradient arrays for
-training, per-sample index lists for the stratified dataset split, a
+training, per-class pools filled tick by tick for dataset generation,
+per-sample index lists for the stratified dataset split, a
 literal threshold-table scan for the CQI mapping, a per-UE loop of
 feature vectors and dict-based debounce state for the xApp's columns (it
 classifies with the xApp's one `forward_rows` call), a per-UE loop over
@@ -22,7 +23,17 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from rantwin import radio_model as rm
-from rantwin.anomaly import N_FEATURES, AnomalyClass, standardize
+from rantwin import ran_sim, twin_engine
+from rantwin.anomaly import (
+    CLASS_NAMES,
+    DATASET_DTYPE,
+    N_FEATURES,
+    WARMUP_TICKS,
+    AnomalyClass,
+    feature_matrix,
+    largest_remainder_counts,
+    standardize,
+)
 from rantwin.errors import ConfigurationError, NumericError, TrainingError
 from rantwin.evaluation import (
     _EPS,
@@ -426,6 +437,66 @@ def reference_split_dataset(data, train_fraction: float, seed: int):
         train_idx.extend(shuffled[c][: base[c]])
         test_idx.extend(shuffled[c][base[c]:])
     return [data[i] for i in sorted(train_idx)], [data[i] for i in sorted(test_idx)]
+
+
+def reference_generate_dataset(config, n_samples: int, class_mix, fault_defaults, seed: int):
+    """`anomaly.generate_dataset` with per-class pools: on every sampled tick,
+    each class's rows are cut to what its pool of 4 * quota + 8 rows still
+    lacks and appended as one block; the pools are concatenated, subsampled
+    and sorted by (tick, ue_id) at the end. The idle UEs are rebuilt, and the
+    labels written one fault at a time, on every sampled tick. It checks the
+    class mix not at all."""
+    quotas = dict(zip(AnomalyClass, largest_remainder_counts(n_samples, class_mix)))
+    rng = np.random.default_rng(seed)
+    state = ran_sim.init_sim(config)
+    concurrent = max(1, config.n_ues // 12)
+
+    pools = {c: [] for c in AnomalyClass}  # per class, one (ticks, features, ue_ids) per tick
+    n_pooled = dict.fromkeys(AnomalyClass, 0)
+    error_classes = [c for c in AnomalyClass if c != AnomalyClass.NORMAL and quotas[c] > 0]
+    for _ in range(config.n_ticks):
+        sampling = state.tick + 1 > WARMUP_TICKS
+        if sampling:
+            active = dict.fromkeys(error_classes, 0)
+            for fault in state.faults.values():
+                if fault.spec.cls in active:
+                    active[fault.spec.cls] += 1
+            idle = sorted(set(range(config.n_ues)).difference(state.faults))
+            for c in error_classes:
+                while active[c] < concurrent and idle:
+                    pick = int(rng.integers(0, len(idle)))
+                    ue_id = idle.pop(pick)
+                    ran_sim.set_fault(state, ue_id, fault_defaults[c])
+                    active[c] += 1
+
+        labels = np.zeros(config.n_ues, dtype=np.int64)
+        for ue_id, fault in state.faults.items():
+            labels[ue_id] = fault.spec.cls
+        state, reports, _ = ran_sim.step(state)
+        plan, predicted_mbps, _ = twin_engine.twin_tick(reports, state.cells, config.link)
+        if sampling:
+            x = feature_matrix(reports, predicted_mbps, plan)
+            for c in AnomalyClass:
+                rows = np.flatnonzero(labels == c)[:4 * quotas[c] + 8 - n_pooled[c]]
+                pools[c].append((np.full(len(rows), reports.tick), x[rows], reports.ue_id[rows]))
+                n_pooled[c] += len(rows)
+        ran_sim.apply_allocation(state, plan, config.link)
+        if all(n_pooled[c] >= quotas[c] for c in AnomalyClass):
+            break
+
+    short = {CLASS_NAMES[c]: quotas[c] - n_pooled[c] for c in AnomalyClass if n_pooled[c] < quotas[c]}
+    if short:
+        raise ConfigurationError(f"simulation horizon too short to fill class quotas (missing {short})")
+
+    selected = []  # per class, its (features, label, ue_id, tick) columns
+    for c in AnomalyClass:
+        picks = np.sort(rng.permutation(n_pooled[c])[: quotas[c]])
+        ticks, features, ue_ids = (np.concatenate(column) for column in zip(*pools[c]))
+        selected.append((features[picks], np.full(len(picks), int(c)), ue_ids[picks], ticks[picks]))
+    data = np.rec.fromarrays(
+        [np.concatenate(column) for column in zip(*selected)], dtype=DATASET_DTYPE
+    )
+    return data[np.lexsort((data.ue_id, data.tick))]
 
 
 @dataclass

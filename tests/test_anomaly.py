@@ -21,9 +21,18 @@ from rantwin.anomaly import (
     standardize,
 )
 from rantwin.errors import ConfigurationError, DataFormatError, DomainError
+from rantwin.radio_model import ChannelColumns
 from rantwin.twin_engine import AllocationPlan
 
-from oracles import columns_of, cqi_table_scan, mk_batch, mk_report, reference_split_dataset
+from oracles import (
+    columns_of,
+    cqi_table_scan,
+    mk_batch,
+    mk_report,
+    reference_generate_dataset,
+    reference_split_dataset,
+)
+from oracles import inject_fault as oracle_inject_fault
 
 
 def dataset_of(labels, features=None):
@@ -110,6 +119,65 @@ class TestInjectFault:
         b = inject_fault(ch, spec, np.random.default_rng(4))
         assert a == b
         assert -113.0 <= a.rsrp_dbm <= -107.0
+
+
+class TestOneJitterDraw:
+    """`inject_faults` draws every fault's jitter with one `rng.random(k)`.
+    The offsets must be the doubles of one scalar `uniform(-j, j)` per fault,
+    in order, and leave the generator where those calls leave it: a numpy
+    whose `uniform` fuses `low + range * u` into one FMA fails here."""
+
+    def _specs(self, k, seed, jitter_db=None):
+        """k faults of mixed classes. Every offset is below -jitter, so a
+        corrupted RSRQ of 0 dB stays below 0 and is not clipped."""
+        rng = np.random.default_rng([k, seed])
+        specs = []
+        for i in range(k):
+            cls = AnomalyClass(1 + (i + seed) % 3)
+            jitter = float(rng.uniform(0.0, 4.0)) if jitter_db is None else jitter_db
+            specs.append(FaultSpec(cls, -jitter - float(rng.uniform(0.5, 30.0)), jitter, 10))
+        return specs
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("jitter_db", [None, 0.0, 3.0])
+    @pytest.mark.parametrize("k", [1, 3, 12, 500])
+    def test_offsets_and_state_equal_scalar_uniforms(self, k, jitter_db, seed):
+        specs = self._specs(k, seed, jitter_db)
+        n = 2 * k + 3
+        rows = sorted(np.random.default_rng(seed).choice(n, size=k, replace=False).tolist())
+        zero = np.zeros(n)
+        channel = ChannelColumns(zero, zero, zero, zero, np.zeros(n, dtype=np.int64))
+        ours, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        reported = inject_faults(channel, rows, specs, ours)
+        expected = np.array([s.offset_db + scalar.uniform(-s.jitter_db, s.jitter_db) for s in specs])
+
+        column = {
+            AnomalyClass.RSRP_ERROR: reported.rsrp_dbm,
+            AnomalyClass.RSRQ_ERROR: reported.rsrq_db,
+            AnomalyClass.SINR_ERROR: reported.sinr_db,
+        }
+        # 0.0 + delta is delta, so each hit entry is the fault's delta
+        deltas = np.array([column[s.cls][row] for s, row in zip(specs, rows)])
+        assert deltas.tobytes() == expected.tobytes()
+        assert ours.bit_generator.state == scalar.bit_generator.state
+
+    def test_each_report_equals_its_scalar_corruption(self):
+        # the per-report oracle draws one scalar uniform per fault, in row order
+        reports = [mk_channel(rsrp=-90.0 - i, rsrq=-5.0 - i / 10, sinr=3.0 * i,
+                              cqi=cqi_table_scan(3.0 * i)) for i in range(12)]
+        specs = list(default_fault_specs().values()) * 4
+        ours, scalar = np.random.default_rng(21), np.random.default_rng(21)
+        got = inject_faults(columns_of(reports), list(range(12)), specs, ours)
+        assert [got.row(i) for i in range(12)] == [
+            oracle_inject_fault(ch, spec, scalar) for ch, spec in zip(reports, specs)
+        ]
+        assert ours.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("jitter_db", [float("inf"), float("nan"), -1.0])
+    def test_jitter_must_be_finite_and_non_negative(self, jitter_db):
+        with pytest.raises(DomainError, match="jitter_db"):
+            FaultSpec(AnomalyClass.RSRP_ERROR, -20.0, jitter_db, 10)
 
 
 class TestExtractFeatures:
@@ -234,6 +302,54 @@ class TestGenerateDataset:
                 assert s.features[0] < -140.0  # impossible without the fault
             else:
                 assert s.features[0] > -140.0
+
+
+class TestGenerateDatasetMatchesPools:
+    """`generate_dataset` harvests whole ticks and cuts each class's pool at
+    the end; the per-class pools of `reference_generate_dataset` cut it tick
+    by tick. The record arrays must be equal byte for byte."""
+
+    CASES = {
+        # id: (config, n_samples, class_mix, seed)
+        "defaults-seed0": (ran_sim.SimConfig(), 2505, (0.25,) * 4, 0),
+        "defaults-seed1": (ran_sim.SimConfig(), 2505, (0.25,) * 4, 1),
+        "defaults-seed2": (ran_sim.SimConfig(), 2505, (0.25,) * 4, 2),
+        "one-concurrent-fault": (ran_sim.SimConfig(n_ues=12, n_ticks=400), 200, (0.25,) * 4, 5),
+        "rsrq-fraction-0": (ran_sim.SimConfig(n_ues=24, n_ticks=400), 300, (0.4, 0.3, 0.0, 0.3), 2),
+        "normal-fraction-0": (ran_sim.SimConfig(n_ues=24, n_ticks=600), 90, (0.0, 0.3, 0.3, 0.4), 4),
+        "all-normal": (ran_sim.SimConfig(n_ues=10, n_ticks=120), 60, (1.0, 0.0, 0.0, 0.0), 3),
+        "normal-pool-capped": (ran_sim.SimConfig(n_ues=50, n_ticks=400), 400,
+                               (0.05, 0.3, 0.35, 0.3), 9),
+        "1000-ues-19-cells": (ran_sim.SimConfig(n_ues=1000, n_cells=19, n_ticks=60), 800,
+                              (0.25,) * 4, 1),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bytes_equal_the_pools(self, case):
+        config, n_samples, mix, seed = self.CASES[case]
+        args = (config, n_samples, mix, default_fault_specs(), seed)
+        ours, theirs = generate_dataset(*args), reference_generate_dataset(*args)
+        assert isinstance(ours, np.recarray) and ours.dtype == DATASET_DTYPE
+        assert ours.tobytes() == theirs.tobytes()
+
+    def test_capped_pool_case_caps_the_normal_pool(self):
+        # 20 Normal samples may come only from the first 4 * 20 + 8 = 88
+        # Normal rows, about two ticks' worth, while the error quotas take
+        # far longer to fill
+        config, n_samples, mix, seed = self.CASES["normal-pool-capped"]
+        data = generate_dataset(config, n_samples, mix, default_fault_specs(), seed)
+        normal = data.tick[data.label == AnomalyClass.NORMAL]
+        assert len(normal) == 20
+        assert normal.max() + 10 < data.tick.max()
+
+    def test_short_horizon_names_the_same_shortfall(self):
+        config = ran_sim.SimConfig(n_ues=12, n_ticks=30)
+        args = (config, 400, (0.25,) * 4, default_fault_specs(), 3)
+        with pytest.raises(ConfigurationError) as ours:
+            generate_dataset(*args)
+        with pytest.raises(ConfigurationError) as theirs:
+            reference_generate_dataset(*args)
+        assert str(ours.value).startswith(str(theirs.value))
 
 
 class TestSplitDataset:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +255,23 @@ class TestSilhouette:
                 continue
             s = silhouette(pts, labels)
             assert -1.0 <= s <= 1.0
+
+    def test_leaves_numpy_ma_unimported(self):
+        # numpy.ma holds about 1 MB, in the stage that sets the pipeline's
+        # peak memory; only a fresh process shows whether a call imports it
+        src = str(Path(evaluation.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from rantwin.evaluation import silhouette\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported before the call'\n"
+            "silhouette(np.arange(10.0).reshape(5, 2), [7, 7, -2, -2, 7])\n"
+            "assert 'numpy.ma' not in sys.modules, 'silhouette imported numpy.ma'\n"
+        )
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_matches_sklearn_reference(self):
         sklearn_metrics = pytest.importorskip("sklearn.metrics")
