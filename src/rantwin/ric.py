@@ -6,13 +6,16 @@ inference, and the remediation policy that closes the loop back into the RAN.
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import anomaly, mlp, ran_sim, twin_engine
-from .anomaly import AnomalyClass, FaultSpec, FeatureStats
+from .anomaly import N_CLASSES, AnomalyClass, FaultSpec, FeatureStats
 from .errors import ConfigurationError, DomainError, ProtocolError
 from .mlp import MlpModel
 from .ran_sim import ReportBatch, SimConfig, SimState
@@ -113,6 +116,20 @@ class RemediationPolicy:
     boost_factor: float = 2.0
     boost_duration_ticks: int = 100
 
+    def __post_init__(self):
+        if not (math.isfinite(self.boost_factor) and self.boost_factor > 1.0):
+            raise ConfigurationError(f"boost_factor must be finite and > 1, got {self.boost_factor}")
+        ticks = self.boost_duration_ticks
+        if isinstance(ticks, bool) or not isinstance(ticks, int) or ticks < 1:
+            raise ConfigurationError(f"boost_duration_ticks must be an integer >= 1, got {ticks!r}")
+        if AnomalyClass.NORMAL in self.handover_classes + self.boost_classes:
+            raise ConfigurationError("Normal is not an anomaly to remediate")
+        both = set(self.handover_classes) & set(self.boost_classes)
+        if both:
+            raise ConfigurationError(
+                f"classes {sorted(int(c) for c in both)} are in both handover_classes and boost_classes"
+            )
+
     def action_for(
         self, cause: AnomalyClass, rsrp_dbm: np.ndarray, serving_cell: int
     ) -> PrbBoost | ForceHandover | None:
@@ -135,6 +152,72 @@ class Detection:
     ue_id: int
     predicted: AnomalyClass
     probs: tuple[float, float, float, float]
+
+
+class Detections:
+    """Flagged rows as columns: `tick`, `ue_id` and the class `code` as int64
+    buffers and `probs` as a float64 buffer of N_CLASSES values per row, 56 B
+    a row. Iteration yields `Detection` rows; equality compares the columns
+    exactly."""
+
+    __slots__ = ("tick", "ue_id", "code", "probs")
+
+    def __init__(self):
+        self.tick = array("q")
+        self.ue_id = array("q")
+        self.code = array("q")
+        self.probs = array("d")
+
+    def append_tick(self, tick: int, ue_id: np.ndarray, code: np.ndarray, probs: np.ndarray) -> None:
+        """Append one tick's rows: (k,) ue_ids and class codes and their
+        (k, N_CLASSES) probabilities."""
+        k = len(ue_id)
+        if len(code) != k or probs.shape != (k, N_CLASSES):
+            raise DomainError(
+                f"{k} ue_ids need {k} class codes and ({k}, {N_CLASSES}) probabilities"
+            )
+        self.tick.extend(array("q", (tick,)) * k)
+        self.ue_id.frombytes(np.ascontiguousarray(ue_id, dtype=np.int64).tobytes())
+        self.code.frombytes(np.ascontiguousarray(code, dtype=np.int64).tobytes())
+        self.probs.frombytes(np.ascontiguousarray(probs, dtype=np.float64).tobytes())
+
+    def extend(self, other: Detections) -> None:
+        self.tick.extend(other.tick)
+        self.ue_id.extend(other.ue_id)
+        self.code.extend(other.code)
+        self.probs.extend(other.probs)
+
+    def rows(self):
+        """(tick, ue_id, code, p_0, ..., p_{N_CLASSES-1}) of every row, as
+        Python scalars."""
+        p = iter(self.probs)
+        return zip(self.tick, self.ue_id, self.code, *[p] * N_CLASSES)
+
+    def __len__(self) -> int:
+        return len(self.tick)
+
+    def __iter__(self):
+        p = iter(self.probs)
+        return map(
+            Detection,
+            self.tick,
+            self.ue_id,
+            map(_CLASS_BY_CODE.__getitem__, self.code),
+            zip(*[p] * N_CLASSES),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Detections):
+            return NotImplemented
+        return (
+            self.tick == other.tick
+            and self.ue_id == other.ue_id
+            and self.code == other.code
+            and self.probs == other.probs
+        )
+
+    def __repr__(self) -> str:
+        return f"<Detections of {len(self)} rows>"
 
 
 # Consecutive ticks a non-Normal prediction must repeat to fire an action,
@@ -176,7 +259,7 @@ class DtXapp:
 
     def on_indication(
         self, indication: Indication, weights=None
-    ) -> tuple[AllocationPlan, list[ControlAction], list[Detection]]:
+    ) -> tuple[AllocationPlan, list[ControlAction], Detections]:
         reports = indication.reports
         if self._ue_id is None:
             n = len(reports)
@@ -205,12 +288,10 @@ class DtXapp:
         self._armed = self._armed & ~fire
 
         flagged = np.flatnonzero(~normal)
-        detections = [
-            Detection(indication.tick, ue_id, _CLASS_BY_CODE[c], tuple(p))
-            for ue_id, c, p in zip(
-                reports.ue_id[flagged].tolist(), code[flagged].tolist(), probs[flagged].tolist()
-            )
-        ]
+        detections = Detections()
+        detections.append_tick(
+            indication.tick, reports.ue_id[flagged], code[flagged], probs[flagged]
+        )
         actions: list[ControlAction] = []
         for i in np.flatnonzero(fire).tolist():
             cause = _CLASS_BY_CODE[code[i]]
@@ -271,7 +352,7 @@ class FaultEvent:
 @dataclass
 class EpisodeLog:
     n_ticks: int
-    detections: list[Detection] = field(default_factory=list)
+    detections: Detections = field(default_factory=Detections)
     actions: list[ControlAction] = field(default_factory=list)
     fault_events: list[FaultEvent] = field(default_factory=list)
 
@@ -393,21 +474,29 @@ def message_to_dict(message) -> dict:
     raise DomainError(f"not a bus message: {message!r}")
 
 
+# One detection line as json.dumps writes it: ints as %d, floats as repr.
+_DETECTION_LINE = (
+    '{"type": "detection", "tick": %d, "ue_id": %d, "predicted": %d, "probs": ['
+    + ", ".join(["%r"] * N_CLASSES)
+    + "]}\n"
+)
+# Detection lines formatted and written at a time, about 80 KB.
+_DETECTION_CHUNK_ROWS = 512
+
+
 def write_episode_jsonl(log: EpisodeLog, path) -> None:
+    """One JSON object per line: the detections, then the control actions,
+    then the fault events. The detection lines are formatted from the
+    columns in chunks of _DETECTION_CHUNK_ROWS; json.dumps would write the
+    same bytes, since every probability is finite."""
+    if not np.isfinite(np.frombuffer(log.detections.probs)).all():
+        raise DomainError("a detection has a non-finite probability")
     with open(path, "w", encoding="utf-8") as fh:
-        for det in log.detections:
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "detection",
-                        "tick": det.tick,
-                        "ue_id": det.ue_id,
-                        "predicted": int(det.predicted),
-                        "probs": list(det.probs),
-                    }
-                )
-                + "\n"
-            )
+        rows = log.detections.rows()
+        while chunk := "".join(
+            map(_DETECTION_LINE.__mod__, islice(rows, _DETECTION_CHUNK_ROWS))
+        ):
+            fh.write(chunk)
         for action in log.actions:
             fh.write(json.dumps(message_to_dict(action)) + "\n")
         for event in log.fault_events:

@@ -10,13 +10,15 @@ feature vectors and dict-based debounce state for the xApp's columns (it
 classifies with the xApp's one `forward_rows` call), a per-UE loop over
 Python floats, with one fault corruption per report,
 for the columnar simulator step, one add per cell for its interferer sums,
-and a t-SNE that allocates a fresh array for every intermediate, where
-`evaluation.tsne` writes into preallocated buffers. The network oracles
+a t-SNE that allocates a fresh array for every intermediate, where
+`evaluation.tsne` writes into preallocated buffers, and one `json.dumps`
+per detection row for the episode writer's `%r` template. The network oracles
 read reports one UE at a time, as `Report` objects; `mk_batch` and
 `report_rows` convert to and from a `ReportBatch`.
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 
@@ -61,7 +63,15 @@ from rantwin.mlp import (
 )
 from rantwin.radio_model import ChannelColumns, ChannelSample
 from rantwin.ran_sim import CellState, ReportBatch, TickKpis
-from rantwin.ric import CLEAR_TICKS, CONFIRM_TICKS, ControlAction, Detection, ForceHandover, PrbBoost
+from rantwin.ric import (
+    CLEAR_TICKS,
+    CONFIRM_TICKS,
+    ControlAction,
+    Detection,
+    ForceHandover,
+    PrbBoost,
+    message_to_dict,
+)
 from rantwin.twin_engine import per_prb_rate_mbps
 
 
@@ -568,6 +578,44 @@ def per_ue_on_indication(xapp, indication, debounce, weights=None):
                 actions.append(ControlAction(indication.tick, report.ue_id, kind, predicted))
             state.armed = False
     return grants, actions, detections
+
+
+def reference_write_episode_jsonl(log, path) -> None:
+    """`ric.write_episode_jsonl` with one `json.dumps` per line, the
+    detections read back as `Detection` rows."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for det in log.detections:
+            fh.write(
+                json.dumps(
+                    {
+                        "type": "detection",
+                        "tick": det.tick,
+                        "ue_id": det.ue_id,
+                        "predicted": int(det.predicted),
+                        "probs": list(det.probs),
+                    }
+                )
+                + "\n"
+            )
+        for action in log.actions:
+            fh.write(json.dumps(message_to_dict(action)) + "\n")
+        for event in log.fault_events:
+            fh.write(
+                json.dumps(
+                    {
+                        "type": "fault_event",
+                        "fault_id": event.fault_id,
+                        "ue_id": event.ue_id,
+                        "class": int(event.cls),
+                        "onset_tick": event.onset_tick,
+                        "baseline_mbps": event.baseline_mbps,
+                        "detect_tick": event.detect_tick,
+                        "action_tick": event.action_tick,
+                        "restore_tick": event.restore_tick,
+                    }
+                )
+                + "\n"
+            )
 
 
 def inject_fault(channel: ChannelSample, spec, rng: np.random.Generator) -> ChannelSample:

@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,11 @@ from rantwin.errors import ConfigurationError, DomainError, ProtocolError
 from rantwin.ran_sim import SimConfig
 from rantwin.ric import (
     ControlAction,
+    Detection,
+    Detections,
     DtXapp,
+    EpisodeLog,
+    FaultEvent,
     ForceHandover,
     Indication,
     MessageBus,
@@ -26,6 +33,7 @@ from oracles import (
     mk_cell,
     mk_report,
     per_ue_on_indication,
+    reference_write_episode_jsonl,
     report_rows,
     weight_array,
 )
@@ -115,7 +123,7 @@ class TestDtXapp:
         for t in range(1, 6):
             plan, actions, detections = xapp.on_indication(indication_for(t))
             assert actions == []
-            assert detections == []
+            assert list(detections) == []
             assert plan.grants
 
     def test_confirmation_fires_exactly_once_on_third_tick(self):
@@ -206,6 +214,71 @@ class TestRemediationPolicy:
         assert policy.action_for(AnomalyClass.RSRP_ERROR, np.array([-80.0]), 0) is None
         assert policy.action_for(AnomalyClass.SINR_ERROR, np.array([-80.0]), 0) == PrbBoost(2.0, 100)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"boost_factor": 0.5},
+        {"boost_factor": 1.0},
+        {"boost_factor": math.nan},
+        {"boost_factor": math.inf},
+        {"boost_duration_ticks": 0},
+        {"boost_duration_ticks": 2.5},
+        {"boost_duration_ticks": True},
+        {"handover_classes": (AnomalyClass.NORMAL, AnomalyClass.RSRP_ERROR)},
+        {"boost_classes": (AnomalyClass.NORMAL,)},
+        {"boost_classes": (AnomalyClass.SINR_ERROR, AnomalyClass.RSRQ_ERROR)},
+    ])
+    def test_invalid_policy_rejected_at_construction(self, kwargs):
+        # each would otherwise surface mid-episode, or let the boost silently
+        # win over the handover for a class listed in both tuples
+        with pytest.raises(ConfigurationError):
+            ric.RemediationPolicy(**kwargs)
+
+    def test_disjoint_classes_accepted(self):
+        policy = ric.RemediationPolicy(
+            handover_classes=(AnomalyClass.RSRP_ERROR,),
+            boost_classes=(AnomalyClass.SINR_ERROR, AnomalyClass.RSRQ_ERROR),
+            boost_factor=1.5, boost_duration_ticks=1,
+        )
+        assert policy.action_for(AnomalyClass.RSRQ_ERROR, np.array([-80.0]), 0) == PrbBoost(1.5, 1)
+
+
+class TestDetections:
+    def _ticks_4_to_6(self):
+        det = Detections()
+        det.append_tick(4, np.array([1, 7]), np.array([3, 1]),
+                        np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 1.0, 0.0, 0.0]]))
+        det.append_tick(5, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                        np.zeros((0, 4)))
+        det.append_tick(6, np.array([2]), np.array([2]), np.array([[5e-324, 0.25, 0.75, 0.0]]))
+        return det
+
+    def test_rows_read_back(self):
+        det = self._ticks_4_to_6()
+        assert len(det) == 3
+        assert list(det) == [
+            Detection(4, 1, AnomalyClass.SINR_ERROR, (0.1, 0.2, 0.3, 0.4)),
+            Detection(4, 7, AnomalyClass.RSRP_ERROR, (0.0, 1.0, 0.0, 0.0)),
+            Detection(6, 2, AnomalyClass.RSRQ_ERROR, (5e-324, 0.25, 0.75, 0.0)),
+        ]
+
+    def test_extend_and_column_equality(self):
+        det = self._ticks_4_to_6()
+        merged = Detections()
+        merged.extend(det)
+        assert merged == det
+        assert list(merged) == list(det)
+        merged.probs[-1] = 1e-300
+        assert merged != det
+        assert Detections() == Detections()
+        assert Detections() != det
+
+    def test_mismatched_columns_rejected(self):
+        det = Detections()
+        with pytest.raises(DomainError):
+            det.append_tick(1, np.array([1, 2]), np.array([1]), np.zeros((2, 4)))
+        with pytest.raises(DomainError):
+            det.append_tick(1, np.array([1]), np.array([1]), np.zeros((1, 3)))
+        assert len(det) == 0
+
 
 class TestBatchedXapp:
     def test_matches_per_ue_loop(self, pipeline):
@@ -233,7 +306,7 @@ class TestBatchedXapp:
             ref_grants, ref_actions, ref_detections = per_ue_on_indication(
                 looped, indication, debounce, weights
             )
-            assert detections == ref_detections
+            assert list(detections) == ref_detections
             assert actions == ref_actions
             assert plan.grants == ref_grants
             assert plan.grants == linear_scan_allocation(
@@ -307,7 +380,7 @@ class TestClosedLoop:
         log = closed_loop_run(config, constant_model(None), unit_stats(), [])
         assert log.fault_events == []
         assert log.actions == []
-        assert log.detections == []
+        assert list(log.detections) == []
         assert log.n_ticks == 30
 
     def test_deterministic(self, pipeline):
@@ -362,6 +435,24 @@ class TestClosedLoop:
         assert event.detection_latency_ticks() >= 0
         assert event.action_tick == event.detect_tick
 
+    def test_log_retains_columns_not_objects(self):
+        # every row flagged: 50 UEs x 200 ticks = 10,000 detections, which
+        # the log keeps in at most 100 B each (56 B of columns)
+        config = SimConfig(n_ues=50, n_ticks=200, seed=9)
+        model = constant_model(int(AnomalyClass.SINR_ERROR))
+        closed_loop_run(dataclasses.replace(config, n_ticks=5), model, unit_stats(), [])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = closed_loop_run(config, model, unit_stats(), [])
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log.detections) == 10_000
+        assert retained <= 100 * len(log.detections)
+
     def test_bad_schedule_rejected(self):
         config = SimConfig(n_cells=2, n_ues=4, n_ticks=20, seed=7)
         spec = anomaly.default_fault_specs()[AnomalyClass.SINR_ERROR]
@@ -413,3 +504,38 @@ class TestMessageSchema:
 
         rows = [_json.loads(line) for line in jsonl.read_text().splitlines()]
         assert {"detection", "fault_event"} <= {r["type"] for r in rows}
+        reference = tmp_path / "reference.jsonl"
+        reference_write_episode_jsonl(log, reference)
+        assert jsonl.read_bytes() == reference.read_bytes()
+
+    def test_episode_writer_matches_json_dumps(self, tmp_path):
+        # extreme probabilities, both action kinds, fault events with None
+        # ticks, and more detections than one write chunk
+        log = EpisodeLog(n_ticks=900)
+        probs = np.array([[5e-324, 1e-300, 0.1, 1.0], [1.0, 0.1, 1e-300, 5e-324],
+                          [0.25, 0.25, 0.25, 0.25]])
+        for tick in range(1, 401):
+            log.detections.append_tick(tick, np.array([0, tick, 2 * tick]), np.array([1, 2, 3]),
+                                       np.roll(probs, tick, axis=0))
+        assert len(log.detections) > ric._DETECTION_CHUNK_ROWS
+        log.actions = [
+            ControlAction(3, 0, ForceHandover(2), AnomalyClass.RSRP_ERROR),
+            ControlAction(5, 2, PrbBoost(2.0, 100), AnomalyClass.SINR_ERROR),
+        ]
+        log.fault_events = [
+            FaultEvent(0, 0, AnomalyClass.RSRP_ERROR, 1, 12.5, 3, 3, 9),
+            FaultEvent(1, 4, AnomalyClass.SINR_ERROR, 7, 0.1),
+            FaultEvent(2, 2, AnomalyClass.SINR_ERROR, 2, 5e-324, 5, 5, None),
+        ]
+        ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
+        ric.write_episode_jsonl(log, ours)
+        reference_write_episode_jsonl(log, reference)
+        assert ours.read_bytes() == reference.read_bytes()
+        assert ours.read_bytes().count(b"\n") == 1200 + 2 + 3
+
+    def test_episode_writer_rejects_non_finite_probabilities(self, tmp_path):
+        log = EpisodeLog(n_ticks=1)
+        log.detections.append_tick(1, np.array([0]), np.array([1]),
+                                   np.array([[0.0, np.nan, 0.0, 0.0]]))
+        with pytest.raises(DomainError):
+            ric.write_episode_jsonl(log, tmp_path / "episode.jsonl")
