@@ -23,6 +23,8 @@ EARLY_EXAGGERATION = 12.0
 # Entropy tolerance (nats) and step limit of the per-point bandwidth search.
 PERPLEXITY_TOL = 1e-5
 PERPLEXITY_MAX_STEPS = 50
+# Rows per block of the n x n passes, whose scratch has this many rows, not n.
+_BLOCK_ROWS = 64
 
 
 def accuracy(predictions, labels) -> float:
@@ -104,21 +106,18 @@ class Embedding2D:
     final_kl: float
 
 
-def _squared_distances(
-    x: np.ndarray, out: np.ndarray | None = None, gram: np.ndarray | None = None
-) -> np.ndarray:
-    """Pairwise squared distances, clipped at 0, with a zero diagonal.
-
-    Written into `out` when given; `gram`, shaped like `out`, then holds
-    2 x @ x.T on return. x @ x.T keeps its operands, so numpy calls the same
-    BLAS routine (syrk) with or without `gram`, and the elementwise steps
-    round the same wherever they write.
-    """
+def _squared_distances(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise squared distances, clipped at 0, with a zero diagonal, into `out`
+    if given. It first holds the gram g = x @ x.T (numpy's syrk call whatever
+    `out` is); sq_i + sq_j - 2g replaces g one row block at a time."""
     sq = (x * x).sum(axis=1)
-    g = np.matmul(x, x.T, out=gram)
-    np.multiply(2.0, g, out=g)
-    d2 = np.add(sq[:, None], sq[None, :], out=out)
-    np.subtract(d2, g, out=d2)
+    d2 = np.matmul(x, x.T, out=out)
+    rows = np.empty((min(_BLOCK_ROWS, len(sq)), len(sq)))
+    for start in range(0, len(sq), _BLOCK_ROWS):
+        g = d2[start:start + _BLOCK_ROWS]
+        np.multiply(2.0, g, out=g)
+        s = np.add(sq[start:start + _BLOCK_ROWS, None], sq[None, :], out=rows[:len(g)])
+        np.subtract(s, g, out=g)
     np.fill_diagonal(d2, 0.0)
     return np.maximum(d2, 0.0, out=d2)
 
@@ -172,33 +171,33 @@ def joint_probabilities(points: np.ndarray, perplexity: float) -> np.ndarray:
     return np.divide(p, 2.0 * x.shape[0], out=p)
 
 
-def _kl_divergence(p: np.ndarray, q: np.ndarray, scratch: np.ndarray) -> float:
-    """KL(P || Q) over the entries where P > 0; overwrites `scratch`.
-
-    The ratio and the product are taken over the whole matrix, each element
-    rounding as it would alone. The log and the sum run on the compressed
-    vector of the P > 0 entries, so the log sees the same contiguous input
-    and the sum keeps its pairwise tree.
-    """
-    mask = p > 0
-    ratio = np.maximum(q, _EPS, out=scratch)
-    np.divide(p, ratio, out=ratio)
-    log_ratio = ratio[mask]
-    np.log(log_ratio, out=log_ratio)
-    ratio[mask] = log_ratio
-    del log_ratio  # so that only one compressed vector is alive at a time
-    terms = np.multiply(p, ratio, out=ratio)
-    return float(terms[mask].sum())
-
-
-def _student_t_q(y: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Q = w / w.sum() into `q`, with w = 1 / (1 + |y_i - y_j|^2) and a zero
-    diagonal left in `w`."""
-    _squared_distances(y, out=w, gram=q)
-    np.add(1.0, w, out=w)
-    np.divide(1.0, w, out=w)
+def _student_t_kernel(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w = 1 / (1 + |y_i - y_j|^2) in place, with a zero diagonal."""
+    _squared_distances(y, out=w)
+    np.divide(1.0, np.add(1.0, w, out=w), out=w)
     np.fill_diagonal(w, 0.0)
-    return np.divide(w, w.sum(), out=q)
+    return w
+
+
+def _kl_divergence(p: np.ndarray, w: np.ndarray) -> float:
+    """KL(P || Q) over the entries where P > 0, with Q = w / w.sum(); overwrites w.
+
+    Q and then P / max(Q, eps) are formed in place in w. Each row block's
+    P > 0 terms are packed in row order at the front of w, short of the rows
+    of later blocks, so the sum runs over the vector P[P > 0] * log(...)
+    with its pairwise tree."""
+    q = np.divide(w, w.sum(), out=w)
+    ratio = np.divide(p, np.maximum(q, _EPS, out=q), out=q)
+    terms = w.reshape(-1)
+    end = 0
+    for start in range(0, len(p), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        kept = p[rows] > 0
+        block = ratio[rows][kept]
+        np.log(block, out=block)
+        terms[end:end + len(block)] = np.multiply(p[rows][kept], block, out=block)
+        end += len(block)
+    return float(terms[:end].sum())
 
 
 def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
@@ -225,27 +224,29 @@ def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
 
-    # Besides P, the descent keeps two n x n buffers, and P *
-    # EARLY_EXAGGERATION while exaggerating: w holds the Student-t kernel,
-    # and q holds y @ y.T, then Q, then (P - Q) * w with P exaggerated or not.
+    # Besides P, the descent keeps one n x n buffer, w: y @ y.T, the squared
+    # distances, the Student-t kernel, then (P - Q) * w. Q = w / w.sum() and
+    # P * EARLY_EXAGGERATION exist only as row blocks, in q_rows and p_rows.
     w = np.empty((n, n))
-    q = np.empty((n, n))
-    initial_kl = _kl_divergence(p, _student_t_q(y, w, q), w)
+    initial_kl = _kl_divergence(p, _student_t_kernel(y, w))
 
-    p_exaggerated = p * EARLY_EXAGGERATION if config.exaggeration_iters > 0 else None
+    q_rows, p_rows = np.empty((2, min(_BLOCK_ROWS, n), n))
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
     min_gain = 0.01
     for it in range(config.iterations):
         exaggerating = it < config.exaggeration_iters
-        if not exaggerating:
-            p_exaggerated = None
         momentum = MOMENTUM if exaggerating else FINAL_MOMENTUM
 
-        pq = _student_t_q(y, w, q)
-        np.subtract(p_exaggerated if exaggerating else p, pq, out=pq)
-        np.multiply(pq, w, out=pq)
-        grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
+        s = _student_t_kernel(y, w).sum()
+        for start in range(0, n, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            w_rows = w[block]
+            q = np.divide(w_rows, s, out=q_rows[:len(w_rows)])
+            p_eff = (np.multiply(p[block], EARLY_EXAGGERATION, out=p_rows[:len(w_rows)])
+                     if exaggerating else p[block])
+            np.multiply(np.subtract(p_eff, q, out=q), w_rows, out=w_rows)
+        grad = 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
 
         same_sign = (grad > 0) == (velocity > 0)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)
@@ -256,8 +257,7 @@ def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
         if not np.isfinite(y).all():
             raise NumericError(f"non-finite embedding at iteration {it + 1}")
 
-    p_exaggerated = None  # freed before the final KL if exaggeration lasted to the end
-    final_kl = _kl_divergence(p, _student_t_q(y, w, q), w)
+    final_kl = _kl_divergence(p, _student_t_kernel(y, w))
     return Embedding2D(points=y, initial_kl=initial_kl, final_kl=final_kl)
 
 

@@ -45,10 +45,6 @@ def _prb_rate_mbps(spectral_efficiency, params: LinkBudgetParams):
     return params.prb_bandwidth_hz * spectral_efficiency / 1e6
 
 
-def per_prb_rate_mbps(sinr_db: float, cqi: int, params: LinkBudgetParams) -> float:
-    return _prb_rate_mbps(radio_model.spectral_efficiency_bps_hz(sinr_db, cqi), params)
-
-
 def allocate_prbs(
     reports: "ReportBatch",
     cells: Sequence["CellState"],

@@ -72,7 +72,6 @@ from rantwin.ric import (
     PrbBoost,
     message_to_dict,
 )
-from rantwin.twin_engine import per_prb_rate_mbps
 
 
 # The vectorized link math calls numpy's hypot, log10, power and log2; the
@@ -252,6 +251,11 @@ def allocation_objective(grants, reports, params):
         )
         total += report.priority * min(g * rate, report.demand_mbps)
     return total
+
+
+def per_prb_rate_mbps(sinr_db: float, cqi: int, params) -> float:
+    """The rate one PRB carries (Mbps) at one report's SINR and CQI."""
+    return params.prb_bandwidth_hz * rm.spectral_efficiency_bps_hz(sinr_db, cqi) / 1e6
 
 
 def linear_scan_allocation(reports, cells, params, weights=None):

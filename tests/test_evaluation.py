@@ -168,7 +168,9 @@ class TestTsneMatchesReference:
     """The preallocated descent runs every IEEE operation of the reference,
     in the same order, so the two agree to the bit."""
 
-    @pytest.mark.parametrize("n, perplexity", [(8, 2.0), (40, 8.0), (150, 30.0)])
+    # 64 points are one row block of the descent, 129 end in a block of one row
+    @pytest.mark.parametrize("n, perplexity",
+                             [(8, 2.0), (40, 8.0), (64, 15.0), (129, 30.0), (150, 30.0)])
     @pytest.mark.parametrize("exaggeration_iters", [0, 25, 60, 80])
     def test_bit_identical(self, n, perplexity, exaggeration_iters):
         rng = np.random.default_rng(n)
@@ -185,7 +187,7 @@ class TestTsneMatchesReference:
 
     def test_silhouette_distances_unchanged(self, monkeypatch):
         rng = np.random.default_rng(14)
-        for n in (8, 40, 150):
+        for n in (8, 40, 64, 129, 150):
             pts = rng.normal(0, 5, size=(n, 2))
             labels = rng.integers(0, 3, size=n)
             ours = silhouette(pts, labels)
@@ -217,6 +219,35 @@ class TestTsneMemory:
         finally:
             tracemalloc.stop()
         assert peak - held <= 5 * n * n * 8 + self.SLACK_BYTES
+
+    # At the CLI's 501 test points: P, one n x n buffer and row-block scratch.
+    @pytest.mark.parametrize("exaggeration_iters", [0, 30])
+    def test_peak_at_cli_size_under_three_and_a_half_n_by_n(self, exaggeration_iters):
+        n = 501
+        x = np.random.default_rng(17).normal(0, 1, size=(n, 4))
+        config = TsneConfig(perplexity=30.0, iterations=40,
+                            exaggeration_iters=exaggeration_iters, seed=18)
+        assert traced_peak(tsne, x, config) <= 3.5 * n * n * 8 + self.SLACK_BYTES
+
+    def test_silhouette_peak_under_one_and_a_half_n_by_n(self):
+        n = 501
+        rng = np.random.default_rng(19)
+        points = rng.normal(0, 5, size=(n, 2))
+        assert traced_peak(silhouette, points, rng.integers(0, 4, size=n)) <= 1.5 * n * n * 8
+
+
+def traced_peak(call, *args) -> int:
+    """Bytes traced by tracemalloc at the peak of call(*args), beyond those
+    held when it started."""
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held
 
 
 class TestSilhouette:

@@ -32,6 +32,7 @@ from oracles import (
     mk_batch,
     mk_cell,
     mk_report,
+    per_prb_rate_mbps,
     per_ue_on_indication,
     reference_write_episode_jsonl,
     report_rows,
@@ -345,7 +346,7 @@ class TestApplyControl:
     def test_boost_raises_contended_grant(self):
         # two equal UEs share one 10-PRB cell; boosting one must not shrink
         # its grant, and the boost wins it the whole cell
-        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, LINK)
+        per_prb = per_prb_rate_mbps(30.0, 15, LINK)
         reports = [
             mk_report(ue_id=0, cqi=15, sinr=30.0, demand=20 * per_prb, priority=2),
             mk_report(ue_id=1, cqi=15, sinr=30.0, demand=20 * per_prb, priority=2),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rantwin import radio_model, twin_engine
+from rantwin import radio_model
 from rantwin.errors import DomainError
 from rantwin.radio_model import LinkBudgetParams
 from rantwin.twin_engine import allocate_prbs, twin_tick
@@ -16,6 +16,7 @@ from oracles import (
     mk_batch,
     mk_cell,
     mk_report,
+    per_prb_rate_mbps,
     ulps_apart,
     weight_array,
 )
@@ -36,7 +37,7 @@ class TestPredictThroughput:
         assert predicted == 0.0
 
     def test_cqi_zero_is_zero_regardless_of_sinr(self):
-        assert twin_engine.per_prb_rate_mbps(35.0, 0, PARAMS) == 0.0
+        assert per_prb_rate_mbps(35.0, 0, PARAMS) == 0.0
         assert predicted_mbps(mk_report(sinr=35.0, cqi=0, demand=1e9), 25) == (0, 0.0)
 
     def test_hand_evaluated_example(self):
@@ -58,7 +59,7 @@ class TestAllocatePrbs:
 
     def test_priority_dominance(self):
         # equal channel and demand; the priority-4 UE is served first
-        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        per_prb = per_prb_rate_mbps(30.0, 15, PARAMS)
         demand = 8 * per_prb
         reports = [
             mk_report(ue_id=0, cqi=15, sinr=30.0, demand=demand, priority=4),
@@ -86,7 +87,7 @@ class TestAllocatePrbs:
 
     def test_no_grants_beyond_demand(self):
         # tiny demand: leftover PRBs must not be dumped on satisfied UEs
-        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        per_prb = per_prb_rate_mbps(30.0, 15, PARAMS)
         reports = [mk_report(ue_id=0, cqi=15, sinr=30.0, demand=1.5 * per_prb)]
         plan = allocate_prbs(mk_batch(reports), [mk_cell(total_prbs=10)], PARAMS)
         assert plan.grants[0] == 2
@@ -98,7 +99,7 @@ class TestAllocatePrbs:
 
     def test_duplicate_ue_rejected(self):
         # two reports for one UE would otherwise both enter the cell's heap
-        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        per_prb = per_prb_rate_mbps(30.0, 15, PARAMS)
         reports = [
             mk_report(ue_id=0, cqi=15, sinr=30.0, demand=per_prb),
             mk_report(ue_id=1, cqi=15, sinr=30.0, demand=20 * per_prb),
@@ -162,7 +163,7 @@ class TestHeapMatchesLinearScan:
         assert all(count > 0 for count in covered.values()), covered
 
     def test_ties_go_to_lowest_ue_id(self):
-        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        per_prb = per_prb_rate_mbps(30.0, 15, PARAMS)
         reports = [
             mk_report(ue_id=u, cqi=15, sinr=30.0, demand=2 * per_prb) for u in (9, 4, 7, 2)
         ]
@@ -247,7 +248,7 @@ class TestGreedyProperties:
             reports, cell = _random_instance(rng)
             plan, predicted, _ = twin_tick(mk_batch(reports), [cell], PARAMS)
             for report, predicted_mbps in zip(reports, predicted):
-                per_prb = twin_engine.per_prb_rate_mbps(
+                per_prb = per_prb_rate_mbps(
                     report.channel.sinr_db, report.channel.cqi, PARAMS
                 )
                 assert predicted_mbps <= report.demand_mbps + per_prb + 1e-12
@@ -275,12 +276,12 @@ class TestTwinTick:
             for report, predicted_mbps, se in zip(reports, predicted, plan.spectral_efficiency):
                 sinr, cqi = report.channel.sinr_db, report.channel.cqi
                 grant = plan.grants[report.ue_id]
-                expected = grant * twin_engine.per_prb_rate_mbps(sinr, cqi, PARAMS)
+                expected = grant * per_prb_rate_mbps(sinr, cqi, PARAMS)
                 assert ulps_apart(predicted_mbps, expected) <= ULPS
                 assert ulps_apart(se, radio_model.spectral_efficiency_bps_hz(sinr, cqi)) <= ULPS
 
     def test_weight_override_changes_allocation(self):
-        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        per_prb = per_prb_rate_mbps(30.0, 15, PARAMS)
         reports = [
             mk_report(ue_id=0, cqi=15, sinr=30.0, demand=20 * per_prb, priority=1),
             mk_report(ue_id=1, cqi=15, sinr=30.0, demand=20 * per_prb, priority=1),
@@ -305,7 +306,7 @@ class TestTopKEdgeCases:
         return plan.grants
 
     def test_full_prbs_beyond_the_cell_total(self):
-        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        per_prb = per_prb_rate_mbps(30.0, 15, PARAMS)
         reports = [
             mk_report(ue_id=0, cqi=15, sinr=30.0, demand=40 * per_prb, priority=1),
             mk_report(ue_id=1, cqi=15, sinr=30.0, demand=40 * per_prb, priority=2),
@@ -314,7 +315,7 @@ class TestTopKEdgeCases:
         assert self._grants(reports, [mk_cell(total_prbs=10)]) == {0: 0, 1: 10, 2: 0}
 
     def test_demand_an_exact_multiple_of_the_rate(self):
-        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        per_prb = per_prb_rate_mbps(30.0, 15, PARAMS)
         # two PRBs of demand leave exactly 0.0, so no third PRB
         assert 2 * per_prb - per_prb - per_prb == 0.0
         # seven leave one ulp-sized remainder after seven subtractions, which
@@ -343,7 +344,7 @@ class TestTopKEdgeCases:
         assert grants == {0: 0, 1: 0, 2: 4}
 
     def test_unsorted_non_contiguous_ue_ids(self):
-        per_prb = twin_engine.per_prb_rate_mbps(30.0, 15, PARAMS)
+        per_prb = per_prb_rate_mbps(30.0, 15, PARAMS)
         reports = [
             mk_report(ue_id=u, cell_id=c, cqi=15, sinr=30.0, demand=2 * per_prb)
             for u, c in ((42, 1), (7, 0), (19, 1), (3, 0), (88, 0))
