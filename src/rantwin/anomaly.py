@@ -268,7 +268,7 @@ def generate_dataset(
                         active[AnomalyClass.NORMAL] -= 1
 
         state, reports, _ = ran_sim.step(state)
-        plan, predicted_mbps, _ = twin_engine.twin_tick(reports, state.cells, config.link)
+        plan, predicted_mbps = twin_engine.twin_tick(reports, state.cells, config.link)
         if sampling:
             ticks.append(reports.tick)
             labels.append(label)

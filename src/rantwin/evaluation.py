@@ -122,17 +122,16 @@ def _squared_distances(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return np.maximum(d2, 0.0, out=d2)
 
 
-def conditional_gaussian_probs(d2: np.ndarray, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
+def conditional_gaussian_probs(d2: np.ndarray, perplexity: float) -> np.ndarray:
     """Per-row Gaussian conditionals whose entropy matches log(perplexity).
 
     The precision beta_i = 1/(2 sigma_i^2) is found by bisection with
     doubling/halving expansion, at most PERPLEXITY_MAX_STEPS steps, to within
-    PERPLEXITY_TOL. Returns (P_conditional, beta).
+    PERPLEXITY_TOL. Returns P_conditional.
     """
     n = d2.shape[0]
     target_entropy = np.log(perplexity)
     p = np.zeros((n, n))
-    betas = np.ones(n)
     for i in range(n):
         beta, beta_min, beta_max = 1.0, -np.inf, np.inf
         di = np.delete(d2[i], i)
@@ -158,15 +157,14 @@ def conditional_gaussian_probs(d2: np.ndarray, perplexity: float) -> tuple[np.nd
             pi = np.full_like(di, 1.0 / (n - 1))
         row = np.insert(pi, i, 0.0)
         p[i] = row
-        betas[i] = beta
-    return p, betas
+    return p
 
 
 def joint_probabilities(points: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized affinities P = (P(j|i) + P(i|j)) / 2n; sums to 1."""
     x = np.asarray(points, dtype=np.float64)
     d2 = _squared_distances(x)
-    p_cond, _ = conditional_gaussian_probs(d2, perplexity)
+    p_cond = conditional_gaussian_probs(d2, perplexity)
     p = np.add(p_cond, p_cond.T, out=d2)
     return np.divide(p, 2.0 * x.shape[0], out=p)
 

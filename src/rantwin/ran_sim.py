@@ -538,30 +538,6 @@ def load_sim_config(path) -> SimConfig:
     return sim_config_from_dict(data)
 
 
-def report_to_dict(reports: ReportBatch, i: int) -> dict:
-    """JSON-able view of report row i; field names match the wire schema."""
-    ch = reports.channel.row(i)
-    serving = int(reports.serving_cell[i])
-    return {
-        "tick": reports.tick,
-        "ue_id": int(reports.ue_id[i]),
-        "serving_cell": serving,
-        "channel": {
-            "rsrp_dbm": ch.rsrp_dbm,
-            "rssi_dbm": ch.rssi_dbm,
-            "rsrq_db": ch.rsrq_db,
-            "sinr_db": ch.sinr_db,
-            "cqi": ch.cqi,
-        },
-        "neighbor_rsrp_dbm": {
-            str(c): r for c, r in enumerate(reports.rsrp_dbm[i].tolist()) if c != serving
-        },
-        "demand_mbps": float(reports.demand_mbps[i]),
-        "priority": int(reports.priority[i]),
-        "achieved_mbps": float(reports.achieved_mbps[i]),
-    }
-
-
 # anomaly drives this simulator and imports it, so step's fault stage is
 # bound here, once both modules can be loaded in either order.
 from . import anomaly  # noqa: E402

@@ -271,9 +271,7 @@ class DtXapp:
         elif reports.ue_id.shape != self._ue_id.shape or not (reports.ue_id == self._ue_id).all():
             raise DomainError("an indication reports other UEs than the earlier ones")
 
-        plan, predicted_mbps, _ = twin_engine.twin_tick(
-            reports, self.cells, self.link_params, weights
-        )
+        plan, predicted_mbps = twin_engine.twin_tick(reports, self.cells, self.link_params, weights)
         x = anomaly.standardize(anomaly.feature_matrix(reports, predicted_mbps, plan), self.stats)
         probs = mlp.forward_rows(self.model, x)
         code = np.argmax(probs, axis=1)
@@ -320,6 +318,39 @@ def allocation_weights(state: SimState) -> np.ndarray:
     control-plane boost."""
     boost = np.where(state.tick <= state.boost_until_tick, state.boost_factor, 1.0)
     return state.priority * boost
+
+
+class ControlLoop:
+    """The simulator, the bus and the DT xApp, stepped one controller tick at
+    a time. `state` is the RAN state after the last tick; a caller injects
+    faults into it between ticks."""
+
+    def __init__(
+        self,
+        config: SimConfig,
+        model: MlpModel,
+        stats: FeatureStats,
+        policy: RemediationPolicy | None = None,
+    ):
+        self.state = ran_sim.init_sim(config)
+        self._link = config.link
+        self._bus = MessageBus()
+        self._subscription = self._bus.subscribe()
+        self._xapp = DtXapp(model, stats, self.state.cells, self._link, policy)
+
+    def tick(self) -> tuple[list[ControlAction], Detections]:
+        """Step the RAN, publish its reports, run the xApp on them with each
+        UE's allocation weight, then apply its grants and control actions."""
+        state, reports, _ = ran_sim.step(self.state)
+        self.state = state
+        self._bus.publish(Indication(tick=state.tick, reports=reports))
+        plan, actions, detections = self._xapp.on_indication(
+            self._subscription.pop(), weights=allocation_weights(state)
+        )
+        ran_sim.apply_allocation(state, plan, self._link)
+        for action in actions:
+            apply_control(state, action)
+        return actions, detections
 
 
 @dataclass(frozen=True)
@@ -370,7 +401,8 @@ def closed_loop_run(
     fault_schedule: list[ScheduledFault],
     policy: RemediationPolicy | None = None,
 ) -> EpisodeLog:
-    """Run simulator, bus and xApp in per-tick lockstep.
+    """Run a ControlLoop for config.n_ticks ticks, injecting each scheduled
+    fault into its state before the tick of its onset.
 
     Detection latency is measured from fault onset to the first confirmed
     detection of the matching class; restoration latency from the control
@@ -385,11 +417,7 @@ def closed_loop_run(
         if not 0 <= fault.ue_id < config.n_ues:
             raise ConfigurationError(f"fault ue_id {fault.ue_id} outside the UE population")
 
-    state = ran_sim.init_sim(config)
-    bus = MessageBus()
-    subscription = bus.subscribe()
-    xapp = DtXapp(model, stats, state.cells, config.link, policy)
-
+    loop = ControlLoop(config, model, stats, policy)
     log = EpisodeLog(n_ticks=config.n_ticks)
     # (fault, event) pairs by onset tick and each UE's events, in fault_id order
     by_onset: dict[int, list[tuple[ScheduledFault, FaultEvent]]] = {}
@@ -407,21 +435,13 @@ def closed_loop_run(
     achieved_history: deque[np.ndarray] = deque(maxlen=BASELINE_WINDOW_TICKS)
 
     for _ in range(config.n_ticks):
-        for fault, event in by_onset.get(state.tick + 1, ()):
-            ran_sim.set_fault(state, fault.ue_id, fault.spec)
+        for fault, event in by_onset.get(loop.state.tick + 1, ()):
+            ran_sim.set_fault(loop.state, fault.ue_id, fault.spec)
             history = [achieved[fault.ue_id] for achieved in achieved_history]
             event.baseline_mbps = float(np.mean(history)) if history else 0.0
 
-        state, reports, _ = ran_sim.step(state)
-        bus.publish(Indication(tick=state.tick, reports=reports))
-        indication = subscription.pop()
-        plan, actions, detections = xapp.on_indication(
-            indication, weights=allocation_weights(state)
-        )
-        ran_sim.apply_allocation(state, plan, config.link)
-        for action in actions:
-            apply_control(state, action)
-
+        actions, detections = loop.tick()
+        state = loop.state
         log.detections.extend(detections)
         log.actions.extend(actions)
         for action in actions:
@@ -446,32 +466,22 @@ def closed_loop_run(
     return log
 
 
-def message_to_dict(message) -> dict:
-    """Wire-schema view of a bus message, one JSON object per message."""
-    if isinstance(message, Indication):
-        return {
-            "type": "indication",
-            "tick": message.tick,
-            "reports": [
-                ran_sim.report_to_dict(message.reports, i) for i in range(len(message.reports))
-            ],
-        }
-    if isinstance(message, ControlAction):
-        out = {
-            "type": "control",
-            "tick": message.tick,
-            "ue_id": message.ue_id,
-            "cause": int(message.cause),
-        }
-        if isinstance(message.kind, PrbBoost):
-            out["kind"] = "PrbBoost"
-            out["factor"] = message.kind.factor
-            out["duration_ticks"] = message.kind.duration_ticks
-        else:
-            out["kind"] = "ForceHandover"
-            out["target_cell"] = message.kind.target_cell
-        return out
-    raise DomainError(f"not a bus message: {message!r}")
+def message_to_dict(message: ControlAction) -> dict:
+    """The `control` record of a control action in `episode.jsonl`."""
+    out = {
+        "type": "control",
+        "tick": message.tick,
+        "ue_id": message.ue_id,
+        "cause": int(message.cause),
+    }
+    if isinstance(message.kind, PrbBoost):
+        out["kind"] = "PrbBoost"
+        out["factor"] = message.kind.factor
+        out["duration_ticks"] = message.kind.duration_ticks
+    else:
+        out["kind"] = "ForceHandover"
+        out["target_cell"] = message.kind.target_cell
+    return out
 
 
 # One detection line as json.dumps writes it: ints as %d, floats as repr.

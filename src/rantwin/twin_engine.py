@@ -1,5 +1,5 @@
 """Digital-twin simulation engine: per-tick PRB allocation from the reported
-channel state and per-UE predicted KPIs, with a wall-clock latency readout.
+channel state and per-UE predicted KPIs.
 
 The allocator deliberately trusts the reports as received; corrupted reports
 therefore distort the allocation, which is what makes report anomalies
@@ -8,7 +8,6 @@ damaging and detectable downstream.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
@@ -118,17 +117,11 @@ def twin_tick(
     cells: Sequence["CellState"],
     params: LinkBudgetParams,
     weights: np.ndarray | None = None,
-) -> tuple[AllocationPlan, np.ndarray, float]:
-    """One engine pass: allocate, predict each report's throughput (Mbps),
-    report elapsed wall-clock ms.
+) -> tuple[AllocationPlan, np.ndarray]:
+    """One engine pass: allocate, then predict each report's throughput (Mbps).
 
     The prediction reuses the spectral efficiency the allocator computed.
-
-    The elapsed time is measured, not enforced; the near-real-time budget is
-    checked by the acceptance suite.
     """
-    t0 = time.perf_counter()
     plan = allocate_prbs(reports, cells, params, weights)
     predicted_mbps = plan.grants_of(reports.ue_id) * _prb_rate_mbps(plan.spectral_efficiency, params)
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
-    return plan, predicted_mbps, elapsed_ms
+    return plan, predicted_mbps

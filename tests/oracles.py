@@ -487,7 +487,7 @@ def reference_generate_dataset(config, n_samples: int, class_mix, fault_defaults
         for ue_id, fault in state.faults.items():
             labels[ue_id] = fault.spec.cls
         state, reports, _ = ran_sim.step(state)
-        plan, predicted_mbps, _ = twin_engine.twin_tick(reports, state.cells, config.link)
+        plan, predicted_mbps = twin_engine.twin_tick(reports, state.cells, config.link)
         if sampling:
             x = feature_matrix(reports, predicted_mbps, plan)
             for c in AnomalyClass:
@@ -783,7 +783,7 @@ def reference_squared_distances(x: np.ndarray) -> np.ndarray:
 def reference_joint_probabilities(points: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized affinities P = (P(j|i) + P(i|j)) / 2n; sums to 1."""
     x = np.asarray(points, dtype=np.float64)
-    p_cond, _ = conditional_gaussian_probs(reference_squared_distances(x), perplexity)
+    p_cond = conditional_gaussian_probs(reference_squared_distances(x), perplexity)
     return (p_cond + p_cond.T) / (2.0 * x.shape[0])
 
 

@@ -140,9 +140,10 @@ def test_criterion_4_near_rt_budget():
         elapsed = []
         for _ in range(1000):
             state, reports, _ = ran_sim.step(state)
-            plan, _, ms = twin_engine.twin_tick(reports, state.cells, config.link)
+            t0 = time.perf_counter()
+            plan, _ = twin_engine.twin_tick(reports, state.cells, config.link)
+            elapsed.append((time.perf_counter() - t0) * 1e3)
             ran_sim.apply_allocation(state, plan, config.link)
-            elapsed.append(ms)
         median_ms = statistics.median(elapsed)
         print(f"  twin tick median {median_ms:.3f} ms over {len(elapsed)} ticks")
         assert median_ms < 10.0
@@ -155,22 +156,14 @@ def test_criterion_10_full_tick_budget(artifacts):
         model = mlp.load_model(artifacts["paths"]["model"])
         stats = anomaly.read_stats_csv(artifacts["paths"]["stats"])
         faults = {f.onset_tick: f for f in default_demo_schedule(config)}
-        state = ran_sim.init_sim(config)
-        bus = ric.MessageBus()
-        sub = bus.subscribe()
-        xapp = ric.DtXapp(model, stats, state.cells, config.link)
+        loop = ric.ControlLoop(config, model, stats)
         elapsed = []
         for _ in range(1000):
-            fault = faults.get(state.tick + 1)
+            fault = faults.get(loop.state.tick + 1)
             if fault is not None:
-                ran_sim.set_fault(state, fault.ue_id, fault.spec)
+                ran_sim.set_fault(loop.state, fault.ue_id, fault.spec)
             t0 = time.perf_counter()
-            state, reports, _ = ran_sim.step(state)
-            bus.publish(ric.Indication(tick=state.tick, reports=reports))
-            plan, actions, _ = xapp.on_indication(sub.pop(), weights=ric.allocation_weights(state))
-            ran_sim.apply_allocation(state, plan, config.link)
-            for action in actions:
-                ric.apply_control(state, action)
+            loop.tick()
             elapsed.append((time.perf_counter() - t0) * 1e3)
         median_ms = statistics.median(elapsed)
         print(f"  full tick median {median_ms:.3f} ms over {len(elapsed)} ticks")
@@ -183,19 +176,11 @@ def test_criterion_11_full_tick_budget_at_scale(artifacts):
         config = ran_sim.SimConfig(n_cells=19, n_ues=1000)
         model = mlp.load_model(artifacts["paths"]["model"])
         stats = anomaly.read_stats_csv(artifacts["paths"]["stats"])
-        state = ran_sim.init_sim(config)
-        bus = ric.MessageBus()
-        sub = bus.subscribe()
-        xapp = ric.DtXapp(model, stats, state.cells, config.link)
+        loop = ric.ControlLoop(config, model, stats)
         elapsed = []
         for _ in range(200):
             t0 = time.perf_counter()
-            state, reports, _ = ran_sim.step(state)
-            bus.publish(ric.Indication(tick=state.tick, reports=reports))
-            plan, actions, _ = xapp.on_indication(sub.pop(), weights=ric.allocation_weights(state))
-            ran_sim.apply_allocation(state, plan, config.link)
-            for action in actions:
-                ric.apply_control(state, action)
+            loop.tick()
             elapsed.append((time.perf_counter() - t0) * 1e3)
         median_ms = statistics.median(elapsed)
         print(f"  full tick median {median_ms:.3f} ms over {len(elapsed)} ticks")
@@ -389,21 +374,15 @@ def test_criterion_9_invariant_suite():
         state = ran_sim.init_sim(config)
         for _ in range(config.n_ticks):
             state, reports, _ = ran_sim.step(state)
-            plan, _, _ = twin_engine.twin_tick(reports, state.cells, config.link)
+            plan, _ = twin_engine.twin_tick(reports, state.cells, config.link)
             ran_sim.apply_allocation(state, plan, config.link)
         plain = state.snapshot()
 
         log = ric.closed_loop_run(config, stub, stats, [])
         assert log.actions == []
 
-        state = ran_sim.init_sim(config)
-        bus = ric.MessageBus()
-        sub = bus.subscribe()
-        xapp = ric.DtXapp(stub, stats, state.cells, config.link)
+        loop = ric.ControlLoop(config, stub, stats)
         for _ in range(config.n_ticks):
-            state, reports, _ = ran_sim.step(state)
-            bus.publish(ric.Indication(tick=state.tick, reports=reports))
-            plan, actions, _ = xapp.on_indication(sub.pop(), weights=ric.allocation_weights(state))
+            actions, _ = loop.tick()
             assert actions == []
-            ran_sim.apply_allocation(state, plan, config.link)
-        assert state.snapshot() == plain
+        assert loop.state.snapshot() == plain

@@ -104,7 +104,7 @@ class TestTsne:
         d2 = (x[:, None, :] - x[None, :, :]) ** 2
         d2 = d2.sum(axis=2)
         target = 25.0
-        p_cond, _ = conditional_gaussian_probs(d2, target)
+        p_cond = conditional_gaussian_probs(d2, target)
         for i in range(x.shape[0]):
             row = p_cond[i][p_cond[i] > 0]
             perp = math.exp(-(row * np.log(row)).sum())

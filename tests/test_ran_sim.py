@@ -535,24 +535,10 @@ class TestStep:
             out = []
             for _ in range(SMALL.n_ticks):
                 state, reports, _ = step(state)
-                out.extend(ran_sim.report_to_dict(reports, i) for i in range(len(reports)))
+                out.append(reports)
             return out
 
         assert run() == run()
-
-
-class TestReportExport:
-    def test_jsonl_shape(self):
-        state = init_sim(SimConfig(n_cells=2, n_ues=3, seed=11))
-        state, reports, _ = step(state)
-        lines = [json.dumps(ran_sim.report_to_dict(reports, i), sort_keys=True)
-                 for i in range(len(reports))]
-        assert len(lines) == 3
-        row = json.loads(lines[0])
-        assert row["tick"] == 1
-        assert set(row["channel"]) == {"rsrp_dbm", "rssi_dbm", "rsrq_db", "sinr_db", "cqi"}
-        assert isinstance(row["channel"]["cqi"], int)
-        assert str(row["serving_cell"]) not in row["neighbor_rsrp_dbm"]
 
 
 class TestAllocationApplication:
@@ -561,7 +547,7 @@ class TestAllocationApplication:
 
         state = init_sim(SMALL)
         state, reports, _ = step(state)
-        plan, _, _ = twin_engine.twin_tick(reports, state.cells, SMALL.link)
+        plan, _ = twin_engine.twin_tick(reports, state.cells, SMALL.link)
         ran_sim.apply_allocation(state, plan, SMALL.link)
         for ue_id, (achieved, demand) in enumerate(
             zip(state.achieved_mbps.tolist(), state.demand_mbps.tolist())
@@ -576,12 +562,12 @@ class TestAllocationApplication:
 
         state = init_sim(SMALL)
         state, reports, _ = step(state)
-        plan, _, _ = twin_engine.twin_tick(reports, state.cells, SMALL.link)
+        plan, _ = twin_engine.twin_tick(reports, state.cells, SMALL.link)
         ran_sim.apply_allocation(state, plan, SMALL.link)
         first = state.achieved_mbps
         kept = first.copy()
         state, reports, _ = step(state)
-        plan, _, _ = twin_engine.twin_tick(reports, state.cells, SMALL.link)
+        plan, _ = twin_engine.twin_tick(reports, state.cells, SMALL.link)
         ran_sim.apply_allocation(state, plan, SMALL.link)
         assert state.achieved_mbps is not first
         assert np.array_equal(first, kept)
@@ -616,7 +602,7 @@ def _assert_step_matches_scalar(state, n_ticks, faults=(), controls=False):
         state = new
         if controls:
             weights = allocation_weights(state)
-            plan, _, _ = twin_engine.twin_tick(reports, state.cells, state.config.link, weights)
+            plan, _ = twin_engine.twin_tick(reports, state.cells, state.config.link, weights)
             ran_sim.apply_allocation(state, plan, state.config.link)
             ue_id = state.tick % len(state.serving_cell)
             if state.tick % 7 == 0:

@@ -26,7 +26,7 @@ PARAMS = LinkBudgetParams()
 
 def predicted_mbps(report, total_prbs):
     """twin_tick's predicted throughput for one UE alone in a cell."""
-    plan, predicted, _ = twin_tick(mk_batch([report]), [mk_cell(total_prbs=total_prbs)], PARAMS)
+    plan, predicted = twin_tick(mk_batch([report]), [mk_cell(total_prbs=total_prbs)], PARAMS)
     return plan.grants[report.ue_id], predicted[0]
 
 
@@ -246,7 +246,7 @@ class TestGreedyProperties:
         rng = np.random.default_rng(20)
         for _ in range(40):
             reports, cell = _random_instance(rng)
-            plan, predicted, _ = twin_tick(mk_batch(reports), [cell], PARAMS)
+            plan, predicted = twin_tick(mk_batch(reports), [cell], PARAMS)
             for report, predicted_mbps in zip(reports, predicted):
                 per_prb = per_prb_rate_mbps(
                     report.channel.sinr_db, report.channel.cqi, PARAMS
@@ -256,14 +256,13 @@ class TestGreedyProperties:
 
 class TestTwinTick:
     def test_empty_reports(self):
-        plan, predicted, elapsed = twin_tick(mk_batch([]), [mk_cell()], PARAMS)
+        plan, predicted = twin_tick(mk_batch([]), [mk_cell()], PARAMS)
         assert plan.grants == {}
         assert len(predicted) == 0
-        assert elapsed >= 0.0
 
     def test_one_kpi_per_report(self):
         reports = [mk_report(ue_id=u, demand=2.0) for u in range(5)]
-        plan, predicted, _ = twin_tick(mk_batch(reports), [mk_cell(total_prbs=20)], PARAMS)
+        plan, predicted = twin_tick(mk_batch(reports), [mk_cell(total_prbs=20)], PARAMS)
         assert len(predicted) == len(reports)
         assert list(plan.grants) == [r.ue_id for r in reports]
 
@@ -271,8 +270,8 @@ class TestTwinTick:
         rng = np.random.default_rng(22)
         for _ in range(20):
             reports, cells, weights = _oracle_instance(rng)
-            plan, predicted, _ = twin_tick(mk_batch(reports), cells, PARAMS,
-                                           weight_array(reports, weights))
+            plan, predicted = twin_tick(mk_batch(reports), cells, PARAMS,
+                                        weight_array(reports, weights))
             for report, predicted_mbps, se in zip(reports, predicted, plan.spectral_efficiency):
                 sinr, cqi = report.channel.sinr_db, report.channel.cqi
                 grant = plan.grants[report.ue_id]
@@ -287,9 +286,9 @@ class TestTwinTick:
             mk_report(ue_id=1, cqi=15, sinr=30.0, demand=20 * per_prb, priority=1),
         ]
         cell = mk_cell(total_prbs=10)
-        base, _, _ = twin_tick(mk_batch(reports), [cell], PARAMS)
-        boosted, _, _ = twin_tick(mk_batch(reports), [cell], PARAMS,
-                                  weights=weight_array(reports, {1: 2.0}))
+        base, _ = twin_tick(mk_batch(reports), [cell], PARAMS)
+        boosted, _ = twin_tick(mk_batch(reports), [cell], PARAMS,
+                               weights=weight_array(reports, {1: 2.0}))
         assert boosted.grants[1] >= base.grants[1]
         assert boosted.grants[1] == 10
 
