@@ -136,7 +136,7 @@ def inject_faults(
         sinr, hit, value = corrupted(AnomalyClass.SINR_ERROR, sinr)
         sinr[hit] = value
         cqi = cqi.copy()
-        cqi[hit] = np.searchsorted(radio_model.CQI_SINR_THRESHOLDS_DB_ARRAY, value, side="right")
+        cqi[hit] = radio_model.cqi_from_sinr(value)
     return ChannelColumns(rsrp, channel.rssi_dbm, rsrq, sinr, cqi)
 
 

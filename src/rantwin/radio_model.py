@@ -1,5 +1,5 @@
-"""Pure link-level math: path loss, shadowing, RSRP/RSSI/RSRQ/SINR and the
-SINR->CQI / CQI->spectral-efficiency tables.
+"""The link model, over numpy columns: path loss, shadowing, RSRP/RSSI/RSRQ/
+SINR and the SINR->CQI / CQI->spectral-efficiency tables.
 
 Everything here is a pure function of its arguments; randomness enters only
 through explicitly passed generators. Powers are per resource element (RE)
@@ -60,23 +60,6 @@ class LinkBudgetParams:
             raise DomainError("noise_figure_db must be >= 0")
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One link-level observation: RSRP/RSSI in dBm, RSRQ/SINR in dB, CQI 0..15."""
-
-    rsrp_dbm: float
-    rssi_dbm: float
-    rsrq_db: float
-    sinr_db: float
-    cqi: int
-
-    def __post_init__(self):
-        if self.rsrq_db > 1e-12:
-            raise DomainError(f"rsrq_db must be <= 0, got {self.rsrq_db}")
-        if not 0 <= self.cqi <= 15:
-            raise DomainError(f"cqi must be in [0, 15], got {self.cqi}")
-
-
 def fields_equal(a, b) -> bool:
     """Equality of dataclasses whose fields are arrays, each compared whole."""
     return type(a) is type(b) and all(
@@ -87,8 +70,9 @@ def fields_equal(a, b) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ChannelColumns:
-    """The ChannelSample of many UEs, one (U,) array per field, with the
-    checks of ChannelSample on every row. Nothing writes into the arrays."""
+    """The channel of many UEs, one (U,) array per field: RSRP/RSSI in dBm,
+    RSRQ/SINR in dB, CQI 0..15. Every RSRQ must be <= 0 and every CQI in
+    0..15. Nothing writes into the arrays."""
 
     __eq__ = fields_equal
 
@@ -113,92 +97,80 @@ class ChannelColumns:
         if low < 0 or high > 15:
             raise DomainError(f"cqi must be in [0, 15], got {low}..{high}")
 
-    def row(self, i: int) -> ChannelSample:
-        return ChannelSample(*(column[i].item() for column in vars(self).values()))
+
+def dbm_to_mw(dbm: float) -> float:
+    return 10.0 ** (dbm / 10.0)
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise DomainError(f"linear power must be > 0, got {x}")
-    return 10.0 * math.log10(x)
-
-
-# dBm <-> mW use the same 10^(x/10) scaling; aliases keep call sites readable.
-dbm_to_mw = db_to_linear
-mw_to_dbm = linear_to_db
-
-
-def path_loss_db(distance_m: float, params: LinkBudgetParams) -> float:
-    """Log-distance path loss; flat inside the reference distance."""
-    if distance_m <= 0:
-        raise DomainError(f"distance_m must be > 0, got {distance_m}")
-    d = max(distance_m, params.ref_distance_m)
-    return params.ref_path_loss_db + 10.0 * params.path_loss_exponent * math.log10(
-        d / params.ref_distance_m
+def path_loss_db(distance_m: np.ndarray, link: LinkBudgetParams) -> np.ndarray:
+    """Log-distance path loss of every distance; flat inside the reference
+    distance."""
+    d = np.maximum(distance_m, max(1e-6, link.ref_distance_m))
+    return link.ref_path_loss_db + 10.0 * link.path_loss_exponent * np.log10(
+        d / link.ref_distance_m
     )
 
 
-def rsrp_dbm(tx_power_per_re_dbm: float, path_loss: float, shadowing_db: float) -> float:
-    """Received reference-signal power per RE; positive shadowing raises it."""
-    return tx_power_per_re_dbm - path_loss + shadowing_db
+def rsrp_matrix(
+    position: np.ndarray,
+    cell_xy: np.ndarray,
+    cell_tx_dbm: np.ndarray,
+    shadowing_db: np.ndarray,
+    link: LinkBudgetParams,
+) -> np.ndarray:
+    """(U, C) RSRP in dBm of the (U, 2) positions from the (C, 2) cells:
+    transmit power per RE, less path loss, plus the (U, C) shadowing, which
+    raises the RSRP where positive."""
+    dx = position[:, 0:1] - cell_xy[:, 0]
+    dy = position[:, 1:2] - cell_xy[:, 1]
+    return cell_tx_dbm - path_loss_db(np.hypot(dx, dy), link) + shadowing_db
 
 
-def sinr_db(serving_mw: float, interferers_mw, noise_mw: float) -> float:
-    """10*log10(serving / (sum of interferers + noise)), all in mW per RE."""
-    if serving_mw <= 0:
-        raise DomainError(f"serving power must be > 0, got {serving_mw}")
-    if noise_mw <= 0:
-        raise DomainError(f"noise power must be > 0, got {noise_mw}")
-    total = noise_mw
-    for p in interferers_mw:
-        if p < 0:
-            raise DomainError(f"interferer power must be >= 0, got {p}")
-        total += p
-    return 10.0 * math.log10(serving_mw / total)
+def _interferer_sums(
+    mw: np.ndarray, serving: np.ndarray, noise_mw: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per UE, the power of every cell but the serving one in the (U, C)
+    `mw`, summed from 0.0 and from `noise_mw`.
 
-
-def rsrq_db(rsrp_mw_per_re: float, total_rx_mw_per_re: float) -> float:
-    """Serving/total power ratio per RE, dB. <= 0 by power accounting.
-
-    Both powers are per RE, so the PRB count of the measurement bandwidth
-    cancels and takes no part.
+    The cells are added in cell order, with 0.0 for the serving cell, as
+    a per-UE loop over the cells adds them. An axis-0 reduce of C-contiguous (C, U) rows adds
+    them in that order while the UE axis is the inner loop; one spare
+    column keeps it so for a single UE, whose lone column numpy would sum
+    pairwise.
     """
-    if rsrp_mw_per_re <= 0 or total_rx_mw_per_re <= 0:
-        raise DomainError("powers must be > 0")
-    if total_rx_mw_per_re < rsrp_mw_per_re:
-        raise DomainError(
-            f"total received power {total_rx_mw_per_re} mW below serving "
-            f"power {rsrp_mw_per_re} mW violates power accounting"
-        )
-    return 10.0 * math.log10(rsrp_mw_per_re / total_rx_mw_per_re)
+    n_ues = len(serving)
+    others = np.zeros((mw.shape[1], n_ues + 1))
+    others[:, :n_ues] = mw.T
+    others[serving, np.arange(n_ues)] = 0.0
+    return (np.add.reduce(others, axis=0)[:n_ues],
+            np.add.reduce(others, axis=0, initial=noise_mw)[:n_ues])
 
 
-def cqi_from_sinr(sinr: float) -> int:
-    """Monotone step lookup over CQI_SINR_THRESHOLDS_DB, inclusive lower bounds."""
-    cqi = 0
-    for k, thr in enumerate(CQI_SINR_THRESHOLDS_DB, start=1):
-        if sinr >= thr:
-            cqi = k
-        else:
-            break
-    return cqi
+def sample_channel(rsrp_dbm: np.ndarray, serving: np.ndarray, noise_mw: float) -> ChannelColumns:
+    """The channel of every UE from its (U, C) RSRP row and serving cell:
+    SINR over noise + interferers, RSSI over serving + interferers + noise,
+    RSRQ as serving over that total. All powers are per RE, so the PRB
+    count of the measurement bandwidth takes no part."""
+    rows = np.arange(len(serving))
+    mw = np.power(10.0, rsrp_dbm / 10.0)
+    serving_mw = mw[rows, serving]
+    interference, noise_and_interference = _interferer_sums(mw, serving, noise_mw)
+    total_mw = serving_mw + interference + noise_mw
+    sinr = 10.0 * np.log10(serving_mw / noise_and_interference)
+    rssi = 10.0 * np.log10(total_mw)
+    rsrq = 10.0 * np.log10(serving_mw / total_mw)
+    return ChannelColumns(rsrp_dbm[rows, serving], rssi, rsrq, sinr, cqi_from_sinr(sinr))
 
 
-def spectral_efficiency_bps_hz(sinr: float, cqi: int) -> float:
-    """Achievable efficiency: Shannon rate clipped at the CQI ladder cap."""
-    if not 0 <= cqi <= 15:
-        raise DomainError(f"cqi must be in [0, 15], got {cqi}")
-    cap = CQI_EFFICIENCY_BPS_HZ[cqi]
-    return min(math.log2(1.0 + db_to_linear(sinr)), cap)
+def cqi_from_sinr(sinr_db: np.ndarray) -> np.ndarray:
+    """CQI of every SINR: a step lookup over CQI_SINR_THRESHOLDS_DB, each
+    threshold the inclusive lower bound of its CQI."""
+    return np.searchsorted(CQI_SINR_THRESHOLDS_DB_ARRAY, sinr_db, side="right")
 
 
 def spectral_efficiencies(sinr_db: np.ndarray, cqi: np.ndarray) -> np.ndarray:
-    """`spectral_efficiency_bps_hz` of every (sinr, cqi) pair, through numpy's
-    ufuncs: each entry is within a few ulps of the scalar function's."""
+    """Achievable efficiency of every (sinr, cqi) pair, bits/s/Hz: the
+    Shannon rate clipped at the CQI ladder cap."""
     shannon = np.log2(1.0 + np.power(10.0, sinr_db / 10.0))
     return np.minimum(shannon, CQI_EFFICIENCY_BPS_HZ_ARRAY[cqi])
 

@@ -257,20 +257,6 @@ def _grid_positions(n_cells: int, area_m: float) -> list[tuple[float, float]]:
     return positions
 
 
-def _rsrp_matrix(state: SimState) -> np.ndarray:
-    """(U, C) RSRP in dBm at the state's positions and shadowing: the
-    formula of `radio_model.rsrp_dbm` and `path_loss_db`, elementwise."""
-    link = state.config.link
-    position = state.position
-    dx = position[:, 0:1] - state.cell_xy[:, 0]
-    dy = position[:, 1:2] - state.cell_xy[:, 1]
-    d = np.maximum(np.hypot(dx, dy), max(1e-6, link.ref_distance_m))
-    path_loss = link.ref_path_loss_db + 10.0 * link.path_loss_exponent * np.log10(
-        d / link.ref_distance_m
-    )
-    return state.cell_tx_dbm - path_loss + state.shadowing_db
-
-
 def select_serving_cells(
     rsrp_dbm: np.ndarray, serving_cell: np.ndarray, hysteresis_db: float
 ) -> np.ndarray:
@@ -292,26 +278,6 @@ def select_serving_cells(
     qualifies[rows, serving_cell] = False
     best = np.argmax(np.where(qualifies, rsrp_dbm, -np.inf), axis=1)
     return np.where(qualifies.any(axis=1), best, serving_cell)
-
-
-def _interferer_sums(
-    mw: np.ndarray, serving: np.ndarray, noise_mw: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per UE, the power of every cell but the serving one in the (U, C)
-    `mw`, summed from 0.0 and from `noise_mw`.
-
-    The cells are added in cell order, with 0.0 for the serving cell, as
-    the scalar sums do. An axis-0 reduce of C-contiguous (C, U) rows adds
-    them in that order while the UE axis is the inner loop; one spare
-    column keeps it so for a single UE, whose lone column numpy would sum
-    pairwise.
-    """
-    n_ues = len(serving)
-    others = np.zeros((mw.shape[1], n_ues + 1))
-    others[:, :n_ues] = mw.T
-    others[serving, np.arange(n_ues)] = 0.0
-    return (np.add.reduce(others, axis=0)[:n_ues],
-            np.add.reduce(others, axis=0, initial=noise_mw)[:n_ues])
 
 
 def init_sim(config: SimConfig) -> SimState:
@@ -353,7 +319,8 @@ def init_sim(config: SimConfig) -> SimState:
         boost_factor=np.ones(n),
         boost_until_tick=np.full(n, -1, dtype=np.int64),
     )
-    state.serving_cell = np.argmax(_rsrp_matrix(state), axis=1)
+    state.serving_cell = np.argmax(radio_model.rsrp_matrix(
+        position, state.cell_xy, state.cell_tx_dbm, shadowing, config.link), axis=1)
     return state
 
 
@@ -400,23 +367,13 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     )
 
     # (3) serving-cell reselection
-    rsrp = _rsrp_matrix(new)
+    rsrp = radio_model.rsrp_matrix(position, new.cell_xy, new.cell_tx_dbm, new.shadowing_db, link)
     serving = select_serving_cells(rsrp, state.serving_cell, cfg.hysteresis_db)
     n_handovers = int(np.count_nonzero(serving != state.serving_cell))
     new.serving_cell = serving
 
-    # (4) channel sampling: SINR over noise + interferers, RSSI over
-    # serving + interferers + noise
-    rows = np.arange(len(serving))
-    mw = np.power(10.0, rsrp / 10.0)
-    serving_mw = mw[rows, serving]
-    interference, noise_and_interference = _interferer_sums(mw, serving, noise_mw)
-    total_mw = serving_mw + interference + noise_mw
-    sinr = 10.0 * np.log10(serving_mw / noise_and_interference)
-    rssi = 10.0 * np.log10(total_mw)
-    rsrq = 10.0 * np.log10(serving_mw / total_mw)
-    cqi = np.searchsorted(radio_model.CQI_SINR_THRESHOLDS_DB_ARRAY, sinr, side="right")
-    new.last_channel = ChannelColumns(rsrp[rows, serving], rssi, rsrq, sinr, cqi)
+    # (4) channel sampling
+    new.last_channel = radio_model.sample_channel(rsrp, serving, noise_mw)
 
     # (5) fault corruption of the reported channel, in ue_id order. Every
     # fault in the set is live: set_fault gives until_tick >= tick + 1, and a
@@ -437,7 +394,7 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     # writes into the state's column.
     reports = ReportBatch(
         new.tick,
-        rows,
+        np.arange(len(serving)),
         serving.copy(),
         reported,
         rsrp,

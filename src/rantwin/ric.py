@@ -28,18 +28,6 @@ _NORMAL_CODE = int(AnomalyClass.NORMAL)
 
 
 @dataclass(frozen=True)
-class Indication:
-    tick: int
-    reports: ReportBatch
-
-    def __post_init__(self):
-        if self.reports.tick != self.tick:
-            raise DomainError(
-                f"report tick {self.reports.tick} does not match indication tick {self.tick}"
-            )
-
-
-@dataclass(frozen=True)
 class PrbBoost:
     factor: float
     duration_ticks: int
@@ -66,19 +54,20 @@ class ControlAction:
 
 class BusSubscription:
     def __init__(self):
-        self._queue: deque[Indication] = deque()
+        self._queue: deque[ReportBatch] = deque()
 
-    def _push(self, indication: Indication) -> None:
-        self._queue.append(indication)
+    def _push(self, reports: ReportBatch) -> None:
+        self._queue.append(reports)
 
-    def pop(self) -> Indication:
+    def pop(self) -> ReportBatch:
         if not self._queue:
             raise ProtocolError("no indication pending")
         return self._queue.popleft()
 
 
 class MessageBus:
-    """Lossless in-process fan-out with strictly increasing publication ticks."""
+    """Lossless in-process fan-out of each tick's ReportBatch, the
+    indication, with strictly increasing report ticks."""
 
     def __init__(self):
         self._subscriptions: list[BusSubscription] = []
@@ -89,14 +78,14 @@ class MessageBus:
         self._subscriptions.append(sub)
         return sub
 
-    def publish(self, indication: Indication) -> None:
-        if self._last_tick is not None and indication.tick <= self._last_tick:
+    def publish(self, reports: ReportBatch) -> None:
+        if self._last_tick is not None and reports.tick <= self._last_tick:
             raise ProtocolError(
-                f"out-of-order publish: tick {indication.tick} after {self._last_tick}"
+                f"out-of-order publish: tick {reports.tick} after {self._last_tick}"
             )
-        self._last_tick = indication.tick
+        self._last_tick = reports.tick
         for sub in self._subscriptions:
-            sub._push(indication)
+            sub._push(reports)
 
 
 @dataclass(frozen=True)
@@ -258,9 +247,8 @@ class DtXapp:
         self._ue_id: np.ndarray | None = None
 
     def on_indication(
-        self, indication: Indication, weights=None
+        self, reports: ReportBatch, weights=None
     ) -> tuple[AllocationPlan, list[ControlAction], Detections]:
-        reports = indication.reports
         if self._ue_id is None:
             n = len(reports)
             self._ue_id = reports.ue_id.copy()
@@ -287,15 +275,13 @@ class DtXapp:
 
         flagged = np.flatnonzero(~normal)
         detections = Detections()
-        detections.append_tick(
-            indication.tick, reports.ue_id[flagged], code[flagged], probs[flagged]
-        )
+        detections.append_tick(reports.tick, reports.ue_id[flagged], code[flagged], probs[flagged])
         actions: list[ControlAction] = []
         for i in np.flatnonzero(fire).tolist():
             cause = _CLASS_BY_CODE[code[i]]
             kind = self.policy.action_for(cause, reports.rsrp_dbm[i], int(reports.serving_cell[i]))
             if kind is not None:
-                actions.append(ControlAction(indication.tick, int(reports.ue_id[i]), kind, cause))
+                actions.append(ControlAction(reports.tick, int(reports.ue_id[i]), kind, cause))
         return plan, actions, detections
 
 
@@ -343,7 +329,7 @@ class ControlLoop:
         UE's allocation weight, then apply its grants and control actions."""
         state, reports, _ = ran_sim.step(self.state)
         self.state = state
-        self._bus.publish(Indication(tick=state.tick, reports=reports))
+        self._bus.publish(reports)
         plan, actions, detections = self._xapp.on_indication(
             self._subscription.pop(), weights=allocation_weights(state)
         )

@@ -9,7 +9,9 @@ literal threshold-table scan for the CQI mapping, a per-UE loop of
 feature vectors and dict-based debounce state for the xApp's columns (it
 classifies with the xApp's one `forward_rows` call), a per-UE loop over
 Python floats, with one fault corruption per report,
-for the columnar simulator step, one add per cell for its interferer sums,
+for the columnar simulator step, the scalar link model it calls (one
+`ChannelSample` and one (UE, cell) link at a time, in `math` and float `**`)
+for radio_model's numpy columns, one add per cell for its interferer sums,
 a t-SNE that allocates a fresh array for every intermediate, where
 `evaluation.tsne` writes into preallocated buffers, and one `json.dumps`
 per detection row for the episode writer's `%r` template. The network oracles
@@ -36,7 +38,7 @@ from rantwin.anomaly import (
     largest_remainder_counts,
     standardize,
 )
-from rantwin.errors import ConfigurationError, NumericError, TrainingError
+from rantwin.errors import ConfigurationError, DomainError, NumericError, TrainingError
 from rantwin.evaluation import (
     _EPS,
     EARLY_EXAGGERATION,
@@ -61,7 +63,7 @@ from rantwin.mlp import (
     model_digest,
     predict_batch,
 )
-from rantwin.radio_model import ChannelColumns, ChannelSample
+from rantwin.radio_model import CQI_EFFICIENCY_BPS_HZ, CQI_SINR_THRESHOLDS_DB, ChannelColumns
 from rantwin.ran_sim import CellState, ReportBatch, TickKpis
 from rantwin.ric import (
     CLEAR_TICKS,
@@ -122,6 +124,104 @@ def assert_close(actual, expected, scale=DB_SCALE, where="value"):
 
 
 @dataclass(frozen=True)
+class ChannelSample:
+    """One link-level observation: RSRP/RSSI in dBm, RSRQ/SINR in dB, CQI 0..15."""
+
+    rsrp_dbm: float
+    rssi_dbm: float
+    rsrq_db: float
+    sinr_db: float
+    cqi: int
+
+    def __post_init__(self):
+        if self.rsrq_db > 1e-12:
+            raise DomainError(f"rsrq_db must be <= 0, got {self.rsrq_db}")
+        if not 0 <= self.cqi <= 15:
+            raise DomainError(f"cqi must be in [0, 15], got {self.cqi}")
+
+
+def channel_row(channel: ChannelColumns, i: int) -> ChannelSample:
+    """Row i of the channel columns as Python scalars."""
+    return ChannelSample(*(column[i].item() for column in vars(channel).values()))
+
+
+# The scalar link model: one (UE, cell) link at a time, in `math` and float
+# `**`, beside radio_model's numpy columns.
+
+def db_to_linear(db: float) -> float:
+    return 10.0 ** (db / 10.0)
+
+
+def linear_to_db(x: float) -> float:
+    if x <= 0:
+        raise DomainError(f"linear power must be > 0, got {x}")
+    return 10.0 * math.log10(x)
+
+
+mw_to_dbm = linear_to_db
+
+
+def path_loss_db(distance_m: float, params) -> float:
+    """Log-distance path loss; flat inside the reference distance."""
+    if distance_m <= 0:
+        raise DomainError(f"distance_m must be > 0, got {distance_m}")
+    d = max(distance_m, params.ref_distance_m)
+    return params.ref_path_loss_db + 10.0 * params.path_loss_exponent * math.log10(
+        d / params.ref_distance_m
+    )
+
+
+def rsrp_dbm(tx_power_per_re_dbm: float, path_loss: float, shadowing_db: float) -> float:
+    """Received reference-signal power per RE; positive shadowing raises it."""
+    return tx_power_per_re_dbm - path_loss + shadowing_db
+
+
+def sinr_db(serving_mw: float, interferers_mw, noise_mw: float) -> float:
+    """10*log10(serving / (sum of interferers + noise)), all in mW per RE."""
+    if serving_mw <= 0:
+        raise DomainError(f"serving power must be > 0, got {serving_mw}")
+    if noise_mw <= 0:
+        raise DomainError(f"noise power must be > 0, got {noise_mw}")
+    total = noise_mw
+    for p in interferers_mw:
+        if p < 0:
+            raise DomainError(f"interferer power must be >= 0, got {p}")
+        total += p
+    return 10.0 * math.log10(serving_mw / total)
+
+
+def rsrq_db(rsrp_mw_per_re: float, total_rx_mw_per_re: float) -> float:
+    """Serving/total power ratio per RE, dB. <= 0 by power accounting."""
+    if rsrp_mw_per_re <= 0 or total_rx_mw_per_re <= 0:
+        raise DomainError("powers must be > 0")
+    if total_rx_mw_per_re < rsrp_mw_per_re:
+        raise DomainError(
+            f"total received power {total_rx_mw_per_re} mW below serving "
+            f"power {rsrp_mw_per_re} mW violates power accounting"
+        )
+    return 10.0 * math.log10(rsrp_mw_per_re / total_rx_mw_per_re)
+
+
+def cqi_from_sinr(sinr: float) -> int:
+    """Monotone step lookup over CQI_SINR_THRESHOLDS_DB, inclusive lower bounds."""
+    cqi = 0
+    for k, thr in enumerate(CQI_SINR_THRESHOLDS_DB, start=1):
+        if sinr >= thr:
+            cqi = k
+        else:
+            break
+    return cqi
+
+
+def spectral_efficiency_bps_hz(sinr: float, cqi: int) -> float:
+    """Achievable efficiency: Shannon rate clipped at the CQI ladder cap."""
+    if not 0 <= cqi <= 15:
+        raise DomainError(f"cqi must be in [0, 15], got {cqi}")
+    cap = CQI_EFFICIENCY_BPS_HZ[cqi]
+    return min(math.log2(1.0 + db_to_linear(sinr)), cap)
+
+
+@dataclass(frozen=True)
 class Report:
     """One UE's measurement report, with its neighbour RSRPs as a dict."""
 
@@ -176,7 +276,7 @@ def report_rows(batch: ReportBatch) -> list[Report]:
     columns other than the serving cell's."""
     return [
         Report(
-            batch.tick, ue_id, serving, batch.channel.row(i),
+            batch.tick, ue_id, serving, channel_row(batch.channel, i),
             {c: r for c, r in enumerate(rsrp) if c != serving}, demand, priority, achieved,
         )
         for i, (ue_id, serving, rsrp, demand, priority, achieved) in enumerate(zip(
@@ -255,7 +355,7 @@ def allocation_objective(grants, reports, params):
 
 def per_prb_rate_mbps(sinr_db: float, cqi: int, params) -> float:
     """The rate one PRB carries (Mbps) at one report's SINR and CQI."""
-    return params.prb_bandwidth_hz * rm.spectral_efficiency_bps_hz(sinr_db, cqi) / 1e6
+    return params.prb_bandwidth_hz * spectral_efficiency_bps_hz(sinr_db, cqi) / 1e6
 
 
 def linear_scan_allocation(reports, cells, params, weights=None):
@@ -532,14 +632,14 @@ def policy_action(policy, cause, report):
     return None
 
 
-def per_ue_on_indication(xapp, indication, debounce, weights=None):
+def per_ue_on_indication(xapp, batch, debounce, weights=None):
     """DtXapp.on_indication as a per-UE loop: linear-scan grants and one
     feature vector per report, one `forward_rows` call on the tick's stacked
     rows (the xApp's batch, so the probabilities compare with ==), then one
     debounce update per report. `debounce` maps ue_id -> UeDebounce and is
     kept by the caller between ticks. Returns (grants, actions,
     detections)."""
-    reports = report_rows(indication.reports)
+    reports = report_rows(batch)
     overrides = None if weights is None else {
         r.ue_id: w for r, w in zip(reports, np.asarray(weights).tolist())
     }
@@ -568,7 +668,7 @@ def per_ue_on_indication(xapp, indication, debounce, weights=None):
                 state.armed = True
             continue
         detections.append(
-            Detection(indication.tick, report.ue_id, predicted, tuple(float(p) for p in probs))
+            Detection(batch.tick, report.ue_id, predicted, tuple(float(p) for p in probs))
         )
         state.normal_streak = 0
         if predicted == state.streak_cls:
@@ -579,7 +679,7 @@ def per_ue_on_indication(xapp, indication, debounce, weights=None):
         if state.armed and state.streak_len >= CONFIRM_TICKS:
             kind = policy_action(xapp.policy, predicted, report)
             if kind is not None:
-                actions.append(ControlAction(indication.tick, report.ue_id, kind, predicted))
+                actions.append(ControlAction(batch.tick, report.ue_id, kind, predicted))
             state.armed = False
     return grants, actions, detections
 
@@ -633,7 +733,7 @@ def inject_fault(channel: ChannelSample, spec, rng: np.random.Generator) -> Chan
         return replace(channel, rsrq_db=min(0.0, channel.rsrq_db + delta))
     if spec.cls == AnomalyClass.SINR_ERROR:
         corrupted = channel.sinr_db + delta
-        return replace(channel, sinr_db=corrupted, cqi=rm.cqi_from_sinr(corrupted))
+        return replace(channel, sinr_db=corrupted, cqi=cqi_from_sinr(corrupted))
     raise ValueError(f"no fault of class {spec.cls!r}")
 
 
@@ -651,7 +751,7 @@ def scalar_serving_cell(serving_cell, rsrp_by_cell, hysteresis_db):
 
 
 def loop_interferer_sums(mw, serving, noise_mw):
-    """`ran_sim._interferer_sums` as one elementwise add per cell column, in
+    """`radio_model._interferer_sums` as one elementwise add per cell column, in
     cell order, with 0.0 for each UE's serving cell."""
     interference = np.zeros(len(serving))
     noise_and_interference = np.full(len(serving), noise_mw)
@@ -664,14 +764,14 @@ def loop_interferer_sums(mw, serving, noise_mw):
 
 def scalar_step(state):
     """ran_sim.step as one loop per UE over Python floats and scalar draws,
-    calling the scalar link model of radio_model for every (UE, cell)."""
+    calling the scalar link model above for every (UE, cell)."""
     cfg = state.config
     link = cfg.link
     new = state.clone()
     new.tick = state.tick + 1
     rng = new.rng
     dt = cfg.tick_ms / 1000.0
-    noise_mw = rm.dbm_to_mw(rm.noise_power_per_re_dbm(link))
+    noise_mw = db_to_linear(rm.noise_power_per_re_dbm(link))
     n_ues = len(state.serving_cell)
 
     # (1) mobility with reflective walls
@@ -709,16 +809,16 @@ def scalar_step(state):
         for cell in new.cells:
             d = max(math.hypot(positions[i][0] - cell.position[0],
                                positions[i][1] - cell.position[1]), 1e-6)
-            rsrp[cell.cell_id] = rm.rsrp_dbm(
-                cell.tx_power_per_re_dbm, rm.path_loss_db(d, link), shadowing[i][cell.cell_id]
+            rsrp[cell.cell_id] = rsrp_dbm(
+                cell.tx_power_per_re_dbm, path_loss_db(d, link), shadowing[i][cell.cell_id]
             )
         chosen = scalar_serving_cell(serving[i], rsrp, cfg.hysteresis_db)
         if chosen != serving[i]:
             n_handovers += 1
             serving[i] = chosen
-        serving_mw = rm.dbm_to_mw(rsrp[serving[i]])
-        interferers = [rm.dbm_to_mw(rsrp[c.cell_id]) for c in new.cells if c.cell_id != serving[i]]
-        sinr = rm.sinr_db(serving_mw, interferers, noise_mw)
+        serving_mw = db_to_linear(rsrp[serving[i]])
+        interferers = [db_to_linear(rsrp[c.cell_id]) for c in new.cells if c.cell_id != serving[i]]
+        sinr = sinr_db(serving_mw, interferers, noise_mw)
         # an explicit loop, not sum(): Python >= 3.12 compensates sum() of floats
         interference = 0.0
         for p in interferers:
@@ -727,10 +827,10 @@ def scalar_step(state):
         channels.append(
             ChannelSample(
                 rsrp_dbm=rsrp[serving[i]],
-                rssi_dbm=rm.mw_to_dbm(total_mw),
-                rsrq_db=rm.rsrq_db(serving_mw, total_mw),
+                rssi_dbm=mw_to_dbm(total_mw),
+                rsrq_db=rsrq_db(serving_mw, total_mw),
                 sinr_db=sinr,
-                cqi=rm.cqi_from_sinr(sinr),
+                cqi=cqi_from_sinr(sinr),
             )
         )
         neighbors.append({cid: r for cid, r in rsrp.items() if cid != serving[i]})

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from rantwin import anomaly, evaluation, mlp, ran_sim, ric, twin_engine
+from rantwin import radio_model as rm
 from rantwin.anomaly import AnomalyClass
 from rantwin.cli import default_demo_schedule, main
 from rantwin.errors import ProtocolError
@@ -299,15 +300,23 @@ def test_criterion_9_invariant_suite():
         rng = np.random.default_rng(90)
         params = ran_sim.SimConfig().link
 
-        # radio-model monotonicity and the RSRQ bound
-        for _ in range(100):
-            d1, d2 = sorted(rng.uniform(0.1, 3000.0, size=2))
-            assert ran_sim.radio_model.path_loss_db(d1, params) <= \
-                ran_sim.radio_model.path_loss_db(d2, params)
-            rsrp = rng.uniform(1e-9, 5.0)
-            assert ran_sim.radio_model.rsrq_db(rsrp, rsrp + rng.uniform(0, 10)) <= 0.0
-            a, b = sorted(rng.uniform(-30, 30, size=2))
-            assert ran_sim.radio_model.cqi_from_sinr(a) <= ran_sim.radio_model.cqi_from_sinr(b)
+        # radio-model monotonicity and the RSRQ bound, on the link model's
+        # columns: per draw, two distances, a serving and an interferer
+        # power in mW, and two SINRs
+        draws = [
+            (sorted(rng.uniform(0.1, 3000.0, size=2)), rng.uniform(1e-9, 5.0),
+             rng.uniform(0, 10), sorted(rng.uniform(-30, 30, size=2)))
+            for _ in range(100)
+        ]
+        distances, serving_mw, interferer_mw, sinrs = (np.array(c) for c in zip(*draws))
+        loss = rm.path_loss_db(distances, params)
+        assert (loss[:, 0] <= loss[:, 1]).all()
+        rsrp = 10.0 * np.log10(np.column_stack([serving_mw, interferer_mw]))
+        noise_mw = rm.dbm_to_mw(rm.noise_power_per_re_dbm(params))
+        channel = rm.sample_channel(rsrp, np.zeros(len(rsrp), dtype=np.int64), noise_mw)
+        assert (channel.rsrq_db <= 0.0).all()
+        cqi = rm.cqi_from_sinr(sinrs)
+        assert (cqi[:, 0] <= cqi[:, 1]).all()
 
         # PRB conservation per cell on random instances
         for _ in range(20):
@@ -356,13 +365,13 @@ def test_criterion_9_invariant_suite():
         bus = ric.MessageBus()
         subs = [bus.subscribe(), bus.subscribe()]
         for t in (1, 2, 3):
-            bus.publish(ric.Indication(tick=t, reports=mk_batch([], tick=t)))
+            bus.publish(mk_batch([], tick=t))
         for sub in subs:
             assert [sub.pop().tick for _ in range(3)] == [1, 2, 3]
             with pytest.raises(ProtocolError):
                 sub.pop()
         with pytest.raises(ProtocolError):
-            bus.publish(ric.Indication(tick=3, reports=mk_batch([], tick=3)))
+            bus.publish(mk_batch([], tick=3))
 
         # loop safety: an always-Normal stub leaves the trajectory unchanged
         config = ran_sim.SimConfig(n_cells=2, n_ues=6, n_ticks=25, seed=91)

@@ -25,6 +25,7 @@ from rantwin.radio_model import ChannelColumns
 from rantwin.twin_engine import AllocationPlan
 
 from oracles import (
+    channel_row,
     columns_of,
     cqi_table_scan,
     mk_batch,
@@ -68,7 +69,7 @@ def mk_channel(**kwargs):
 
 def inject_fault(channel, spec, rng):
     """`inject_faults` on a one-row channel."""
-    return inject_faults(columns_of([channel]), [0], [spec], rng).row(0)
+    return channel_row(inject_faults(columns_of([channel]), [0], [spec], rng), 0)
 
 
 class TestInjectFault:
@@ -169,7 +170,7 @@ class TestOneJitterDraw:
         specs = list(default_fault_specs().values()) * 4
         ours, scalar = np.random.default_rng(21), np.random.default_rng(21)
         got = inject_faults(columns_of(reports), list(range(12)), specs, ours)
-        assert [got.row(i) for i in range(12)] == [
+        assert [channel_row(got, i) for i in range(12)] == [
             oracle_inject_fault(ch, spec, scalar) for ch, spec in zip(reports, specs)
         ]
         assert ours.bit_generator.state == scalar.bit_generator.state

@@ -5,161 +5,163 @@ import pytest
 
 from rantwin import radio_model as rm
 from rantwin.errors import DomainError
-from rantwin.radio_model import ChannelSample, LinkBudgetParams
+from rantwin.radio_model import LinkBudgetParams
 
-from oracles import cqi_table_scan
+from oracles import cqi_table_scan, linear_to_db
 
 PARAMS = LinkBudgetParams()
+NOISE_MW = rm.dbm_to_mw(rm.noise_power_per_re_dbm(PARAMS))
+
+
+def path_loss(*distances_m):
+    return rm.path_loss_db(np.array(distances_m), PARAMS)
+
+
+def rsrp_at(distance_m, tx_dbm, shadowing_db, link=PARAMS):
+    """rsrp_matrix of one UE `distance_m` east of one cell at the origin."""
+    return rm.rsrp_matrix(np.array([[distance_m, 0.0]]), np.zeros((1, 2)), np.array([tx_dbm]),
+                          np.array([[shadowing_db]]), link)[0, 0]
+
+
+def channel(serving_mw, interferers_mw, noise_mw):
+    """sample_channel of UEs served by cell 0, from their (U, C) powers in mW."""
+    mw = np.column_stack([serving_mw, *interferers_mw])
+    return rm.sample_channel(10.0 * np.log10(mw), np.zeros(len(mw), dtype=np.int64), noise_mw)
 
 
 class TestPathLoss:
     def test_reference_distance(self):
-        assert rm.path_loss_db(1.0, PARAMS) == pytest.approx(36.6)
+        assert path_loss(1.0) == pytest.approx([36.6])
 
     def test_ten_times_reference(self):
         # 10 * n * log10(10) adds exactly 10n dB
-        assert rm.path_loss_db(10.0, PARAMS) == pytest.approx(36.6 + 35.0)
+        assert path_loss(10.0) == pytest.approx([36.6 + 35.0])
 
     def test_hand_evaluated_100m(self):
         # independent scalar recomputation of the log-distance formula
         expected = 36.6 + 10.0 * 3.5 * math.log10(100.0 / 1.0)
         assert expected == pytest.approx(106.6, abs=1e-9)
-        assert rm.path_loss_db(100.0, PARAMS) == pytest.approx(expected, rel=1e-12)
+        assert path_loss(100.0) == pytest.approx([expected], rel=1e-12)
 
     def test_flat_inside_reference_distance(self):
-        assert rm.path_loss_db(0.5, PARAMS) == pytest.approx(36.6)
-
-    def test_nonpositive_distance_rejected(self):
-        with pytest.raises(DomainError):
-            rm.path_loss_db(0.0, PARAMS)
-        with pytest.raises(DomainError):
-            rm.path_loss_db(-1.0, PARAMS)
+        assert path_loss(0.0, 0.5) == pytest.approx([36.6, 36.6])
 
     def test_monotone_in_distance(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            d1, d2 = sorted(rng.uniform(0.1, 5000.0, size=2))
-            assert rm.path_loss_db(d1, PARAMS) <= rm.path_loss_db(d2, PARAMS)
+        d = np.sort(rng.uniform(0.1, 5000.0, size=(200, 2)), axis=1)
+        loss = rm.path_loss_db(d, PARAMS)
+        assert (loss[:, 0] <= loss[:, 1]).all()
 
 
 class TestRsrp:
     def test_zero_loss(self):
-        assert rm.rsrp_dbm(-10.0, 0.0, 0.0) == pytest.approx(-10.0)
+        link = LinkBudgetParams(ref_path_loss_db=0.0)
+        assert rsrp_at(0.0, -10.0, 0.0, link) == pytest.approx(-10.0)
 
     def test_subtraction(self):
-        assert rm.rsrp_dbm(-10.0, 106.6, 0.0) == pytest.approx(-116.6)
+        assert rsrp_at(100.0, -10.0, 0.0) == pytest.approx(-116.6)
 
     def test_positive_shadowing_raises_rsrp(self):
-        assert rm.rsrp_dbm(-10.0, 106.6, 8.0) == pytest.approx(-108.6)
+        assert rsrp_at(100.0, -10.0, 8.0) == pytest.approx(-108.6)
 
 
 class TestSinr:
     def test_unity_ratio(self):
-        assert rm.sinr_db(2.5, [], 2.5) == pytest.approx(0.0)
+        assert channel(2.5, [], 2.5).sinr_db == pytest.approx([0.0])
 
     def test_noise_limit(self):
-        assert rm.sinr_db(1.0, [1.0], 1e-12) == pytest.approx(0.0, abs=1e-6)
+        assert channel(1.0, [1.0], 1e-12).sinr_db == pytest.approx([0.0], abs=1e-6)
 
     def test_interferers_plus_noise(self):
-        assert rm.sinr_db(10.0, [4.0, 5.0], 1.0) == pytest.approx(0.0)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            rm.sinr_db(0.0, [], 1.0)
-        with pytest.raises(DomainError):
-            rm.sinr_db(1.0, [], 0.0)
-        with pytest.raises(DomainError):
-            rm.sinr_db(1.0, [-0.1], 1.0)
+        assert channel(10.0, [4.0, 5.0], 1.0).sinr_db == pytest.approx([0.0])
 
     def test_strictly_decreasing_in_interferer_power(self):
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            serving = rng.uniform(0.1, 10.0)
-            base = rng.uniform(0.0, 5.0, size=3)
-            k = int(rng.integers(0, 3))
-            bumped = base.copy()
-            bumped[k] += rng.uniform(0.01, 2.0)
-            assert rm.sinr_db(serving, bumped, 1e-3) < rm.sinr_db(serving, base, 1e-3)
+        serving = rng.uniform(0.1, 10.0, size=100)
+        base = rng.uniform(0.0, 5.0, size=(100, 3))
+        bumped = base.copy()
+        bumped[np.arange(100), rng.integers(0, 3, size=100)] += rng.uniform(0.01, 2.0, size=100)
+        worse = channel(serving, bumped.T, 1e-3).sinr_db
+        assert (worse < channel(serving, base.T, 1e-3).sinr_db).all()
 
 
 class TestRsrq:
     def test_upper_bound_no_interference(self):
-        assert rm.rsrq_db(2.0, 2.0) == pytest.approx(0.0)
+        rsrq = channel(2.0, [], 1e-15).rsrq_db
+        assert rsrq == pytest.approx([0.0])
+        assert rsrq <= 0.0
 
     def test_half_ratio(self):
-        assert rm.rsrq_db(1.0, 2.0) == pytest.approx(-3.0103, abs=1e-4)
+        assert channel(1.0, [0.5], 0.5).rsrq_db == pytest.approx([-3.0103], abs=1e-4)
 
     def test_one_tenth(self):
-        assert rm.rsrq_db(1.0, 10.0) == pytest.approx(-10.0)
-
-    def test_power_accounting_violation(self):
-        with pytest.raises(DomainError):
-            rm.rsrq_db(2.0, 1.9)
+        assert channel(1.0, [4.0, 4.0], 1.0).rsrq_db == pytest.approx([-10.0])
 
     def test_never_positive(self):
         rng = np.random.default_rng(2)
-        for _ in range(200):
-            rsrp = rng.uniform(1e-12, 10.0)
-            extra = rng.uniform(0.0, 10.0)
-            assert rm.rsrq_db(rsrp, rsrp + extra) <= 0.0
+        rsrp = rng.uniform(1e-12, 10.0, size=200)
+        extra = rng.uniform(0.0, 10.0, size=200)
+        assert (channel(rsrp, [extra], 1e-15).rsrq_db <= 0.0).all()
+
+
+class TestSampleChannel:
+    @pytest.mark.parametrize("n_cells", [1, 3, 19])
+    def test_power_accounting_on_random_rsrp(self, n_cells):
+        rng = np.random.default_rng(n_cells)
+        rsrp = rng.uniform(-140.0, -40.0, size=(200, n_cells))
+        serving = rng.integers(0, n_cells, size=200)
+        ch = rm.sample_channel(rsrp, serving, NOISE_MW)
+        assert (ch.rsrp_dbm == rsrp[np.arange(200), serving]).all()
+        assert (ch.rsrq_db <= 0.0).all()
+        assert (ch.rssi_dbm >= ch.rsrp_dbm).all()
+        assert (ch.cqi == rm.cqi_from_sinr(ch.sinr_db)).all()
 
 
 class TestCqi:
     def test_below_lowest_threshold(self):
-        assert rm.cqi_from_sinr(-30.0) == 0
+        assert rm.cqi_from_sinr(np.array([-30.0])).tolist() == [0]
 
     def test_above_highest_threshold(self):
-        assert rm.cqi_from_sinr(40.0) == 15
+        assert rm.cqi_from_sinr(np.array([40.0])).tolist() == [15]
 
     def test_lookup_matches_table_scan(self):
         # spec example: 10 dB lands in CQI 9
         assert cqi_table_scan(10.0) == 9
-        assert rm.cqi_from_sinr(10.0) == 9
-        rng = np.random.default_rng(3)
-        for sinr in rng.uniform(-40.0, 40.0, size=500):
-            assert rm.cqi_from_sinr(float(sinr)) == cqi_table_scan(float(sinr))
+        assert rm.cqi_from_sinr(np.array([10.0])).tolist() == [9]
+        sinr = np.random.default_rng(3).uniform(-40.0, 40.0, size=500)
+        assert rm.cqi_from_sinr(sinr).tolist() == [cqi_table_scan(s) for s in sinr.tolist()]
 
     def test_inclusive_lower_bound_at_every_threshold(self):
-        for k, thr in enumerate(rm.CQI_SINR_THRESHOLDS_DB, start=1):
-            assert rm.cqi_from_sinr(thr) == k
+        thresholds = np.array(rm.CQI_SINR_THRESHOLDS_DB)
+        assert rm.cqi_from_sinr(thresholds).tolist() == list(range(1, 16))
+        below = np.nextafter(thresholds, -np.inf)
+        assert rm.cqi_from_sinr(below).tolist() == list(range(15))
 
     def test_monotone_in_sinr(self):
         rng = np.random.default_rng(4)
-        for _ in range(200):
-            a, b = sorted(rng.uniform(-30.0, 30.0, size=2))
-            assert rm.cqi_from_sinr(a) <= rm.cqi_from_sinr(b)
+        pairs = np.sort(rng.uniform(-30.0, 30.0, size=(200, 2)), axis=1)
+        cqi = rm.cqi_from_sinr(pairs)
+        assert (cqi[:, 0] <= cqi[:, 1]).all()
 
 
 class TestConversions:
     def test_round_trip_identity(self):
         rng = np.random.default_rng(5)
         for db in rng.uniform(-200.0, 200.0, size=500):
-            again = rm.linear_to_db(rm.db_to_linear(float(db)))
+            again = linear_to_db(rm.dbm_to_mw(float(db)))
             assert again == pytest.approx(float(db), rel=1e-9, abs=1e-9)
-
-    def test_linear_to_db_domain(self):
-        with pytest.raises(DomainError):
-            rm.linear_to_db(0.0)
-
-
-class TestChannelSample:
-    def test_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            ChannelSample(rsrp_dbm=-90, rssi_dbm=-85, rsrq_db=0.5, sinr_db=5, cqi=7)
-        with pytest.raises(DomainError):
-            ChannelSample(rsrp_dbm=-90, rssi_dbm=-85, rsrq_db=-3, sinr_db=5, cqi=16)
 
 
 class TestSpectralEfficiency:
     def test_cqi_zero_caps_at_zero(self):
-        assert rm.spectral_efficiency_bps_hz(30.0, 0) == 0.0
+        assert rm.spectral_efficiencies(np.array([30.0]), np.array([0])).tolist() == [0.0]
 
     def test_min_of_shannon_and_cap(self):
-        # low SINR with a high CQI cap: the Shannon branch wins
-        shannon = math.log2(1.0 + rm.db_to_linear(0.0))
-        assert rm.spectral_efficiency_bps_hz(0.0, 15) == pytest.approx(shannon)
+        # low SINR with a high CQI cap: the Shannon branch wins, log2(1 + 1)
+        se = rm.spectral_efficiencies(np.array([0.0, 30.0]), np.array([15, 9]))
+        assert se[0] == pytest.approx(1.0)
         # high SINR: the table cap wins
-        assert rm.spectral_efficiency_bps_hz(30.0, 9) == pytest.approx(2.4063)
+        assert se[1] == pytest.approx(2.4063)
 
 
 class TestShadowing:

@@ -26,11 +26,19 @@ from oracles import (
     DB_SCALE,
     ULPS,
     assert_close,
+    channel_row,
+    cqi_from_sinr,
+    db_to_linear,
     inject_fault,
     loop_interferer_sums,
+    mw_to_dbm,
+    path_loss_db,
     report_rows,
+    rsrp_dbm,
+    rsrq_db,
     scalar_serving_cell,
     scalar_step,
+    sinr_db,
     ulps_apart,
 )
 
@@ -288,7 +296,7 @@ class TestExactDraws:
         mw = np.power(10.0, rng.uniform(-140.0, -40.0, size=(n_ues, n_cells)) / 10.0)
         serving = rng.integers(0, n_cells, size=n_ues)
         noise_mw = rm.dbm_to_mw(rm.noise_power_per_re_dbm(LinkBudgetParams()))
-        got = ran_sim._interferer_sums(mw, serving, noise_mw)
+        got = rm._interferer_sums(mw, serving, noise_mw)
         expected = loop_interferer_sums(mw, serving, noise_mw)
         assert all(_same_bits(g, e) for g, e in zip(got, expected))
 
@@ -452,7 +460,7 @@ class TestStep:
         state = init_sim(SMALL)
         for _ in range(5):
             state, reports, _ = step(state)
-            noise_mw = rm.dbm_to_mw(rm.noise_power_per_re_dbm(state.config.link))
+            noise_mw = db_to_linear(rm.noise_power_per_re_dbm(state.config.link))
             for report, position, shadowing, serving in zip(
                 report_rows(reports),
                 state.position.tolist(),
@@ -463,22 +471,22 @@ class TestStep:
                 for cell in state.cells:
                     d = max(math.hypot(position[0] - cell.position[0],
                                        position[1] - cell.position[1]), 1e-6)
-                    rsrp[cell.cell_id] = rm.rsrp_dbm(
+                    rsrp[cell.cell_id] = rsrp_dbm(
                         cell.tx_power_per_re_dbm,
-                        rm.path_loss_db(d, state.config.link),
+                        path_loss_db(d, state.config.link),
                         shadowing[cell.cell_id],
                     )
-                serving_mw = rm.dbm_to_mw(rsrp[serving])
-                interf = [rm.dbm_to_mw(v) for cid, v in rsrp.items() if cid != serving]
+                serving_mw = db_to_linear(rsrp[serving])
+                interf = [db_to_linear(v) for cid, v in rsrp.items() if cid != serving]
                 total = serving_mw + sum(interf) + noise_mw
                 for value, expected in (
                     (report.channel.rsrp_dbm, rsrp[serving]),
-                    (report.channel.sinr_db, rm.sinr_db(serving_mw, interf, noise_mw)),
-                    (report.channel.rssi_dbm, rm.mw_to_dbm(total)),
-                    (report.channel.rsrq_db, rm.rsrq_db(serving_mw, total)),
+                    (report.channel.sinr_db, sinr_db(serving_mw, interf, noise_mw)),
+                    (report.channel.rssi_dbm, mw_to_dbm(total)),
+                    (report.channel.rsrq_db, rsrq_db(serving_mw, total)),
                 ):
                     assert ulps_apart(value, expected, DB_SCALE) <= ULPS
-                assert report.channel.cqi == rm.cqi_from_sinr(report.channel.sinr_db)
+                assert report.channel.cqi == cqi_from_sinr(report.channel.sinr_db)
                 assert set(report.neighbor_rsrp_dbm) == set(rsrp) - {serving}
 
     @pytest.mark.parametrize(
@@ -493,7 +501,7 @@ class TestStep:
         state = init_sim(SMALL)
         ran_sim.set_fault(state, 4, default_fault_specs()[cls])
         new, reports, _ = step(state)
-        true_channels = [new.last_channel.row(i) for i in range(len(reports))]
+        true_channels = [channel_row(new.last_channel, i) for i in range(len(reports))]
         for report, demand, true in zip(report_rows(reports), new.demand_mbps.tolist(), true_channels):
             assert report.demand_mbps == demand
             seen = report.channel
@@ -504,7 +512,7 @@ class TestStep:
                        if getattr(seen, f.name) != getattr(true, f.name)}
             assert changed <= family
             assert family - {"cqi"} <= changed
-            assert seen.cqi == rm.cqi_from_sinr(seen.sinr_db)
+            assert seen.cqi == cqi_from_sinr(seen.sinr_db)
 
     def test_corridor_handover_at_recomputed_tick(self):
         # scalar oracle: handover fires at the first x with
@@ -678,7 +686,7 @@ class TestFaultStageMatchesPerRowReference:
             rng = np.random.Generator(np.random.PCG64(0))
             rng.bit_generator.state = state.rng.bit_generator.state
             rng.normal(0.0, config.link.shadowing_sigma_db, size=state.shadowing_db.shape)
-            expected = [new.last_channel.row(i) for i in range(config.n_ues)]
+            expected = [channel_row(new.last_channel, i) for i in range(config.n_ues)]
             for ue_id in sorted(state.faults):
                 fault = state.faults[ue_id]
                 if new.tick <= fault.until_tick:
@@ -686,7 +694,7 @@ class TestFaultStageMatchesPerRowReference:
                     corrupted += 1
             rng.exponential(means[state.priority - 1])
 
-            assert [reports.channel.row(i) for i in range(config.n_ues)] == expected
+            assert [channel_row(reports.channel, i) for i in range(config.n_ues)] == expected
             assert rng.bit_generator.state == new.rng.bit_generator.state
             assert sorted(new.faults) == sorted(
                 u for u, f in state.faults.items() if new.tick < f.until_tick)

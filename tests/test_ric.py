@@ -19,7 +19,6 @@ from rantwin.ric import (
     EpisodeLog,
     FaultEvent,
     ForceHandover,
-    Indication,
     MessageBus,
     PrbBoost,
     ScheduledFault,
@@ -64,7 +63,7 @@ def indication_for(tick, n_ues=2, demand=5.0):
         mk_report(ue_id=u, tick=tick, demand=demand, neighbors={1: -95.0, 2: -99.0})
         for u in range(n_ues)
     ]
-    return Indication(tick=tick, reports=mk_batch(reports))
+    return mk_batch(reports)
 
 
 class TestMessageBus:
@@ -72,29 +71,29 @@ class TestMessageBus:
         bus = MessageBus()
         sub = bus.subscribe()
         for t in (1, 2, 3):
-            bus.publish(Indication(tick=t, reports=mk_batch([], tick=t)))
+            bus.publish(mk_batch([], tick=t))
         assert [sub.pop().tick for _ in range(3)] == [1, 2, 3]
 
     def test_fan_out_to_all_subscribers(self):
         bus = MessageBus()
         a, b = bus.subscribe(), bus.subscribe()
         for t in (1, 2, 3):
-            bus.publish(Indication(tick=t, reports=mk_batch([], tick=t)))
+            bus.publish(mk_batch([], tick=t))
         assert [a.pop().tick for _ in range(3)] == [1, 2, 3]
         assert [b.pop().tick for _ in range(3)] == [1, 2, 3]
 
     def test_duplicate_tick_rejected(self):
         bus = MessageBus()
         bus.subscribe()
-        bus.publish(Indication(tick=2, reports=mk_batch([], tick=2)))
+        bus.publish(mk_batch([], tick=2))
         with pytest.raises(ProtocolError):
-            bus.publish(Indication(tick=2, reports=mk_batch([], tick=2)))
+            bus.publish(mk_batch([], tick=2))
 
     def test_regressing_tick_rejected(self):
         bus = MessageBus()
-        bus.publish(Indication(tick=5, reports=mk_batch([], tick=5)))
+        bus.publish(mk_batch([], tick=5))
         with pytest.raises(ProtocolError):
-            bus.publish(Indication(tick=4, reports=mk_batch([], tick=4)))
+            bus.publish(mk_batch([], tick=4))
 
     def test_pop_without_pending_rejected(self):
         bus = MessageBus()
@@ -105,14 +104,10 @@ class TestMessageBus:
     def test_exactly_once(self):
         bus = MessageBus()
         sub = bus.subscribe()
-        bus.publish(Indication(tick=1, reports=mk_batch([], tick=1)))
+        bus.publish(mk_batch([], tick=1))
         assert sub.pop().tick == 1
         with pytest.raises(ProtocolError):
             sub.pop()
-
-    def test_indication_tick_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            Indication(tick=2, reports=mk_batch([mk_report(tick=3)]))
 
 
 class TestDtXapp:
@@ -191,9 +186,9 @@ class TestDtXapp:
         with pytest.raises(DomainError, match="other UEs"):
             xapp.on_indication(indication_for(2, n_ues=3))
         # as many UEs, in another order
-        swapped = dataclasses.replace(indication_for(2).reports, ue_id=np.array([1, 0]))
+        swapped = dataclasses.replace(indication_for(2), ue_id=np.array([1, 0]))
         with pytest.raises(DomainError, match="other UEs"):
-            xapp.on_indication(Indication(tick=2, reports=swapped))
+            xapp.on_indication(swapped)
 
     def test_missing_model_or_stats_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -302,11 +297,10 @@ class TestBatchedXapp:
             if state.tick + 1 in faults:
                 ran_sim.set_fault(state, *faults[state.tick + 1])
             state, reports, _ = ran_sim.step(state)
-            indication = Indication(tick=state.tick, reports=reports)
             weights = allocation_weights(state)
-            plan, actions, detections = batched.on_indication(indication, weights)
+            plan, actions, detections = batched.on_indication(reports, weights)
             ref_grants, ref_actions, ref_detections = per_ue_on_indication(
-                looped, indication, debounce, weights
+                looped, reports, debounce, weights
             )
             assert list(detections) == ref_detections
             assert actions == ref_actions

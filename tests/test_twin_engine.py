@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from rantwin import radio_model
 from rantwin.errors import DomainError
 from rantwin.radio_model import LinkBudgetParams
 from rantwin.twin_engine import allocate_prbs, twin_tick
@@ -17,6 +16,7 @@ from oracles import (
     mk_cell,
     mk_report,
     per_prb_rate_mbps,
+    spectral_efficiency_bps_hz,
     ulps_apart,
     weight_array,
 )
@@ -277,7 +277,7 @@ class TestTwinTick:
                 grant = plan.grants[report.ue_id]
                 expected = grant * per_prb_rate_mbps(sinr, cqi, PARAMS)
                 assert ulps_apart(predicted_mbps, expected) <= ULPS
-                assert ulps_apart(se, radio_model.spectral_efficiency_bps_hz(sinr, cqi)) <= ULPS
+                assert ulps_apart(se, spectral_efficiency_bps_hz(sinr, cqi)) <= ULPS
 
     def test_weight_override_changes_allocation(self):
         per_prb = per_prb_rate_mbps(30.0, 15, PARAMS)
