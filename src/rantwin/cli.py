@@ -308,21 +308,21 @@ def cmd_tsne(args) -> int:
 
 
 def default_demo_schedule(config: ran_sim.SimConfig) -> list[ric.ScheduledFault]:
-    """One fault per error class on distinct UEs, spread across the run."""
+    """One fault per error class on distinct UEs, spread across the run:
+    onsets 100, 250 and 400, each no later than the k-th quarter of the run
+    (k = 1, 2, 3) and no earlier than tick 1."""
     specs = anomaly.default_fault_specs()
     ue_ids = [5, 17, 29]
     onsets = [100, 250, 400]
     classes = [AnomalyClass.RSRP_ERROR, AnomalyClass.RSRQ_ERROR, AnomalyClass.SINR_ERROR]
-    schedule = []
-    for onset, ue_id, cls in zip(onsets, ue_ids, classes):
-        schedule.append(
-            ric.ScheduledFault(
-                onset_tick=min(onset, config.n_ticks),
-                ue_id=ue_id % config.n_ues,
-                spec=specs[cls],
-            )
+    return [
+        ric.ScheduledFault(
+            onset_tick=max(1, min(onset, (k + 1) * config.n_ticks // 4)),
+            ue_id=ue_id % config.n_ues,
+            spec=specs[cls],
         )
-    return schedule
+        for k, (onset, ue_id, cls) in enumerate(zip(onsets, ue_ids, classes))
+    ]
 
 
 def _parse_class(value) -> AnomalyClass:

@@ -126,6 +126,17 @@ def predict_batch(model: MlpModel, x) -> np.ndarray:
     return np.argmax(forward_rows(model, x), axis=1)
 
 
+def _mean_cross_entropy(probs: np.ndarray, y: np.ndarray, rows: np.ndarray) -> float:
+    """Mean of -log probs[i, y[i]] over the rows of probs; `rows` is
+    `np.arange(len(y))`."""
+    return float(-np.add.reduce(np.log(np.maximum(probs[rows, y], 1e-300))) / len(y))
+
+
+def _dataset_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
+    """The loss of `loss_and_grads`, without the backward pass."""
+    return _mean_cross_entropy(_softmax(_forward_batch(model, x)[1]), y, np.arange(len(y)))
+
+
 def loss_and_grads(
     model: MlpModel, x: np.ndarray, y: np.ndarray, grad_w=None, grad_b=None, rows=None
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
@@ -140,7 +151,7 @@ def loss_and_grads(
     rows = np.arange(n) if rows is None else rows[:n]
     activations, logits = _forward_batch(model, x)
     probs = _softmax(logits)
-    loss = float(-np.add.reduce(np.log(np.maximum(probs[rows, y], 1e-300))) / n)
+    loss = _mean_cross_entropy(probs, y, rows)
 
     delta = probs
     delta[rows, y] -= 1.0
@@ -217,7 +228,7 @@ def train(
     rows = np.arange(min(batch_size, n))
 
     report = TrainReport()
-    report.initial_loss, _, _ = loss_and_grads(work, x_train, y_train)
+    report.initial_loss = _dataset_loss(work, x_train, y_train)
 
     step_count = 0
     try:
@@ -262,7 +273,7 @@ def train(
         for dst, src in zip(model.weights + model.biases, work.weights + work.biases):
             np.copyto(dst, src)
 
-    report.final_loss, _, _ = loss_and_grads(model, x_train, y_train)
+    report.final_loss = _dataset_loss(model, x_train, y_train)
     if not np.isfinite(report.final_loss):
         raise TrainingError(f"non-finite loss at epoch {config.epochs}")
     if report.final_loss >= report.initial_loss:

@@ -8,7 +8,6 @@ report streams.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -142,15 +141,6 @@ class TickKpis:
     n_handovers: int
 
 
-@functools.cache
-def _clone_seed() -> np.random.SeedSequence:
-    """The seed of the throwaway generator of `SimState.clone`, whose state
-    the clone overwrites. Built once, because seeding from an int builds a
-    SeedSequence, and on first use, so that importing this module does not
-    load numpy.random."""
-    return np.random.SeedSequence(0)
-
-
 # The array columns of SimState, one row per UE.
 _UE_COLUMNS = ("position", "velocity", "shadowing_db", "serving_cell", "priority", "demand_mbps",
                "achieved_mbps", "boost_factor", "boost_until_tick")
@@ -158,12 +148,16 @@ _UE_COLUMNS = ("position", "velocity", "shadowing_db", "serving_cell", "priority
 
 @dataclass(eq=False)
 class SimState:
-    """The network at one tick, one column per UE attribute.
+    """The network at one tick, one column per UE attribute. `step`,
+    `apply_allocation` and `ric.apply_control` advance it in place.
 
     Row i of every UE column belongs to ue_id i, and column j of
-    `shadowing_db` to cells[j], so cells[j].cell_id must be j. Arrays have
-    no single truth value, so states compare by identity; compare
-    `snapshot()`s instead.
+    `shadowing_db` to cells[j], so cells[j].cell_id must be j. Only
+    `ric.apply_control` writes into arrays, those of `serving_cell`,
+    `boost_factor` and `boost_until_tick`; every other column is replaced
+    whole and never written into, so an array read from a state keeps its
+    values. Arrays have no single truth value, so states compare by
+    identity; compare `snapshot()`s instead.
     """
 
     config: SimConfig
@@ -177,18 +171,16 @@ class SimState:
     priority: np.ndarray  # (U,) int, 1..N_PRIORITY_CLASSES
     demand_mbps: np.ndarray  # (U,)
     # Rate realised by the last allocation, carried in the next reports.
-    # apply_allocation replaces the array and never writes into it.
     achieved_mbps: np.ndarray  # (U,)
     # Allocation-weight boost installed by a control action; active while
     # the report tick is <= boost_until_tick.
     boost_factor: np.ndarray  # (U,)
     boost_until_tick: np.ndarray  # (U,) int
     faults: dict[int, ActiveFault] = field(default_factory=dict)
-    # The true (uncorrupted) channel of every UE at the last step; step
-    # replaces it and nothing writes into it.
+    # The true (uncorrupted) channel of every UE at the last step.
     last_channel: ChannelColumns | None = None
     # The cells' positions (C, 2) and powers (C,), built from `cells` once:
-    # the cells of a network never change, and clones share the arrays.
+    # the cells of a network never change.
     cell_xy: np.ndarray = field(init=False, repr=False)
     cell_tx_dbm: np.ndarray = field(init=False, repr=False)
 
@@ -201,22 +193,6 @@ class SimState:
                 )
         self.cell_xy = np.array([c.position for c in self.cells], dtype=np.float64)
         self.cell_tx_dbm = np.array([c.tx_power_per_re_dbm for c in self.cells], dtype=np.float64)
-
-    def clone(self) -> "SimState":
-        """A copy of the columns apply_control writes into; the other arrays
-        are shared, because step and apply_allocation replace them whole."""
-        # A fixed seed spares drawing entropy from the OS for a generator
-        # whose state the next line overwrites.
-        rng = np.random.Generator(np.random.PCG64(_clone_seed()))
-        rng.bit_generator.state = self.rng.bit_generator.state
-        new = object.__new__(SimState)
-        new.__dict__.update(self.__dict__)
-        new.rng = rng
-        new.serving_cell = self.serving_cell.copy()
-        new.boost_factor = self.boost_factor.copy()
-        new.boost_until_tick = self.boost_until_tick.copy()
-        new.faults = dict(self.faults)
-        return new
 
     @property
     def ues(self) -> list[UeView]:
@@ -333,7 +309,8 @@ def set_fault(state: SimState, ue_id: int, spec: "FaultSpec") -> None:
 
 
 def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
-    """Advance one tick. The input state is left untouched.
+    """Advance `state` one tick, in place, and return it with the tick's
+    reports and handover count.
 
     Stage order: mobility, shadowing, reselection, channel sampling, fault
     corruption of the reported channel, traffic resampling, report emission.
@@ -341,16 +318,15 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     """
     cfg = state.config
     link = cfg.link
-    new = state.clone()
-    new.tick = state.tick + 1
-    rng = new.rng
+    state.tick += 1
+    rng = state.rng
     dt = cfg.tick_ms / 1000.0
     area = cfg.area_m
     noise_mw = radio_model.dbm_to_mw(radio_model.noise_power_per_re_dbm(link))
 
     # (1) mobility with reflective walls, until every coordinate is inside
-    position = new.position + new.velocity * dt
-    velocity = new.velocity
+    position = state.position + state.velocity * dt
+    velocity = state.velocity
     while True:
         below = position < 0.0
         above = position > area
@@ -359,50 +335,52 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
             break
         position = np.where(below, -position, np.where(above, 2.0 * area - position, position))
         velocity = np.where(outside, -velocity, velocity)
-    new.position, new.velocity = position, velocity
+    state.position, state.velocity = position, velocity
 
     # (2) shadowing evolution, one draw per (UE, cell) in row order
-    new.shadowing_db = radio_model.evolve_shadowing(
+    state.shadowing_db = radio_model.evolve_shadowing(
         state.shadowing_db, cfg.shadowing_rho, link.shadowing_sigma_db, rng
     )
 
     # (3) serving-cell reselection
-    rsrp = radio_model.rsrp_matrix(position, new.cell_xy, new.cell_tx_dbm, new.shadowing_db, link)
-    serving = select_serving_cells(rsrp, state.serving_cell, cfg.hysteresis_db)
-    n_handovers = int(np.count_nonzero(serving != state.serving_cell))
-    new.serving_cell = serving
+    rsrp = radio_model.rsrp_matrix(
+        position, state.cell_xy, state.cell_tx_dbm, state.shadowing_db, link)
+    previous = state.serving_cell
+    serving = select_serving_cells(rsrp, previous, cfg.hysteresis_db)
+    n_handovers = int(np.count_nonzero(serving != previous))
+    state.serving_cell = serving
 
     # (4) channel sampling
-    new.last_channel = radio_model.sample_channel(rsrp, serving, noise_mw)
+    state.last_channel = radio_model.sample_channel(rsrp, serving, noise_mw)
 
     # (5) fault corruption of the reported channel, in ue_id order. Every
     # fault in the set is live: set_fault gives until_tick >= tick + 1, and a
     # fault is dropped on its last tick.
-    faulted = sorted(new.faults)
-    specs = [new.faults[u].spec for u in faulted]
-    reported = anomaly.inject_faults(new.last_channel, faulted, specs, rng)
-    new.faults = {u: f for u, f in new.faults.items() if f.until_tick > new.tick}
+    faulted = sorted(state.faults)
+    specs = [state.faults[u].spec for u in faulted]
+    reported = anomaly.inject_faults(state.last_channel, faulted, specs, rng)
+    state.faults = {u: f for u, f in state.faults.items() if f.until_tick > state.tick}
 
     # (6) traffic demand resampling
     means = np.array(cfg.traffic.mean_demand_mbps, dtype=np.float64)
     # scale * standard_exponential is what rng.exponential(scale) computes
     # per draw: the same doubles and generator state, without the per-element
     # parameter broadcast.
-    new.demand_mbps = means[new.priority - 1] * rng.standard_exponential(len(new.priority))
+    state.demand_mbps = means[state.priority - 1] * rng.standard_exponential(len(state.priority))
 
     # (7) report emission. serving_cell is copied because apply_control
     # writes into the state's column.
     reports = ReportBatch(
-        new.tick,
+        state.tick,
         np.arange(len(serving)),
         serving.copy(),
         reported,
         rsrp,
-        new.demand_mbps,
-        new.priority,
-        new.achieved_mbps,
+        state.demand_mbps,
+        state.priority,
+        state.achieved_mbps,
     )
-    return new, reports, TickKpis(tick=new.tick, n_handovers=n_handovers)
+    return state, reports, TickKpis(tick=state.tick, n_handovers=n_handovers)
 
 
 def apply_allocation(state: SimState, plan: "AllocationPlan", link: LinkBudgetParams) -> None:

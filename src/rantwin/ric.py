@@ -285,8 +285,10 @@ class DtXapp:
         return plan, actions, detections
 
 
-def apply_control(state: SimState, action: ControlAction) -> SimState:
-    """Realize a control action on the RAN state (mutates and returns it)."""
+def apply_control(state: SimState, action: ControlAction) -> None:
+    """Realize a control action on the RAN state, in place: a forced
+    handover writes into its `serving_cell` column, a PRB boost into
+    `boost_factor` and `boost_until_tick`."""
     row = state.ue_index(action.ue_id)
     if isinstance(action.kind, ForceHandover):
         state.cell(action.kind.target_cell)  # raises on unknown cell
@@ -296,7 +298,6 @@ def apply_control(state: SimState, action: ControlAction) -> SimState:
         state.boost_until_tick[row] = action.tick + action.kind.duration_ticks
     else:
         raise DomainError(f"unknown control kind {action.kind!r}")
-    return state
 
 
 def allocation_weights(state: SimState) -> np.ndarray:
@@ -308,8 +309,8 @@ def allocation_weights(state: SimState) -> np.ndarray:
 
 class ControlLoop:
     """The simulator, the bus and the DT xApp, stepped one controller tick at
-    a time. `state` is the RAN state after the last tick; a caller injects
-    faults into it between ticks."""
+    a time. `state` is the RAN state, which every tick advances in place; a
+    caller injects faults into it between ticks."""
 
     def __init__(
         self,
@@ -328,7 +329,6 @@ class ControlLoop:
         """Step the RAN, publish its reports, run the xApp on them with each
         UE's allocation weight, then apply its grants and control actions."""
         state, reports, _ = ran_sim.step(self.state)
-        self.state = state
         self._bus.publish(reports)
         plan, actions, detections = self._xapp.on_indication(
             self._subscription.pop(), weights=allocation_weights(state)

@@ -19,6 +19,7 @@ read reports one UE at a time, as `Report` objects; `mk_batch` and
 `report_rows` convert to and from a `ReportBatch`.
 """
 
+import copy
 import itertools
 import json
 import math
@@ -767,7 +768,7 @@ def scalar_step(state):
     calling the scalar link model above for every (UE, cell)."""
     cfg = state.config
     link = cfg.link
-    new = state.clone()
+    new = copy.deepcopy(state)
     new.tick = state.tick + 1
     rng = new.rng
     dt = cfg.tick_ms / 1000.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rantwin import anomaly, mlp, ran_sim
-from rantwin.cli import main
+from rantwin.cli import default_demo_schedule, main
 
 
 def sha(path):
@@ -475,6 +475,25 @@ class TestClosedLoop:
         ])
         assert rc == 2
         assert "model file not found" in capsys.readouterr().err
+
+
+class TestDefaultDemoSchedule:
+    @staticmethod
+    def onsets(n_ticks):
+        return [f.onset_tick for f in default_demo_schedule(ran_sim.SimConfig(n_ticks=n_ticks))]
+
+    @pytest.mark.parametrize("n_ticks, expected", [(2000, [100, 250, 400]), (120, [30, 60, 90]),
+                                                   (3, [1, 1, 2])])
+    def test_onsets(self, n_ticks, expected):
+        assert self.onsets(n_ticks) == expected
+
+    def test_onsets_ascending_and_inside_every_run_length(self):
+        """Distinct whenever the run has 4 ticks or more."""
+        for n_ticks in range(1, 2001):
+            onsets = self.onsets(n_ticks)
+            assert all(1 <= t <= n_ticks for t in onsets), n_ticks
+            assert all(a < b if n_ticks >= 4 else a <= b
+                       for a, b in zip(onsets, onsets[1:])), n_ticks
 
 
 class TestPrintDefaultConfig:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import json
@@ -306,7 +307,7 @@ class TestExactDraws:
         faulted = {2: specs[AnomalyClass.RSRP_ERROR], 5: specs[AnomalyClass.SINR_ERROR]}
         for ue_id, spec in faulted.items():
             ran_sim.set_fault(state, ue_id, spec)
-        new, reports, _ = step(state)
+        new, reports, _ = step(copy.deepcopy(state))
 
         rng = np.random.default_rng(0)
         rng.bit_generator.state = state.rng.bit_generator.state
@@ -335,31 +336,6 @@ class TestExactDraws:
         scalar = np.array([a.uniform(-j, j) for j in jitter.tolist()])
         assert _same_bits(scalar, b.uniform(-jitter, jitter))
         assert a.bit_generator.state == b.bit_generator.state
-
-
-class TestClone:
-    def test_generator_equal_and_independent(self):
-        state = init_sim(SMALL)
-        clone = state.clone()
-        assert clone.rng is not state.rng
-        assert clone.rng.bit_generator.state == state.rng.bit_generator.state
-        drawn = clone.rng.standard_normal(8)
-        assert clone.rng.bit_generator.state != state.rng.bit_generator.state
-        assert _same_bits(state.rng.standard_normal(8), drawn)
-
-    def test_columns_apply_control_writes_are_not_shared(self):
-        state = init_sim(SMALL)
-        ran_sim.set_fault(state, 1, default_fault_specs()[AnomalyClass.RSRP_ERROR])
-        before = state.snapshot()
-        clone = state.clone()
-        assert clone.snapshot() == before
-        for name in ("serving_cell", "boost_factor", "boost_until_tick"):
-            assert not np.shares_memory(getattr(clone, name), getattr(state, name))
-        apply_control(clone, ControlAction(1, 0, ForceHandover(2), AnomalyClass.RSRP_ERROR))
-        apply_control(clone, ControlAction(1, 3, PrbBoost(2.0, 10), AnomalyClass.SINR_ERROR))
-        ran_sim.set_fault(clone, 4, default_fault_specs()[AnomalyClass.SINR_ERROR])
-        assert state.snapshot() == before
-        assert clone.snapshot() != before
 
 
 def _two_cell_corridor(start_x: float, speed: float) -> SimState:
@@ -414,15 +390,39 @@ class TestStep:
                 assert r.channel.rsrp_dbm == r0.channel.rsrp_dbm
         assert np.array_equal(s.position, state.position)
 
-    def test_step_is_pure(self):
+    def test_step_advances_its_argument(self):
         state = init_sim(SMALL)
-        before = state.snapshot()
-        a, reports_a, kpis_a = step(state)
-        assert state.snapshot() == before
-        b, reports_b, kpis_b = step(state)
-        assert a.snapshot() == b.snapshot()
+        ran_sim.set_fault(state, 3, default_fault_specs()[AnomalyClass.RSRQ_ERROR])
+        a, b = copy.deepcopy(state), copy.deepcopy(state)
+        new, _, _ = step(state)
+        assert new is state
+        assert state.tick == 1
+        a_out, reports_a, kpis_a = step(a)
+        b_out, reports_b, kpis_b = step(b)
+        assert a_out is a and b_out is b
+        assert a.snapshot() == b.snapshot() == state.snapshot()
         assert reports_a == reports_b
         assert kpis_a == kpis_b
+
+    def test_later_stages_leave_the_reports_alone(self):
+        """apply_allocation and apply_control advance the state the reports
+        were read from, but every report column keeps what step returned."""
+        from rantwin import twin_engine
+
+        state = init_sim(SMALL)
+        ran_sim.set_fault(state, 2, default_fault_specs()[AnomalyClass.SINR_ERROR])
+        state, reports, _ = step(state)
+        kept = copy.deepcopy(reports)
+        plan, _ = twin_engine.twin_tick(reports, state.cells, SMALL.link)
+        ran_sim.apply_allocation(state, plan, SMALL.link)
+        target = (int(reports.serving_cell[0]) + 1) % SMALL.n_cells
+        apply_control(state, ControlAction(state.tick, 0, ForceHandover(target),
+                                           AnomalyClass.RSRP_ERROR))
+        apply_control(state, ControlAction(state.tick, 2, PrbBoost(2.0, 5),
+                                           AnomalyClass.SINR_ERROR))
+        assert state.serving_cell[0] == target
+        assert not np.array_equal(state.achieved_mbps, kept.achieved_mbps)
+        assert reports == kept
 
     def test_tick_increments_by_one(self):
         state = init_sim(SMALL)
@@ -598,7 +598,7 @@ def _assert_step_matches_scalar(state, n_ticks, faults=(), controls=False):
         for ue_id, spec in faults.get(state.tick + 1, ()):
             ran_sim.set_fault(state, ue_id, spec)
         ref, ref_reports, ref_kpis = scalar_step(state)
-        new, reports, kpis = step(state)
+        new, reports, kpis = step(copy.deepcopy(state))
         assert_close(report_rows(reports), ref_reports)
         assert kpis == ref_kpis
         assert_close(new.last_channel, ref.last_channel)
@@ -681,7 +681,7 @@ class TestFaultStageMatchesPerRowReference:
             for onset, ue_id, spec in self.FAULTS:
                 if onset == state.tick + 1:
                     ran_sim.set_fault(state, ue_id, spec)
-            new, reports, _ = step(state)
+            new, reports, _ = step(copy.deepcopy(state))
 
             rng = np.random.Generator(np.random.PCG64(0))
             rng.bit_generator.state = state.rng.bit_generator.state
