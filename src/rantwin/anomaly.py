@@ -421,12 +421,16 @@ def read_stats_csv(path) -> FeatureStats:
             parts = line.split(",")
             if len(parts) != 3 or parts[0] not in FEATURE_NAMES:
                 raise DataFormatError(f"line {lineno}: bad stats row {line!r}")
+            if parts[0] in seen:
+                raise DataFormatError(f"line {lineno}: repeated stats row for {parts[0]!r}")
             i = FEATURE_NAMES.index(parts[0])
             try:
                 mean[i] = float(parts[1])
                 std[i] = float(parts[2])
             except ValueError as e:
                 raise DataFormatError(f"line {lineno}: {e}") from e
+            if not (math.isfinite(mean[i]) and math.isfinite(std[i])):
+                raise DataFormatError(f"line {lineno}: non-finite stats value in {line!r}")
             seen.add(parts[0])
     missing = [n for n in FEATURE_NAMES if n not in seen]
     if missing:

@@ -5,8 +5,9 @@ print-default-config. Every run writes a JSON manifest (resolved config,
 seeds, input/output digests, timings) next to its primary output; manifests
 are written even on failure, with the error recorded.
 
-Exit codes: 0 success, 2 configuration/validation, 3 I/O, 4 numeric failure,
-5 pipeline failure.
+Exit codes: 0 success; `EXIT_CODES` maps each error kind to its code.
+The train and tsne flag defaults are those of `mlp.TrainConfig` and
+`evaluation.TsneConfig`.
 """
 
 from __future__ import annotations
@@ -33,16 +34,26 @@ from .errors import (
 )
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_NUMERIC = 4
-EXIT_PIPELINE = 5
+# The exit code of each error kind `main` reports; a TrainingError is a
+# NumericError, and any other error propagates.
+EXIT_CODES = {
+    ConfigurationError: 2,
+    DomainError: 2,
+    DataFormatError: 2,
+    OSError: 3,
+    NumericError: 4,
+    PipelineError: 5,
+    ProtocolError: 5,
+}
+
+_TRAIN_DEFAULTS = mlp.TrainConfig()
+_TSNE_DEFAULTS = evaluation.TsneConfig()
 
 DEFAULT_N_SAMPLES = 2505
 DEFAULT_DATASET_SEED = 7
 DEFAULT_SPLIT_SEED = 13
-DEFAULT_TRAIN_SEED = 21
-DEFAULT_TSNE_SEED = 33
+DEFAULT_TRAIN_SEED = _TRAIN_DEFAULTS.seed
+DEFAULT_TSNE_SEED = _TSNE_DEFAULTS.seed
 DEFAULT_TRAIN_FRACTION = 0.8
 DEFAULT_HIDDEN = "16,16"
 
@@ -102,6 +113,11 @@ class Manifest:
             fh.write("\n")
 
 
+def _manifest_path(out) -> Path:
+    """The manifest beside the output file `out`."""
+    return Path(f"{out}.manifest.json")
+
+
 def _require_file(path, what: str) -> str:
     """Missing inputs are configuration mistakes, not I/O failures."""
     if not Path(path).is_file():
@@ -117,14 +133,12 @@ def _load_config(path: str | None) -> ran_sim.SimConfig:
 
 def cmd_gen_dataset(args) -> int:
     with Manifest(
-        Path(args.out).with_suffix(Path(args.out).suffix + ".manifest.json"),
+        _manifest_path(args.out),
         "gen-dataset",
         {"n_samples": args.n_samples, "class_mix": args.class_mix},
         {"dataset_seed": args.seed},
         [p for p in [args.config] if p],
     ) as manifest:
-        if args.n_samples <= 0:
-            raise ConfigurationError("n_samples must be positive")
         config = _load_config(args.config)
         manifest.config["sim"] = ran_sim.sim_config_to_dict(config)
         manifest.seeds["sim_seed"] = config.seed
@@ -142,7 +156,7 @@ def cmd_gen_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     with Manifest(
-        Path(args.model_out).with_suffix(Path(args.model_out).suffix + ".manifest.json"),
+        _manifest_path(args.model_out),
         "train",
         {
             "hidden": args.hidden,
@@ -248,7 +262,7 @@ def cmd_eval(args) -> int:
         if args.split == "train":
             test_set = _select_split(samples, "test", args.train_fraction, args.split_seed)
             xt = anomaly.standardize(test_set.features, stats)
-            test_acc = evaluation.accuracy(mlp.predict_batch(model, xt), test_set.label)
+            test_acc = evaluation.confusion(mlp.predict_batch(model, xt), test_set.label).accuracy()
             if acc < test_acc:
                 print(
                     f"warning: train-split accuracy {acc:.4f} below test accuracy "
@@ -260,7 +274,7 @@ def cmd_eval(args) -> int:
 
 def cmd_tsne(args) -> int:
     with Manifest(
-        Path(args.out).with_suffix(Path(args.out).suffix + ".manifest.json"),
+        _manifest_path(args.out),
         "tsne",
         {
             "perplexity": args.perplexity,
@@ -308,17 +322,23 @@ def cmd_tsne(args) -> int:
 
 
 def default_demo_schedule(config: ran_sim.SimConfig) -> list[ric.ScheduledFault]:
-    """One fault per error class on distinct UEs, spread across the run:
-    onsets 100, 250 and 400, each no later than the k-th quarter of the run
-    (k = 1, 2, 3) and no earlier than tick 1."""
+    """One fault per error class, spread across the run: onsets 100, 250 and
+    400, each no later than the k-th quarter of the run (k = 1, 2, 3) and no
+    earlier than tick 1. The UEs are 5, 17 and 29 modulo `n_ues`, each moved
+    on to the next UE not yet taken, so they are distinct when `n_ues` >= 3."""
     specs = anomaly.default_fault_specs()
-    ue_ids = [5, 17, 29]
     onsets = [100, 250, 400]
     classes = [AnomalyClass.RSRP_ERROR, AnomalyClass.RSRQ_ERROR, AnomalyClass.SINR_ERROR]
+    ue_ids: list[int] = []
+    for ue_id in (5, 17, 29):
+        ue_id %= config.n_ues
+        while ue_id in ue_ids and len(ue_ids) < config.n_ues:
+            ue_id = (ue_id + 1) % config.n_ues
+        ue_ids.append(ue_id)
     return [
         ric.ScheduledFault(
             onset_tick=max(1, min(onset, (k + 1) * config.n_ticks // 4)),
-            ue_id=ue_id % config.n_ues,
+            ue_id=ue_id,
             spec=specs[cls],
         )
         for k, (onset, ue_id, cls) in enumerate(zip(onsets, ue_ids, classes))
@@ -335,11 +355,7 @@ def _parse_class(value) -> AnomalyClass:
 
 
 def load_schedule(path) -> list[ric.ScheduledFault]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigurationError(f"schedule file {path}: {e}") from e
+    data = ran_sim.read_json_file(path, "schedule")
     if not isinstance(data, dict) or "faults" not in data or not isinstance(data["faults"], list):
         raise ConfigurationError("schedule file must be an object with a 'faults' list")
     schedule = []
@@ -454,35 +470,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats-out", required=True)
     p.add_argument("--report-out", required=True, help="per-epoch loss/accuracy CSV")
     p.add_argument("--hidden", default=DEFAULT_HIDDEN, help="comma-separated hidden layer sizes")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int, default=_TRAIN_DEFAULTS.epochs)
+    p.add_argument("--batch-size", type=int, default=_TRAIN_DEFAULTS.batch_size)
+    p.add_argument("--learning-rate", type=float, default=_TRAIN_DEFAULTS.learning_rate)
     p.add_argument("--train-fraction", type=float, default=DEFAULT_TRAIN_FRACTION)
     p.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
     p.add_argument("--train-seed", type=int, default=DEFAULT_TRAIN_SEED)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a trained model; writes confusion + metrics CSVs")
-    p.add_argument("--model", required=True)
-    p.add_argument("--stats", required=True)
-    p.add_argument("--dataset", required=True)
+    # The flags of eval and tsne that name a model and a split of a dataset.
+    split_inputs = argparse.ArgumentParser(add_help=False)
+    split_inputs.add_argument("--model", required=True)
+    split_inputs.add_argument("--stats", required=True)
+    split_inputs.add_argument("--dataset", required=True)
+    split_inputs.add_argument("--split", choices=["train", "test", "all"], default="test")
+    split_inputs.add_argument("--train-fraction", type=float, default=DEFAULT_TRAIN_FRACTION)
+    split_inputs.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
+
+    p = sub.add_parser("eval", parents=[split_inputs],
+                       help="evaluate a trained model; writes confusion + metrics CSVs")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--split", choices=["train", "test", "all"], default="test")
-    p.add_argument("--train-fraction", type=float, default=DEFAULT_TRAIN_FRACTION)
-    p.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("tsne", help="embed the model's output probabilities in 2-D")
-    p.add_argument("--model", required=True)
-    p.add_argument("--stats", required=True)
-    p.add_argument("--dataset", required=True)
+    p = sub.add_parser("tsne", parents=[split_inputs],
+                       help="embed the model's output probabilities in 2-D")
     p.add_argument("--out", required=True, help="embedding CSV path")
-    p.add_argument("--split", choices=["train", "test", "all"], default="test")
-    p.add_argument("--train-fraction", type=float, default=DEFAULT_TRAIN_FRACTION)
-    p.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
-    p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--learning-rate", type=float, default=200.0)
+    p.add_argument("--perplexity", type=float, default=_TSNE_DEFAULTS.perplexity)
+    p.add_argument("--iterations", type=int, default=_TSNE_DEFAULTS.iterations)
+    p.add_argument("--learning-rate", type=float, default=_TSNE_DEFAULTS.learning_rate)
     p.add_argument("--seed", type=int, default=DEFAULT_TSNE_SEED)
     p.set_defaults(func=cmd_tsne)
 
@@ -505,18 +520,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, DomainError, DataFormatError) as e:
+    except tuple(EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (PipelineError, ProtocolError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PIPELINE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind))
 
 
 def entrypoint() -> None:

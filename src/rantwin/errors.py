@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto its stable exit codes: configuration/validation
-problems exit 2, I/O problems exit 3 (plain OSError), numeric failures
-exit 4, pipeline failures exit 5.
+`cli.EXIT_CODES` maps these, and plain OSError, onto the CLI's stable exit
+codes: configuration/validation problems exit 2, I/O problems 3, numeric
+failures 4 and pipeline failures 5.
 """
 
 

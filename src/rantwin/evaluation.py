@@ -1,6 +1,6 @@
-"""Classifier evaluation: accuracy, confusion matrix, an exact O(n^2) t-SNE
-for embedding the network outputs in 2-D, and the mean silhouette score used
-to quantify cluster separation in that embedding.
+"""Classifier evaluation: the confusion matrix and its accuracy, an exact
+O(n^2) t-SNE for embedding the network outputs in 2-D, and the mean
+silhouette score used to quantify cluster separation in that embedding.
 """
 
 from __future__ import annotations
@@ -25,15 +25,6 @@ PERPLEXITY_TOL = 1e-5
 PERPLEXITY_MAX_STEPS = 50
 # Rows per block of the n x n passes, whose scratch has this many rows, not n.
 _BLOCK_ROWS = 64
-
-
-def accuracy(predictions, labels) -> float:
-    if len(predictions) != len(labels):
-        raise DomainError(f"length mismatch: {len(predictions)} vs {len(labels)}")
-    if len(predictions) == 0:
-        raise DomainError("cannot score an empty prediction list")
-    matches = sum(1 for p, t in zip(predictions, labels) if int(p) == int(t))
-    return matches / len(predictions)
 
 
 @dataclass(frozen=True)

@@ -141,11 +141,6 @@ class TickKpis:
     n_handovers: int
 
 
-# The array columns of SimState, one row per UE.
-_UE_COLUMNS = ("position", "velocity", "shadowing_db", "serving_cell", "priority", "demand_mbps",
-               "achieved_mbps", "boost_factor", "boost_until_tick")
-
-
 @dataclass(eq=False)
 class SimState:
     """The network at one tick, one column per UE attribute. `step`,
@@ -157,7 +152,7 @@ class SimState:
     `boost_factor` and `boost_until_tick`; every other column is replaced
     whole and never written into, so an array read from a state keeps its
     values. Arrays have no single truth value, so states compare by
-    identity; compare `snapshot()`s instead.
+    identity.
     """
 
     config: SimConfig
@@ -209,18 +204,6 @@ class SimState:
         if not 0 <= cell_id < len(self.cells):
             raise DomainError(f"unknown cell_id {cell_id}")
         return self.cells[cell_id]
-
-    def snapshot(self) -> dict:
-        """Plain JSON-able copy of the full state but `last_channel`, used
-        for equality checks."""
-        return {
-            "tick": self.tick,
-            "cells": [[c.cell_id, list(c.position), c.tx_power_per_re_dbm, c.total_prbs]
-                      for c in self.cells],
-            **{name: getattr(self, name).tolist() for name in _UE_COLUMNS},
-            "fault_until_tick": [[u, f.until_tick] for u, f in sorted(self.faults.items())],
-            "rng": repr(self.rng.bit_generator.state),
-        }
 
 
 def _grid_positions(n_cells: int, area_m: float) -> list[tuple[float, float]]:
@@ -464,13 +447,17 @@ def sim_config_from_dict(data: dict) -> SimConfig:
     return _decode(SimConfig, data, "config")
 
 
-def load_sim_config(path) -> SimConfig:
+def read_json_file(path, what: str):
+    """The JSON value in `path`; a syntax error names the `what` file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
-            raise ConfigurationError(f"config file {path}: {e}") from e
-    return sim_config_from_dict(data)
+            raise ConfigurationError(f"{what} file {path}: {e}") from e
+
+
+def load_sim_config(path) -> SimConfig:
+    return sim_config_from_dict(read_json_file(path, "config"))
 
 
 # anomaly drives this simulator and imports it, so step's fault stage is

@@ -10,7 +10,6 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -175,12 +174,6 @@ class Detections:
         self.ue_id.extend(other.ue_id)
         self.code.extend(other.code)
         self.probs.extend(other.probs)
-
-    def rows(self):
-        """(tick, ue_id, code, p_0, ..., p_{N_CLASSES-1}) of every row, as
-        Python scalars."""
-        p = iter(self.probs)
-        return zip(self.tick, self.ue_id, self.code, *[p] * N_CLASSES)
 
     def __len__(self) -> int:
         return len(self.tick)
@@ -470,29 +463,17 @@ def message_to_dict(message: ControlAction) -> dict:
     return out
 
 
-# One detection line as json.dumps writes it: ints as %d, floats as repr.
-_DETECTION_LINE = (
-    '{"type": "detection", "tick": %d, "ue_id": %d, "predicted": %d, "probs": ['
-    + ", ".join(["%r"] * N_CLASSES)
-    + "]}\n"
-)
-# Detection lines formatted and written at a time, about 80 KB.
-_DETECTION_CHUNK_ROWS = 512
-
-
 def write_episode_jsonl(log: EpisodeLog, path) -> None:
     """One JSON object per line: the detections, then the control actions,
-    then the fault events. The detection lines are formatted from the
-    columns in chunks of _DETECTION_CHUNK_ROWS; json.dumps would write the
-    same bytes, since every probability is finite."""
+    then the fault events. A non-finite probability is refused before
+    anything is written, since JSON has no literal for it."""
     if not np.isfinite(np.frombuffer(log.detections.probs)).all():
         raise DomainError("a detection has a non-finite probability")
     with open(path, "w", encoding="utf-8") as fh:
-        rows = log.detections.rows()
-        while chunk := "".join(
-            map(_DETECTION_LINE.__mod__, islice(rows, _DETECTION_CHUNK_ROWS))
-        ):
-            fh.write(chunk)
+        for det in log.detections:
+            line = {"type": "detection", "tick": det.tick, "ue_id": det.ue_id,
+                    "predicted": int(det.predicted), "probs": list(det.probs)}
+            fh.write(json.dumps(line) + "\n")
         for action in log.actions:
             fh.write(json.dumps(message_to_dict(action)) + "\n")
         for event in log.fault_events:

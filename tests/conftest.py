@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rantwin import anomaly, mlp, ran_sim
-from rantwin.cli import main
 
 DATASET_SEED = 7
 SPLIT_SEED = 13
@@ -50,27 +49,3 @@ def pipeline(default_dataset):
         "report": report,
     }
 
-
-@pytest.fixture(scope="session")
-def cli_artifacts(tmp_path_factory):
-    """Dataset, model, stats and report files produced through the CLI."""
-    root = tmp_path_factory.mktemp("artifacts")
-    dataset = root / "dataset.csv"
-    model = root / "model.txt"
-    stats = root / "stats.csv"
-    report = root / "report.csv"
-    rc = main(["gen-dataset", "--out", str(dataset), "--seed", str(DATASET_SEED)])
-    assert rc == 0
-    rc = main(
-        [
-            "train",
-            "--dataset", str(dataset),
-            "--model-out", str(model),
-            "--stats-out", str(stats),
-            "--report-out", str(report),
-            "--split-seed", str(SPLIT_SEED),
-            "--train-seed", str(TRAIN_SEED),
-        ]
-    )
-    assert rc == 0
-    return {"root": root, "dataset": dataset, "model": model, "stats": stats, "report": report}

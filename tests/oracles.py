@@ -14,7 +14,7 @@ for the columnar simulator step, the scalar link model it calls (one
 for radio_model's numpy columns, one add per cell for its interferer sums,
 a t-SNE that allocates a fresh array for every intermediate, where
 `evaluation.tsne` writes into preallocated buffers, and one `json.dumps`
-per detection row for the episode writer's `%r` template. The network oracles
+per detection row for the episode writer. The network oracles
 read reports one UE at a time, as `Report` objects; `mk_batch` and
 `report_rows` convert to and from a `ReportBatch`.
 """
@@ -761,6 +761,24 @@ def loop_interferer_sums(mw, serving, noise_mw):
         interference = interference + p
         noise_and_interference = noise_and_interference + p
     return interference, noise_and_interference
+
+
+# The array columns of ran_sim.SimState, one row per UE.
+_UE_COLUMNS = ("position", "velocity", "shadowing_db", "serving_cell", "priority", "demand_mbps",
+               "achieved_mbps", "boost_factor", "boost_until_tick")
+
+
+def snapshot(state) -> dict:
+    """Plain JSON-able copy of a SimState but its `last_channel`, for
+    equality checks: states themselves compare by identity."""
+    return {
+        "tick": state.tick,
+        "cells": [[c.cell_id, list(c.position), c.tx_power_per_re_dbm, c.total_prbs]
+                  for c in state.cells],
+        **{name: getattr(state, name).tolist() for name in _UE_COLUMNS},
+        "fault_until_tick": [[u, f.until_tick] for u, f in sorted(state.faults.items())],
+        "rng": repr(state.rng.bit_generator.state),
+    }
 
 
 def scalar_step(state):

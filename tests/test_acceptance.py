@@ -26,6 +26,7 @@ from oracles import (
     mk_batch,
     mk_cell,
     mk_report,
+    snapshot,
 )
 
 
@@ -385,7 +386,7 @@ def test_criterion_9_invariant_suite():
             state, reports, _ = ran_sim.step(state)
             plan, _ = twin_engine.twin_tick(reports, state.cells, config.link)
             ran_sim.apply_allocation(state, plan, config.link)
-        plain = state.snapshot()
+        plain = snapshot(state)
 
         log = ric.closed_loop_run(config, stub, stats, [])
         assert log.actions == []
@@ -394,4 +395,4 @@ def test_criterion_9_invariant_suite():
         for _ in range(config.n_ticks):
             actions, _ = loop.tick()
             assert actions == []
-        assert loop.state.snapshot() == plain
+        assert snapshot(loop.state) == plain

@@ -525,3 +525,24 @@ class TestCsvRoundTrip:
         path.write_text("feature,mean,std\nrsrp_dbm,0,1\n")
         with pytest.raises(DataFormatError, match="missing"):
             anomaly.read_stats_csv(path)
+
+    @staticmethod
+    def unit_stats_lines():
+        return [f"{name},0,1" for name in anomaly.FEATURE_NAMES]
+
+    @pytest.mark.parametrize("mean, std", [("nan", "1"), ("0", "inf"), ("-inf", "1"), ("0", "nan")])
+    def test_stats_non_finite_value_rejected_naming_line(self, tmp_path, mean, std):
+        lines = self.unit_stats_lines()
+        lines[2] = f"{anomaly.FEATURE_NAMES[2]},{mean},{std}"
+        path = tmp_path / "stats.csv"
+        path.write_text("feature,mean,std\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="line 4: non-finite"):
+            anomaly.read_stats_csv(path)
+
+    def test_stats_repeated_row_rejected_naming_line(self, tmp_path):
+        # the repeat would otherwise overwrite the first row's values
+        lines = self.unit_stats_lines() + [f"{anomaly.FEATURE_NAMES[0]},5,2"]
+        path = tmp_path / "stats.csv"
+        path.write_text("feature,mean,std\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=f"line {len(lines) + 1}: repeated"):
+            anomaly.read_stats_csv(path)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rantwin import anomaly, mlp, ran_sim
+from rantwin import anomaly, cli, mlp, ran_sim
 from rantwin.cli import default_demo_schedule, main
 
 
@@ -222,6 +222,31 @@ class TestTrain:
         assert sha(d1 / "model.txt") == sha(d2 / "model.txt")
         assert sha(d1 / "stats.csv") == sha(d2 / "stats.csv")
         assert sha(d1 / "report.csv") == sha(d2 / "report.csv")
+
+
+    def test_defaults_train_the_library_default_model(self, tmp_path, capsys):
+        """`rantwin train` without training flags fits what `mlp.train` fits
+        at `TrainConfig()`, on the same split of the same file."""
+        dataset = tmp_path / "d.csv"
+        assert main(["gen-dataset", "--out", str(dataset), "--n-samples", "100", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(dataset), "--model-out", str(tmp_path / "model.txt"),
+                     "--stats-out", str(tmp_path / "stats.csv"),
+                     "--report-out", str(tmp_path / "report.csv")]) == 0
+        printed = capsys.readouterr().out.split("model digest ")[1].strip()
+
+        samples = anomaly.read_dataset_csv(dataset)
+        train_set, test_set = anomaly.split_dataset(
+            samples, cli.DEFAULT_TRAIN_FRACTION, cli.DEFAULT_SPLIT_SEED)
+        stats = anomaly.FeatureStats.from_samples(train_set)
+        x_train = anomaly.standardize(train_set.features, stats)
+        x_test = anomaly.standardize(test_set.features, stats)
+        config = mlp.TrainConfig()
+        model = mlp.init_model([16, 16], seed=config.seed)
+        model, report = mlp.train(model, list(zip(x_train, train_set.label)),
+                                  list(zip(x_test, test_set.label)), config)
+        assert printed == report.final_model_hash
+        assert mlp.model_digest(mlp.load_model(tmp_path / "model.txt")) == report.final_model_hash
 
 
 @pytest.fixture()
@@ -468,6 +493,19 @@ class TestClosedLoop:
         assert rc == 2
         assert f"schedule fault #1: {field} must be finite" in capsys.readouterr().err
 
+    def test_non_finite_stats_exits_2_naming_line(self, untrained, tmp_path, capsys):
+        stats = tmp_path / "nan_stats.csv"
+        lines = untrained["stats"].read_text().splitlines()
+        lines[1] = f"{anomaly.FEATURE_NAMES[0]},nan,inf"
+        stats.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "closed-loop", "--model", str(untrained["model"]), "--stats", str(stats),
+            "--out-dir", str(tmp_path / "loop"),
+        ])
+        assert rc == 2
+        assert "error: line 2: non-finite stats value" in capsys.readouterr().err
+        assert not (tmp_path / "loop" / "episode.jsonl").exists()
+
     def test_missing_model_exits_2(self, trained, tmp_path, capsys):
         rc = main([
             "closed-loop", "--model", str(tmp_path / "nope.txt"),
@@ -494,6 +532,22 @@ class TestDefaultDemoSchedule:
             assert all(1 <= t <= n_ticks for t in onsets), n_ticks
             assert all(a < b if n_ticks >= 4 else a <= b
                        for a, b in zip(onsets, onsets[1:])), n_ticks
+
+
+    @staticmethod
+    def ue_ids(n_ues):
+        return [f.ue_id for f in default_demo_schedule(ran_sim.SimConfig(n_ues=n_ues))]
+
+    def test_ues_distinct_for_every_network_of_three_or_more(self):
+        for n_ues in range(3, 61):
+            ue_ids = self.ue_ids(n_ues)
+            assert len(set(ue_ids)) == 3 and all(0 <= u < n_ues for u in ue_ids), n_ues
+            # 5, 17 and 29 modulo n_ues are kept when they are distinct
+            wanted = [u % n_ues for u in (5, 17, 29)]
+            if len(set(wanted)) == 3:
+                assert ue_ids == wanted, n_ues
+        # 5, 17 and 29 are all 5 modulo 12: the second and third move on
+        assert self.ue_ids(12) == [5, 6, 7]
 
 
 class TestPrintDefaultConfig:

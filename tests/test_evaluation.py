@@ -12,7 +12,6 @@ from rantwin import evaluation
 from rantwin.errors import ConfigurationError, DomainError
 from rantwin.evaluation import (
     TsneConfig,
-    accuracy,
     conditional_gaussian_probs,
     confusion,
     joint_probabilities,
@@ -25,21 +24,21 @@ from oracles import reference_joint_probabilities, reference_squared_distances, 
 
 class TestAccuracy:
     def test_perfect(self):
-        assert accuracy([0, 1, 2, 3], [0, 1, 2, 3]) == 1.0
+        assert confusion([0, 1, 2, 3], [0, 1, 2, 3]).accuracy() == 1.0
 
     def test_disjoint(self):
-        assert accuracy([0, 0, 0], [1, 2, 3]) == 0.0
+        assert confusion([0, 0, 0], [1, 2, 3]).accuracy() == 0.0
 
     def test_nine_of_ten(self):
         preds = [0] * 9 + [1]
         labels = [0] * 10
-        assert accuracy(preds, labels) == pytest.approx(0.9)
+        assert confusion(preds, labels).accuracy() == pytest.approx(0.9)
 
     def test_errors(self):
-        with pytest.raises(DomainError):
-            accuracy([0], [0, 1])
-        with pytest.raises(DomainError):
-            accuracy([], [])
+        with pytest.raises(DomainError, match="length mismatch"):
+            confusion([0], [0, 1])
+        with pytest.raises(DomainError, match="empty"):
+            confusion([], [])
 
 
 class TestConfusion:
@@ -62,7 +61,8 @@ class TestConfusion:
             preds = rng.integers(0, 4, size=n).tolist()
             labels = rng.integers(0, 4, size=n).tolist()
             cm = confusion(preds, labels)
-            assert cm.accuracy() == accuracy(preds, labels)
+            matches = sum(p == t for p, t in zip(preds, labels))
+            assert cm.accuracy() == matches / n
             assert cm.total() == n
 
     def test_row_sums_are_class_counts(self):

@@ -40,6 +40,7 @@ from oracles import (
     scalar_serving_cell,
     scalar_step,
     sinr_db,
+    snapshot,
     ulps_apart,
 )
 
@@ -165,7 +166,7 @@ class TestInit:
     def test_same_seed_identical_state(self):
         a = init_sim(SMALL)
         b = init_sim(SMALL)
-        assert a.snapshot() == b.snapshot()
+        assert snapshot(a) == snapshot(b)
 
     def test_structural_properties(self):
         state = init_sim(SimConfig(n_cells=3, n_ues=50, seed=42))
@@ -400,7 +401,7 @@ class TestStep:
         a_out, reports_a, kpis_a = step(a)
         b_out, reports_b, kpis_b = step(b)
         assert a_out is a and b_out is b
-        assert a.snapshot() == b.snapshot() == state.snapshot()
+        assert snapshot(a) == snapshot(b) == snapshot(state)
         assert reports_a == reports_b
         assert kpis_a == kpis_b
 
@@ -604,7 +605,7 @@ def _assert_step_matches_scalar(state, n_ticks, faults=(), controls=False):
         assert_close(new.last_channel, ref.last_channel)
         assert np.array_equal(new.serving_cell, ref.serving_cell)
         assert new.rng.bit_generator.state == ref.rng.bit_generator.state
-        assert new.snapshot() == ref.snapshot()
+        assert snapshot(new) == snapshot(ref)
         handovers += kpis.n_handovers
         reflections += int(np.count_nonzero(new.velocity != state.velocity))
         state = new

@@ -36,6 +36,7 @@ from oracles import (
     per_ue_on_indication,
     reference_write_episode_jsonl,
     report_rows,
+    snapshot,
     weight_array,
 )
 
@@ -319,11 +320,11 @@ class TestBatchedXapp:
 class TestApplyControl:
     def test_force_handover_to_current_cell_is_noop(self):
         state = ran_sim.init_sim(SimConfig(n_cells=2, n_ues=3, seed=1))
-        before = state.snapshot()
+        before = snapshot(state)
         serving = state.ues[0].serving_cell
         action = ControlAction(1, 0, ForceHandover(serving), AnomalyClass.RSRP_ERROR)
         apply_control(state, action)
-        assert state.snapshot() == before
+        assert snapshot(state) == before
 
     def test_force_handover_switches_cell(self):
         state = ran_sim.init_sim(SimConfig(n_cells=2, n_ues=3, seed=1))
@@ -402,7 +403,7 @@ class TestClosedLoop:
             plan, _ = twin_engine.twin_tick(reports, state.cells, config.link)
             ran_sim.apply_allocation(state, plan, config.link)
             achieved_plain.append(state.achieved_mbps.tolist())
-        plain_snapshot = state.snapshot()
+        plain_snapshot = snapshot(state)
 
         achieved_loop = []
         loop = ControlLoop(config, constant_model(None), unit_stats())
@@ -412,7 +413,7 @@ class TestClosedLoop:
             achieved_loop.append(loop.state.achieved_mbps.tolist())
 
         assert achieved_loop == achieved_plain
-        assert loop.state.snapshot() == plain_snapshot
+        assert snapshot(loop.state) == plain_snapshot
 
     def test_no_op_policy_flags_rows_and_keeps_the_plain_trajectory(self, pipeline):
         # a trained model flags the faulted rows, but a policy with no
@@ -434,7 +435,7 @@ class TestClosedLoop:
                 reports, state.cells, config.link, weights=allocation_weights(state)
             )
             ran_sim.apply_allocation(state, plan, config.link)
-        plain_snapshot = state.snapshot()
+        plain_snapshot = snapshot(state)
 
         loop = ControlLoop(
             config, pipeline["model"], pipeline["stats"], ric.RemediationPolicy((), ())
@@ -448,7 +449,7 @@ class TestClosedLoop:
             n_detections += len(detections)
 
         assert n_detections > 0
-        assert loop.state.snapshot() == plain_snapshot
+        assert snapshot(loop.state) == plain_snapshot
 
     def test_single_fault_detected_with_finite_latency(self, pipeline):
         config = SimConfig(n_ticks=200, seed=6)
@@ -527,15 +528,15 @@ class TestMessageSchema:
         assert jsonl.read_bytes() == reference.read_bytes()
 
     def test_episode_writer_matches_json_dumps(self, tmp_path):
-        # extreme probabilities, both action kinds, fault events with None
-        # ticks, and more detections than one write chunk
+        # extreme probabilities, both action kinds and fault events with None
+        # ticks
         log = EpisodeLog(n_ticks=900)
         probs = np.array([[5e-324, 1e-300, 0.1, 1.0], [1.0, 0.1, 1e-300, 5e-324],
                           [0.25, 0.25, 0.25, 0.25]])
         for tick in range(1, 401):
             log.detections.append_tick(tick, np.array([0, tick, 2 * tick]), np.array([1, 2, 3]),
                                        np.roll(probs, tick, axis=0))
-        assert len(log.detections) > ric._DETECTION_CHUNK_ROWS
+        assert len(log.detections) == 1200
         log.actions = [
             ControlAction(3, 0, ForceHandover(2), AnomalyClass.RSRP_ERROR),
             ControlAction(5, 2, PrbBoost(2.0, 100), AnomalyClass.SINR_ERROR),
