@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from . import radio_model, ran_sim, twin_engine
-from .errors import ConfigurationError, DataFormatError, DomainError
+from .errors import ConfigurationError, DataFormatError, DomainError, names_file
 from .radio_model import ChannelColumns
 from .ran_sim import ReportBatch, SimConfig
 from .twin_engine import AllocationPlan
@@ -361,6 +361,7 @@ def write_dataset_csv(samples: np.recarray, path) -> None:
             fh.write(",".join([*map(_fmt, features), str(label), str(ue_id), str(tick)]) + "\n")
 
 
+@names_file("dataset")
 def read_dataset_csv(path) -> np.recarray:
     # Each line's feature row and its (label, ue_id, tick), in flat buffers of
     # machine numbers: lists of Python numbers would grow the heap by about
@@ -406,6 +407,7 @@ def write_stats_csv(stats: FeatureStats, path) -> None:
             fh.write(f"{name},{_fmt(stats.mean[i])},{_fmt(stats.std[i])}\n")
 
 
+@names_file("stats")
 def read_stats_csv(path) -> FeatureStats:
     mean = np.zeros(N_FEATURES)
     std = np.ones(N_FEATURES)
@@ -434,7 +436,7 @@ def read_stats_csv(path) -> FeatureStats:
             seen.add(parts[0])
     missing = [n for n in FEATURE_NAMES if n not in seen]
     if missing:
-        raise DataFormatError(f"stats file missing feature rows: {missing}")
+        raise DataFormatError(f"missing feature rows: {missing}")
     if (std <= 0).any():
-        raise DataFormatError("stats file contains non-positive std")
+        raise DataFormatError("non-positive std")
     return FeatureStats(mean=mean, std=std)

@@ -5,6 +5,8 @@ codes: configuration/validation problems exit 2, I/O problems 3, numeric
 failures 4 and pipeline failures 5.
 """
 
+import functools
+
 
 class RantwinError(Exception):
     """Base class for all package-specific errors."""
@@ -36,3 +38,17 @@ class ProtocolError(RantwinError):
 
 class PipelineError(RantwinError):
     """A multi-stage run failed for a non-configuration reason."""
+
+
+def names_file(what: str):
+    """Decorate a reader whose first argument is a path, so that a
+    DataFormatError it raises reads '<what> file <path>: <message>'."""
+    def decorate(read):
+        @functools.wraps(read)
+        def reader(path, *args, **kwargs):
+            try:
+                return read(path, *args, **kwargs)
+            except DataFormatError as e:
+                raise DataFormatError(f"{what} file {path}: {e}") from e
+        return reader
+    return decorate

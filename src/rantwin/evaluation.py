@@ -13,8 +13,6 @@ import numpy as np
 from .anomaly import CLASS_NAMES, AnomalyClass, N_CLASSES
 from .errors import ConfigurationError, DomainError, NumericError
 
-_EPS = np.finfo(np.float64).eps
-
 # Gradient-descent momentum during early exaggeration and after it, and the
 # factor P is exaggerated by.
 MOMENTUM = 0.5
@@ -24,6 +22,7 @@ EARLY_EXAGGERATION = 12.0
 PERPLEXITY_TOL = 1e-5
 PERPLEXITY_MAX_STEPS = 50
 # Rows per block of the n x n passes, whose scratch has this many rows, not n.
+# No result depends on it.
 _BLOCK_ROWS = 64
 
 
@@ -97,32 +96,44 @@ class Embedding2D:
     final_kl: float
 
 
-def _squared_distances(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise squared distances, clipped at 0, with a zero diagonal, into `out`
-    if given. It first holds the gram g = x @ x.T (numpy's syrk call whatever
-    `out` is); sq_i + sq_j - 2g replaces g one row block at a time."""
-    sq = (x * x).sum(axis=1)
-    d2 = np.matmul(x, x.T, out=out)
-    rows = np.empty((min(_BLOCK_ROWS, len(sq)), len(sq)))
-    for start in range(0, len(sq), _BLOCK_ROWS):
-        g = d2[start:start + _BLOCK_ROWS]
-        np.multiply(2.0, g, out=g)
-        s = np.add(sq[start:start + _BLOCK_ROWS, None], sq[None, :], out=rows[:len(g)])
-        np.subtract(s, g, out=g)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0, out=d2)
+def _row_blocks(n: int):
+    """Slices of at most _BLOCK_ROWS consecutive rows covering range(n)."""
+    for start in range(0, n, _BLOCK_ROWS):
+        yield slice(start, min(start + _BLOCK_ROWS, n))
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                       scratch: np.ndarray) -> np.ndarray:
+    """out[i, j] = |a_i - b_j|^2, summed coordinate by coordinate from the
+    differences a_ik - b_jk; scratch has out's shape.
+
+    No gram matrix: every entry is >= 0 and a point is exactly 0 from
+    itself. Each coordinate's differences are the product
+    [a_ik, 1] @ [1, -b_jk], about three times faster than a broadcast
+    subtraction. Both of its products are exact, so whatever the BLAS
+    kernel, blocking or thread count, it rounds once, as a_ik - b_jk does."""
+    a_one = np.ones((len(a), 2))
+    one_b = np.ones((2, len(b)))
+    for k in range(a.shape[1]):
+        a_one[:, 0] = a[:, k]
+        np.negative(b[:, k], out=one_b[1])
+        diff = np.matmul(a_one, one_b, out=out if k == 0 else scratch)
+        np.multiply(diff, diff, out=diff)
+        if k:
+            np.add(out, diff, out=out)
+    return out
 
 
 def conditional_gaussian_probs(d2: np.ndarray, perplexity: float) -> np.ndarray:
-    """Per-row Gaussian conditionals whose entropy matches log(perplexity).
+    """Per-row Gaussian conditionals whose entropy matches log(perplexity),
+    each row written over the distance row it came from; returns d2.
 
     The precision beta_i = 1/(2 sigma_i^2) is found by bisection with
     doubling/halving expansion, at most PERPLEXITY_MAX_STEPS steps, to within
-    PERPLEXITY_TOL. Returns P_conditional.
+    PERPLEXITY_TOL.
     """
     n = d2.shape[0]
     target_entropy = np.log(perplexity)
-    p = np.zeros((n, n))
     for i in range(n):
         beta, beta_min, beta_max = 1.0, -np.inf, np.inf
         di = np.delete(d2[i], i)
@@ -146,47 +157,85 @@ def conditional_gaussian_probs(d2: np.ndarray, perplexity: float) -> np.ndarray:
                 beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
         if sum_e <= 0.0:
             pi = np.full_like(di, 1.0 / (n - 1))
-        row = np.insert(pi, i, 0.0)
-        p[i] = row
-    return p
+        d2[i] = np.insert(pi, i, 0.0)
+    return d2
 
 
 def joint_probabilities(points: np.ndarray, perplexity: float) -> np.ndarray:
-    """Symmetrized affinities P = (P(j|i) + P(i|j)) / 2n; sums to 1."""
+    """Symmetrized affinities P = (P(j|i) + P(i|j)) / 2n; sums to 1.
+
+    P is the one n x n array: it holds the distances, then the conditionals,
+    and is symmetrized in place one pair of row blocks at a time."""
     x = np.asarray(points, dtype=np.float64)
-    d2 = _squared_distances(x)
-    p_cond = conditional_gaussian_probs(d2, perplexity)
-    p = np.add(p_cond, p_cond.T, out=d2)
-    return np.divide(p, 2.0 * x.shape[0], out=p)
+    n = x.shape[0]
+    p = np.empty((n, n))
+    scratch = np.empty((min(_BLOCK_ROWS, n), n))
+    for rows in _row_blocks(n):
+        _squared_distances(x[rows], x, p[rows], scratch[:rows.stop - rows.start])
+    conditional_gaussian_probs(p, perplexity)
+    pair = scratch[:, :min(_BLOCK_ROWS, n)]
+    blocks = list(_row_blocks(n))
+    for i, upper in enumerate(blocks):
+        for lower in blocks[i:]:
+            s = np.add(p[upper, lower], p[lower, upper].T,
+                       out=pair[:upper.stop - upper.start, :lower.stop - lower.start])
+            np.divide(s, 2.0 * n, out=s)
+            p[upper, lower] = s
+            p[lower, upper] = s.T
+    return p
 
 
-def _student_t_kernel(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w = 1 / (1 + |y_i - y_j|^2) in place, with a zero diagonal."""
-    _squared_distances(y, out=w)
-    np.divide(1.0, np.add(1.0, w, out=w), out=w)
-    np.fill_diagonal(w, 0.0)
-    return w
+def _kernel_blocks(y: np.ndarray, w_rows: np.ndarray, scratch: np.ndarray):
+    """Yield (rows, w) for each row block: w[r, j] = 1 / (1 + |y_i - y_j|^2)
+    for i = rows.start + r, with w[r, i] = 0, in the first rows of w_rows.
+    scratch is free again by the time a block is yielded."""
+    n = len(y)
+    for rows in _row_blocks(n):
+        m = rows.stop - rows.start
+        w = _squared_distances(y[rows], y, w_rows[:m], scratch[:m])
+        np.add(w, 1.0, out=w)
+        np.divide(1.0, w, out=w)
+        w.reshape(-1)[rows.start::n + 1] = 0.0
+        yield rows, w
 
 
-def _kl_divergence(p: np.ndarray, w: np.ndarray) -> float:
-    """KL(P || Q) over the entries where P > 0, with Q = w / w.sum(); overwrites w.
+def _kl_divergence(p: np.ndarray, y: np.ndarray, w_rows: np.ndarray,
+                   scratch: np.ndarray) -> float:
+    """KL(P || Q) over the entries where P > 0, with Q = w / Z, in one kernel
+    pass: as P sums to 1, KL = sum P log(P / w) + log Z."""
+    z_rows = np.empty(len(y))
+    kl_rows = np.empty(len(y))
+    for rows, w in _kernel_blocks(y, w_rows, scratch):
+        z_rows[rows] = w.sum(axis=1)
+        p_rows = p[rows]
+        terms = scratch[:len(w)]
+        terms.fill(1.0)
+        np.divide(p_rows, w, out=terms, where=p_rows > 0)
+        np.multiply(p_rows, np.log(terms, out=terms), out=terms)
+        kl_rows[rows] = terms.sum(axis=1)
+    return float(kl_rows.sum() + np.log(z_rows.sum()))
 
-    Q and then P / max(Q, eps) are formed in place in w. Each row block's
-    P > 0 terms are packed in row order at the front of w, short of the rows
-    of later blocks, so the sum runs over the vector P[P > 0] * log(...)
-    with its pairwise tree."""
-    q = np.divide(w, w.sum(), out=w)
-    ratio = np.divide(p, np.maximum(q, _EPS, out=q), out=q)
-    terms = w.reshape(-1)
-    end = 0
-    for start in range(0, len(p), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        kept = p[rows] > 0
-        block = ratio[rows][kept]
-        np.log(block, out=block)
-        terms[end:end + len(block)] = np.multiply(p[rows][kept], block, out=block)
-        end += len(block)
-    return float(terms[:end].sum())
+
+def _gradient(p: np.ndarray, y: np.ndarray, exaggeration: float,
+              w_rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """dKL/dy = 4 (exaggeration * attr - rep / Z) in one kernel pass, with
+    attr_i = sum_j p_ij w_ij (y_i - y_j), rep_i = sum_j w_ij^2 (y_i - y_j)
+    and Z = sum w.
+
+    Each row's sum over j of a_ij y_j is an einsum over contiguous rows, not
+    a gemm: OpenBLAS rounds a gemm row differently with the block's height
+    and the thread count."""
+    y_cols = np.ascontiguousarray(y.T)
+    z_rows = np.empty(len(y))
+    attr = np.empty_like(y)
+    rep = np.empty_like(y)
+    for rows, w in _kernel_blocks(y, w_rows, scratch):
+        z_rows[rows] = w.sum(axis=1)
+        pw = np.multiply(p[rows], w, out=scratch[:len(w)])
+        attr[rows] = pw.sum(axis=1)[:, None] * y[rows] - np.einsum("ij,kj->ik", pw, y_cols)
+        w2 = np.multiply(w, w, out=w)
+        rep[rows] = w2.sum(axis=1)[:, None] * y[rows] - np.einsum("ij,kj->ik", w2, y_cols)
+    return 4.0 * (exaggeration * attr - rep / z_rows.sum())
 
 
 def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
@@ -198,6 +247,9 @@ def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
     from MOMENTUM to FINAL_MOMENTUM when early exaggeration ends, and
     per-coordinate adaptive gains. Returns the embedding plus the KL at
     initialization and after the last iteration (both unexaggerated).
+
+    Besides P, only row-block scratch is held: the n x n kernel is streamed
+    one block of rows at a time, once per iteration.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 4:
@@ -213,29 +265,16 @@ def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
 
-    # Besides P, the descent keeps one n x n buffer, w: y @ y.T, the squared
-    # distances, the Student-t kernel, then (P - Q) * w. Q = w / w.sum() and
-    # P * EARLY_EXAGGERATION exist only as row blocks, in q_rows and p_rows.
-    w = np.empty((n, n))
-    initial_kl = _kl_divergence(p, _student_t_kernel(y, w))
+    w_rows, scratch = np.empty((2, min(_BLOCK_ROWS, n), n))
+    initial_kl = _kl_divergence(p, y, w_rows, scratch)
 
-    q_rows, p_rows = np.empty((2, min(_BLOCK_ROWS, n), n))
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
     min_gain = 0.01
     for it in range(config.iterations):
         exaggerating = it < config.exaggeration_iters
         momentum = MOMENTUM if exaggerating else FINAL_MOMENTUM
-
-        s = _student_t_kernel(y, w).sum()
-        for start in range(0, n, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            w_rows = w[block]
-            q = np.divide(w_rows, s, out=q_rows[:len(w_rows)])
-            p_eff = (np.multiply(p[block], EARLY_EXAGGERATION, out=p_rows[:len(w_rows)])
-                     if exaggerating else p[block])
-            np.multiply(np.subtract(p_eff, q, out=q), w_rows, out=w_rows)
-        grad = 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
+        grad = _gradient(p, y, EARLY_EXAGGERATION if exaggerating else 1.0, w_rows, scratch)
 
         same_sign = (grad > 0) == (velocity > 0)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)
@@ -246,7 +285,7 @@ def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
         if not np.isfinite(y).all():
             raise NumericError(f"non-finite embedding at iteration {it + 1}")
 
-    final_kl = _kl_divergence(p, _student_t_kernel(y, w))
+    final_kl = _kl_divergence(p, y, w_rows, scratch)
     return Embedding2D(points=y, initial_kl=initial_kl, final_kl=final_kl)
 
 
@@ -264,16 +303,20 @@ def silhouette(points: np.ndarray, labels) -> float:
     if len(classes) < 2:
         raise DomainError("silhouette requires at least 2 distinct labels")
 
-    d = _squared_distances(x)
-    np.sqrt(d, out=d)
-    scores = np.zeros(x.shape[0])
+    n = x.shape[0]
+    scores = np.zeros(n)
     members = {c: np.flatnonzero(labels == c) for c in classes}
-    for i in range(x.shape[0]):
-        own = members[labels[i]]
-        if own.size <= 1:
-            continue
-        a = d[i, own].sum() / (own.size - 1)
-        b = min(d[i, members[c]].mean() for c in classes if c != labels[i])
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    d_rows, scratch = np.empty((2, min(_BLOCK_ROWS, n), n))
+    for rows in _row_blocks(n):
+        m = rows.stop - rows.start
+        d = _squared_distances(x[rows], x, d_rows[:m], scratch[:m])
+        np.sqrt(d, out=d)
+        for r, i in enumerate(range(rows.start, rows.stop)):
+            own = members[labels[i]]
+            if own.size <= 1:
+                continue
+            a = d[r, own].sum() / (own.size - 1)
+            b = min(d[r, members[c]].mean() for c in classes if c != labels[i])
+            denom = max(a, b)
+            scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
     return float(scores.mean())

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anomaly import N_CLASSES, N_FEATURES
-from .errors import ConfigurationError, DataFormatError, DomainError, TrainingError
+from .errors import ConfigurationError, DataFormatError, DomainError, TrainingError, names_file
 
 MODEL_MAGIC = "RANTWIN-MLP v1"
 
@@ -314,6 +314,7 @@ def _parse_vector(line: str, expected: int, what: str) -> np.ndarray:
         raise DataFormatError(f"{what}: {e}") from e
 
 
+@names_file("model")
 def load_model(path) -> MlpModel:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()

@@ -388,13 +388,25 @@ def closed_loop_run(
     action to achieved throughput reaching RESTORE_FRACTION of the pre-fault
     BASELINE_WINDOW_TICKS-tick average.
     """
-    for fault in fault_schedule:
+    # Each UE's (fault index, first tick, last tick) so far. ran_sim.set_fault
+    # replaces a UE's fault, so an overlapped fault would end early while its
+    # FaultEvent still counted from its own onset.
+    windows: dict[int, list[tuple[int, int, int]]] = {}
+    for i, fault in enumerate(fault_schedule):
         if not 1 <= fault.onset_tick <= config.n_ticks:
             raise ConfigurationError(
                 f"fault onset_tick {fault.onset_tick} outside 1..{config.n_ticks}"
             )
         if not 0 <= fault.ue_id < config.n_ues:
             raise ConfigurationError(f"fault ue_id {fault.ue_id} outside the UE population")
+        first, last = fault.onset_tick, fault.onset_tick + fault.spec.duration_ticks - 1
+        for j, other_first, other_last in windows.get(fault.ue_id, ()):
+            if first <= other_last and other_first <= last:
+                raise ConfigurationError(
+                    f"faults {j} and {i} overlap on UE {fault.ue_id}: ticks "
+                    f"{other_first}..{other_last} and {first}..{last}"
+                )
+        windows.setdefault(fault.ue_id, []).append((i, first, last))
 
     loop = ControlLoop(config, model, stats, policy)
     log = EpisodeLog(n_ticks=config.n_ticks)

@@ -12,8 +12,8 @@ Python floats, with one fault corruption per report,
 for the columnar simulator step, the scalar link model it calls (one
 `ChannelSample` and one (UE, cell) link at a time, in `math` and float `**`)
 for radio_model's numpy columns, one add per cell for its interferer sums,
-a t-SNE that allocates a fresh array for every intermediate, where
-`evaluation.tsne` writes into preallocated buffers, and one `json.dumps`
+a t-SNE over whole n x n arrays, where `evaluation.tsne` streams row
+blocks through two preallocated ones, and one `json.dumps`
 per detection row for the episode writer. The network oracles
 read reports one UE at a time, as `Report` objects; `mk_batch` and
 `report_rows` convert to and from a `ReportBatch`.
@@ -41,7 +41,6 @@ from rantwin.anomaly import (
 )
 from rantwin.errors import ConfigurationError, DomainError, NumericError, TrainingError
 from rantwin.evaluation import (
-    _EPS,
     EARLY_EXAGGERATION,
     FINAL_MOMENTUM,
     MOMENTUM,
@@ -892,23 +891,30 @@ def scalar_step(state):
     return new, reports, TickKpis(tick=new.tick, n_handovers=n_handovers)
 
 
-def reference_squared_distances(x: np.ndarray) -> np.ndarray:
-    sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+def reference_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_j|^2 as a sum of squared coordinate differences, k = 0, 1, ..."""
+    return sum(np.subtract.outer(a[:, k], b[:, k]) ** 2 for k in range(a.shape[1]))
 
 
 def reference_joint_probabilities(points: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized affinities P = (P(j|i) + P(i|j)) / 2n; sums to 1."""
     x = np.asarray(points, dtype=np.float64)
-    p_cond = conditional_gaussian_probs(reference_squared_distances(x), perplexity)
+    p_cond = conditional_gaussian_probs(reference_squared_distances(x, x), perplexity)
     return (p_cond + p_cond.T) / (2.0 * x.shape[0])
 
 
-def reference_kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+def reference_kernel(y: np.ndarray) -> np.ndarray:
+    w = 1.0 / (1.0 + reference_squared_distances(y, y))
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def reference_kl_divergence(p: np.ndarray, w: np.ndarray) -> float:
+    """KL(P || w / Z) over the entries where P > 0, as sum P log(P / w) + log Z."""
     mask = p > 0
-    return float((p[mask] * np.log(p[mask] / np.maximum(q[mask], _EPS))).sum())
+    terms = np.zeros_like(p)
+    terms[mask] = p[mask] * np.log(p[mask] / w[mask])
+    return float(terms.sum(axis=1).sum() + np.log(w.sum(axis=1).sum()))
 
 
 def reference_tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
@@ -935,25 +941,23 @@ def reference_tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
 
-    def q_matrix(y_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = 1.0 / (1.0 + reference_squared_distances(y_))
-        np.fill_diagonal(w, 0.0)
-        return w / w.sum(), w
-
-    q, _ = q_matrix(y)
-    initial_kl = reference_kl_divergence(p, q)
+    initial_kl = reference_kl_divergence(p, reference_kernel(y))
 
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
     min_gain = 0.01
     for it in range(config.iterations):
         exaggerating = it < config.exaggeration_iters
-        p_eff = p * EARLY_EXAGGERATION if exaggerating else p
         momentum = MOMENTUM if exaggerating else FINAL_MOMENTUM
 
-        q, w = q_matrix(y)
-        pq = (p_eff - q) * w
-        grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
+        w = reference_kernel(y)
+        pw = p * w
+        attr = pw.sum(axis=1)[:, None] * y - np.einsum("ij,kj->ik", pw, y.T.copy())
+        if exaggerating:
+            attr = EARLY_EXAGGERATION * attr
+        w2 = w * w
+        rep = w2.sum(axis=1)[:, None] * y - np.einsum("ij,kj->ik", w2, y.T.copy())
+        grad = 4.0 * (attr - rep / w.sum(axis=1).sum())
 
         same_sign = (grad > 0) == (velocity > 0)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)
@@ -964,6 +968,5 @@ def reference_tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
         if not np.isfinite(y).all():
             raise NumericError(f"non-finite embedding at iteration {it + 1}")
 
-    q, _ = q_matrix(y)
-    final_kl = reference_kl_divergence(p, q)
+    final_kl = reference_kl_divergence(p, reference_kernel(y))
     return Embedding2D(points=y, initial_kl=initial_kl, final_kl=final_kl)

@@ -1,4 +1,5 @@
 import logging
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -496,7 +497,7 @@ class TestCsvRoundTrip:
             + "-90,-3,10,9,1,1,0.1,2,0,1,5\n"
             + "-90,-3,oops,9,1,1,0.1,2,0,1,6\n"
         )
-        with pytest.raises(DataFormatError, match="line 3"):
+        with pytest.raises(DataFormatError, match=f"^dataset file {re.escape(str(path))}: line 3: "):
             anomaly.read_dataset_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
@@ -523,7 +524,8 @@ class TestCsvRoundTrip:
     def test_stats_missing_row_rejected(self, tmp_path):
         path = tmp_path / "stats.csv"
         path.write_text("feature,mean,std\nrsrp_dbm,0,1\n")
-        with pytest.raises(DataFormatError, match="missing"):
+        with pytest.raises(DataFormatError,
+                           match=f"^stats file {re.escape(str(path))}: missing feature rows"):
             anomaly.read_stats_csv(path)
 
     @staticmethod

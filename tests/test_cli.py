@@ -431,6 +431,20 @@ class TestClosedLoop:
         assert rc == 2
         assert "fault #0" in capsys.readouterr().err
 
+    def test_overlapping_schedule_exits_2(self, untrained, tmp_path, capsys):
+        fault = {"onset_tick": 5, "ue_id": 1, "class": "RsrpError",
+                 "offset_db": -20.0, "jitter_db": 3.0, "duration_ticks": 10}
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"faults": [fault, {**fault, "onset_tick": 14}]}))
+        rc = main([
+            "closed-loop", "--model", str(untrained["model"]),
+            "--stats", str(untrained["stats"]), "--schedule", str(schedule),
+            "--out-dir", str(tmp_path / "loop"),
+        ])
+        assert rc == 2
+        assert "faults 0 and 1 overlap on UE 1: ticks 5..14 and 14..23" in capsys.readouterr().err
+        assert not (tmp_path / "loop" / "episode.jsonl").exists()
+
     @pytest.mark.parametrize("field, value", [("onset_tick", "abc"), ("class", 9)])
     def test_bad_schedule_value_exits_2(self, untrained, tmp_path, capsys, field, value):
         good = {"onset_tick": 5, "ue_id": 1, "class": "RsrpError",
@@ -503,7 +517,7 @@ class TestClosedLoop:
             "--out-dir", str(tmp_path / "loop"),
         ])
         assert rc == 2
-        assert "error: line 2: non-finite stats value" in capsys.readouterr().err
+        assert f"error: stats file {stats}: line 2: non-finite stats value" in capsys.readouterr().err
         assert not (tmp_path / "loop" / "episode.jsonl").exists()
 
     def test_missing_model_exits_2(self, trained, tmp_path, capsys):

@@ -185,6 +185,24 @@ class TestTsneMatchesReference:
         assert ours.initial_kl == theirs.initial_kl
         assert ours.final_kl == theirs.final_kl
 
+    # 150 rows are blocks of 64, 64 and 22 at the default; 7 rows end in a
+    # block of 3, 1 row runs every row alone, and 150 rows run the whole matrix.
+    @pytest.mark.parametrize("block_rows", [1, 7, 150])
+    def test_independent_of_block_rows(self, monkeypatch, block_rows):
+        rng = np.random.default_rng(20)
+        x = rng.dirichlet(np.ones(4), size=150)
+        labels = rng.integers(0, 4, size=150)
+        config = TsneConfig(perplexity=30.0, iterations=60, exaggeration_iters=30, seed=21)
+        p, emb = joint_probabilities(x, 30.0), tsne(x, config)
+        score = silhouette(emb.points, labels)
+        monkeypatch.setattr(evaluation, "_BLOCK_ROWS", block_rows)
+        assert np.array_equal(joint_probabilities(x, 30.0), p)
+        other = tsne(x, config)
+        assert np.array_equal(other.points, emb.points)
+        assert other.initial_kl == emb.initial_kl
+        assert other.final_kl == emb.final_kl
+        assert silhouette(other.points, labels) == score
+
     def test_silhouette_distances_unchanged(self, monkeypatch):
         rng = np.random.default_rng(14)
         for n in (8, 40, 64, 129, 150):
@@ -192,9 +210,14 @@ class TestTsneMatchesReference:
             labels = rng.integers(0, 3, size=n)
             ours = silhouette(pts, labels)
             with monkeypatch.context() as patched:
-                patched.setattr(evaluation, "_squared_distances", reference_squared_distances)
+                patched.setattr(evaluation, "_squared_distances", reference_squared_distances_into)
                 theirs = silhouette(pts, labels)
             assert ours == theirs
+
+
+def reference_squared_distances_into(a, b, out, scratch):
+    out[...] = reference_squared_distances(a, b)
+    return out
 
 
 class TestTsneMemory:
@@ -228,6 +251,15 @@ class TestTsneMemory:
         config = TsneConfig(perplexity=30.0, iterations=40,
                             exaggeration_iters=exaggeration_iters, seed=18)
         assert traced_peak(tsne, x, config) <= 3.5 * n * n * 8 + self.SLACK_BYTES
+
+    # Besides P, only row-block scratch.
+    @pytest.mark.parametrize("exaggeration_iters", [0, 30])
+    def test_peak_at_cli_size_under_one_and_a_half_n_by_n(self, exaggeration_iters):
+        n = 501
+        x = np.random.default_rng(17).normal(0, 1, size=(n, 4))
+        config = TsneConfig(perplexity=30.0, iterations=40,
+                            exaggeration_iters=exaggeration_iters, seed=18)
+        assert traced_peak(tsne, x, config) <= 1.5 * n * n * 8 + self.SLACK_BYTES
 
     def test_silhouette_peak_under_one_and_a_half_n_by_n(self):
         n = 501

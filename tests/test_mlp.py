@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -435,7 +436,7 @@ class TestSerialization:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("NOT-A-MODEL v9\n8 4\n")
-        with pytest.raises(DataFormatError, match="magic"):
+        with pytest.raises(DataFormatError, match=f"^model file {re.escape(str(path))}: bad magic"):
             load_model(path)
 
     def test_wrong_input_width_rejected(self, tmp_path):

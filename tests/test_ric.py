@@ -490,6 +490,24 @@ class TestClosedLoop:
             closed_loop_run(config, constant_model(None), unit_stats(),
                             [ScheduledFault(5, 11, spec)])
 
+    def test_overlapping_faults_on_one_ue_rejected(self):
+        config = SimConfig(n_cells=2, n_ues=4, n_ticks=40, seed=7)
+        rsrp, rsrq = (dataclasses.replace(anomaly.default_fault_specs()[c], duration_ticks=10)
+                      for c in (AnomalyClass.RSRP_ERROR, AnomalyClass.RSRQ_ERROR))
+        schedule = [ScheduledFault(5, 1, rsrp), ScheduledFault(3, 2, rsrq),
+                    ScheduledFault(14, 1, rsrq)]
+        with pytest.raises(ConfigurationError,
+                           match=r"faults 0 and 2 overlap on UE 1: ticks 5\.\.14 and 14\.\.23"):
+            closed_loop_run(config, constant_model(None), unit_stats(), schedule)
+
+    def test_back_to_back_faults_on_one_ue_accepted(self):
+        config = SimConfig(n_cells=2, n_ues=4, n_ticks=40, seed=7)
+        spec = dataclasses.replace(anomaly.default_fault_specs()[AnomalyClass.RSRP_ERROR],
+                                   duration_ticks=10)
+        log = closed_loop_run(config, constant_model(None), unit_stats(),
+                              [ScheduledFault(15, 1, spec), ScheduledFault(5, 1, spec)])
+        assert [e.onset_tick for e in log.fault_events] == [15, 5]
+
 
 class TestMessageSchema:
     def test_control_schema(self):
