@@ -1,14 +1,12 @@
-"""Fault injection, feature extraction and labeled-dataset generation.
+"""Feature extraction and labeled-dataset generation.
 
-A fault corrupts exactly one measurement family in a UE's reports; labels
-are taken from the fault that was active when the sample was emitted. The
-classifier input is a fixed-order 8-value vector pairing real measurements
-with the twin engine's outputs.
+`ran_sim` owns the fault model; a sample is labeled with the fault that was
+active when it was emitted. The classifier input is a fixed-order 8-value
+vector pairing real measurements with the twin engine's outputs.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 import math
 from array import array
@@ -17,10 +15,9 @@ from itertools import repeat
 
 import numpy as np
 
-from . import radio_model, ran_sim, twin_engine
+from . import ran_sim, twin_engine
 from .errors import ConfigurationError, DataFormatError, DomainError, names_file
-from .radio_model import ChannelColumns
-from .ran_sim import ReportBatch, SimConfig
+from .ran_sim import AnomalyClass, FaultSpec, ReportBatch, SimConfig
 from .twin_engine import AllocationPlan
 
 log = logging.getLogger(__name__)
@@ -53,14 +50,6 @@ DATASET_DTYPE = np.dtype([
 # KPIs reflect a settled allocation loop.
 WARMUP_TICKS = 20
 
-
-class AnomalyClass(enum.IntEnum):
-    NORMAL = 0
-    RSRP_ERROR = 1
-    RSRQ_ERROR = 2
-    SINR_ERROR = 3
-
-
 CLASS_NAMES = {
     AnomalyClass.NORMAL: "Normal",
     AnomalyClass.RSRP_ERROR: "RsrpError",
@@ -70,74 +59,12 @@ CLASS_NAMES = {
 N_CLASSES = len(AnomalyClass)
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    cls: AnomalyClass
-    offset_db: float
-    jitter_db: float
-    duration_ticks: int
-
-    def __post_init__(self):
-        if self.cls == AnomalyClass.NORMAL:
-            raise DomainError("FaultSpec class must be one of the error classes")
-        # inject_faults would turn a non-finite jitter into NaN offsets
-        if not 0 <= self.jitter_db < math.inf:
-            raise DomainError(f"jitter_db must be finite and >= 0, got {self.jitter_db}")
-        if self.duration_ticks < 1:
-            raise DomainError(f"duration_ticks must be >= 1, got {self.duration_ticks}")
-
-
 def default_fault_specs(duration_ticks: int = 50) -> dict[AnomalyClass, FaultSpec]:
     return {
         AnomalyClass.RSRP_ERROR: FaultSpec(AnomalyClass.RSRP_ERROR, -20.0, 3.0, duration_ticks),
         AnomalyClass.RSRQ_ERROR: FaultSpec(AnomalyClass.RSRQ_ERROR, -10.0, 2.0, duration_ticks),
         AnomalyClass.SINR_ERROR: FaultSpec(AnomalyClass.SINR_ERROR, -15.0, 3.0, duration_ticks),
     }
-
-
-def inject_faults(
-    channel: ChannelColumns, rows: list[int], specs: list[FaultSpec], rng: np.random.Generator
-) -> ChannelColumns:
-    """The channel as reported when row rows[k] carries the fault specs[k].
-
-    Each fault corrupts exactly the measurement family its class owns. SINR
-    corruption also recomputes the CQI, because the CQI report follows the
-    (corrupted) SINR estimate. Draws exactly one jitter sample per fault, in
-    the order given. `channel` is not written into: a column no fault hits
-    is shared with it, and without faults it is returned as it is.
-    """
-    if not specs:
-        return channel
-    # Generator.uniform(-j, j) draws -j + (j - -j) * random(), one by one
-    u = rng.random(len(specs)).tolist()
-    delta = np.array([
-        spec.offset_db + (-spec.jitter_db + (spec.jitter_db - -spec.jitter_db) * x)
-        for spec, x in zip(specs, u)
-    ])
-    faults_of = {}  # class -> indices into specs, in order
-    for k, spec in enumerate(specs):
-        faults_of.setdefault(spec.cls, []).append(k)
-
-    def corrupted(klass, column):
-        """A copy of `column`, the rows that `klass` hits, and their column
-        values plus the delta."""
-        k = faults_of[klass]
-        hit = [rows[i] for i in k]
-        return column.copy(), hit, column[hit] + delta[k]
-
-    rsrp, rsrq, sinr, cqi = channel.rsrp_dbm, channel.rsrq_db, channel.sinr_db, channel.cqi
-    if AnomalyClass.RSRP_ERROR in faults_of:
-        rsrp, hit, value = corrupted(AnomalyClass.RSRP_ERROR, rsrp)
-        rsrp[hit] = value
-    if AnomalyClass.RSRQ_ERROR in faults_of:
-        rsrq, hit, value = corrupted(AnomalyClass.RSRQ_ERROR, rsrq)
-        rsrq[hit] = np.where(value < 0.0, value, 0.0)  # min(0.0, value)
-    if AnomalyClass.SINR_ERROR in faults_of:
-        sinr, hit, value = corrupted(AnomalyClass.SINR_ERROR, sinr)
-        sinr[hit] = value
-        cqi = cqi.copy()
-        cqi[hit] = radio_model.cqi_from_sinr(value)
-    return ChannelColumns(rsrp, channel.rssi_dbm, rsrq, sinr, cqi)
 
 
 @dataclass(frozen=True)
@@ -248,7 +175,8 @@ def generate_dataset(
     concurrent = max(1, config.n_ues // 12)
     error_classes = [c for c in AnomalyClass if c != AnomalyClass.NORMAL and quotas[c] > 0]
 
-    ticks, labels, features = [], [], []  # per sampled tick: its tick, (U,), (U, 8)
+    # flat buffers, as read_dataset_csv's: per sampled tick, its tick, (U,), (U, 8)
+    ticks, labels, features = array("q"), array("q"), array("d")
     n_rows = [0] * N_CLASSES  # harvested rows per class
     for _ in range(config.n_ticks):
         sampling = state.tick + 1 > WARMUP_TICKS
@@ -271,8 +199,8 @@ def generate_dataset(
         plan, predicted_mbps = twin_engine.twin_tick(reports, state.cells, config.link)
         if sampling:
             ticks.append(reports.tick)
-            labels.append(label)
-            features.append(feature_matrix(reports, predicted_mbps, plan))
+            labels.frombytes(label.tobytes())
+            features.frombytes(feature_matrix(reports, predicted_mbps, plan).tobytes())
             n_rows = [n + a for n, a in zip(n_rows, active)]
         ran_sim.apply_allocation(state, plan, config.link)
         if all(n >= q for n, q in zip(n_rows, quotas)):
@@ -286,7 +214,7 @@ def generate_dataset(
         )
 
     # row r of the harvest is UE r % U's report of the (r // U)-th sampled tick
-    labels = np.concatenate(labels)
+    labels = np.frombuffer(labels, np.int64)
     picked = []
     for c in AnomalyClass:
         pool = np.flatnonzero(labels == c)[:4 * quotas[c] + 8]
@@ -294,7 +222,8 @@ def generate_dataset(
     rows = np.sort(np.concatenate(picked))
     tick_index, ue_id = np.divmod(rows, config.n_ues)
     return np.rec.fromarrays(
-        [np.concatenate(features)[rows], labels[rows], ue_id, np.array(ticks)[tick_index]],
+        [np.frombuffer(features).reshape(-1, N_FEATURES)[rows], labels[rows], ue_id,
+         np.frombuffer(ticks, np.int64)[tick_index]],
         dtype=DATASET_DTYPE,
     )
 

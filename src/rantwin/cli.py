@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import anomaly, evaluation, mlp, ran_sim, ric
-from .anomaly import AnomalyClass, CLASS_NAMES, FaultSpec, FeatureStats
+from .anomaly import CLASS_NAMES, FeatureStats
 from .errors import (
     ConfigurationError,
     DataFormatError,
@@ -32,6 +32,7 @@ from .errors import (
     ProtocolError,
     RantwinError,
 )
+from .ran_sim import AnomalyClass, FaultSpec
 
 EXIT_OK = 0
 # The exit code of each error kind `main` reports; a TrainingError is a
@@ -366,15 +367,12 @@ def load_schedule(path) -> list[ric.ScheduledFault]:
                 f"schedule fault #{i}: expected exactly the keys {sorted(required)}"
             )
         try:
-            cls = _parse_class(entry["class"])
-            if cls == AnomalyClass.NORMAL:
-                raise ConfigurationError("class must be an error class")
             schedule.append(
                 ric.ScheduledFault(
                     onset_tick=ran_sim.json_int(entry["onset_tick"], "onset_tick"),
                     ue_id=ran_sim.json_int(entry["ue_id"], "ue_id"),
                     spec=FaultSpec(
-                        cls=cls,
+                        cls=_parse_class(entry["class"]),
                         offset_db=ran_sim.json_float(entry["offset_db"], "offset_db"),
                         jitter_db=ran_sim.json_float(entry["jitter_db"], "jitter_db"),
                         duration_ticks=ran_sim.json_int(entry["duration_ticks"], "duration_ticks"),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anomaly import CLASS_NAMES, AnomalyClass, N_CLASSES
+from .anomaly import CLASS_NAMES, N_CLASSES
 from .errors import ConfigurationError, DomainError, NumericError
 
 # Gradient-descent momentum during early exaggeration and after it, and the
@@ -51,7 +51,7 @@ class ConfusionMatrix:
         )
 
     def to_csv(self) -> str:
-        names = [CLASS_NAMES[AnomalyClass(i)] for i in range(N_CLASSES)]
+        names = list(CLASS_NAMES.values())
         lines = ["true\\pred," + ",".join(names)]
         for i, name in enumerate(names):
             lines.append(name + "," + ",".join(str(int(v)) for v in self.counts[i]))
@@ -63,10 +63,12 @@ def confusion(predictions, labels) -> ConfusionMatrix:
         raise DomainError(f"length mismatch: {len(predictions)} vs {len(labels)}")
     if len(predictions) == 0:
         raise DomainError("cannot score an empty prediction list")
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for p, t in zip(predictions, labels):
-        counts[int(t), int(p)] += 1
-    return ConfusionMatrix(counts=counts)
+    codes = np.array([predictions, labels], dtype=np.int64)
+    outside = (codes < 0) | (codes >= N_CLASSES)
+    if outside.any():
+        raise DomainError(f"class code {codes[outside][0]} outside 0..{N_CLASSES - 1}")
+    counts = np.bincount(codes[1] * N_CLASSES + codes[0], minlength=N_CLASSES * N_CLASSES)
+    return ConfusionMatrix(counts=counts.reshape(N_CLASSES, N_CLASSES))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@ traffic, serving-cell selection and per-tick measurement reporting.
 
 One tick models one 10 ms scheduling window by default. All randomness flows
 through the generator carried inside SimState, so equal seeds give equal
-report streams.
+report streams. The fault model lives here too: the anomaly classes, what a
+fault is (`FaultSpec`) and what it corrupts in the reports (`inject_faults`).
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -20,7 +22,6 @@ from .errors import ConfigurationError, DomainError
 from .radio_model import ChannelColumns, LinkBudgetParams, fields_equal
 
 if TYPE_CHECKING:
-    from .anomaly import FaultSpec
     from .twin_engine import AllocationPlan
 
 N_PRIORITY_CLASSES = 4
@@ -89,11 +90,39 @@ class CellState:
     total_prbs: int
 
 
+class AnomalyClass(enum.IntEnum):
+    NORMAL = 0
+    RSRP_ERROR = 1
+    RSRQ_ERROR = 2
+    SINR_ERROR = 3
+
+
+@dataclass(frozen=True)
+class FaultSpec:
+    """Adds offset_db +- jitter_db to its class's measurement for duration_ticks ticks."""
+
+    cls: AnomalyClass
+    offset_db: float
+    jitter_db: float
+    duration_ticks: int
+
+    def __post_init__(self):
+        if self.cls == AnomalyClass.NORMAL:
+            raise DomainError("a fault's class must be an error class, not Normal")
+        # inject_faults would turn a non-finite offset or jitter into bad reports
+        if not math.isfinite(self.offset_db):
+            raise DomainError(f"offset_db must be finite, got {self.offset_db}")
+        if not 0 <= self.jitter_db < math.inf:
+            raise DomainError(f"jitter_db must be finite and >= 0, got {self.jitter_db}")
+        if self.duration_ticks < 1:
+            raise DomainError(f"duration_ticks must be >= 1, got {self.duration_ticks}")
+
+
 @dataclass(frozen=True)
 class ActiveFault:
     """A fault attached to a UE; corrupts its reports while tick <= until_tick."""
 
-    spec: "FaultSpec"
+    spec: FaultSpec
     until_tick: int
 
 
@@ -283,12 +312,57 @@ def init_sim(config: SimConfig) -> SimState:
     return state
 
 
-def set_fault(state: SimState, ue_id: int, spec: "FaultSpec") -> None:
+def set_fault(state: SimState, ue_id: int, spec: FaultSpec) -> None:
     """Attach a fault to a UE: reports of the next `duration_ticks` ticks
     are corrupted (ticks state.tick+1 .. state.tick+duration)."""
     state.faults[state.ue_index(ue_id)] = ActiveFault(
         spec=spec, until_tick=state.tick + spec.duration_ticks
     )
+
+
+def inject_faults(
+    channel: ChannelColumns, rows: list[int], specs: list[FaultSpec], rng: np.random.Generator
+) -> ChannelColumns:
+    """The channel as reported when row rows[k] carries the fault specs[k].
+
+    Each fault corrupts exactly the measurement family its class owns. SINR
+    corruption also recomputes the CQI, because the CQI report follows the
+    (corrupted) SINR estimate. Draws exactly one jitter sample per fault, in
+    the order given. `channel` is not written into: a column no fault hits
+    is shared with it, and without faults it is returned as it is.
+    """
+    if not specs:
+        return channel
+    # Generator.uniform(-j, j) draws -j + (j - -j) * random(), one by one
+    u = rng.random(len(specs)).tolist()
+    delta = np.array([
+        spec.offset_db + (-spec.jitter_db + (spec.jitter_db - -spec.jitter_db) * x)
+        for spec, x in zip(specs, u)
+    ])
+    faults_of = {}  # class -> indices into specs, in order
+    for k, spec in enumerate(specs):
+        faults_of.setdefault(spec.cls, []).append(k)
+
+    def corrupted(klass, column):
+        """A copy of `column`, the rows that `klass` hits, and their column
+        values plus the delta."""
+        k = faults_of[klass]
+        hit = [rows[i] for i in k]
+        return column.copy(), hit, column[hit] + delta[k]
+
+    rsrp, rsrq, sinr, cqi = channel.rsrp_dbm, channel.rsrq_db, channel.sinr_db, channel.cqi
+    if AnomalyClass.RSRP_ERROR in faults_of:
+        rsrp, hit, value = corrupted(AnomalyClass.RSRP_ERROR, rsrp)
+        rsrp[hit] = value
+    if AnomalyClass.RSRQ_ERROR in faults_of:
+        rsrq, hit, value = corrupted(AnomalyClass.RSRQ_ERROR, rsrq)
+        rsrq[hit] = np.where(value < 0.0, value, 0.0)  # min(0.0, value)
+    if AnomalyClass.SINR_ERROR in faults_of:
+        sinr, hit, value = corrupted(AnomalyClass.SINR_ERROR, sinr)
+        sinr[hit] = value
+        cqi = cqi.copy()
+        cqi[hit] = radio_model.cqi_from_sinr(value)
+    return ChannelColumns(rsrp, channel.rssi_dbm, rsrq, sinr, cqi)
 
 
 def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
@@ -341,7 +415,7 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     # fault is dropped on its last tick.
     faulted = sorted(state.faults)
     specs = [state.faults[u].spec for u in faulted]
-    reported = anomaly.inject_faults(state.last_channel, faulted, specs, rng)
+    reported = inject_faults(state.last_channel, faulted, specs, rng)
     state.faults = {u: f for u, f in state.faults.items() if f.until_tick > state.tick}
 
     # (6) traffic demand resampling
@@ -458,8 +532,3 @@ def read_json_file(path, what: str):
 
 def load_sim_config(path) -> SimConfig:
     return sim_config_from_dict(read_json_file(path, "config"))
-
-
-# anomaly drives this simulator and imports it, so step's fault stage is
-# bound here, once both modules can be loaded in either order.
-from . import anomaly  # noqa: E402

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import anomaly, mlp, ran_sim, twin_engine
-from .anomaly import N_CLASSES, AnomalyClass, FaultSpec, FeatureStats
+from .anomaly import N_CLASSES, FeatureStats
 from .errors import ConfigurationError, DomainError, ProtocolError
 from .mlp import MlpModel
-from .ran_sim import ReportBatch, SimConfig, SimState
+from .ran_sim import AnomalyClass, FaultSpec, ReportBatch, SimConfig, SimState
 from .twin_engine import AllocationPlan
 
 # _CLASS_BY_CODE[c] is AnomalyClass(c), without an enum call per flagged row
@@ -28,14 +28,17 @@ _NORMAL_CODE = int(AnomalyClass.NORMAL)
 
 @dataclass(frozen=True)
 class PrbBoost:
+    """The UE's allocation weight times `factor` for `duration_ticks` ticks."""
+
     factor: float
     duration_ticks: int
 
     def __post_init__(self):
-        if self.factor <= 1.0:
-            raise DomainError(f"boost factor must be > 1, got {self.factor}")
-        if self.duration_ticks < 1:
-            raise DomainError(f"duration_ticks must be >= 1, got {self.duration_ticks}")
+        if not (math.isfinite(self.factor) and self.factor > 1.0):
+            raise DomainError(f"boost factor must be finite and > 1, got {self.factor}")
+        ticks = self.duration_ticks
+        if isinstance(ticks, bool) or not isinstance(ticks, int) or ticks < 1:
+            raise DomainError(f"boost duration_ticks must be an integer >= 1, got {ticks!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class RemediationPolicy:
 
     Measurement-report errors (RSRP/RSRQ) steer the UE to its strongest
     neighbor; SINR errors, which starve the UE of PRBs through the corrupted
-    CQI, get a temporary allocation-weight boost.
+    CQI, get `boost`, a temporary allocation-weight boost.
     """
 
     handover_classes: tuple[AnomalyClass, ...] = (
@@ -101,15 +104,9 @@ class RemediationPolicy:
         AnomalyClass.RSRQ_ERROR,
     )
     boost_classes: tuple[AnomalyClass, ...] = (AnomalyClass.SINR_ERROR,)
-    boost_factor: float = 2.0
-    boost_duration_ticks: int = 100
+    boost: PrbBoost = PrbBoost(2.0, 100)
 
     def __post_init__(self):
-        if not (math.isfinite(self.boost_factor) and self.boost_factor > 1.0):
-            raise ConfigurationError(f"boost_factor must be finite and > 1, got {self.boost_factor}")
-        ticks = self.boost_duration_ticks
-        if isinstance(ticks, bool) or not isinstance(ticks, int) or ticks < 1:
-            raise ConfigurationError(f"boost_duration_ticks must be an integer >= 1, got {ticks!r}")
         if AnomalyClass.NORMAL in self.handover_classes + self.boost_classes:
             raise ConfigurationError("Normal is not an anomaly to remediate")
         both = set(self.handover_classes) & set(self.boost_classes)
@@ -125,7 +122,7 @@ class RemediationPolicy:
         for cell_id j); the strongest neighbour is the first maximum, so ties
         go to the lowest cell_id."""
         if cause in self.boost_classes:
-            return PrbBoost(self.boost_factor, self.boost_duration_ticks)
+            return self.boost
         if cause in self.handover_classes:
             if len(rsrp_dbm) < 2:
                 return None  # single-cell network: nowhere to steer

@@ -34,7 +34,6 @@ from rantwin.anomaly import (
     DATASET_DTYPE,
     N_FEATURES,
     WARMUP_TICKS,
-    AnomalyClass,
     feature_matrix,
     largest_remainder_counts,
     standardize,
@@ -64,14 +63,13 @@ from rantwin.mlp import (
     predict_batch,
 )
 from rantwin.radio_model import CQI_EFFICIENCY_BPS_HZ, CQI_SINR_THRESHOLDS_DB, ChannelColumns
-from rantwin.ran_sim import CellState, ReportBatch, TickKpis
+from rantwin.ran_sim import AnomalyClass, CellState, ReportBatch, TickKpis
 from rantwin.ric import (
     CLEAR_TICKS,
     CONFIRM_TICKS,
     ControlAction,
     Detection,
     ForceHandover,
-    PrbBoost,
     message_to_dict,
 )
 
@@ -625,7 +623,7 @@ def policy_action(policy, cause, report):
     """RemediationPolicy.action_for by a scan of the report's neighbour dict:
     the strongest neighbour, ties toward the lowest cell_id."""
     if cause in policy.boost_classes:
-        return PrbBoost(policy.boost_factor, policy.boost_duration_ticks)
+        return policy.boost
     if cause in policy.handover_classes and report.neighbor_rsrp_dbm:
         neighbors = report.neighbor_rsrp_dbm
         return ForceHandover(min(neighbors, key=lambda c: (-neighbors[c], c)))

@@ -14,9 +14,9 @@ import pytest
 
 from rantwin import anomaly, evaluation, mlp, ran_sim, ric, twin_engine
 from rantwin import radio_model as rm
-from rantwin.anomaly import AnomalyClass
 from rantwin.cli import default_demo_schedule, main
 from rantwin.errors import ProtocolError
+from rantwin.ran_sim import AnomalyClass
 
 from oracles import (
     allocation_objective,

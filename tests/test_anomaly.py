@@ -10,19 +10,17 @@ from rantwin import anomaly, ran_sim
 from rantwin import radio_model as rm
 from rantwin.anomaly import (
     DATASET_DTYPE,
-    AnomalyClass,
-    FaultSpec,
     FeatureStats,
     default_fault_specs,
     extract_features,
     feature_matrix,
     generate_dataset,
-    inject_faults,
     split_dataset,
     standardize,
 )
 from rantwin.errors import ConfigurationError, DataFormatError, DomainError
 from rantwin.radio_model import ChannelColumns
+from rantwin.ran_sim import AnomalyClass, FaultSpec, inject_faults
 from rantwin.twin_engine import AllocationPlan
 
 from oracles import (
@@ -62,6 +60,12 @@ class TestAnomalyClass:
     def test_fault_spec_rejects_normal(self):
         with pytest.raises(DomainError):
             FaultSpec(AnomalyClass.NORMAL, -10.0, 1.0, 10)
+
+    @pytest.mark.parametrize("offset_db", [np.nan, np.inf, -np.inf])
+    def test_fault_spec_rejects_non_finite_offset(self, offset_db):
+        # it would corrupt reports into non-finite features
+        with pytest.raises(DomainError, match="offset_db must be finite"):
+            FaultSpec(AnomalyClass.RSRP_ERROR, offset_db, 1.0, 5)
 
 
 def mk_channel(**kwargs):

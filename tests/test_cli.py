@@ -445,7 +445,9 @@ class TestClosedLoop:
         assert "faults 0 and 1 overlap on UE 1: ticks 5..14 and 14..23" in capsys.readouterr().err
         assert not (tmp_path / "loop" / "episode.jsonl").exists()
 
-    @pytest.mark.parametrize("field, value", [("onset_tick", "abc"), ("class", 9)])
+    @pytest.mark.parametrize("field, value", [
+        ("onset_tick", "abc"), ("class", 9), ("class", "Normal"), ("class", 0),
+    ])
     def test_bad_schedule_value_exits_2(self, untrained, tmp_path, capsys, field, value):
         good = {"onset_tick": 5, "ue_id": 1, "class": "RsrpError",
                 "offset_db": -20.0, "jitter_db": 3.0, "duration_ticks": 10}

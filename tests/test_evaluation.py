@@ -40,6 +40,17 @@ class TestAccuracy:
         with pytest.raises(DomainError, match="empty"):
             confusion([], [])
 
+    @pytest.mark.parametrize("predictions, labels, code", [
+        ([0, 1, -1], [0, 1, -1], -1),
+        ([0, 1, 4], [0, 1, 2], 4),
+        ([0, 1, 2], [0, 4, 2], 4),
+        ([0, 1, 2], [-1, 1, 2], -1),
+    ])
+    def test_codes_outside_the_classes_rejected(self, predictions, labels, code):
+        # a -1 would otherwise count as the last class, a 4 raise IndexError
+        with pytest.raises(DomainError, match=f"class code {code} outside 0..3"):
+            confusion(predictions, labels)
+
 
 class TestConfusion:
     def test_perfect_is_diagonal(self):
@@ -64,6 +75,10 @@ class TestConfusion:
             matches = sum(p == t for p, t in zip(preds, labels))
             assert cm.accuracy() == matches / n
             assert cm.total() == n
+            expected = np.zeros((4, 4), dtype=np.int64)
+            for p, t in zip(preds, labels):
+                expected[t, p] += 1
+            assert np.array_equal(cm.counts, expected)
 
     def test_row_sums_are_class_counts(self):
         labels = [0, 0, 1, 2, 3, 3, 3]

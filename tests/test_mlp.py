@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rantwin import mlp
-from rantwin.anomaly import AnomalyClass
 from rantwin.errors import ConfigurationError, DataFormatError, DomainError, TrainingError
 from rantwin.mlp import (
     TrainConfig,
@@ -20,6 +19,7 @@ from rantwin.mlp import (
     serialize_model,
     train,
 )
+from rantwin.ran_sim import AnomalyClass
 
 from oracles import (
     finite_difference_grads,

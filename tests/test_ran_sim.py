@@ -9,11 +9,13 @@ import pytest
 
 from rantwin import radio_model as rm
 from rantwin import ran_sim
-from rantwin.anomaly import AnomalyClass, FaultSpec, default_fault_specs
+from rantwin.anomaly import default_fault_specs
 from rantwin.errors import ConfigurationError, DomainError
 from rantwin.radio_model import ChannelColumns, LinkBudgetParams
 from rantwin.ran_sim import (
+    AnomalyClass,
     CellState,
+    FaultSpec,
     MobilityConfig,
     SimConfig,
     SimState,

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from rantwin import anomaly, mlp, ran_sim, ric, twin_engine
-from rantwin.anomaly import AnomalyClass, FeatureStats
+from rantwin.anomaly import FeatureStats
 from rantwin.errors import ConfigurationError, DomainError, ProtocolError
-from rantwin.ran_sim import SimConfig
+from rantwin.ran_sim import AnomalyClass, SimConfig
 from rantwin.ric import (
     ControlAction,
     ControlLoop,
@@ -213,28 +213,33 @@ class TestRemediationPolicy:
         assert policy.action_for(AnomalyClass.SINR_ERROR, np.array([-80.0]), 0) == PrbBoost(2.0, 100)
 
     @pytest.mark.parametrize("kwargs", [
-        {"boost_factor": 0.5},
-        {"boost_factor": 1.0},
-        {"boost_factor": math.nan},
-        {"boost_factor": math.inf},
-        {"boost_duration_ticks": 0},
-        {"boost_duration_ticks": 2.5},
-        {"boost_duration_ticks": True},
+        {"boost": (0.5, 100)},
+        {"boost": (1.0, 100)},
+        {"boost": (math.nan, 10)},
+        {"boost": (math.inf, 10)},
+        {"boost": (2.0, 0)},
+        {"boost": (2.0, 2.5)},
+        {"boost": (2.0, True)},
         {"handover_classes": (AnomalyClass.NORMAL, AnomalyClass.RSRP_ERROR)},
         {"boost_classes": (AnomalyClass.NORMAL,)},
         {"boost_classes": (AnomalyClass.SINR_ERROR, AnomalyClass.RSRQ_ERROR)},
     ])
     def test_invalid_policy_rejected_at_construction(self, kwargs):
         # each would otherwise surface mid-episode, or let the boost silently
-        # win over the handover for a class listed in both tuples
-        with pytest.raises(ConfigurationError):
-            ric.RemediationPolicy(**kwargs)
+        # win over the handover for a class listed in both tuples. PrbBoost
+        # refuses a bad (factor, duration_ticks) before a policy can hold it.
+        if "boost" in kwargs:
+            with pytest.raises(DomainError):
+                PrbBoost(*kwargs["boost"])
+        else:
+            with pytest.raises(ConfigurationError):
+                ric.RemediationPolicy(**kwargs)
 
     def test_disjoint_classes_accepted(self):
         policy = ric.RemediationPolicy(
             handover_classes=(AnomalyClass.RSRP_ERROR,),
             boost_classes=(AnomalyClass.SINR_ERROR, AnomalyClass.RSRQ_ERROR),
-            boost_factor=1.5, boost_duration_ticks=1,
+            boost=PrbBoost(1.5, 1),
         )
         assert policy.action_for(AnomalyClass.RSRQ_ERROR, np.array([-80.0]), 0) == PrbBoost(1.5, 1)
 
