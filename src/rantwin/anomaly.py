@@ -11,7 +11,6 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -105,10 +104,8 @@ def feature_matrix(
         raise DomainError(f"{len(reports)} reports but {len(predicted_mbps)} predictions")
     if plan.tick != reports.tick:
         raise DomainError(f"report tick {reports.tick} does not match plan tick {plan.tick}")
-    serving = reports.serving_cell.tolist()
-    total = np.fromiter(map(plan.cell_totals.get, serving, repeat(-1)), np.int64, len(serving))
-    if (total < 0).any():
-        raise DomainError(f"plan has no cell totals for cell {serving[int(np.argmax(total < 0))]}")
+    if not np.array_equal(plan.ue_id, reports.ue_id):
+        raise DomainError(f"the plan of tick {plan.tick} was made for other reports")
     ch = reports.channel
     columns = {
         "rsrp_dbm": ch.rsrp_dbm,
@@ -117,7 +114,7 @@ def feature_matrix(
         "cqi": ch.cqi,
         "achieved_mbps": reports.achieved_mbps,
         "predicted_mbps": predicted_mbps,
-        "grant_fraction": plan.grants_of(reports.ue_id) / total,
+        "grant_fraction": plan.grant / plan.cell_prbs,
         "priority": reports.priority,
     }
     x = np.empty((len(reports), N_FEATURES))

@@ -97,6 +97,12 @@ class AnomalyClass(enum.IntEnum):
     SINR_ERROR = 3
 
 
+def check_duration_ticks(ticks, name: str) -> None:
+    """Raise DomainError unless `ticks` is an int >= 1 (a bool is not)."""
+    if isinstance(ticks, bool) or not isinstance(ticks, int) or ticks < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {ticks!r}")
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """Adds offset_db +- jitter_db to its class's measurement for duration_ticks ticks."""
@@ -114,8 +120,7 @@ class FaultSpec:
             raise DomainError(f"offset_db must be finite, got {self.offset_db}")
         if not 0 <= self.jitter_db < math.inf:
             raise DomainError(f"jitter_db must be finite and >= 0, got {self.jitter_db}")
-        if self.duration_ticks < 1:
-            raise DomainError(f"duration_ticks must be >= 1, got {self.duration_ticks}")
+        check_duration_ticks(self.duration_ticks, "duration_ticks")
 
 
 @dataclass(frozen=True)
@@ -444,14 +449,14 @@ def apply_allocation(state: SimState, plan: "AllocationPlan", link: LinkBudgetPa
     """Realize a PRB plan on the live network: each UE's achieved rate for the
     tick is its grant times the per-PRB rate of its TRUE channel, capped at
     its offered demand. Stored, as a new array, for the next tick's reports."""
-    grant = plan.grants_of(np.arange(len(state.demand_mbps)))
-    granted = np.flatnonzero(grant > 0)
+    n = len(state.demand_mbps)
+    if len(plan.ue_id) and not 0 <= plan.ue_id.min() <= plan.ue_id.max() < n:
+        raise DomainError(f"the plan of tick {plan.tick} grants a UE outside ue_id 0..{n - 1}")
+    grant = np.zeros(n, dtype=np.int64)
+    grant[plan.ue_id] = plan.grant
     true = state.last_channel
-    se = radio_model.spectral_efficiencies(true.sinr_db[granted], true.cqi[granted])
-    achieved = np.zeros(len(grant))
-    rate = grant[granted] * link.prb_bandwidth_hz * se / 1e6
-    achieved[granted] = np.minimum(rate, state.demand_mbps[granted])
-    state.achieved_mbps = achieved
+    se = radio_model.spectral_efficiencies(true.sinr_db, true.cqi)
+    state.achieved_mbps = np.minimum(grant * link.prb_bandwidth_hz * se / 1e6, state.demand_mbps)
 
 
 def sim_config_to_dict(config) -> dict:

@@ -36,9 +36,7 @@ class PrbBoost:
     def __post_init__(self):
         if not (math.isfinite(self.factor) and self.factor > 1.0):
             raise DomainError(f"boost factor must be finite and > 1, got {self.factor}")
-        ticks = self.duration_ticks
-        if isinstance(ticks, bool) or not isinstance(ticks, int) or ticks < 1:
-            raise DomainError(f"boost duration_ticks must be an integer >= 1, got {ticks!r}")
+        ran_sim.check_duration_ticks(self.duration_ticks, "boost duration_ticks")
 
 
 @dataclass(frozen=True)

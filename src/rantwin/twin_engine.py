@@ -24,24 +24,19 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class AllocationPlan:
+    """One tick's PRB plan as columns in the order of the reports it was made
+    for; `cell_prbs` is the PRB total of each report's serving cell. `grants`
+    and `cell_totals` hold the grants and totals by ue_id and by cell_id."""
+
     tick: int
     grants: dict[int, int]
     cell_totals: dict[int, int]
-    # Spectral efficiency (bps/Hz) the allocator read from each report, in
-    # report order.
-    spectral_efficiency: np.ndarray | None = None
+    ue_id: np.ndarray
+    grant: np.ndarray
+    prb_rate_mbps: np.ndarray
+    cell_prbs: np.ndarray
 
     __eq__ = fields_equal
-
-    def grants_of(self, ue_id: np.ndarray) -> np.ndarray:
-        """The grant of each UE in `ue_id`, 0 for a UE the plan does not name."""
-        return np.fromiter(
-            map(self.grants.get, ue_id.tolist(), repeat(0)), dtype=np.int64, count=len(ue_id)
-        )
-
-
-def _prb_rate_mbps(spectral_efficiency, params: LinkBudgetParams):
-    return params.prb_bandwidth_hz * spectral_efficiency / 1e6
 
 
 def allocate_prbs(
@@ -77,7 +72,7 @@ def allocate_prbs(
         raise DomainError(f"report for ue {ue_id[i]} references unknown cell {serving[i]}")
 
     se = radio_model.spectral_efficiencies(reports.channel.sinr_db, reports.channel.cqi)
-    rate = _prb_rate_mbps(se, params)
+    rate = params.prb_bandwidth_hz * se / 1e6
     weight = reports.priority if weights is None else np.asarray(weights, dtype=np.float64)
     # Remaining demand before each PRB, row k after k PRBs, by the repeated
     # subtraction of the one-PRB-at-a-time loop, so every comparison sees the
@@ -108,7 +103,10 @@ def allocate_prbs(
         tick=reports.tick,
         grants=dict(zip(ids, grants.tolist())),
         cell_totals=totals,
-        spectral_efficiency=se,
+        ue_id=ue_id,
+        grant=grants,
+        prb_rate_mbps=rate,
+        cell_prbs=cell_prbs,
     )
 
 
@@ -120,8 +118,7 @@ def twin_tick(
 ) -> tuple[AllocationPlan, np.ndarray]:
     """One engine pass: allocate, then predict each report's throughput (Mbps).
 
-    The prediction reuses the spectral efficiency the allocator computed.
+    The prediction reuses the per-PRB rate the allocator computed.
     """
     plan = allocate_prbs(reports, cells, params, weights)
-    predicted_mbps = plan.grants_of(reports.ue_id) * _prb_rate_mbps(plan.spectral_efficiency, params)
-    return plan, predicted_mbps
+    return plan, plan.grant * plan.prb_rate_mbps

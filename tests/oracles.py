@@ -284,6 +284,22 @@ def report_rows(batch: ReportBatch) -> list[Report]:
     ]
 
 
+def mk_plan(tick, ue_id, grant, cell_prbs=50):
+    """A plan made at `tick` for reports of these ue_ids, in this order, with
+    these grants, every report served by cell 0 of `cell_prbs` PRBs. Its
+    per-PRB rates are 0."""
+    n = len(ue_id)
+    return twin_engine.AllocationPlan(
+        tick=tick,
+        grants=dict(zip(ue_id, grant)),
+        cell_totals={0: cell_prbs},
+        ue_id=np.array(ue_id, dtype=np.int64),
+        grant=np.array(grant, dtype=np.int64),
+        prb_rate_mbps=np.zeros(n),
+        cell_prbs=np.full(n, cell_prbs, dtype=np.int64),
+    )
+
+
 def weight_array(reports, overrides):
     """One allocation weight per report: its priority unless `overrides`
     (ue_id -> weight) names it; None without overrides."""

@@ -21,13 +21,13 @@ from rantwin.anomaly import (
 from rantwin.errors import ConfigurationError, DataFormatError, DomainError
 from rantwin.radio_model import ChannelColumns
 from rantwin.ran_sim import AnomalyClass, FaultSpec, inject_faults
-from rantwin.twin_engine import AllocationPlan
 
 from oracles import (
     channel_row,
     columns_of,
     cqi_table_scan,
     mk_batch,
+    mk_plan,
     mk_report,
     reference_generate_dataset,
     reference_split_dataset,
@@ -60,6 +60,12 @@ class TestAnomalyClass:
     def test_fault_spec_rejects_normal(self):
         with pytest.raises(DomainError):
             FaultSpec(AnomalyClass.NORMAL, -10.0, 1.0, 10)
+
+    @pytest.mark.parametrize("duration_ticks", [2.5, True, 0])
+    def test_fault_spec_rejects_a_duration_that_is_not_a_tick_count(self, duration_ticks):
+        # set_fault would store an until_tick of 2.5, or of 1 for True
+        with pytest.raises(DomainError, match="duration_ticks must be an integer >= 1"):
+            FaultSpec(AnomalyClass.RSRP_ERROR, -20.0, 3.0, duration_ticks)
 
     @pytest.mark.parametrize("offset_db", [np.nan, np.inf, -np.inf])
     def test_fault_spec_rejects_non_finite_offset(self, offset_db):
@@ -193,7 +199,7 @@ class TestExtractFeatures:
             demand=4.0, priority=3, achieved=2.1,
         )
         predicted = np.array([2.4])
-        plan = AllocationPlan(tick=9, grants={3: 5}, cell_totals={0: 50})
+        plan = mk_plan(9, [3], [5])
         return report, predicted, plan
 
     def test_packing_order(self):
@@ -205,7 +211,7 @@ class TestExtractFeatures:
 
     def test_zero_grant(self):
         report, _, _ = self._triple()
-        plan = AllocationPlan(tick=9, grants={}, cell_totals={0: 50})
+        plan = mk_plan(9, [3], [0])
         vec = extract_features(mk_batch([report]), np.array([0.0]), plan, 0)
         assert vec[5] == 0.0
         assert vec[6] == 0.0
@@ -215,32 +221,36 @@ class TestExtractFeatures:
         with pytest.raises(DomainError):
             extract_features(mk_batch([report]), np.array([2.4, 2.4]), plan, 0)
         with pytest.raises(DomainError):
-            extract_features(mk_batch([report]), predicted, AllocationPlan(8, {3: 5}, {0: 50}), 0)
+            extract_features(mk_batch([report]), predicted, replace(plan, tick=8), 0)
 
     def test_matrix_rows_equal_single_extraction(self):
         reports = [mk_report(ue_id=u, tick=9, rsrp=-80.0 - u, achieved=0.3 * u) for u in range(5)]
         predicted = np.array([0.7 * u for u in range(5)])
-        plan = AllocationPlan(tick=9, grants={0: 3, 2: 9, 4: 1}, cell_totals={0: 50})
+        plan = mk_plan(9, list(range(5)), [3, 0, 9, 0, 1])
         x = feature_matrix(mk_batch(reports), predicted, plan)
         assert x.shape == (5, 8)
         for i, (row, r) in enumerate(zip(x, reports)):
             ch = r.channel
             assert row.tolist() == [ch.rsrp_dbm, ch.rsrq_db, ch.sinr_db, float(ch.cqi),
-                                    r.achieved_mbps, 0.7 * i, plan.grants.get(r.ue_id, 0) / 50,
+                                    r.achieved_mbps, 0.7 * i, plan.grant[i] / 50,
                                     float(r.priority)]
             assert np.array_equal(row, extract_features(mk_batch(reports), predicted, plan, i))
-        assert feature_matrix(mk_batch([], tick=9), np.zeros(0), plan).shape == (0, 8)
+        empty = mk_plan(9, [], [])
+        assert feature_matrix(mk_batch([], tick=9), np.zeros(0), empty).shape == (0, 8)
 
     def test_matrix_checks_every_report(self):
-        report, predicted, plan = self._triple()
+        report, _, _ = self._triple()
         other = replace(report, ue_id=4)
-        for batch, bad_predicted in (
-            (mk_batch([report, other]), predicted),
-            (mk_batch([replace(report, tick=8), replace(other, tick=8)]), np.zeros(2)),
-            (mk_batch([report, replace(other, serving_cell=1)]), np.zeros(2)),
+        plan = mk_plan(9, [3, 4], [5, 0])
+        assert feature_matrix(mk_batch([report, other]), np.zeros(2), plan).shape == (2, 8)
+        for batch, predicted, reason in (
+            (mk_batch([report, other]), np.zeros(1), "predictions"),
+            (mk_batch([replace(report, tick=8), replace(other, tick=8)]), np.zeros(2), "tick"),
+            (mk_batch([report, replace(other, ue_id=5)]), np.zeros(2), "other reports"),
+            (mk_batch([report]), np.zeros(1), "other reports"),
         ):
-            with pytest.raises(DomainError):
-                feature_matrix(batch, bad_predicted, plan)
+            with pytest.raises(DomainError, match=reason):
+                feature_matrix(batch, predicted, plan)
 
 
 class TestGenerateDataset:

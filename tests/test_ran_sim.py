@@ -34,6 +34,7 @@ from oracles import (
     db_to_linear,
     inject_fault,
     loop_interferer_sums,
+    mk_plan,
     mw_to_dbm,
     path_loss_db,
     report_rows,
@@ -583,6 +584,27 @@ class TestAllocationApplication:
         assert state.achieved_mbps is not first
         assert np.array_equal(first, kept)
         assert not np.array_equal(state.achieved_mbps, kept)
+
+    def test_grants_go_to_their_ue_ids_in_any_report_order(self):
+        from rantwin import twin_engine
+
+        state = init_sim(SMALL)
+        state, reports, _ = step(state)
+        plan, _ = twin_engine.twin_tick(reports, state.cells, SMALL.link)
+        assert plan.grant.any()
+        ran_sim.apply_allocation(state, plan, SMALL.link)
+        expected = state.achieved_mbps
+        backwards = dataclasses.replace(plan, ue_id=plan.ue_id[::-1], grant=plan.grant[::-1])
+        ran_sim.apply_allocation(state, backwards, SMALL.link)
+        assert np.array_equal(state.achieved_mbps, expected)
+
+    @pytest.mark.parametrize("ue_id", [-1, SMALL.n_ues])
+    def test_plan_for_a_ue_outside_the_state_is_refused(self, ue_id):
+        # its grant would otherwise be dropped, or land on another UE
+        state = init_sim(SMALL)
+        state, _, _ = step(state)
+        with pytest.raises(DomainError, match="outside ue_id"):
+            ran_sim.apply_allocation(state, mk_plan(state.tick, [0, ue_id], [1, 2]), SMALL.link)
 
 
 def _assert_step_matches_scalar(state, n_ticks, faults=(), controls=False):

@@ -311,9 +311,11 @@ class TestBatchedXapp:
             assert list(detections) == ref_detections
             assert actions == ref_actions
             assert plan.grants == ref_grants
-            assert plan.grants == linear_scan_allocation(
+            expected = linear_scan_allocation(
                 report_rows(reports), state.cells, config.link, dict(enumerate(weights.tolist()))
             )
+            assert plan.grants == expected
+            assert plan.grant.tolist() == [expected[u] for u in reports.ue_id.tolist()]
             ran_sim.apply_allocation(state, plan, config.link)
             for action in actions:
                 apply_control(state, action)

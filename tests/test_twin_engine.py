@@ -16,7 +16,6 @@ from oracles import (
     mk_cell,
     mk_report,
     per_prb_rate_mbps,
-    spectral_efficiency_bps_hz,
     ulps_apart,
     weight_array,
 )
@@ -150,7 +149,10 @@ class TestHeapMatchesLinearScan:
         for _ in range(300):
             reports, cells, weights = _oracle_instance(rng)
             plan = allocate_prbs(mk_batch(reports), cells, PARAMS, weight_array(reports, weights))
-            assert plan.grants == linear_scan_allocation(reports, cells, PARAMS, weights)
+            expected = linear_scan_allocation(reports, cells, PARAMS, weights)
+            assert plan.grants == expected
+            assert plan.grant.dtype == np.int64
+            assert plan.grant.tolist() == [expected[r.ue_id] for r in reports]
 
             keys = [(r.serving_cell, r.channel.sinr_db, r.channel.cqi, r.demand_mbps,
                      (weights or {}).get(r.ue_id, r.priority)) for r in reports]
@@ -272,12 +274,11 @@ class TestTwinTick:
             reports, cells, weights = _oracle_instance(rng)
             plan, predicted = twin_tick(mk_batch(reports), cells, PARAMS,
                                         weight_array(reports, weights))
-            for report, predicted_mbps, se in zip(reports, predicted, plan.spectral_efficiency):
+            for report, predicted_mbps, rate in zip(reports, predicted, plan.prb_rate_mbps):
                 sinr, cqi = report.channel.sinr_db, report.channel.cqi
-                grant = plan.grants[report.ue_id]
-                expected = grant * per_prb_rate_mbps(sinr, cqi, PARAMS)
-                assert ulps_apart(predicted_mbps, expected) <= ULPS
-                assert ulps_apart(se, spectral_efficiency_bps_hz(sinr, cqi)) <= ULPS
+                per_prb = per_prb_rate_mbps(sinr, cqi, PARAMS)
+                assert ulps_apart(predicted_mbps, plan.grants[report.ue_id] * per_prb) <= ULPS
+                assert ulps_apart(rate, per_prb) <= ULPS
 
     def test_weight_override_changes_allocation(self):
         per_prb = per_prb_rate_mbps(30.0, 15, PARAMS)
