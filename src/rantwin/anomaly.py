@@ -34,6 +34,7 @@ FEATURE_NAMES = (
 N_FEATURES = len(FEATURE_NAMES)
 
 DATASET_HEADER = ",".join((*FEATURE_NAMES, "label", "ue_id", "tick"))
+STATS_HEADER = "feature,mean,std"
 
 # A dataset is one np.recarray of this dtype, a row per labeled sample: its
 # columns are `data.features` (n, N_FEATURES) and `data.label`, `data.ue_id`
@@ -274,17 +275,34 @@ def split_dataset(
     return data[np.sort(train_idx)], data[np.sort(test_idx)]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+def write_csv(path, header: str, rows) -> None:
+    """Write a CSV artifact: the `header` line, then one line per row. A
+    float field is written to 12 significant digits, None as an empty field
+    and any other value with str; every line ends in "\n"."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fields = [format(v, ".12g") if isinstance(v, float) else "" if v is None else str(v)
+                      for v in row]
+            fh.write(",".join(fields) + "\n")
+
+
+def _csv_lines(fh, header: str, what: str):
+    """Check the first line of the open file `fh` against `header`, then
+    yield (line number, fields) for each non-blank line after it."""
+    first = fh.readline().strip()
+    if first != header:
+        raise DataFormatError(f"line 1: bad {what} header {first!r}")
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if line:
+            yield lineno, line.split(",")
 
 
 def write_dataset_csv(samples: np.recarray, path) -> None:
-    columns = (samples.features, samples.label.tolist(),
+    rows = zip(samples.features.tolist(), samples.label.tolist(),
                samples.ue_id.tolist(), samples.tick.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(DATASET_HEADER + "\n")
-        for features, label, ue_id, tick in zip(*columns):
-            fh.write(",".join([*map(_fmt, features), str(label), str(ue_id), str(tick)]) + "\n")
+    write_csv(path, DATASET_HEADER, ([*f, label, ue_id, tick] for f, label, ue_id, tick in rows))
 
 
 @names_file("dataset")
@@ -294,14 +312,7 @@ def read_dataset_csv(path) -> np.recarray:
     # 1 MB per 2500 lines, and the process's peak memory with it.
     features, codes = array("d"), array("q")
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != DATASET_HEADER:
-            raise DataFormatError(f"line 1: bad dataset header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
+        for lineno, parts in _csv_lines(fh, DATASET_HEADER, "dataset"):
             if len(parts) != N_FEATURES + 3:
                 raise DataFormatError(
                     f"line {lineno}: expected {N_FEATURES + 3} fields, got {len(parts)}"
@@ -327,10 +338,8 @@ def read_dataset_csv(path) -> np.recarray:
 
 
 def write_stats_csv(stats: FeatureStats, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("feature,mean,std\n")
-        for i, name in enumerate(FEATURE_NAMES):
-            fh.write(f"{name},{_fmt(stats.mean[i])},{_fmt(stats.std[i])}\n")
+    write_csv(path, STATS_HEADER,
+              zip(FEATURE_NAMES, stats.mean.tolist(), stats.std.tolist()))
 
 
 @names_file("stats")
@@ -339,14 +348,8 @@ def read_stats_csv(path) -> FeatureStats:
     std = np.ones(N_FEATURES)
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "feature,mean,std":
-            raise DataFormatError(f"line 1: bad stats header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
+        for lineno, parts in _csv_lines(fh, STATS_HEADER, "stats"):
+            line = ",".join(parts)
             if len(parts) != 3 or parts[0] not in FEATURE_NAMES:
                 raise DataFormatError(f"line {lineno}: bad stats row {line!r}")
             if parts[0] in seen:

@@ -13,6 +13,7 @@ The train and tsne flag defaults are those of `mlp.TrainConfig` and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -196,10 +197,9 @@ def cmd_train(args) -> int:
 
         mlp.save_model(model, args.model_out)
         anomaly.write_stats_csv(stats, args.stats_out)
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            fh.write("epoch,train_loss,test_accuracy\n")
-            for i, (loss, acc) in enumerate(zip(report.train_loss, report.test_accuracy), 1):
-                fh.write(f"{i},{format(loss, '.12g')},{format(acc, '.12g')}\n")
+        anomaly.write_csv(args.report_out, "epoch,train_loss,test_accuracy",
+                          zip(range(1, len(report.train_loss) + 1),
+                              report.train_loss, report.test_accuracy))
         manifest.add_output(args.model_out)
         manifest.add_output(args.stats_out)
         manifest.add_output(args.report_out)
@@ -245,17 +245,15 @@ def cmd_eval(args) -> int:
         acc = cm.accuracy()
 
         out_dir.mkdir(parents=True, exist_ok=True)
+        names = list(CLASS_NAMES.values())
         confusion_path = out_dir / "confusion.csv"
-        with open(confusion_path, "w", encoding="utf-8") as fh:
-            fh.write(cm.to_csv())
+        anomaly.write_csv(confusion_path, ",".join(["true\\pred", *names]),
+                          ([name, *row] for name, row in zip(names, cm.counts.tolist())))
         metrics_path = out_dir / "metrics.csv"
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            fh.write("metric,value\n")
-            fh.write(f"accuracy,{format(acc, '.12g')}\n")
-            for i in range(anomaly.N_CLASSES):
-                name = CLASS_NAMES[AnomalyClass(i)]
-                fh.write(f"precision_{name},{format(cm.precision()[i], '.12g')}\n")
-                fh.write(f"recall_{name},{format(cm.recall()[i], '.12g')}\n")
+        metrics = [("accuracy", acc)]
+        for name, precision, recall in zip(names, cm.precision().tolist(), cm.recall().tolist()):
+            metrics += [(f"precision_{name}", precision), (f"recall_{name}", recall)]
+        anomaly.write_csv(metrics_path, "metric,value", metrics)
         manifest.add_output(confusion_path)
         manifest.add_output(metrics_path)
         print(f"accuracy on {args.split} split ({len(subset)} samples): {acc:.4f}")
@@ -299,11 +297,8 @@ def cmd_tsne(args) -> int:
         score = evaluation.silhouette(embedding.points, subset.label)
 
         rows = zip(subset.ue_id.tolist(), subset.tick.tolist(), subset.label.tolist(),
-                   embedding.points.tolist())
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("ue_id,tick,label,x,y\n")
-            for ue_id, tick, label, (px, py) in rows:
-                fh.write(f"{ue_id},{tick},{label},{format(px, '.12g')},{format(py, '.12g')}\n")
+                   *embedding.points.T.tolist())
+        anomaly.write_csv(args.out, "ue_id,tick,label,x,y", rows)
         manifest.add_output(args.out)
         print(
             f"embedded {len(subset)} {args.split}-split points; "
@@ -326,9 +321,12 @@ def default_demo_schedule(config: ran_sim.SimConfig) -> list[ric.ScheduledFault]
     """One fault per error class, spread across the run: onsets 100, 250 and
     400, each no later than the k-th quarter of the run (k = 1, 2, 3) and no
     earlier than tick 1. The UEs are 5, 17 and 29 modulo `n_ues`, each moved
-    on to the next UE not yet taken, so they are distinct when `n_ues` >= 3."""
+    on to the next UE not yet taken, so they are distinct when `n_ues` >= 3.
+    A fault on the UE of a later fault ends the tick before that one starts,
+    and is left out if that leaves it no tick."""
     specs = anomaly.default_fault_specs()
-    onsets = [100, 250, 400]
+    onsets = [max(1, min(onset, (k + 1) * config.n_ticks // 4))
+              for k, onset in enumerate((100, 250, 400))]
     classes = [AnomalyClass.RSRP_ERROR, AnomalyClass.RSRQ_ERROR, AnomalyClass.SINR_ERROR]
     ue_ids: list[int] = []
     for ue_id in (5, 17, 29):
@@ -336,14 +334,14 @@ def default_demo_schedule(config: ran_sim.SimConfig) -> list[ric.ScheduledFault]
         while ue_id in ue_ids and len(ue_ids) < config.n_ues:
             ue_id = (ue_id + 1) % config.n_ues
         ue_ids.append(ue_id)
-    return [
-        ric.ScheduledFault(
-            onset_tick=max(1, min(onset, (k + 1) * config.n_ticks // 4)),
-            ue_id=ue_id,
-            spec=specs[cls],
-        )
-        for k, (onset, ue_id, cls) in enumerate(zip(onsets, ue_ids, classes))
-    ]
+    schedule = []
+    for k, (onset, ue_id, cls) in enumerate(zip(onsets, ue_ids, classes)):
+        end = min([onset + specs[cls].duration_ticks,
+                   *(t for t, u in zip(onsets[k + 1:], ue_ids[k + 1:]) if u == ue_id)])
+        if end > onset:
+            spec = dataclasses.replace(specs[cls], duration_ticks=end - onset)
+            schedule.append(ric.ScheduledFault(onset_tick=onset, ue_id=ue_id, spec=spec))
+    return schedule
 
 
 def _parse_class(value) -> AnomalyClass:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anomaly import CLASS_NAMES, N_CLASSES
+from .anomaly import N_CLASSES
 from .errors import ConfigurationError, DomainError, NumericError
 
 # Gradient-descent momentum during early exaggeration and after it, and the
@@ -49,13 +49,6 @@ class ConfusionMatrix:
         return np.divide(
             np.diag(self.counts), col, out=np.zeros(N_CLASSES), where=col > 0
         )
-
-    def to_csv(self) -> str:
-        names = list(CLASS_NAMES.values())
-        lines = ["true\\pred," + ",".join(names)]
-        for i, name in enumerate(names):
-            lines.append(name + "," + ",".join(str(int(v)) for v in self.counts[i]))
-        return "\n".join(lines) + "\n"
 
 
 def confusion(predictions, labels) -> ConfusionMatrix:

@@ -230,8 +230,8 @@ class DtXapp:
         self.link_params = link_params
         self.policy = policy if policy is not None else RemediationPolicy()
         # Debounce state per report row, set up by the first indication: the
-        # class of the row's non-Normal streak (-1 for none), the streak's
-        # length, the length of its Normal streak, and whether it may fire.
+        # class code the row read last (-1 before the first tick), how many
+        # ticks in a row it has read that code, and whether it may fire.
         self._ue_id: np.ndarray | None = None
 
     def on_indication(
@@ -240,9 +240,8 @@ class DtXapp:
         if self._ue_id is None:
             n = len(reports)
             self._ue_id = reports.ue_id.copy()
-            self._streak_cls = np.full(n, -1)
-            self._streak_len = np.zeros(n, dtype=np.int64)
-            self._normal_streak = np.zeros(n, dtype=np.int64)
+            self._code = np.full(n, -1)
+            self._run = np.zeros(n, dtype=np.int64)
             self._armed = np.ones(n, dtype=bool)
         elif reports.ue_id.shape != self._ue_id.shape or not (reports.ue_id == self._ue_id).all():
             raise DomainError("an indication reports other UEs than the earlier ones")
@@ -252,14 +251,11 @@ class DtXapp:
         probs = mlp.forward_rows(self.model, x)
         code = np.argmax(probs, axis=1)
         normal = code == _NORMAL_CODE
-        self._normal_streak = np.where(normal, self._normal_streak + 1, 0)
-        self._armed = self._armed | (normal & (self._normal_streak >= CLEAR_TICKS))
-        self._streak_len = np.where(
-            normal, 0, np.where(code == self._streak_cls, self._streak_len + 1, 1)
-        )
-        self._streak_cls = np.where(normal, -1, code)
-        fire = ~normal & self._armed & (self._streak_len >= CONFIRM_TICKS)
-        self._armed = self._armed & ~fire
+        self._run = np.where(code == self._code, self._run + 1, 1)
+        self._code = code
+        self._armed |= normal & (self._run >= CLEAR_TICKS)
+        fire = ~normal & self._armed & (self._run >= CONFIRM_TICKS)
+        self._armed &= ~fire
 
         flagged = np.flatnonzero(~normal)
         detections = Detections()
@@ -503,16 +499,8 @@ def write_episode_jsonl(log: EpisodeLog, path) -> None:
 
 
 def write_episode_summary_csv(log: EpisodeLog, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("fault_id,ue_id,class,onset_tick,detect_tick,action_tick,restore_tick\n")
-        for e in log.fault_events:
-            fields = [
-                str(e.fault_id),
-                str(e.ue_id),
-                str(int(e.cls)),
-                str(e.onset_tick),
-                "" if e.detect_tick is None else str(e.detect_tick),
-                "" if e.action_tick is None else str(e.action_tick),
-                "" if e.restore_tick is None else str(e.restore_tick),
-            ]
-            fh.write(",".join(fields) + "\n")
+    anomaly.write_csv(
+        path, "fault_id,ue_id,class,onset_tick,detect_tick,action_tick,restore_tick",
+        ((e.fault_id, e.ue_id, int(e.cls), e.onset_tick, e.detect_tick, e.action_tick,
+          e.restore_tick) for e in log.fault_events),
+    )

@@ -526,6 +526,21 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="line 2"):
             anomaly.read_dataset_csv(path)
 
+    def test_crlf_dataset_reads_like_its_lf_twin(self, tmp_path, default_dataset):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        anomaly.write_dataset_csv(default_dataset[:50], lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = anomaly.read_dataset_csv(lf), anomaly.read_dataset_csv(crlf)
+        for name in DATASET_DTYPE.names:
+            assert np.array_equal(a[name], b[name])
+
+    def test_crlf_stats_reads_like_its_lf_twin(self, tmp_path, default_dataset):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        anomaly.write_stats_csv(FeatureStats.from_samples(default_dataset), lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = anomaly.read_stats_csv(lf), anomaly.read_stats_csv(crlf)
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
+
     def test_stats_round_trip(self, tmp_path, default_dataset):
         train, _ = split_dataset(default_dataset, 0.8, seed=13)
         stats = FeatureStats.from_samples(train)
@@ -562,3 +577,10 @@ class TestCsvRoundTrip:
         path.write_text("feature,mean,std\n" + "\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=f"line {len(lines) + 1}: repeated"):
             anomaly.read_stats_csv(path)
+
+
+class TestWriteCsv:
+    def test_field_rules(self, tmp_path):
+        path = tmp_path / "t.csv"
+        anomaly.write_csv(path, "a,b,c", [(1 / 3, 1e-300, np.float64(1 / 3)), (7, None, "x")])
+        assert path.read_bytes() == b"a,b,c\n0.333333333333,1e-300,0.333333333333\n7,,x\n"

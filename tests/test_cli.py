@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rantwin import anomaly, cli, mlp, ran_sim
+from rantwin import anomaly, cli, mlp, ran_sim, ric
 from rantwin.cli import default_demo_schedule, main
 
 
@@ -276,6 +276,8 @@ class TestEval:
         assert 0.0 <= float(metrics["accuracy"]) <= 1.0
         confusion = (out / "confusion.csv").read_text().splitlines()
         assert confusion[0] == "true\\pred,Normal,RsrpError,RsrqError,SinrError"
+        assert len(confusion) == 5
+        assert confusion[1].startswith("Normal,")
         manifest = json.loads((out / "eval.manifest.json").read_text())
         assert manifest["error"] is None
 
@@ -564,6 +566,24 @@ class TestDefaultDemoSchedule:
                 assert ue_ids == wanted, n_ues
         # 5, 17 and 29 are all 5 modulo 12: the second and third move on
         assert self.ue_ids(12) == [5, 6, 7]
+
+    @pytest.mark.parametrize("n_ues", [1, 2, 3])
+    @pytest.mark.parametrize("n_ticks", [1, 3, 4, 80, 120, 190, 400])
+    def test_closed_loop_accepts_it_on_small_networks(self, n_ues, n_ticks):
+        config = ran_sim.SimConfig(n_ues=n_ues, n_ticks=n_ticks)
+        schedule = default_demo_schedule(config)
+        model = mlp.init_model([], seed=0)
+        stats = anomaly.FeatureStats(mean=np.zeros(8), std=np.ones(8))
+        log = ric.closed_loop_run(config, model, stats, schedule)
+        assert len(log.fault_events) == len(schedule) >= 1
+
+    def test_faults_on_one_ue_end_before_the_next_starts(self):
+        schedule = default_demo_schedule(ran_sim.SimConfig(n_ues=1, n_ticks=190))
+        assert [(f.onset_tick, f.spec.duration_ticks) for f in schedule] == [
+            (47, 48), (95, 47), (142, 50)]
+        # on distinct UEs every fault keeps its full 50 ticks
+        assert all(f.spec.duration_ticks == 50
+                   for f in default_demo_schedule(ran_sim.SimConfig(n_ticks=190)))
 
 
 class TestPrintDefaultConfig:

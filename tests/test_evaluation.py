@@ -86,13 +86,6 @@ class TestConfusion:
         cm = confusion(preds, labels)
         assert cm.counts.sum(axis=1).tolist() == [2, 1, 1, 3]
 
-    def test_csv_layout(self):
-        cm = confusion([0, 1], [0, 1])
-        lines = cm.to_csv().splitlines()
-        assert lines[0] == "true\\pred,Normal,RsrpError,RsrqError,SinrError"
-        assert len(lines) == 5
-        assert lines[1].startswith("Normal,")
-
 
 def blobs(rng, n_per, centers, sigma):
     points = []
