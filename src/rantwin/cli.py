@@ -245,13 +245,12 @@ def cmd_eval(args) -> int:
         acc = cm.accuracy()
 
         out_dir.mkdir(parents=True, exist_ok=True)
-        names = list(CLASS_NAMES.values())
         confusion_path = out_dir / "confusion.csv"
-        anomaly.write_csv(confusion_path, ",".join(["true\\pred", *names]),
-                          ([name, *row] for name, row in zip(names, cm.counts.tolist())))
+        evaluation.write_confusion_csv(cm, confusion_path)
         metrics_path = out_dir / "metrics.csv"
         metrics = [("accuracy", acc)]
-        for name, precision, recall in zip(names, cm.precision().tolist(), cm.recall().tolist()):
+        for name, precision, recall in zip(CLASS_NAMES.values(), cm.precision().tolist(),
+                                           cm.recall().tolist()):
             metrics += [(f"precision_{name}", precision), (f"recall_{name}", recall)]
         anomaly.write_csv(metrics_path, "metric,value", metrics)
         manifest.add_output(confusion_path)

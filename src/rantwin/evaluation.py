@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anomaly import N_CLASSES
+from .anomaly import CLASS_NAMES, N_CLASSES, write_csv
 from .errors import ConfigurationError, DomainError, NumericError
 
 # Gradient-descent momentum during early exaggeration and after it, and the
@@ -49,6 +49,14 @@ class ConfusionMatrix:
         return np.divide(
             np.diag(self.counts), col, out=np.zeros(N_CLASSES), where=col > 0
         )
+
+
+def write_confusion_csv(cm: ConfusionMatrix, path) -> None:
+    """Write `cm` as a header of predicted class names, then one row per true
+    class: its name and its counts."""
+    names = list(CLASS_NAMES.values())
+    write_csv(path, ",".join(["true\\pred", *names]),
+              ([name, *row] for name, row in zip(names, cm.counts.tolist())))
 
 
 def confusion(predictions, labels) -> ConfusionMatrix:

@@ -17,6 +17,7 @@ from rantwin.evaluation import (
     joint_probabilities,
     silhouette,
     tsne,
+    write_confusion_csv,
 )
 
 from oracles import reference_joint_probabilities, reference_squared_distances, reference_tsne
@@ -85,6 +86,16 @@ class TestConfusion:
         preds = [0, 1, 1, 2, 3, 0, 3]
         cm = confusion(preds, labels)
         assert cm.counts.sum(axis=1).tolist() == [2, 1, 1, 3]
+
+    def test_csv_layout(self, tmp_path):
+        cm = confusion([0, 1], [0, 1])
+        path = tmp_path / "confusion.csv"
+        write_confusion_csv(cm, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "true\\pred,Normal,RsrpError,RsrqError,SinrError"
+        assert len(lines) == 5
+        assert lines[1].startswith("Normal,")
+        assert lines[2] == "RsrpError,0,1,0,0"
 
 
 def blobs(rng, n_per, centers, sigma):
