@@ -13,11 +13,12 @@ import numpy as np
 from .anomaly import CLASS_NAMES, N_CLASSES, write_csv
 from .errors import ConfigurationError, DomainError, NumericError
 
-# Gradient-descent momentum during early exaggeration and after it, and the
-# factor P is exaggerated by.
+# Gradient-descent momentum during early exaggeration and after it, the
+# factor P is exaggerated by and the iterations it is exaggerated for.
 MOMENTUM = 0.5
 FINAL_MOMENTUM = 0.8
 EARLY_EXAGGERATION = 12.0
+EXAGGERATION_ITERS = 250
 # Entropy tolerance (nats) and step limit of the per-point bandwidth search.
 PERPLEXITY_TOL = 1e-5
 PERPLEXITY_MAX_STEPS = 50
@@ -77,7 +78,6 @@ class TsneConfig:
     perplexity: float = 30.0
     iterations: int = 1000
     learning_rate: float = 200.0
-    exaggeration_iters: int = 250
     seed: int = 33
 
     def __post_init__(self):
@@ -88,8 +88,6 @@ class TsneConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigurationError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.exaggeration_iters < 0:
-            raise ConfigurationError("exaggeration_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -275,7 +273,7 @@ def tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
     gains = np.ones_like(y)
     min_gain = 0.01
     for it in range(config.iterations):
-        exaggerating = it < config.exaggeration_iters
+        exaggerating = it < EXAGGERATION_ITERS
         momentum = MOMENTUM if exaggerating else FINAL_MOMENTUM
         grad = _gradient(p, y, EARLY_EXAGGERATION if exaggerating else 1.0, w_rows, scratch)
 

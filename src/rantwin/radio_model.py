@@ -48,6 +48,7 @@ class LinkBudgetParams:
     noise_figure_db: float = 7.0
 
     def __post_init__(self):
+        check_finite(self, DomainError)
         if self.ref_distance_m <= 0:
             raise DomainError("ref_distance_m must be > 0")
         if self.path_loss_exponent <= 0:
@@ -58,6 +59,18 @@ class LinkBudgetParams:
             raise DomainError("shadowing_sigma_db must be >= 0")
         if self.noise_figure_db < 0:
             raise DomainError("noise_figure_db must be >= 0")
+
+
+def check_finite(config, error: type[Exception], where: str = "") -> None:
+    """Raise `error` naming the first float of the dataclass `config`, one
+    in a tuple field included, that is not finite; `where` prefixes the name."""
+    for f in fields(config):
+        value, name = getattr(config, f.name), where + f.name
+        named = ([(f"{name}[{i}]", v) for i, v in enumerate(value)]
+                 if isinstance(value, tuple) else [(name, value)])
+        for label, v in named:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise error(f"{label} must be finite, got {v}")
 
 
 def fields_equal(a, b) -> bool:
@@ -71,8 +84,8 @@ def fields_equal(a, b) -> bool:
 @dataclass(frozen=True, eq=False)
 class ChannelColumns:
     """The channel of many UEs, one (U,) array per field: RSRP/RSSI in dBm,
-    RSRQ/SINR in dB, CQI 0..15. Every RSRQ must be <= 0 and every CQI in
-    0..15. Nothing writes into the arrays."""
+    RSRQ/SINR in dB, CQI 0..15. A plain container: `ran_sim.ReportBatch`
+    checks the reported channel. Nothing writes into the arrays."""
 
     __eq__ = fields_equal
 
@@ -81,21 +94,6 @@ class ChannelColumns:
     rsrq_db: np.ndarray
     sinr_db: np.ndarray
     cqi: np.ndarray  # int
-
-    def __post_init__(self):
-        n = len(self.rsrp_dbm)
-        if not n == len(self.rssi_dbm) == len(self.rsrq_db) == len(self.sinr_db) == len(self.cqi):
-            raise DomainError("channel columns must have equal lengths")
-        if not n:
-            return
-        # fmax and fmin skip NaN unless every entry is NaN, and a NaN passes
-        # both checks, as it does entry by entry.
-        top = np.fmax.reduce(self.rsrq_db)
-        if top > 1e-12:
-            raise DomainError(f"rsrq_db must be <= 0, got {top}")
-        low, high = np.fmin.reduce(self.cqi), np.fmax.reduce(self.cqi)
-        if low < 0 or high > 15:
-            raise DomainError(f"cqi must be in [0, 15], got {low}..{high}")
 
 
 def dbm_to_mw(dbm: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import radio_model
 from .errors import ConfigurationError, DomainError
-from .radio_model import ChannelColumns, LinkBudgetParams, fields_equal
+from .radio_model import ChannelColumns, LinkBudgetParams, check_finite, fields_equal
 
 if TYPE_CHECKING:
     from .twin_engine import AllocationPlan
@@ -56,6 +56,8 @@ class SimConfig:
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
 
     def __post_init__(self):
+        for part, where in ((self, ""), (self.mobility, "mobility."), (self.traffic, "traffic.")):
+            check_finite(part, ConfigurationError, where)
         if self.n_cells < 1:
             raise ConfigurationError(f"n_cells must be >= 1, got {self.n_cells}")
         if self.n_ues < 1:
@@ -160,10 +162,27 @@ class ReportBatch:
     __eq__ = fields_equal
 
     def __post_init__(self):
-        columns = (self.serving_cell, self.channel.cqi, self.rsrp_dbm, self.demand_mbps,
-                   self.priority, self.achieved_mbps)
-        if any(len(column) != len(self.ue_id) for column in columns):
-            raise DomainError(f"every report column needs {len(self.ue_id)} rows, one per ue_id")
+        """The one check of a tick's reports: one row per ue_id in every
+        column, no ue_id twice, every RSRQ <= 0 and every CQI in 0..15."""
+        n = len(self.ue_id)
+        columns = (self.serving_cell, *vars(self.channel).values(), self.rsrp_dbm,
+                   self.demand_mbps, self.priority, self.achieved_mbps)
+        if any(len(column) != n for column in columns):
+            raise DomainError(f"every report column needs {n} rows, one per ue_id")
+        if not n:
+            return
+        ids = self.ue_id.tolist()
+        if len(set(ids)) < n:
+            repeated = next(u for i, u in enumerate(ids) if u in ids[:i])
+            raise DomainError(f"more than one report for ue {repeated}")
+        # fmax and fmin skip NaN unless every entry is NaN, and a NaN passes
+        # both checks, as it does entry by entry.
+        top = np.fmax.reduce(self.channel.rsrq_db)
+        if top > 1e-12:
+            raise DomainError(f"rsrq_db must be <= 0, got {top}")
+        low, high = np.fmin.reduce(self.channel.cqi), np.fmax.reduce(self.channel.cqi)
+        if low < 0 or high > 15:
+            raise DomainError(f"cqi must be in [0, 15], got {low}..{high}")
 
     def __len__(self) -> int:
         return len(self.ue_id)
@@ -255,9 +274,9 @@ def select_serving_cells(
 ) -> np.ndarray:
     """Serving cell of every UE after reselection, from its (U, C) RSRP row.
 
-    A UE keeps its serving cell unless another cell beats it by more than
-    the margin; then the strongest such cell wins, ties toward the lowest
-    cell_id.
+    A UE's candidate is its strongest cell, ties toward the lowest cell_id.
+    It moves there if the candidate beats its serving cell by more than the
+    margin, and keeps its serving cell otherwise.
     """
     n_ues, n_cells = rsrp_dbm.shape
     if n_cells == 0:
@@ -267,10 +286,9 @@ def select_serving_cells(
     ):
         raise DomainError(f"serving cell outside 0..{n_cells - 1}")
     rows = np.arange(n_ues)
-    qualifies = rsrp_dbm > (rsrp_dbm[rows, serving_cell] + hysteresis_db)[:, None]
-    qualifies[rows, serving_cell] = False
-    best = np.argmax(np.where(qualifies, rsrp_dbm, -np.inf), axis=1)
-    return np.where(qualifies.any(axis=1), best, serving_cell)
+    best = np.argmax(rsrp_dbm, axis=1)
+    moves = rsrp_dbm[rows, best] > rsrp_dbm[rows, serving_cell] + hysteresis_db
+    return np.where(moves, best, serving_cell)
 
 
 def init_sim(config: SimConfig) -> SimState:
@@ -330,43 +348,27 @@ def inject_faults(
 ) -> ChannelColumns:
     """The channel as reported when row rows[k] carries the fault specs[k].
 
-    Each fault corrupts exactly the measurement family its class owns. SINR
-    corruption also recomputes the CQI, because the CQI report follows the
-    (corrupted) SINR estimate. Draws exactly one jitter sample per fault, in
-    the order given. `channel` is not written into: a column no fault hits
-    is shared with it, and without faults it is returned as it is.
+    Each fault adds its offset plus jitter to the one measurement its class
+    owns; a corrupted RSRQ is capped at 0 dB, and a corrupted SINR's CQI is
+    re-read from it, because the CQI report follows the SINR estimate. Draws
+    exactly one jitter sample per fault, in the order given. `channel` is
+    not written into, and without faults it is returned as it is.
     """
     if not specs:
         return channel
+    rsrp, rsrq, sinr, cqi = (column.copy() for column in (
+        channel.rsrp_dbm, channel.rsrq_db, channel.sinr_db, channel.cqi))
     # Generator.uniform(-j, j) draws -j + (j - -j) * random(), one by one
-    u = rng.random(len(specs)).tolist()
-    delta = np.array([
-        spec.offset_db + (-spec.jitter_db + (spec.jitter_db - -spec.jitter_db) * x)
-        for spec, x in zip(specs, u)
-    ])
-    faults_of = {}  # class -> indices into specs, in order
-    for k, spec in enumerate(specs):
-        faults_of.setdefault(spec.cls, []).append(k)
-
-    def corrupted(klass, column):
-        """A copy of `column`, the rows that `klass` hits, and their column
-        values plus the delta."""
-        k = faults_of[klass]
-        hit = [rows[i] for i in k]
-        return column.copy(), hit, column[hit] + delta[k]
-
-    rsrp, rsrq, sinr, cqi = channel.rsrp_dbm, channel.rsrq_db, channel.sinr_db, channel.cqi
-    if AnomalyClass.RSRP_ERROR in faults_of:
-        rsrp, hit, value = corrupted(AnomalyClass.RSRP_ERROR, rsrp)
-        rsrp[hit] = value
-    if AnomalyClass.RSRQ_ERROR in faults_of:
-        rsrq, hit, value = corrupted(AnomalyClass.RSRQ_ERROR, rsrq)
-        rsrq[hit] = np.where(value < 0.0, value, 0.0)  # min(0.0, value)
-    if AnomalyClass.SINR_ERROR in faults_of:
-        sinr, hit, value = corrupted(AnomalyClass.SINR_ERROR, sinr)
-        sinr[hit] = value
-        cqi = cqi.copy()
-        cqi[hit] = radio_model.cqi_from_sinr(value)
+    for row, spec, x in zip(rows, specs, rng.random(len(specs)).tolist()):
+        delta = spec.offset_db + (-spec.jitter_db + (spec.jitter_db - -spec.jitter_db) * x)
+        if spec.cls == AnomalyClass.RSRP_ERROR:
+            rsrp[row] += delta
+        elif spec.cls == AnomalyClass.RSRQ_ERROR:
+            v = rsrq[row] + delta
+            rsrq[row] = v if v < 0.0 else 0.0  # min(0.0, v), NaN included
+        else:  # SINR_ERROR; a FaultSpec is never Normal
+            sinr[row] += delta
+            cqi[row] = radio_model.cqi_from_sinr(sinr[row])
     return ChannelColumns(rsrp, channel.rssi_dbm, rsrq, sinr, cqi)
 
 

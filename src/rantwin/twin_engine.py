@@ -59,11 +59,7 @@ def allocate_prbs(
     in that order. Groups with utility <= 0 never win.
     """
     ue_id = reports.ue_id
-    ids = ue_id.tolist()
-    n = len(ids)
-    if len(set(ids)) < n:
-        repeated = next(u for i, u in enumerate(ids) if u in ids[:i])
-        raise DomainError(f"more than one report for ue {repeated}")
+    n = len(ue_id)
     totals = {c.cell_id: c.total_prbs for c in cells}
     serving = reports.serving_cell
     cell_prbs = np.fromiter(map(totals.get, serving.tolist(), repeat(-1)), dtype=np.int64, count=n)
@@ -101,7 +97,7 @@ def allocate_prbs(
 
     return AllocationPlan(
         tick=reports.tick,
-        grants=dict(zip(ids, grants.tolist())),
+        grants=dict(zip(ue_id.tolist(), grants.tolist())),
         cell_totals=totals,
         ue_id=ue_id,
         grant=grants,

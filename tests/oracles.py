@@ -28,12 +28,13 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from rantwin import radio_model as rm
-from rantwin import ran_sim, twin_engine
+from rantwin import evaluation, ran_sim, twin_engine
 from rantwin.anomaly import (
     CLASS_NAMES,
     DATASET_DTYPE,
     N_FEATURES,
     WARMUP_TICKS,
+    FeatureStats,
     feature_matrix,
     largest_remainder_counts,
     standardize,
@@ -337,6 +338,11 @@ def mk_report(
 
 def mk_cell(cell_id=0, total_prbs=10, position=(0.0, 0.0), tx_dbm=15.0):
     return CellState(cell_id, position, tx_dbm, total_prbs)
+
+
+def unit_stats() -> FeatureStats:
+    """Stats under which standardizing leaves every feature as it is."""
+    return FeatureStats(mean=np.zeros(N_FEATURES), std=np.ones(N_FEATURES))
 
 
 def cqi_table_scan(sinr_db: float) -> int:
@@ -961,7 +967,7 @@ def reference_tsne(points: np.ndarray, config: TsneConfig) -> Embedding2D:
     gains = np.ones_like(y)
     min_gain = 0.01
     for it in range(config.iterations):
-        exaggerating = it < config.exaggeration_iters
+        exaggerating = it < evaluation.EXAGGERATION_ITERS
         momentum = MOMENTUM if exaggerating else FINAL_MOMENTUM
 
         w = reference_kernel(y)

@@ -27,6 +27,7 @@ from oracles import (
     mk_cell,
     mk_report,
     snapshot,
+    unit_stats,
 )
 
 
@@ -215,8 +216,8 @@ def test_criterion_6_gradient_oracle():
         for i in range(20):
             model = mlp.init_model([5], seed=int(rng.integers(0, 2**31)))
             n = int(rng.integers(1, 8))
-            x = rng.normal(0.0, 1.5, size=(n, 8))
-            y = rng.integers(0, 4, size=n)
+            x = rng.normal(0.0, 1.5, size=(n, anomaly.N_FEATURES))
+            y = rng.integers(0, anomaly.N_CLASSES, size=n)
             _, grad_w, grad_b = mlp.loss_and_grads(model, x, y)
             fd_w, fd_b = finite_difference_grads(model, x, y, eps=1e-5)
             err = max(max_relative_error(grad_w, fd_w), max_relative_error(grad_b, fd_b))
@@ -343,7 +344,7 @@ def test_criterion_9_invariant_suite():
             w.fill(0.0)
         for extremes in ([1e4, -1e4, 0, 0], [-1e4, -1e4, -1e4, 1e4]):
             model.biases[-1][:] = extremes
-            _, probs = mlp.forward(model, np.zeros(8))
+            _, probs = mlp.forward(model, np.zeros(anomaly.N_FEATURES))
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert np.isfinite(probs).all()
 
@@ -356,8 +357,7 @@ def test_criterion_9_invariant_suite():
         emb = evaluation.tsne(
             points,
             evaluation.TsneConfig(
-                perplexity=12.0, iterations=400, learning_rate=10.0,
-                exaggeration_iters=100, seed=9,
+                perplexity=12.0, iterations=400, learning_rate=10.0, seed=9,
             ),
         )
         assert emb.final_kl < emb.initial_kl
@@ -379,7 +379,7 @@ def test_criterion_9_invariant_suite():
         stub = mlp.init_model([], seed=0)
         for w in stub.weights:
             w.fill(0.0)
-        stats = anomaly.FeatureStats(mean=np.zeros(8), std=np.ones(8))
+        stats = unit_stats()
 
         state = ran_sim.init_sim(config)
         for _ in range(config.n_ticks):

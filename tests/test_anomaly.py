@@ -10,6 +10,7 @@ from rantwin import anomaly, ran_sim
 from rantwin import radio_model as rm
 from rantwin.anomaly import (
     DATASET_DTYPE,
+    N_FEATURES,
     FeatureStats,
     default_fault_specs,
     extract_features,
@@ -38,10 +39,17 @@ from oracles import inject_fault as oracle_inject_fault
 def dataset_of(labels, features=None):
     """A dataset with these labels; sample i has ue_id i and tick 1."""
     n = len(labels)
-    features = np.zeros((n, 8)) if features is None else np.asarray(features, dtype=np.float64)
+    features = (np.zeros((n, N_FEATURES)) if features is None
+                else np.asarray(features, dtype=np.float64))
     return np.rec.fromarrays(
         [features, np.asarray(labels), np.arange(n), np.ones(n)], dtype=DATASET_DTYPE
     )
+
+
+def dataset_line(label, ue_id, tick, feature="1"):
+    """A dataset CSV line: N_FEATURES copies of `feature`, then the label,
+    ue_id and tick."""
+    return ",".join([feature] * N_FEATURES + [str(label), str(ue_id), str(tick)]) + "\n"
 
 
 def row_keys(samples):
@@ -186,6 +194,21 @@ class TestOneJitterDraw:
         ]
         assert ours.bit_generator.state == scalar.bit_generator.state
 
+    def test_cqi_changes_only_on_sinr_error_rows(self):
+        # every CQI disagrees with its SINR, so a recompute of other rows shows
+        n = 9
+        sinr = np.linspace(-10.0, 30.0, n)
+        channel = ChannelColumns(np.full(n, -90.0), np.full(n, -80.0), np.full(n, -5.0), sinr,
+                                 (rm.cqi_from_sinr(sinr) + 8) % 16)
+        specs = [FaultSpec(AnomalyClass(1 + i % 3), -6.0, 1.0, 10) for i in range(6)]
+        rows = [0, 1, 3, 4, 6, 8]
+        reported = inject_faults(channel, rows, specs, np.random.default_rng(3))
+        sinr_rows = {row for row, spec in zip(rows, specs) if spec.cls == AnomalyClass.SINR_ERROR}
+        scanned = [cqi_table_scan(v) for v in reported.sinr_db.tolist()]
+        assert all(channel.cqi[i] != scanned[i] for i in range(n) if i not in sinr_rows)
+        assert reported.cqi.tolist() == [scanned[i] if i in sinr_rows else c
+                                         for i, c in enumerate(channel.cqi.tolist())]
+
     @pytest.mark.parametrize("jitter_db", [float("inf"), float("nan"), -1.0])
     def test_jitter_must_be_finite_and_non_negative(self, jitter_db):
         with pytest.raises(DomainError, match="jitter_db"):
@@ -206,7 +229,7 @@ class TestExtractFeatures:
         report, predicted, plan = self._triple()
         vec = extract_features(mk_batch([report]), predicted, plan, 0)
         assert vec.tolist() == [-95.0, -8.0, 6.0, 7.0, 2.1, 2.4, 0.1, 3.0]
-        assert vec.shape == (8,)
+        assert vec.shape == (N_FEATURES,)
         assert np.isfinite(vec).all()
 
     def test_zero_grant(self):
@@ -228,7 +251,7 @@ class TestExtractFeatures:
         predicted = np.array([0.7 * u for u in range(5)])
         plan = mk_plan(9, list(range(5)), [3, 0, 9, 0, 1])
         x = feature_matrix(mk_batch(reports), predicted, plan)
-        assert x.shape == (5, 8)
+        assert x.shape == (5, N_FEATURES)
         for i, (row, r) in enumerate(zip(x, reports)):
             ch = r.channel
             assert row.tolist() == [ch.rsrp_dbm, ch.rsrq_db, ch.sinr_db, float(ch.cqi),
@@ -236,13 +259,13 @@ class TestExtractFeatures:
                                     float(r.priority)]
             assert np.array_equal(row, extract_features(mk_batch(reports), predicted, plan, i))
         empty = mk_plan(9, [], [])
-        assert feature_matrix(mk_batch([], tick=9), np.zeros(0), empty).shape == (0, 8)
+        assert feature_matrix(mk_batch([], tick=9), np.zeros(0), empty).shape == (0, N_FEATURES)
 
     def test_matrix_checks_every_report(self):
         report, _, _ = self._triple()
         other = replace(report, ue_id=4)
         plan = mk_plan(9, [3, 4], [5, 0])
-        assert feature_matrix(mk_batch([report, other]), np.zeros(2), plan).shape == (2, 8)
+        assert feature_matrix(mk_batch([report, other]), np.zeros(2), plan).shape == (2, N_FEATURES)
         for batch, predicted, reason in (
             (mk_batch([report, other]), np.zeros(1), "predictions"),
             (mk_batch([replace(report, tick=8), replace(other, tick=8)]), np.zeros(2), "tick"),
@@ -262,9 +285,9 @@ class TestGenerateDataset:
     def test_one_record_array_in_report_order(self, default_dataset):
         assert isinstance(default_dataset, np.recarray)
         assert default_dataset.dtype == DATASET_DTYPE
-        assert default_dataset.features.shape == (2505, 8)
+        assert default_dataset.features.shape == (2505, N_FEATURES)
         first = next(iter(default_dataset))
-        assert first.features.shape == (8,) and int(first.label) == default_dataset.label[0]
+        assert first.features.shape == (N_FEATURES,) and int(first.label) == default_dataset.label[0]
         # strictly increasing (tick, ue_id): each sample is a distinct report
         keys = row_keys(default_dataset)
         assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -442,16 +465,17 @@ class TestStandardize:
         assert np.abs(z.std(axis=0) - 1.0).max() < 1e-9
 
     def test_identity_stats(self):
-        stats = FeatureStats(mean=np.zeros(8), std=np.ones(8))
-        x = np.arange(8.0)
+        stats = FeatureStats(mean=np.zeros(N_FEATURES), std=np.ones(N_FEATURES))
+        x = np.arange(float(N_FEATURES))
         assert np.array_equal(standardize(x, stats), x)
 
     def test_means_map_to_zero(self):
-        stats = FeatureStats(mean=np.arange(8.0), std=np.full(8, 2.0))
-        assert np.array_equal(standardize(np.arange(8.0), stats), np.zeros(8))
+        x = np.arange(float(N_FEATURES))
+        stats = FeatureStats(mean=x, std=np.full(N_FEATURES, 2.0))
+        assert np.array_equal(standardize(x, stats), np.zeros(N_FEATURES))
 
     def test_constant_feature_warns_and_uses_unit_std(self, caplog):
-        rows = dataset_of([0] * 5, [[1.0, i, i, i, i, i, 0.5, 2.0] for i in range(5)])
+        rows = dataset_of([0] * 5, [[1.0, *[i] * (N_FEATURES - 3), 0.5, 2.0] for i in range(5)])
         with caplog.at_level(logging.WARNING):
             stats = FeatureStats.from_samples(rows)
         assert stats.std[0] == 1.0
@@ -490,11 +514,11 @@ class TestCsvRoundTrip:
         path.write_text(anomaly.DATASET_HEADER + "\n")
         data = anomaly.read_dataset_csv(path)
         assert len(data) == 0 and data.dtype == DATASET_DTYPE
-        assert data.features.shape == (0, 8)
+        assert data.features.shape == (0, N_FEATURES)
 
     def test_int64_overflow_rejected(self, tmp_path):
         path = tmp_path / "big.csv"
-        path.write_text(anomaly.DATASET_HEADER + "\n" + f"-90,-3,10,9,1,1,0.1,2,0,{2**63},5\n")
+        path.write_text(anomaly.DATASET_HEADER + "\n" + dataset_line(0, 2**63, 5))
         with pytest.raises(DataFormatError, match="line 2: ue_id or tick outside int64"):
             anomaly.read_dataset_csv(path)
 
@@ -507,9 +531,7 @@ class TestCsvRoundTrip:
     def test_corrupt_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
-            anomaly.DATASET_HEADER + "\n"
-            + "-90,-3,10,9,1,1,0.1,2,0,1,5\n"
-            + "-90,-3,oops,9,1,1,0.1,2,0,1,6\n"
+            anomaly.DATASET_HEADER + "\n" + dataset_line(0, 1, 5) + dataset_line(0, 1, 6, "oops")
         )
         with pytest.raises(DataFormatError, match=f"^dataset file {re.escape(str(path))}: line 3: "):
             anomaly.read_dataset_csv(path)
@@ -522,7 +544,7 @@ class TestCsvRoundTrip:
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text(anomaly.DATASET_HEADER + "\n" + "-90,-3,10,9,1,1,0.1,2,7,1,5\n")
+        path.write_text(anomaly.DATASET_HEADER + "\n" + dataset_line(7, 1, 5))
         with pytest.raises(DataFormatError, match="line 2"):
             anomaly.read_dataset_csv(path)
 

@@ -7,6 +7,8 @@ import pytest
 from rantwin import anomaly, cli, mlp, ran_sim, ric
 from rantwin.cli import default_demo_schedule, main
 
+from oracles import unit_stats
+
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -151,7 +153,7 @@ def untrained(tmp_path):
     """A valid zero-hidden-layer model and unit stats, without training."""
     model, stats = tmp_path / "untrained.txt", tmp_path / "unit_stats.csv"
     mlp.save_model(mlp.init_model([], seed=0), model)
-    anomaly.write_stats_csv(anomaly.FeatureStats(mean=np.zeros(8), std=np.ones(8)), stats)
+    anomaly.write_stats_csv(unit_stats(), stats)
     return {"model": model, "stats": stats}
 
 
@@ -208,7 +210,8 @@ class TestTrain:
 
     def test_corrupt_row_exits_2_naming_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text(anomaly.DATASET_HEADER + "\n-90,-3,10,9,1,1,0.1,2,0,1,5\nbroken\n")
+        row = ",".join(["1"] * anomaly.N_FEATURES + ["0", "1", "5"])
+        bad.write_text(f"{anomaly.DATASET_HEADER}\n{row}\nbroken\n")
         rc = main(train_args(bad, tmp_path))
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
@@ -573,7 +576,7 @@ class TestDefaultDemoSchedule:
         config = ran_sim.SimConfig(n_ues=n_ues, n_ticks=n_ticks)
         schedule = default_demo_schedule(config)
         model = mlp.init_model([], seed=0)
-        stats = anomaly.FeatureStats(mean=np.zeros(8), std=np.ones(8))
+        stats = unit_stats()
         log = ric.closed_loop_run(config, model, stats, schedule)
         assert len(log.fault_events) == len(schedule) >= 1
 

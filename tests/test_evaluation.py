@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rantwin import evaluation
+from rantwin.anomaly import N_CLASSES
 from rantwin.errors import ConfigurationError, DomainError
 from rantwin.evaluation import (
     TsneConfig,
@@ -43,13 +44,13 @@ class TestAccuracy:
 
     @pytest.mark.parametrize("predictions, labels, code", [
         ([0, 1, -1], [0, 1, -1], -1),
-        ([0, 1, 4], [0, 1, 2], 4),
-        ([0, 1, 2], [0, 4, 2], 4),
+        ([0, 1, N_CLASSES], [0, 1, 2], N_CLASSES),
+        ([0, 1, 2], [0, N_CLASSES, 2], N_CLASSES),
         ([0, 1, 2], [-1, 1, 2], -1),
     ])
     def test_codes_outside_the_classes_rejected(self, predictions, labels, code):
-        # a -1 would otherwise count as the last class, a 4 raise IndexError
-        with pytest.raises(DomainError, match=f"class code {code} outside 0..3"):
+        # a -1 would otherwise count as the last class, and N_CLASSES raise IndexError
+        with pytest.raises(DomainError, match=f"class code {code} outside 0..{N_CLASSES - 1}"):
             confusion(predictions, labels)
 
 
@@ -60,7 +61,7 @@ class TestConfusion:
 
     def test_spec_example(self):
         cm = confusion([0, 1, 1], [0, 0, 1])
-        expected = np.zeros((4, 4), dtype=np.int64)
+        expected = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
         expected[0, 0] = 1
         expected[0, 1] = 1
         expected[1, 1] = 1
@@ -70,13 +71,13 @@ class TestConfusion:
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(1, 50))
-            preds = rng.integers(0, 4, size=n).tolist()
-            labels = rng.integers(0, 4, size=n).tolist()
+            preds = rng.integers(0, N_CLASSES, size=n).tolist()
+            labels = rng.integers(0, N_CLASSES, size=n).tolist()
             cm = confusion(preds, labels)
             matches = sum(p == t for p, t in zip(preds, labels))
             assert cm.accuracy() == matches / n
             assert cm.total() == n
-            expected = np.zeros((4, 4), dtype=np.int64)
+            expected = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
             for p, t in zip(preds, labels):
                 expected[t, p] += 1
             assert np.array_equal(cm.counts, expected)
@@ -191,11 +192,11 @@ class TestTsneMatchesReference:
     @pytest.mark.parametrize("n, perplexity",
                              [(8, 2.0), (40, 8.0), (64, 15.0), (129, 30.0), (150, 30.0)])
     @pytest.mark.parametrize("exaggeration_iters", [0, 25, 60, 80])
-    def test_bit_identical(self, n, perplexity, exaggeration_iters):
+    def test_bit_identical(self, monkeypatch, n, perplexity, exaggeration_iters):
+        monkeypatch.setattr(evaluation, "EXAGGERATION_ITERS", exaggeration_iters)
         rng = np.random.default_rng(n)
         x = rng.dirichlet(np.ones(4), size=n)  # like the classifier's probabilities
-        config = TsneConfig(perplexity=perplexity, iterations=60,
-                            exaggeration_iters=exaggeration_iters, seed=n + 1)
+        config = TsneConfig(perplexity=perplexity, iterations=60, seed=n + 1)
         assert np.array_equal(joint_probabilities(x, perplexity),
                               reference_joint_probabilities(x, perplexity))
         ours = tsne(x, config)
@@ -211,7 +212,8 @@ class TestTsneMatchesReference:
         rng = np.random.default_rng(20)
         x = rng.dirichlet(np.ones(4), size=150)
         labels = rng.integers(0, 4, size=150)
-        config = TsneConfig(perplexity=30.0, iterations=60, exaggeration_iters=30, seed=21)
+        monkeypatch.setattr(evaluation, "EXAGGERATION_ITERS", 30)
+        config = TsneConfig(perplexity=30.0, iterations=60, seed=21)
         p, emb = joint_probabilities(x, 30.0), tsne(x, config)
         score = silhouette(emb.points, labels)
         monkeypatch.setattr(evaluation, "_BLOCK_ROWS", block_rows)
@@ -247,11 +249,11 @@ class TestTsneMemory:
     SLACK_BYTES = 2**17
 
     @pytest.mark.parametrize("exaggeration_iters", [0, 10, 30])
-    def test_peak_at_most_five_n_by_n_buffers(self, exaggeration_iters):
+    def test_peak_at_most_five_n_by_n_buffers(self, monkeypatch, exaggeration_iters):
+        monkeypatch.setattr(evaluation, "EXAGGERATION_ITERS", exaggeration_iters)
         n = self.N
         x = np.random.default_rng(15).normal(0, 1, size=(n, 4))
-        config = TsneConfig(perplexity=30.0, iterations=20,
-                            exaggeration_iters=exaggeration_iters, seed=16)
+        config = TsneConfig(perplexity=30.0, iterations=20, seed=16)
         tracemalloc.start()
         try:
             held, _ = tracemalloc.get_traced_memory()
@@ -264,20 +266,20 @@ class TestTsneMemory:
 
     # At the CLI's 501 test points: P, one n x n buffer and row-block scratch.
     @pytest.mark.parametrize("exaggeration_iters", [0, 30])
-    def test_peak_at_cli_size_under_three_and_a_half_n_by_n(self, exaggeration_iters):
+    def test_peak_at_cli_size_under_three_and_a_half_n_by_n(self, monkeypatch, exaggeration_iters):
+        monkeypatch.setattr(evaluation, "EXAGGERATION_ITERS", exaggeration_iters)
         n = 501
         x = np.random.default_rng(17).normal(0, 1, size=(n, 4))
-        config = TsneConfig(perplexity=30.0, iterations=40,
-                            exaggeration_iters=exaggeration_iters, seed=18)
+        config = TsneConfig(perplexity=30.0, iterations=40, seed=18)
         assert traced_peak(tsne, x, config) <= 3.5 * n * n * 8 + self.SLACK_BYTES
 
     # Besides P, only row-block scratch.
     @pytest.mark.parametrize("exaggeration_iters", [0, 30])
-    def test_peak_at_cli_size_under_one_and_a_half_n_by_n(self, exaggeration_iters):
+    def test_peak_at_cli_size_under_one_and_a_half_n_by_n(self, monkeypatch, exaggeration_iters):
+        monkeypatch.setattr(evaluation, "EXAGGERATION_ITERS", exaggeration_iters)
         n = 501
         x = np.random.default_rng(17).normal(0, 1, size=(n, 4))
-        config = TsneConfig(perplexity=30.0, iterations=40,
-                            exaggeration_iters=exaggeration_iters, seed=18)
+        config = TsneConfig(perplexity=30.0, iterations=40, seed=18)
         assert traced_peak(tsne, x, config) <= 1.5 * n * n * 8 + self.SLACK_BYTES
 
     def test_silhouette_peak_under_one_and_a_half_n_by_n(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rantwin import mlp
+from rantwin.anomaly import N_CLASSES, N_FEATURES
 from rantwin.errors import ConfigurationError, DataFormatError, DomainError, TrainingError
 from rantwin.mlp import (
     TrainConfig,
@@ -46,22 +47,22 @@ def predicted_class(model, x):
     return int(np.argmax(forward_rows(model, x[None, :]), axis=1)[0])
 
 
-def random_batch(rng, n, dim=8):
+def random_batch(rng, n, dim=N_FEATURES):
     x = rng.normal(0.0, 1.0, size=(n, dim))
-    y = rng.integers(0, 4, size=n)
+    y = rng.integers(0, N_CLASSES, size=n)
     return x, y
 
 
 class TestInit:
     def test_dims_and_parameter_count(self):
         model = init_model([16, 16], seed=0)
-        assert model.layer_dims == [8, 16, 16, 4]
-        assert n_parameters(model) == 484
+        assert model.layer_dims == [N_FEATURES, 16, 16, N_CLASSES]
+        assert n_parameters(model) == (N_FEATURES + 1) * 16 + 17 * 16 + 17 * N_CLASSES
 
     def test_no_hidden_layers(self):
         model = init_model([], seed=0)
-        assert model.layer_dims == [8, 4]
-        assert n_parameters(model) == 36
+        assert model.layer_dims == [N_FEATURES, N_CLASSES]
+        assert n_parameters(model) == (N_FEATURES + 1) * N_CLASSES
 
     def test_same_seed_identical(self):
         a, b = init_model([5], seed=11), init_model([5], seed=11)
@@ -74,18 +75,18 @@ class TestInit:
 
     def test_he_scaling(self):
         model = init_model([512], seed=3)
-        assert model.weights[0].std() == pytest.approx(math.sqrt(2.0 / 8.0), rel=0.1)
+        assert model.weights[0].std() == pytest.approx(math.sqrt(2.0 / N_FEATURES), rel=0.1)
 
 
 class TestForward:
     def test_zero_model_uniform(self):
-        _, probs = forward(zero_model([16]), np.zeros(8))
-        assert np.allclose(probs, 0.25, atol=1e-15)
+        _, probs = forward(zero_model([16]), np.zeros(N_FEATURES))
+        assert np.allclose(probs, 1.0 / N_CLASSES, atol=1e-15)
 
     def test_extreme_logits_stable(self):
         model = zero_model()
         model.biases[-1][:] = [1000.0, 0.0, 0.0, 0.0]
-        logits, probs = forward(model, np.zeros(8))
+        logits, probs = forward(model, np.zeros(N_FEATURES))
         assert np.isfinite(probs).all()
         assert probs[0] == pytest.approx(1.0)
         assert logits[0] == 1000.0
@@ -94,7 +95,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         model = init_model([16, 16], seed=2)
         for _ in range(100):
-            _, probs = forward(model, rng.normal(0, 3, size=8))
+            _, probs = forward(model, rng.normal(0, 3, size=N_FEATURES))
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert (probs > 0).all()
 
@@ -102,15 +103,15 @@ class TestForward:
         model = zero_model()
         for biases in ([1e4, -1e4, 0.0, 0.0], [-1e4, -1e4, 1e4, 1e4]):
             model.biases[-1][:] = biases
-            _, probs = forward(model, np.zeros(8))
+            _, probs = forward(model, np.zeros(N_FEATURES))
             assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_bad_input_rejected(self):
         model = zero_model()
         with pytest.raises(DomainError):
-            forward(model, np.zeros(7))
+            forward(model, np.zeros(N_FEATURES - 1))
         with pytest.raises(DomainError):
-            forward(model, np.array([np.nan] + [0.0] * 7))
+            forward(model, np.array([np.nan] + [0.0] * (N_FEATURES - 1)))
 
 
 class TestForwardRows:
@@ -137,17 +138,17 @@ class TestForwardRows:
         rng = np.random.default_rng(5)
         for model in self._models():
             for n in (1, 50, 1000):
-                yield model, rng.normal(0.0, 3.0, size=(n, 8))
+                yield model, rng.normal(0.0, 3.0, size=(n, N_FEATURES))
 
     def test_entry_points_share_the_pass(self):
         for model, x in self._cases():
             probs = forward_rows(model, x)
-            assert probs.shape == (len(x), 4)
+            assert probs.shape == (len(x), N_CLASSES)
             assert np.array_equal(predict_batch(model, x), np.argmax(probs, axis=1))
             one = forward_rows(model, x[:1])[0]
             logits, probs_one = forward(model, x[0])
             assert np.array_equal(probs_one, one)
-            assert logits.shape == (4,)
+            assert logits.shape == (N_CLASSES,)
 
     def test_rows_sum_to_one(self):
         for model, x in self._cases():
@@ -161,15 +162,16 @@ class TestForwardRows:
             assert (np.abs(probs - per_row) <= self.ROW_RTOL * scale).all()
 
     def test_empty_batch(self):
-        assert forward_rows(zero_model([16]), np.zeros((0, 8))).shape == (0, 4)
+        assert forward_rows(zero_model([16]), np.zeros((0, N_FEATURES))).shape == (0, N_CLASSES)
 
     def test_bad_input_rejected(self):
         model = zero_model()
-        for bad in (np.zeros((3, 7)), np.zeros(8), np.zeros((2, 8, 1))):
+        for bad in (np.zeros((3, N_FEATURES - 1)), np.zeros(N_FEATURES),
+                    np.zeros((2, N_FEATURES, 1))):
             with pytest.raises(DomainError):
                 forward_rows(model, bad)
         for value in (np.nan, np.inf, -np.inf):
-            x = np.zeros((4, 8))
+            x = np.zeros((4, N_FEATURES))
             x[2, 5] = value
             with pytest.raises(DomainError):
                 forward_rows(model, x)
@@ -180,7 +182,7 @@ class TestLossAndGrads:
         rng = np.random.default_rng(3)
         x, y = random_batch(rng, 10)
         loss, _, _ = loss_and_grads(zero_model([16, 16]), x, y)
-        assert loss == pytest.approx(math.log(4.0), rel=1e-12)
+        assert loss == pytest.approx(math.log(N_CLASSES), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         # the mandated independent oracle: central differences, eps = 1e-5
@@ -231,18 +233,18 @@ class TestPredict:
     def test_argmax(self):
         model = zero_model()
         model.biases[-1][:] = np.log([0.1, 0.7, 0.1, 0.1])
-        assert predicted_class(model, np.zeros(8)) == AnomalyClass.RSRP_ERROR
+        assert predicted_class(model, np.zeros(N_FEATURES)) == AnomalyClass.RSRP_ERROR
 
     def test_tie_breaks_to_lowest_code(self):
         model = zero_model()
         model.biases[-1][:] = [5.0, 0.0, 5.0, 0.0]
-        assert predicted_class(model, np.zeros(8)) == AnomalyClass.NORMAL
+        assert predicted_class(model, np.zeros(N_FEATURES)) == AnomalyClass.NORMAL
 
     def test_consistent_with_forward(self):
         rng = np.random.default_rng(8)
         model = init_model([16, 16], seed=9)
         for _ in range(1000):
-            x = rng.normal(0, 2, size=8)
+            x = rng.normal(0, 2, size=N_FEATURES)
             _, probs = forward(model, x)
             assert predicted_class(model, x) == int(np.argmax(probs))
 
@@ -250,8 +252,8 @@ class TestPredict:
 class TestTrain:
     def _tiny_sets(self, rng, n=64):
         x, y = random_batch(rng, n)
-        # make the task learnable: class == argmax of first 4 inputs
-        y = np.argmax(x[:, :4], axis=1)
+        # make the task learnable: class == argmax of the first N_CLASSES inputs
+        y = np.argmax(x[:, :N_CLASSES], axis=1)
         pairs = list(zip(x, y))
         return pairs[: n // 2], pairs[n // 2:]
 
@@ -314,12 +316,14 @@ class TestTrain:
             )
 
     def test_bad_label_rejected(self):
-        pairs = [(np.zeros(8), 0), (np.ones(8), 1)]
-        for bad in (4, -1):
-            with pytest.raises(DomainError, match=f"label code {bad} outside 0..3"):
-                train(zero_model(), [*pairs, (np.zeros(8), bad)], pairs, TrainConfig(epochs=1))
-            with pytest.raises(DomainError, match=f"label code {bad} outside 0..3"):
-                train(zero_model(), pairs, [(np.zeros(8), bad)], TrainConfig(epochs=1))
+        pairs = [(np.zeros(N_FEATURES), 0), (np.ones(N_FEATURES), 1)]
+        for bad in (N_CLASSES, -1):
+            message = f"label code {bad} outside 0..{N_CLASSES - 1}"
+            with pytest.raises(DomainError, match=message):
+                train(zero_model(), [*pairs, (np.zeros(N_FEATURES), bad)], pairs,
+                      TrainConfig(epochs=1))
+            with pytest.raises(DomainError, match=message):
+                train(zero_model(), pairs, [(np.zeros(N_FEATURES), bad)], TrainConfig(epochs=1))
 
     def test_empty_side_rejected(self):
         rng = np.random.default_rng(15)
@@ -338,8 +342,8 @@ class TestTrainMatchesReference:
 
     def _sets(self, seed):
         rng = np.random.default_rng(seed)
-        x = rng.normal(0.0, 1.0, size=(self.N_TRAIN + 20, 8))
-        y = np.argmax(x[:, :4], axis=1)
+        x = rng.normal(0.0, 1.0, size=(self.N_TRAIN + 20, N_FEATURES))
+        y = np.argmax(x[:, :N_CLASSES], axis=1)
         pairs = list(zip(x, y))
         return pairs[: self.N_TRAIN], pairs[self.N_TRAIN:]
 
@@ -428,14 +432,15 @@ class TestSerialization:
         model = init_model([10], seed=16)
         path = tmp_path / "model.txt"
         save_model(model, path)
-        text = path.read_text().replace("8 10 4", "8 16 4", 1)
+        dims = f"{N_FEATURES} 10 {N_CLASSES}"
+        text = path.read_text().replace(dims, f"{N_FEATURES} 16 {N_CLASSES}", 1)
         path.write_text(text)
         with pytest.raises(DataFormatError, match="layer 0"):
             load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
-        path.write_text("NOT-A-MODEL v9\n8 4\n")
+        path.write_text(f"NOT-A-MODEL v9\n{N_FEATURES} {N_CLASSES}\n")
         with pytest.raises(DataFormatError, match=f"^model file {re.escape(str(path))}: bad magic"):
             load_model(path)
 

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rantwin.ran_sim import (
     CellState,
     FaultSpec,
     MobilityConfig,
+    ReportBatch,
     SimConfig,
     SimState,
     init_sim,
@@ -69,6 +71,15 @@ def _only(path, value) -> dict:
     for name in reversed(path):
         value = {name: value}
     return value
+
+
+def _with(config, path, value):
+    """`config` with the leaf `path` set to `value`, each config on the way
+    built anew, so that every one of them checks its fields."""
+    head, *rest = path
+    if rest:
+        value = _with(getattr(config, head), rest, value)
+    return dataclasses.replace(config, **{head: value})
 
 
 def _other_value(value):
@@ -143,6 +154,19 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=f"{name} (must be finite|is too large)"):
             ran_sim.sim_config_from_dict(_only(path, value))
 
+    @pytest.mark.parametrize("path", FLOAT_LEAVES + [("traffic", "mean_demand_mbps")],
+                             ids=".".join)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_float_field_built_in_python_rejects_non_finite(self, path, value):
+        # the link checks its own fields; the SimConfig names the path to the others
+        name = ".".join(path[1:] if path[0] == "link" else path)
+        default = DEFAULT_LEAVES[path]
+        if isinstance(default, tuple):
+            value, name = (default[0], value, *default[2:]), name + "[1]"
+        with pytest.raises((ConfigurationError, DomainError),
+                           match=re.escape(f"{name} must be finite")):
+            _with(SimConfig(), path, value)
+
     def test_demand_means_must_be_finite(self):
         with pytest.raises(ConfigurationError,
                            match=r"config\.traffic\.mean_demand_mbps\[1\] must be finite"):
@@ -207,16 +231,25 @@ class TestReportBatch:
                   "sinr_db": [5.0, 9.0], "cqi": [7, 9], **change}
         return ChannelColumns(**{k: np.array(v) for k, v in values.items()})
 
+    @classmethod
+    def _batch(cls, **change):
+        """A batch of one report per row of the channel `_columns(**change)`."""
+        channel = cls._columns(**change)
+        n = len(channel.rsrp_dbm)
+        return ReportBatch(1, np.arange(n), np.zeros(n, dtype=np.int64), channel,
+                           channel.rsrp_dbm[:, None], np.ones(n), np.ones(n, dtype=np.int64),
+                           np.zeros(n))
+
     @pytest.mark.parametrize("change, match", [
         ({"rsrq_db": [-1.0, 0.5]}, "rsrq_db"),
         ({"rsrq_db": [np.nan, 0.5]}, "rsrq_db"),
         ({"cqi": [7, 16]}, "cqi"),
         ({"cqi": [-1, 9]}, "cqi"),
-        ({"sinr_db": [5.0]}, "equal lengths"),
+        ({"sinr_db": [5.0]}, "one per ue_id"),
     ])
     def test_channel_columns_check_every_row(self, change, match):
         with pytest.raises(DomainError, match=match):
-            self._columns(**change)
+            self._batch(**change)
 
     @pytest.mark.parametrize("change", [
         {"rsrq_db": [np.nan, np.nan]},
@@ -228,7 +261,15 @@ class TestReportBatch:
     ])
     def test_channel_columns_accept_every_valid_row(self, change):
         # a NaN fails no row's check, and zero rows fail none
-        self._columns(**change)
+        self._batch(**change)
+
+    def test_channel_columns_are_a_plain_container(self):
+        # the reports are checked once, as a batch; the true channel is not
+        self._columns(rsrq_db=[-1.0, 0.5], cqi=[7, 16], sinr_db=[5.0])
+
+    def test_repeated_ue_id_named(self):
+        with pytest.raises(DomainError, match="more than one report for ue 5"):
+            dataclasses.replace(self._batch(), ue_id=np.array([5, 5]))
 
     @pytest.mark.parametrize("column", ["serving_cell", "rsrp_dbm", "demand_mbps", "priority",
                                         "achieved_mbps"])
@@ -271,19 +312,28 @@ class TestSelectServingCell:
         with pytest.raises(DomainError):
             self._select([-100.0], serving=7)
 
+    def test_serving_cell_tied_with_a_lower_maximum_stays(self):
+        rsrp = np.array([[-95.0, -90.0, -90.0], [-90.0, -np.inf, -90.0]])
+        assert select_serving_cells(rsrp, np.array([2, 2]), 0.0).tolist() == [2, 2]
+
     def test_matches_scalar_rule_row_by_row(self):
         # whole-dB RSRP on up to 7 cells gives many ties and margins exactly
-        # at the hysteresis
+        # at the hysteresis; -inf is a cell the UE does not hear, its
+        # serving cell included
         rng = np.random.default_rng(12)
         rsrp = np.round(rng.uniform(-110.0, -90.0, size=(400, 7)))
+        rsrp[rng.random((400, 7)) < 0.3] = -np.inf
         serving = rng.integers(0, 7, size=400)
-        chosen = select_serving_cells(rsrp, serving, 3.0)
-        expected = [
-            scalar_serving_cell(s, dict(enumerate(row)), 3.0)
-            for s, row in zip(serving.tolist(), rsrp.tolist())
-        ]
-        assert chosen.tolist() == expected
-        assert 0 < sum(c != s for c, s in zip(expected, serving.tolist())) < 400
+        unheard = np.isneginf(rsrp[np.arange(400), serving])
+        assert 0 < np.count_nonzero(unheard & (np.isneginf(rsrp).sum(axis=1) > 1))
+        for hysteresis in (3.0, 0.0):
+            chosen = select_serving_cells(rsrp, serving, hysteresis)
+            expected = [
+                scalar_serving_cell(s, dict(enumerate(row)), hysteresis)
+                for s, row in zip(serving.tolist(), rsrp.tolist())
+            ]
+            assert chosen.tolist() == expected
+            assert 0 < sum(c != s for c, s in zip(expected, serving.tolist())) < 400
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -680,6 +730,21 @@ class TestStepMatchesScalarOracle:
         )
         _, reflections = _assert_step_matches_scalar(init_sim(config), 60)
         assert reflections > 100
+
+
+class TestTrueChannel:
+    """The true channel is not checked as it is built; it holds the report
+    ranges by construction."""
+
+    @pytest.mark.parametrize("n_cells, n_ues", [(3, 50), (19, 1000)])
+    def test_rsrq_at_most_zero_and_cqi_read_from_sinr(self, n_cells, n_ues):
+        state = init_sim(SimConfig(n_cells=n_cells, n_ues=n_ues, seed=n_ues))
+        for _ in range(3):
+            state, _, _ = step(state)
+            channel = state.last_channel
+            assert (channel.rsrq_db <= 0.0).all()
+            assert channel.cqi.tolist() == [cqi_from_sinr(v) for v in channel.sinr_db.tolist()]
+            assert 0 <= channel.cqi.min() <= channel.cqi.max() <= 15
 
 
 class TestFaultStageMatchesPerRowReference:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from rantwin import anomaly, mlp, ran_sim, ric, twin_engine
-from rantwin.anomaly import FeatureStats
 from rantwin.errors import ConfigurationError, DomainError, ProtocolError
 from rantwin.ran_sim import AnomalyClass, SimConfig
 from rantwin.ric import (
@@ -37,14 +36,11 @@ from oracles import (
     reference_write_episode_jsonl,
     report_rows,
     snapshot,
+    unit_stats,
     weight_array,
 )
 
 LINK = SimConfig().link
-
-
-def unit_stats():
-    return FeatureStats(mean=np.zeros(8), std=np.ones(8))
 
 
 def constant_model(target: int | None):
@@ -250,7 +246,7 @@ class TestDetections:
         det.append_tick(4, np.array([1, 7]), np.array([3, 1]),
                         np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 1.0, 0.0, 0.0]]))
         det.append_tick(5, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
-                        np.zeros((0, 4)))
+                        np.zeros((0, anomaly.N_CLASSES)))
         det.append_tick(6, np.array([2]), np.array([2]), np.array([[5e-324, 0.25, 0.75, 0.0]]))
         return det
 
@@ -277,9 +273,9 @@ class TestDetections:
     def test_mismatched_columns_rejected(self):
         det = Detections()
         with pytest.raises(DomainError):
-            det.append_tick(1, np.array([1, 2]), np.array([1]), np.zeros((2, 4)))
+            det.append_tick(1, np.array([1, 2]), np.array([1]), np.zeros((2, anomaly.N_CLASSES)))
         with pytest.raises(DomainError):
-            det.append_tick(1, np.array([1]), np.array([1]), np.zeros((1, 3)))
+            det.append_tick(1, np.array([1]), np.array([1]), np.zeros((1, anomaly.N_CLASSES - 1)))
         assert len(det) == 0
 
 

@@ -97,7 +97,8 @@ class TestAllocatePrbs:
         assert plan.grants[0] == 0
 
     def test_duplicate_ue_rejected(self):
-        # two reports for one UE would otherwise both enter the cell's heap
+        # two reports for one UE would otherwise both enter the cell's heap;
+        # the batch refuses them before the allocator sees them
         per_prb = per_prb_rate_mbps(30.0, 15, PARAMS)
         reports = [
             mk_report(ue_id=0, cqi=15, sinr=30.0, demand=per_prb),
@@ -105,11 +106,9 @@ class TestAllocatePrbs:
             mk_report(ue_id=0, cqi=15, sinr=30.0, demand=per_prb),
         ]
         with pytest.raises(DomainError, match="ue 0"):
-            allocate_prbs(mk_batch(reports), [mk_cell(total_prbs=10)], PARAMS)
-        cells = [mk_cell(cell_id=0), mk_cell(cell_id=1)]
+            mk_batch(reports)
         with pytest.raises(DomainError, match="ue 4"):
-            allocate_prbs(mk_batch([mk_report(ue_id=4, cell_id=0), mk_report(ue_id=4, cell_id=1)]),
-                          cells, PARAMS)
+            mk_batch([mk_report(ue_id=4, cell_id=0), mk_report(ue_id=4, cell_id=1)])
 
 
 def _oracle_instance(rng):
@@ -371,7 +370,7 @@ class TestBatchChecks:
     def test_duplicate_ue_id_named(self):
         reports = [mk_report(ue_id=u) for u in (31, 8, 31, 2)]
         with pytest.raises(DomainError, match="more than one report for ue 31"):
-            allocate_prbs(mk_batch(reports), [mk_cell()], PARAMS)
+            mk_batch(reports)
 
     def test_unknown_serving_cell_named(self):
         reports = [mk_report(ue_id=40, cell_id=1), mk_report(ue_id=6, cell_id=2)]
