@@ -158,6 +158,8 @@ def generate_dataset(
     """
     if n_samples <= 0:
         raise ConfigurationError("n_samples must be positive")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if len(class_mix) != N_CLASSES:
         raise ConfigurationError(f"class_mix needs {N_CLASSES} fractions")
     if not all(math.isfinite(f) and f >= 0 for f in class_mix):
@@ -237,6 +239,8 @@ def split_dataset(
     """
     if not 0.0 < train_fraction < 1.0:
         raise DomainError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    if seed < 0:
+        raise DomainError(f"split seed must be >= 0, got {seed}")
     if len(data) == 0:
         raise DomainError("cannot split an empty dataset")
 

@@ -344,12 +344,16 @@ def default_demo_schedule(config: ran_sim.SimConfig) -> list[ric.ScheduledFault]
 
 
 def _parse_class(value) -> AnomalyClass:
+    """The class a schedule entry gives by name or by code; a code must be an
+    int, not a bool, as AnomalyClass(True) is RsrpError."""
     if isinstance(value, str):
         for cls, name in CLASS_NAMES.items():
             if value == name:
                 return cls
         raise ConfigurationError(f"unknown anomaly class name {value!r}")
-    return AnomalyClass(ran_sim.json_int(value, "class"))
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"class must be an integer or a class name, got {value!r}")
+    return AnomalyClass(value)
 
 
 def load_schedule(path) -> list[ric.ScheduledFault]:
@@ -364,19 +368,10 @@ def load_schedule(path) -> list[ric.ScheduledFault]:
                 f"schedule fault #{i}: expected exactly the keys {sorted(required)}"
             )
         try:
-            schedule.append(
-                ric.ScheduledFault(
-                    onset_tick=ran_sim.json_int(entry["onset_tick"], "onset_tick"),
-                    ue_id=ran_sim.json_int(entry["ue_id"], "ue_id"),
-                    spec=FaultSpec(
-                        cls=_parse_class(entry["class"]),
-                        offset_db=ran_sim.json_float(entry["offset_db"], "offset_db"),
-                        jitter_db=ran_sim.json_float(entry["jitter_db"], "jitter_db"),
-                        duration_ticks=ran_sim.json_int(entry["duration_ticks"], "duration_ticks"),
-                    ),
-                )
-            )
-        except (ConfigurationError, DomainError, TypeError, ValueError) as e:
+            spec = FaultSpec(_parse_class(entry["class"]), entry["offset_db"], entry["jitter_db"],
+                             entry["duration_ticks"])
+            schedule.append(ric.ScheduledFault(entry["onset_tick"], entry["ue_id"], spec))
+        except (ConfigurationError, DomainError, ValueError) as e:
             raise ConfigurationError(f"schedule fault #{i}: {e}") from e
     return schedule
 

@@ -6,6 +6,9 @@ failures 4 and pipeline failures 5.
 """
 
 import functools
+import math
+from dataclasses import fields
+from typing import get_args, get_origin, get_type_hints
 
 
 class RantwinError(Exception):
@@ -52,3 +55,39 @@ def names_file(what: str):
                 raise DataFormatError(f"{what} file {path}: {e}") from e
         return reader
     return decorate
+
+
+_type_hints = functools.cache(get_type_hints)
+
+
+def _finite_float(value, name: str, error: type[Exception]) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise error(f"{name} is too large for a float") from None
+    if not math.isfinite(number):
+        raise error(f"{name} must be finite, got {number}")
+    return number
+
+
+def check_fields(obj, error: type[Exception], where: str = "") -> None:
+    """Hold each field of the dataclass `obj` to the one type rule, or raise
+    `error` naming the field, `where` prefixed: an int field holds an integer
+    that is not a bool; a float field, and each entry of a tuple-of-floats
+    field, holds a finite real that is not a bool, and is stored as a float.
+    Fields of other types are left to their class."""
+    hints = _type_hints(type(obj))
+    for f in fields(obj):
+        hint, value, name = hints[f.name], getattr(obj, f.name), where + f.name
+        if hint is int:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise error(f"{name} must be an integer, got {value!r}")
+        elif hint is float:
+            object.__setattr__(obj, f.name, _finite_float(value, name, error))
+        elif get_origin(hint) is tuple and float in get_args(hint):
+            if not isinstance(value, (tuple, list)):
+                raise error(f"{name} must be a list of numbers, got {value!r}")
+            object.__setattr__(obj, f.name, tuple(
+                _finite_float(v, f"{name}[{i}]", error) for i, v in enumerate(value)))

@@ -5,13 +5,12 @@ silhouette score used to quantify cluster separation in that embedding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anomaly import CLASS_NAMES, N_CLASSES, write_csv
-from .errors import ConfigurationError, DomainError, NumericError
+from .errors import ConfigurationError, DomainError, NumericError, check_fields
 
 # Gradient-descent momentum during early exaggeration and after it, the
 # factor P is exaggerated by and the iterations it is exaggerated for.
@@ -81,13 +80,15 @@ class TsneConfig:
     seed: int = 33
 
     def __post_init__(self):
-        if not (math.isfinite(self.perplexity) and self.perplexity > 1.0):
-            raise ConfigurationError(f"perplexity must be finite and > 1, got {self.perplexity}")
+        check_fields(self, ConfigurationError)
+        if self.perplexity <= 1.0:
+            raise ConfigurationError(f"perplexity must be > 1, got {self.perplexity}")
         if self.iterations < 1:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigurationError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.learning_rate <= 0:
+            raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

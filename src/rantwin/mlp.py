@@ -6,13 +6,13 @@ and a line-oriented text serialization with a SHA-256 digest.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .anomaly import N_CLASSES, N_FEATURES
-from .errors import ConfigurationError, DataFormatError, DomainError, TrainingError, names_file
+from .errors import (ConfigurationError, DataFormatError, DomainError, TrainingError,
+                     check_fields, names_file)
 
 MODEL_MAGIC = "RANTWIN-MLP v1"
 
@@ -37,13 +37,15 @@ class TrainConfig:
     seed: int = 21
 
     def __post_init__(self):
+        check_fields(self, ConfigurationError)
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigurationError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.learning_rate <= 0:
+            raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_fields
 
 # 15 kHz subcarrier spacing: 12 REs per 180 kHz PRB.
 RES_PER_PRB = 12
@@ -48,7 +48,7 @@ class LinkBudgetParams:
     noise_figure_db: float = 7.0
 
     def __post_init__(self):
-        check_finite(self, DomainError)
+        check_fields(self, DomainError)
         if self.ref_distance_m <= 0:
             raise DomainError("ref_distance_m must be > 0")
         if self.path_loss_exponent <= 0:
@@ -59,18 +59,6 @@ class LinkBudgetParams:
             raise DomainError("shadowing_sigma_db must be >= 0")
         if self.noise_figure_db < 0:
             raise DomainError("noise_figure_db must be >= 0")
-
-
-def check_finite(config, error: type[Exception], where: str = "") -> None:
-    """Raise `error` naming the first float of the dataclass `config`, one
-    in a tuple field included, that is not finite; `where` prefixes the name."""
-    for f in fields(config):
-        value, name = getattr(config, f.name), where + f.name
-        named = ([(f"{name}[{i}]", v) for i, v in enumerate(value)]
-                 if isinstance(value, tuple) else [(name, value)])
-        for label, v in named:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise error(f"{label} must be finite, got {v}")
 
 
 def fields_equal(a, b) -> bool:

@@ -13,13 +13,13 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, get_origin, get_type_hints
+from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
 
 from . import radio_model
-from .errors import ConfigurationError, DomainError
-from .radio_model import ChannelColumns, LinkBudgetParams, check_finite, fields_equal
+from .errors import ConfigurationError, DomainError, check_fields
+from .radio_model import ChannelColumns, LinkBudgetParams, fields_equal
 
 if TYPE_CHECKING:
     from .twin_engine import AllocationPlan
@@ -57,7 +57,7 @@ class SimConfig:
 
     def __post_init__(self):
         for part, where in ((self, ""), (self.mobility, "mobility."), (self.traffic, "traffic.")):
-            check_finite(part, ConfigurationError, where)
+            check_fields(part, ConfigurationError, where)
         if self.n_cells < 1:
             raise ConfigurationError(f"n_cells must be >= 1, got {self.n_cells}")
         if self.n_ues < 1:
@@ -68,6 +68,8 @@ class SimConfig:
             raise ConfigurationError(f"tick_ms must be > 0, got {self.tick_ms}")
         if self.n_ticks < 1:
             raise ConfigurationError(f"n_ticks must be >= 1, got {self.n_ticks}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.total_prbs < 1:
             raise ConfigurationError(f"total_prbs must be >= 1, got {self.total_prbs}")
         if self.hysteresis_db < 0:
@@ -99,12 +101,6 @@ class AnomalyClass(enum.IntEnum):
     SINR_ERROR = 3
 
 
-def check_duration_ticks(ticks, name: str) -> None:
-    """Raise DomainError unless `ticks` is an int >= 1 (a bool is not)."""
-    if isinstance(ticks, bool) or not isinstance(ticks, int) or ticks < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {ticks!r}")
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """Adds offset_db +- jitter_db to its class's measurement for duration_ticks ticks."""
@@ -115,14 +111,14 @@ class FaultSpec:
     duration_ticks: int
 
     def __post_init__(self):
-        if self.cls == AnomalyClass.NORMAL:
-            raise DomainError("a fault's class must be an error class, not Normal")
         # inject_faults would turn a non-finite offset or jitter into bad reports
-        if not math.isfinite(self.offset_db):
-            raise DomainError(f"offset_db must be finite, got {self.offset_db}")
-        if not 0 <= self.jitter_db < math.inf:
-            raise DomainError(f"jitter_db must be finite and >= 0, got {self.jitter_db}")
-        check_duration_ticks(self.duration_ticks, "duration_ticks")
+        check_fields(self, DomainError)
+        if not isinstance(self.cls, AnomalyClass) or self.cls == AnomalyClass.NORMAL:
+            raise DomainError(f"a fault's class must be an error class, got {self.cls!r}")
+        if self.jitter_db < 0:
+            raise DomainError(f"jitter_db must be >= 0, got {self.jitter_db}")
+        if self.duration_ticks < 1:
+            raise DomainError(f"duration_ticks must be >= 1, got {self.duration_ticks}")
 
 
 @dataclass(frozen=True)
@@ -247,17 +243,6 @@ class SimState:
         """(ue_id, serving_cell) of every UE, read from the columns at each access."""
         return list(map(UeView, range(len(self.serving_cell)), self.serving_cell.tolist()))
 
-    def ue_index(self, ue_id: int) -> int:
-        """Row of `ue_id` in the UE columns."""
-        if not 0 <= ue_id < len(self.serving_cell):
-            raise DomainError(f"unknown ue_id {ue_id}")
-        return ue_id
-
-    def cell(self, cell_id: int) -> CellState:
-        if not 0 <= cell_id < len(self.cells):
-            raise DomainError(f"unknown cell_id {cell_id}")
-        return self.cells[cell_id]
-
 
 def _grid_positions(n_cells: int, area_m: float) -> list[tuple[float, float]]:
     rows = max(1, int(math.floor(math.sqrt(n_cells))))
@@ -337,10 +322,12 @@ def init_sim(config: SimConfig) -> SimState:
 
 def set_fault(state: SimState, ue_id: int, spec: FaultSpec) -> None:
     """Attach a fault to a UE: reports of the next `duration_ticks` ticks
-    are corrupted (ticks state.tick+1 .. state.tick+duration)."""
-    state.faults[state.ue_index(ue_id)] = ActiveFault(
-        spec=spec, until_tick=state.tick + spec.duration_ticks
-    )
+    are corrupted (ticks state.tick+1 .. state.tick+duration). `ue_id` is
+    the UE's row, so a bool, which numpy reads as a mask, is refused."""
+    n = len(state.serving_cell)
+    if isinstance(ue_id, bool) or not isinstance(ue_id, int) or not 0 <= ue_id < n:
+        raise DomainError(f"unknown ue_id {ue_id!r}")
+    state.faults[ue_id] = ActiveFault(spec, until_tick=state.tick + spec.duration_ticks)
 
 
 def inject_faults(
@@ -475,31 +462,11 @@ def sim_config_to_dict(config) -> dict:
     return out
 
 
-def json_int(value, name: str) -> int:
-    """`value` if it is a JSON integer; a float or a boolean is rejected, not truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def json_float(value, name: str) -> float:
-    """`value` as a float if it is a finite JSON number. A boolean, a string,
-    NaN, an infinity and an integer too large for a float are rejected."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ConfigurationError(f"{name} is too large for a float") from None
-    if not math.isfinite(number):
-        raise ConfigurationError(f"{name} must be finite, got {number}")
-    return number
-
-
 def _decode(cls, data, where: str):
     """An instance of the config dataclass `cls` from a (possibly partial)
-    JSON object; each given field is decoded by its annotated type and the
-    others keep their defaults."""
+    JSON object: nested configs are decoded from nested objects, other
+    values go to the constructor as they are, and fields not given keep
+    their defaults. A constructor's error is prefixed with the key path."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{where} must be a JSON object")
     hints = get_type_hints(cls)
@@ -507,20 +474,12 @@ def _decode(cls, data, where: str):
     if unknown:
         raise ConfigurationError(f"unknown config key{'s' if len(unknown) > 1 else ''} "
                                  f"in {where}: {', '.join(unknown)}")
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in data:
-            continue
-        hint, value, name = hints[f.name], data[f.name], f"{where}.{f.name}"
-        if is_dataclass(hint):
-            kwargs[f.name] = _decode(hint, value, name)
-        elif get_origin(hint) is tuple:  # a tuple of numbers
-            if not isinstance(value, list):
-                raise ConfigurationError(f"{name} must be a JSON list of numbers, got {value!r}")
-            kwargs[f.name] = tuple(json_float(v, f"{name}[{i}]") for i, v in enumerate(value))
-        else:
-            kwargs[f.name] = {int: json_int, float: json_float}[hint](value, name)
-    return cls(**kwargs)
+    kwargs = {name: _decode(hints[name], value, f"{where}.{name}")
+              if is_dataclass(hints[name]) else value for name, value in data.items()}
+    try:
+        return cls(**kwargs)
+    except (ConfigurationError, DomainError) as e:
+        raise ConfigurationError(f"{where}.{e}") from e
 
 
 def sim_config_from_dict(data: dict) -> SimConfig:

@@ -6,7 +6,6 @@ inference, and the remediation policy that closes the loop back into the RAN.
 from __future__ import annotations
 
 import json
-import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import anomaly, mlp, ran_sim, twin_engine
 from .anomaly import N_CLASSES, FeatureStats
-from .errors import ConfigurationError, DomainError, ProtocolError
+from .errors import ConfigurationError, DomainError, ProtocolError, check_fields
 from .mlp import MlpModel
 from .ran_sim import AnomalyClass, FaultSpec, ReportBatch, SimConfig, SimState
 from .twin_engine import AllocationPlan
@@ -34,9 +33,11 @@ class PrbBoost:
     duration_ticks: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.factor) and self.factor > 1.0):
-            raise DomainError(f"boost factor must be finite and > 1, got {self.factor}")
-        ran_sim.check_duration_ticks(self.duration_ticks, "boost duration_ticks")
+        check_fields(self, DomainError, "boost ")
+        if self.factor <= 1.0:
+            raise DomainError(f"boost factor must be > 1, got {self.factor}")
+        if self.duration_ticks < 1:
+            raise DomainError(f"boost duration_ticks must be >= 1, got {self.duration_ticks}")
 
 
 @dataclass(frozen=True)
@@ -273,9 +274,12 @@ def apply_control(state: SimState, action: ControlAction) -> None:
     """Realize a control action on the RAN state, in place: a forced
     handover writes into its `serving_cell` column, a PRB boost into
     `boost_factor` and `boost_until_tick`."""
-    row = state.ue_index(action.ue_id)
+    row = action.ue_id
+    if not 0 <= row < len(state.serving_cell):
+        raise DomainError(f"unknown ue_id {row}")
     if isinstance(action.kind, ForceHandover):
-        state.cell(action.kind.target_cell)  # raises on unknown cell
+        if not 0 <= action.kind.target_cell < len(state.cells):
+            raise DomainError(f"unknown cell_id {action.kind.target_cell}")
         state.serving_cell[row] = action.kind.target_cell
     elif isinstance(action.kind, PrbBoost):
         state.boost_factor[row] = action.kind.factor
@@ -328,6 +332,9 @@ class ScheduledFault:
     onset_tick: int
     ue_id: int
     spec: FaultSpec
+
+    def __post_init__(self):
+        check_fields(self, ConfigurationError)
 
 
 @dataclass

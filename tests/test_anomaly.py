@@ -69,10 +69,16 @@ class TestAnomalyClass:
         with pytest.raises(DomainError):
             FaultSpec(AnomalyClass.NORMAL, -10.0, 1.0, 10)
 
+    @pytest.mark.parametrize("cls", [7, True, 1, AnomalyClass.NORMAL])
+    def test_fault_spec_takes_only_an_error_class(self, cls):
+        # inject_faults reads any class but the three as a SINR error
+        with pytest.raises(DomainError, match="a fault's class must be an error class"):
+            FaultSpec(cls, -20.0, 3.0, 10)
+
     @pytest.mark.parametrize("duration_ticks", [2.5, True, 0])
     def test_fault_spec_rejects_a_duration_that_is_not_a_tick_count(self, duration_ticks):
         # set_fault would store an until_tick of 2.5, or of 1 for True
-        with pytest.raises(DomainError, match="duration_ticks must be an integer >= 1"):
+        with pytest.raises(DomainError, match="duration_ticks must be (an integer|>= 1)"):
             FaultSpec(AnomalyClass.RSRP_ERROR, -20.0, 3.0, duration_ticks)
 
     @pytest.mark.parametrize("offset_db", [np.nan, np.inf, -np.inf])

@@ -187,6 +187,33 @@ class TestManifestOnFailure:
         assert manifest["timings_s"]["total"] >= 0.0
 
 
+    @pytest.mark.parametrize("command, flags", [
+        ("gen-dataset", ["--config", "seed.json"]),
+        ("gen-dataset", ["--seed", "-1"]),
+        ("train", ["--split-seed", "-1"]),
+        ("train", ["--train-seed", "-1"]),
+        ("eval", ["--split-seed", "-1"]),
+        ("tsne", ["--seed", "-1"]),
+    ])
+    def test_negative_seed_exits_2(self, small_dataset, untrained, tmp_path, command, flags):
+        # numpy refuses a negative seed with a ValueError, a traceback at exit 1
+        (tmp_path / "seed.json").write_text(json.dumps({"seed": -1}))
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        inputs = ["--model", str(untrained["model"]), "--stats", str(untrained["stats"]),
+                  "--dataset", str(small_dataset)]
+        argv, manifest_path = {
+            "gen-dataset": (["--out", str(tmp_path / "d.csv"), "--n-samples", "40"],
+                            tmp_path / "d.csv.manifest.json"),
+            "train": (train_args(small_dataset, tmp_path)[1:], tmp_path / "model.txt.manifest.json"),
+            "eval": (inputs + ["--out-dir", str(tmp_path / "e")],
+                     tmp_path / "e" / "eval.manifest.json"),
+            "tsne": (inputs + ["--out", str(tmp_path / "emb.csv")],
+                     tmp_path / "emb.csv.manifest.json"),
+        }[command]
+        assert main([command, *argv, *flags]) == 2
+        assert "seed must be >= 0, got -1" in json.loads(manifest_path.read_text())["error"]
+
+
 class TestTrain:
     def test_outputs_and_printed_accuracy(self, small_dataset, tmp_path, capsys):
         rc = main(train_args(small_dataset, tmp_path))

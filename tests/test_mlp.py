@@ -259,7 +259,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
     def test_config_rejects_non_finite_or_non_positive_rate(self, value):
-        with pytest.raises(ConfigurationError, match="learning_rate must be finite and > 0"):
+        with pytest.raises(ConfigurationError, match="learning_rate must be (finite|> 0)"):
             TrainConfig(learning_rate=value)
 
     def test_vanishing_learning_rate_freezes_parameters(self):

@@ -224,6 +224,15 @@ class TestSimState:
             dataclasses.replace(state, cells=state.cells[1:])
 
 
+    @pytest.mark.parametrize("ue_id", [True, 2.5, -1, 3])
+    def test_set_fault_takes_only_a_ue_id_of_the_state(self, ue_id):
+        # numpy would read True as a mask and corrupt every UE's reports
+        state = init_sim(SimConfig(n_cells=2, n_ues=3, seed=1))
+        with pytest.raises(DomainError, match="unknown ue_id"):
+            ran_sim.set_fault(state, ue_id, default_fault_specs()[AnomalyClass.RSRP_ERROR])
+        assert state.faults == {}
+
+
 class TestReportBatch:
     @staticmethod
     def _columns(**change):

@@ -493,6 +493,16 @@ class TestClosedLoop:
             closed_loop_run(config, constant_model(None), unit_stats(),
                             [ScheduledFault(5, 11, spec)])
 
+    @pytest.mark.parametrize("onset_tick, ue_id", [(2.5, 1), (3, True)])
+    def test_schedule_of_non_integer_ticks_or_ues_rejected(self, onset_tick, ue_id):
+        # a fault at tick 2.5 would never be injected, and ue_id True would
+        # corrupt every UE's reports
+        config = SimConfig(n_cells=2, n_ues=4, n_ticks=20, seed=7)
+        spec = anomaly.default_fault_specs()[AnomalyClass.SINR_ERROR]
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            closed_loop_run(config, constant_model(None), unit_stats(),
+                            [ScheduledFault(onset_tick, ue_id, spec)])
+
     def test_overlapping_faults_on_one_ue_rejected(self):
         config = SimConfig(n_cells=2, n_ues=4, n_ticks=40, seed=7)
         rsrp, rsrq = (dataclasses.replace(anomaly.default_fault_specs()[c], duration_ticks=10)
