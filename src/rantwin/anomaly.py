@@ -1,8 +1,8 @@
 """Feature extraction and labeled-dataset generation.
 
 `ran_sim` owns the fault model; a sample is labeled with the fault that was
-active when it was emitted. The classifier input is a fixed-order 8-value
-vector pairing real measurements with the twin engine's outputs.
+active when it was emitted. The classifier input is a fixed-order vector of
+N_FEATURES values pairing real measurements with the twin engine's outputs.
 """
 
 from __future__ import annotations
@@ -92,15 +92,15 @@ class FeatureStats:
 def extract_features(
     reports: ReportBatch, predicted_mbps: np.ndarray, plan: AllocationPlan, row: int
 ) -> np.ndarray:
-    """The 8 classifier inputs of report `row`: that row of `feature_matrix`."""
+    """The N_FEATURES classifier inputs of report `row`: that row of `feature_matrix`."""
     return feature_matrix(reports, predicted_mbps, plan)[row]
 
 
 def feature_matrix(
     reports: ReportBatch, predicted_mbps: np.ndarray, plan: AllocationPlan
 ) -> np.ndarray:
-    """The 8 classifier inputs of every report, in FEATURE_NAMES order, as
-    one (n, 8) matrix; `predicted_mbps` has one entry per report."""
+    """The N_FEATURES classifier inputs of every report, in FEATURE_NAMES order,
+    as one (n, N_FEATURES) matrix; `predicted_mbps` has one entry per report."""
     if len(predicted_mbps) != len(reports):
         raise DomainError(f"{len(reports)} reports but {len(predicted_mbps)} predictions")
     if plan.tick != reports.tick:
@@ -175,18 +175,17 @@ def generate_dataset(
     concurrent = max(1, config.n_ues // 12)
     error_classes = [c for c in AnomalyClass if c != AnomalyClass.NORMAL and quotas[c] > 0]
 
-    # flat buffers, as read_dataset_csv's: per sampled tick, its tick, (U,), (U, 8)
+    # flat buffers, as read_dataset_csv's: per sampled tick, its tick, (U,), (U, N_FEATURES)
     ticks, labels, features = array("q"), array("q"), array("d")
     n_rows = [0] * N_CLASSES  # harvested rows per class
     for _ in range(config.n_ticks):
         sampling = state.tick + 1 > WARMUP_TICKS
         if sampling:
-            # every fault in the set is live on the next tick; row i is ue_id i
-            label = np.zeros(config.n_ues, dtype=np.int64)
-            label[list(state.faults)] = [fault.spec.cls for fault in state.faults.values()]
+            # the class of each UE's fault live on the next tick; row i is ue_id i
+            label = np.where(state.tick + 1 <= state.fault_until_tick, state.fault_class, 0)
             active = np.bincount(label, minlength=N_CLASSES).tolist()
             if any(active[c] < concurrent for c in error_classes):
-                idle = sorted(set(range(config.n_ues)).difference(state.faults))
+                idle = (label == 0).nonzero()[0].tolist()
                 for c in error_classes:
                     while active[c] < concurrent and idle:
                         ue_id = idle.pop(int(rng.integers(0, len(idle))))

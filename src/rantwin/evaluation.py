@@ -28,7 +28,7 @@ _BLOCK_ROWS = 64
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """counts[true][pred] over the four anomaly classes."""
+    """counts[true][pred] over the N_CLASSES anomaly classes."""
 
     counts: np.ndarray
 

@@ -58,7 +58,7 @@ class TrainReport:
 
 
 def init_model(hidden_dims: list[int], seed: int) -> MlpModel:
-    """He-scaled Gaussian weights, zero biases, dims [8, *hidden, 4].
+    """He-scaled Gaussian weights, zero biases, dims [N_FEATURES, *hidden, N_CLASSES].
 
     An empty hidden list degenerates to multinomial logistic regression.
     """

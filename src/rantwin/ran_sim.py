@@ -121,14 +121,6 @@ class FaultSpec:
             raise DomainError(f"duration_ticks must be >= 1, got {self.duration_ticks}")
 
 
-@dataclass(frozen=True)
-class ActiveFault:
-    """A fault attached to a UE; corrupts its reports while tick <= until_tick."""
-
-    spec: FaultSpec
-    until_tick: int
-
-
 @dataclass(slots=True)
 class UeView:
     """One UE's id and serving cell, as `SimState.ues` lists them."""
@@ -197,11 +189,11 @@ class SimState:
 
     Row i of every UE column belongs to ue_id i, and column j of
     `shadowing_db` to cells[j], so cells[j].cell_id must be j. Only
-    `ric.apply_control` writes into arrays, those of `serving_cell`,
-    `boost_factor` and `boost_until_tick`; every other column is replaced
-    whole and never written into, so an array read from a state keeps its
-    values. Arrays have no single truth value, so states compare by
-    identity.
+    `ric.apply_control` and `set_fault` write into arrays, those of
+    `serving_cell`, the boost and the fault columns; every other column is
+    replaced whole and never written into, so an array read from a state
+    keeps its values. Arrays have no single truth value, so states compare
+    by identity.
     """
 
     config: SimConfig
@@ -216,11 +208,14 @@ class SimState:
     demand_mbps: np.ndarray  # (U,)
     # Rate realised by the last allocation, carried in the next reports.
     achieved_mbps: np.ndarray  # (U,)
-    # Allocation-weight boost installed by a control action; active while
-    # the report tick is <= boost_until_tick.
+    # The allocation-weight boost of a control action and the fault of
+    # set_fault, each live while the report tick is <= its until_tick.
     boost_factor: np.ndarray  # (U,)
     boost_until_tick: np.ndarray  # (U,) int
-    faults: dict[int, ActiveFault] = field(default_factory=dict)
+    fault_class: np.ndarray  # (U,) int, an AnomalyClass; 0 (Normal): never faulted
+    fault_offset_db: np.ndarray  # (U,)
+    fault_jitter_db: np.ndarray  # (U,)
+    fault_until_tick: np.ndarray  # (U,) int
     # The true (uncorrupted) channel of every UE at the last step.
     last_channel: ChannelColumns | None = None
     # The cells' positions (C, 2) and powers (C,), built from `cells` once:
@@ -314,6 +309,10 @@ def init_sim(config: SimConfig) -> SimState:
         achieved_mbps=np.zeros(n),
         boost_factor=np.ones(n),
         boost_until_tick=np.full(n, -1, dtype=np.int64),
+        fault_class=np.zeros(n, dtype=np.int64),
+        fault_offset_db=np.zeros(n),
+        fault_jitter_db=np.zeros(n),
+        fault_until_tick=np.full(n, -1, dtype=np.int64),
     )
     state.serving_cell = np.argmax(radio_model.rsrp_matrix(
         position, state.cell_xy, state.cell_tx_dbm, shadowing, config.link), axis=1)
@@ -321,36 +320,40 @@ def init_sim(config: SimConfig) -> SimState:
 
 
 def set_fault(state: SimState, ue_id: int, spec: FaultSpec) -> None:
-    """Attach a fault to a UE: reports of the next `duration_ticks` ticks
-    are corrupted (ticks state.tick+1 .. state.tick+duration). `ue_id` is
-    the UE's row, so a bool, which numpy reads as a mask, is refused."""
+    """Attach a fault to a UE in place of any it had: reports of ticks
+    state.tick+1 .. state.tick+duration_ticks are corrupted. `ue_id` is the
+    UE's row, so a bool, which numpy reads as a mask, is refused."""
     n = len(state.serving_cell)
     if isinstance(ue_id, bool) or not isinstance(ue_id, int) or not 0 <= ue_id < n:
-        raise DomainError(f"unknown ue_id {ue_id!r}")
-    state.faults[ue_id] = ActiveFault(spec, until_tick=state.tick + spec.duration_ticks)
+        raise DomainError(f"ue_id must be a Python int (not a bool) in 0..{n - 1}, got {ue_id!r}")
+    state.fault_class[ue_id] = spec.cls
+    state.fault_offset_db[ue_id] = spec.offset_db
+    state.fault_jitter_db[ue_id] = spec.jitter_db
+    state.fault_until_tick[ue_id] = state.tick + spec.duration_ticks
 
 
-def inject_faults(
-    channel: ChannelColumns, rows: list[int], specs: list[FaultSpec], rng: np.random.Generator
-) -> ChannelColumns:
-    """The channel as reported when row rows[k] carries the fault specs[k].
+def inject_faults(channel: ChannelColumns, rows: np.ndarray, cls: np.ndarray, offset_db: np.ndarray,
+                  jitter_db: np.ndarray, rng: np.random.Generator) -> ChannelColumns:
+    """The channel as reported when each row in `rows` carries the fault of
+    class cls[row], offset offset_db[row] and jitter jitter_db[row].
 
     Each fault adds its offset plus jitter to the one measurement its class
     owns; a corrupted RSRQ is capped at 0 dB, and a corrupted SINR's CQI is
     re-read from it, because the CQI report follows the SINR estimate. Draws
-    exactly one jitter sample per fault, in the order given. `channel` is
-    not written into, and without faults it is returned as it is.
+    exactly one jitter sample per row, in the order of `rows`. `channel` is
+    not written into, and without rows it is returned as it is.
     """
-    if not specs:
+    if not len(rows):
         return channel
     rsrp, rsrq, sinr, cqi = (column.copy() for column in (
         channel.rsrp_dbm, channel.rsrq_db, channel.sinr_db, channel.cqi))
     # Generator.uniform(-j, j) draws -j + (j - -j) * random(), one by one
-    for row, spec, x in zip(rows, specs, rng.random(len(specs)).tolist()):
-        delta = spec.offset_db + (-spec.jitter_db + (spec.jitter_db - -spec.jitter_db) * x)
-        if spec.cls == AnomalyClass.RSRP_ERROR:
+    for row, x in zip(rows.tolist(), rng.random(len(rows)).tolist()):
+        c, offset, jitter = cls.item(row), offset_db.item(row), jitter_db.item(row)
+        delta = offset + (-jitter + (jitter - -jitter) * x)
+        if c == AnomalyClass.RSRP_ERROR:
             rsrp[row] += delta
-        elif spec.cls == AnomalyClass.RSRQ_ERROR:
+        elif c == AnomalyClass.RSRQ_ERROR:
             v = rsrq[row] + delta
             rsrq[row] = v if v < 0.0 else 0.0  # min(0.0, v), NaN included
         else:  # SINR_ERROR; a FaultSpec is never Normal
@@ -404,13 +407,11 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     # (4) channel sampling
     state.last_channel = radio_model.sample_channel(rsrp, serving, noise_mw)
 
-    # (5) fault corruption of the reported channel, in ue_id order. Every
-    # fault in the set is live: set_fault gives until_tick >= tick + 1, and a
-    # fault is dropped on its last tick.
-    faulted = sorted(state.faults)
-    specs = [state.faults[u].spec for u in faulted]
-    reported = inject_faults(state.last_channel, faulted, specs, rng)
-    state.faults = {u: f for u, f in state.faults.items() if f.until_tick > state.tick}
+    # (5) fault corruption of the reported channel, live rows in ue_id order
+    # (.nonzero() skips np.flatnonzero's ravel and wrapper: 1.7 against 3.6 µs)
+    live = (state.tick <= state.fault_until_tick).nonzero()[0]
+    reported = inject_faults(state.last_channel, live, state.fault_class,
+                             state.fault_offset_db, state.fault_jitter_db, rng)
 
     # (6) traffic demand resampling
     means = np.array(cfg.traffic.mean_demand_mbps, dtype=np.float64)

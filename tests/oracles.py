@@ -578,8 +578,8 @@ def reference_generate_dataset(config, n_samples: int, class_mix, fault_defaults
     each class's rows are cut to what its pool of 4 * quota + 8 rows still
     lacks and appended as one block; the pools are concatenated, subsampled
     and sorted by (tick, ue_id) at the end. The idle UEs are rebuilt, and the
-    labels written one fault at a time, on every sampled tick. It checks the
-    class mix not at all."""
+    labels written one UE at a time, on every tick. It checks the class mix
+    not at all."""
     quotas = dict(zip(AnomalyClass, largest_remainder_counts(n_samples, class_mix)))
     rng = np.random.default_rng(seed)
     state = ran_sim.init_sim(config)
@@ -592,10 +592,12 @@ def reference_generate_dataset(config, n_samples: int, class_mix, fault_defaults
         sampling = state.tick + 1 > WARMUP_TICKS
         if sampling:
             active = dict.fromkeys(error_classes, 0)
-            for fault in state.faults.values():
-                if fault.spec.cls in active:
-                    active[fault.spec.cls] += 1
-            idle = sorted(set(range(config.n_ues)).difference(state.faults))
+            idle = []
+            for ue_id in range(config.n_ues):
+                if state.tick + 1 > state.fault_until_tick[ue_id]:
+                    idle.append(ue_id)
+                elif int(state.fault_class[ue_id]) in active:
+                    active[int(state.fault_class[ue_id])] += 1
             for c in error_classes:
                 while active[c] < concurrent and idle:
                     pick = int(rng.integers(0, len(idle)))
@@ -604,8 +606,9 @@ def reference_generate_dataset(config, n_samples: int, class_mix, fault_defaults
                     active[c] += 1
 
         labels = np.zeros(config.n_ues, dtype=np.int64)
-        for ue_id, fault in state.faults.items():
-            labels[ue_id] = fault.spec.cls
+        for ue_id in range(config.n_ues):
+            if state.tick + 1 <= state.fault_until_tick[ue_id]:
+                labels[ue_id] = state.fault_class[ue_id]
         state, reports, _ = ran_sim.step(state)
         plan, predicted_mbps = twin_engine.twin_tick(reports, state.cells, config.link)
         if sampling:
@@ -742,19 +745,20 @@ def reference_write_episode_jsonl(log, path) -> None:
             )
 
 
-def inject_fault(channel: ChannelSample, spec, rng: np.random.Generator) -> ChannelSample:
+def inject_fault(channel: ChannelSample, cls, offset_db: float, jitter_db: float,
+                 rng: np.random.Generator) -> ChannelSample:
     """One report's fault corruption: exactly the measurement family owned
     by the fault class, with one scalar jitter draw. SINR corruption also
     recomputes the CQI by the scalar table lookup."""
-    delta = spec.offset_db + float(rng.uniform(-spec.jitter_db, spec.jitter_db))
-    if spec.cls == AnomalyClass.RSRP_ERROR:
+    delta = offset_db + float(rng.uniform(-jitter_db, jitter_db))
+    if cls == AnomalyClass.RSRP_ERROR:
         return replace(channel, rsrp_dbm=channel.rsrp_dbm + delta)
-    if spec.cls == AnomalyClass.RSRQ_ERROR:
+    if cls == AnomalyClass.RSRQ_ERROR:
         return replace(channel, rsrq_db=min(0.0, channel.rsrq_db + delta))
-    if spec.cls == AnomalyClass.SINR_ERROR:
+    if cls == AnomalyClass.SINR_ERROR:
         corrupted = channel.sinr_db + delta
         return replace(channel, sinr_db=corrupted, cqi=cqi_from_sinr(corrupted))
-    raise ValueError(f"no fault of class {spec.cls!r}")
+    raise ValueError(f"no fault of class {cls!r}")
 
 
 def scalar_serving_cell(serving_cell, rsrp_by_cell, hysteresis_db):
@@ -784,7 +788,8 @@ def loop_interferer_sums(mw, serving, noise_mw):
 
 # The array columns of ran_sim.SimState, one row per UE.
 _UE_COLUMNS = ("position", "velocity", "shadowing_db", "serving_cell", "priority", "demand_mbps",
-               "achieved_mbps", "boost_factor", "boost_until_tick")
+               "achieved_mbps", "boost_factor", "boost_until_tick", "fault_class",
+               "fault_offset_db", "fault_jitter_db", "fault_until_tick")
 
 
 def snapshot(state) -> dict:
@@ -795,7 +800,6 @@ def snapshot(state) -> dict:
         "cells": [[c.cell_id, list(c.position), c.tx_power_per_re_dbm, c.total_prbs]
                   for c in state.cells],
         **{name: getattr(state, name).tolist() for name in _UE_COLUMNS},
-        "fault_until_tick": [[u, f.until_tick] for u, f in sorted(state.faults.items())],
         "rng": repr(state.rng.bit_generator.state),
     }
 
@@ -873,15 +877,13 @@ def scalar_step(state):
         )
         neighbors.append({cid: r for cid, r in rsrp.items() if cid != serving[i]})
 
-    # (5) fault corruption of the reported channel
+    # (5) fault corruption of the reported channel, one UE at a time
     reported = list(channels)
-    for i in range(n_ues):
-        fault = new.faults.get(i)
-        if fault is not None:
-            if new.tick <= fault.until_tick:
-                reported[i] = inject_fault(reported[i], fault.spec, rng)
-            if new.tick >= fault.until_tick:
-                del new.faults[i]
+    faults = zip(state.fault_class.tolist(), state.fault_offset_db.tolist(),
+                 state.fault_jitter_db.tolist(), state.fault_until_tick.tolist())
+    for i, (cls, offset_db, jitter_db, until_tick) in enumerate(faults):
+        if new.tick <= until_tick:
+            reported[i] = inject_fault(reported[i], cls, offset_db, jitter_db, rng)
 
     # (6) traffic demand resampling, (7) report emission
     priorities = state.priority.tolist()

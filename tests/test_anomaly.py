@@ -92,9 +92,19 @@ def mk_channel(**kwargs):
     return mk_report(**kwargs).channel
 
 
+def inject_specs(channel, rows, specs, rng):
+    """`inject_faults` with the fault specs[k] on row rows[k], given as the
+    class, offset and jitter columns a SimState holds."""
+    n = len(channel.rsrp_dbm)
+    cls, offset_db, jitter_db = np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n)
+    for row, spec in zip(rows, specs):
+        cls[row], offset_db[row], jitter_db[row] = spec.cls, spec.offset_db, spec.jitter_db
+    return inject_faults(channel, np.array(rows, dtype=np.int64), cls, offset_db, jitter_db, rng)
+
+
 def inject_fault(channel, spec, rng):
     """`inject_faults` on a one-row channel."""
-    return channel_row(inject_faults(columns_of([channel]), [0], [spec], rng), 0)
+    return channel_row(inject_specs(columns_of([channel]), [0], [spec], rng), 0)
 
 
 class TestInjectFault:
@@ -175,7 +185,7 @@ class TestOneJitterDraw:
         channel = ChannelColumns(zero, zero, zero, zero, np.zeros(n, dtype=np.int64))
         ours, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
 
-        reported = inject_faults(channel, rows, specs, ours)
+        reported = inject_specs(channel, rows, specs, ours)
         expected = np.array([s.offset_db + scalar.uniform(-s.jitter_db, s.jitter_db) for s in specs])
 
         column = {
@@ -194,9 +204,10 @@ class TestOneJitterDraw:
                               cqi=cqi_table_scan(3.0 * i)) for i in range(12)]
         specs = list(default_fault_specs().values()) * 4
         ours, scalar = np.random.default_rng(21), np.random.default_rng(21)
-        got = inject_faults(columns_of(reports), list(range(12)), specs, ours)
+        got = inject_specs(columns_of(reports), list(range(12)), specs, ours)
         assert [channel_row(got, i) for i in range(12)] == [
-            oracle_inject_fault(ch, spec, scalar) for ch, spec in zip(reports, specs)
+            oracle_inject_fault(ch, spec.cls, spec.offset_db, spec.jitter_db, scalar)
+            for ch, spec in zip(reports, specs)
         ]
         assert ours.bit_generator.state == scalar.bit_generator.state
 
@@ -208,7 +219,7 @@ class TestOneJitterDraw:
                                  (rm.cqi_from_sinr(sinr) + 8) % 16)
         specs = [FaultSpec(AnomalyClass(1 + i % 3), -6.0, 1.0, 10) for i in range(6)]
         rows = [0, 1, 3, 4, 6, 8]
-        reported = inject_faults(channel, rows, specs, np.random.default_rng(3))
+        reported = inject_specs(channel, rows, specs, np.random.default_rng(3))
         sinr_rows = {row for row, spec in zip(rows, specs) if spec.cls == AnomalyClass.SINR_ERROR}
         scanned = [cqi_table_scan(v) for v in reported.sinr_db.tolist()]
         assert all(channel.cqi[i] != scanned[i] for i in range(n) if i not in sinr_rows)

@@ -224,13 +224,15 @@ class TestSimState:
             dataclasses.replace(state, cells=state.cells[1:])
 
 
-    @pytest.mark.parametrize("ue_id", [True, 2.5, -1, 3])
+    @pytest.mark.parametrize("ue_id", [True, 2.5, -1, 3, np.int64(3), np.int64(2)])
     def test_set_fault_takes_only_a_ue_id_of_the_state(self, ue_id):
         # numpy would read True as a mask and corrupt every UE's reports
         state = init_sim(SimConfig(n_cells=2, n_ues=3, seed=1))
-        with pytest.raises(DomainError, match="unknown ue_id"):
+        before = snapshot(state)
+        with pytest.raises(DomainError, match=re.escape(
+                f"ue_id must be a Python int (not a bool) in 0..2, got {ue_id!r}")):
             ran_sim.set_fault(state, ue_id, default_fault_specs()[AnomalyClass.RSRP_ERROR])
-        assert state.faults == {}
+        assert snapshot(state) == before
 
 
 class TestReportBatch:
@@ -431,6 +433,10 @@ def _two_cell_corridor(start_x: float, speed: float) -> SimState:
         achieved_mbps=np.zeros(1),
         boost_factor=np.ones(1),
         boost_until_tick=np.array([-1]),
+        fault_class=np.zeros(1, dtype=np.int64),
+        fault_offset_db=np.zeros(1),
+        fault_jitter_db=np.zeros(1),
+        fault_until_tick=np.array([-1]),
     )
 
 
@@ -786,38 +792,65 @@ class TestFaultStageMatchesPerRowReference:
             rng.bit_generator.state = state.rng.bit_generator.state
             rng.normal(0.0, config.link.shadowing_sigma_db, size=state.shadowing_db.shape)
             expected = [channel_row(new.last_channel, i) for i in range(config.n_ues)]
-            for ue_id in sorted(state.faults):
-                fault = state.faults[ue_id]
-                if new.tick <= fault.until_tick:
-                    expected[ue_id] = inject_fault(expected[ue_id], fault.spec, rng)
+            faults = zip(*_fault_columns(state))
+            for ue_id, (cls, offset_db, jitter_db, until_tick) in enumerate(faults):
+                if new.tick <= until_tick:
+                    expected[ue_id] = inject_fault(expected[ue_id], cls, offset_db, jitter_db, rng)
                     corrupted += 1
             rng.exponential(means[state.priority - 1])
 
             assert [channel_row(reports.channel, i) for i in range(config.n_ues)] == expected
             assert rng.bit_generator.state == new.rng.bit_generator.state
-            assert sorted(new.faults) == sorted(
-                u for u, f in state.faults.items() if new.tick < f.until_tick)
+            assert _fault_columns(new) == _fault_columns(state)
             clamped += expected[5].rsrq_db == 0.0
             state = new
         assert corrupted == sum(spec.duration_ticks for _, _, spec in self.FAULTS)
         assert clamped == 5
-        assert not state.faults
+        assert (state.fault_until_tick < state.tick).all()
 
-    def test_fault_set_holds_only_live_faults(self):
-        """step corrupts every fault in state.faults without re-testing its
-        expiry, so after every step each until_tick lies in the future."""
-        config = SimConfig(n_cells=3, n_ues=50, seed=7)
-        specs = list(default_fault_specs().values())
-        rng = np.random.default_rng(1)
-        state = init_sim(config)
-        faulted_ticks = 0
-        for _ in range(200):
-            for ue_id in rng.choice(config.n_ues, size=2, replace=False).tolist():
-                spec = dataclasses.replace(
-                    specs[int(rng.integers(0, 3))], duration_ticks=int(rng.integers(1, 6)))
-                ran_sim.set_fault(state, ue_id, spec)
-            assert all(f.until_tick >= state.tick + 1 for f in state.faults.values())
+
+def _fault_columns(state):
+    """The four fault columns of `state`, as lists."""
+    return [getattr(state, name).tolist() for name in
+            ("fault_class", "fault_offset_db", "fault_jitter_db", "fault_until_tick")]
+
+
+class TestFaultLiveness:
+    """A fault is live while the report tick is <= its fault_until_tick, the
+    rule allocation_weights applies to a PRB boost."""
+
+    def test_live_after_the_step_that_corrupted_its_last_report(self):
+        state = init_sim(SMALL)
+        ran_sim.set_fault(state, 4, FaultSpec(AnomalyClass.RSRP_ERROR, -20.0, 0.0, 3))
+        corrupted, live = [], []
+        for _ in range(5):
+            state, reports, _ = step(state)
+            corrupted.append(reports.channel.rsrp_dbm[4] != state.last_channel.rsrp_dbm[4])
+            live.append(bool(state.tick <= state.fault_until_tick[4]))
+        assert corrupted == live == [True, True, True, False, False]
+
+    def test_a_fault_and_a_boost_of_one_duration_are_live_on_the_same_ticks(self):
+        state = init_sim(SMALL)
+        state, _, _ = step(state)
+        ran_sim.set_fault(state, 2, FaultSpec(AnomalyClass.SINR_ERROR, -15.0, 0.0, 4))
+        apply_control(state, ControlAction(state.tick, 2, PrbBoost(2.0, 4),
+                                           AnomalyClass.SINR_ERROR))
+        faulted, boosted = [], []
+        for _ in range(7):
+            state, reports, _ = step(state)
+            faulted.append(reports.channel.sinr_db[2] != state.last_channel.sinr_db[2])
+            boosted.append(allocation_weights(state)[2] != state.priority[2])
+        assert faulted == boosted == [True] * 4 + [False] * 3
+
+    def test_a_second_fault_replaces_every_entry_of_its_row_only(self):
+        state = init_sim(SMALL)
+        ran_sim.set_fault(state, 1, FaultSpec(AnomalyClass.RSRQ_ERROR, -10.0, 2.0, 50))
+        ran_sim.set_fault(state, 6, FaultSpec(AnomalyClass.RSRP_ERROR, -20.0, 3.0, 9))
+        for _ in range(3):
             state, _, _ = step(state)
-            assert all(f.until_tick > state.tick for f in state.faults.values())
-            faulted_ticks += bool(state.faults)
-        assert faulted_ticks > 100
+        before = _fault_columns(state)
+        ran_sim.set_fault(state, 6, FaultSpec(AnomalyClass.SINR_ERROR, -15.0, 1.5, 5))
+        after = _fault_columns(state)
+        assert [column[6] for column in after] == [AnomalyClass.SINR_ERROR, -15.0, 1.5, 8]
+        for column_before, column_after in zip(before, after):
+            assert column_before[:6] + column_before[7:] == column_after[:6] + column_after[7:]
