@@ -6,6 +6,7 @@ silhouette score used to quantify cluster separation in that embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -74,21 +75,13 @@ def confusion(predictions, labels) -> ConfusionMatrix:
 
 @dataclass(frozen=True)
 class TsneConfig:
-    perplexity: float = 30.0
-    iterations: int = 1000
-    learning_rate: float = 200.0
-    seed: int = 33
+    perplexity: Annotated[float, "> 1"] = 30.0
+    iterations: Annotated[int, ">= 1"] = 1000
+    learning_rate: Annotated[float, "> 0"] = 200.0
+    seed: Annotated[int, ">= 0"] = 33
 
     def __post_init__(self):
         check_fields(self, ConfigurationError)
-        if self.perplexity <= 1.0:
-            raise ConfigurationError(f"perplexity must be > 1, got {self.perplexity}")
-        if self.iterations < 1:
-            raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

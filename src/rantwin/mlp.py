@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
@@ -31,21 +32,13 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 200
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    seed: int = 21
+    epochs: Annotated[int, ">= 1"] = 200
+    batch_size: Annotated[int, ">= 1"] = 32
+    learning_rate: Annotated[float, "> 0"] = 1e-3
+    seed: Annotated[int, ">= 0"] = 21
 
     def __post_init__(self):
         check_fields(self, ConfigurationError)
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Annotated
 
 import numpy as np
 
@@ -40,25 +41,15 @@ class LinkBudgetParams:
     """Parameters of the log-distance channel and the receiver noise budget."""
 
     ref_path_loss_db: float = 36.6
-    ref_distance_m: float = 1.0
-    path_loss_exponent: float = 3.5
-    shadowing_sigma_db: float = 8.0
+    ref_distance_m: Annotated[float, "> 0"] = 1.0
+    path_loss_exponent: Annotated[float, "> 0"] = 3.5
+    shadowing_sigma_db: Annotated[float, ">= 0"] = 8.0
     noise_density_dbm_hz: float = -174.0
-    prb_bandwidth_hz: float = 180e3
-    noise_figure_db: float = 7.0
+    prb_bandwidth_hz: Annotated[float, "> 0"] = 180e3
+    noise_figure_db: Annotated[float, ">= 0"] = 7.0
 
     def __post_init__(self):
         check_fields(self, DomainError)
-        if self.ref_distance_m <= 0:
-            raise DomainError("ref_distance_m must be > 0")
-        if self.path_loss_exponent <= 0:
-            raise DomainError("path_loss_exponent must be > 0")
-        if self.prb_bandwidth_hz <= 0:
-            raise DomainError("prb_bandwidth_hz must be > 0")
-        if self.shadowing_sigma_db < 0:
-            raise DomainError("shadowing_sigma_db must be >= 0")
-        if self.noise_figure_db < 0:
-            raise DomainError("noise_figure_db must be >= 0")
 
 
 def fields_equal(a, b) -> bool:

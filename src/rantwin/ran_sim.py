@@ -13,7 +13,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, get_type_hints
+from typing import TYPE_CHECKING, Annotated, get_type_hints
 
 import numpy as np
 
@@ -29,7 +29,7 @@ N_PRIORITY_CLASSES = 4
 
 @dataclass(frozen=True)
 class MobilityConfig:
-    min_speed_mps: float = 0.5
+    min_speed_mps: Annotated[float, ">= 0"] = 0.5
     max_speed_mps: float = 3.0
 
 
@@ -41,16 +41,16 @@ class TrafficConfig:
 
 @dataclass(frozen=True)
 class SimConfig:
-    n_cells: int = 3
-    n_ues: int = 50
-    area_m: float = 600.0
-    tick_ms: float = 10.0
-    n_ticks: int = 2000
-    seed: int = 42
+    n_cells: Annotated[int, ">= 1"] = 3
+    n_ues: Annotated[int, ">= 1"] = 50
+    area_m: Annotated[float, "> 0"] = 600.0
+    tick_ms: Annotated[float, "> 0"] = 10.0
+    n_ticks: Annotated[int, ">= 1"] = 2000
+    seed: Annotated[int, ">= 0"] = 42
     tx_power_per_re_dbm: float = 15.0
-    total_prbs: int = 50
-    hysteresis_db: float = 3.0
-    shadowing_rho: float = 0.9
+    total_prbs: Annotated[int, ">= 1"] = 50
+    hysteresis_db: Annotated[float, ">= 0"] = 3.0
+    shadowing_rho: Annotated[float, ">= 0", "<= 1"] = 0.9
     link: LinkBudgetParams = field(default_factory=LinkBudgetParams)
     mobility: MobilityConfig = field(default_factory=MobilityConfig)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
@@ -58,27 +58,7 @@ class SimConfig:
     def __post_init__(self):
         for part, where in ((self, ""), (self.mobility, "mobility."), (self.traffic, "traffic.")):
             check_fields(part, ConfigurationError, where)
-        if self.n_cells < 1:
-            raise ConfigurationError(f"n_cells must be >= 1, got {self.n_cells}")
-        if self.n_ues < 1:
-            raise ConfigurationError(f"n_ues must be >= 1, got {self.n_ues}")
-        if self.area_m <= 0:
-            raise ConfigurationError(f"area_m must be > 0, got {self.area_m}")
-        if self.tick_ms <= 0:
-            raise ConfigurationError(f"tick_ms must be > 0, got {self.tick_ms}")
-        if self.n_ticks < 1:
-            raise ConfigurationError(f"n_ticks must be >= 1, got {self.n_ticks}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.total_prbs < 1:
-            raise ConfigurationError(f"total_prbs must be >= 1, got {self.total_prbs}")
-        if self.hysteresis_db < 0:
-            raise ConfigurationError(f"hysteresis_db must be >= 0, got {self.hysteresis_db}")
-        if not 0.0 <= self.shadowing_rho <= 1.0:
-            raise ConfigurationError(
-                f"shadowing_rho must be in [0, 1], got {self.shadowing_rho}"
-            )
-        if self.mobility.min_speed_mps < 0 or self.mobility.max_speed_mps < self.mobility.min_speed_mps:
+        if self.mobility.max_speed_mps < self.mobility.min_speed_mps:
             raise ConfigurationError("mobility speed range must satisfy 0 <= min <= max")
         if len(self.traffic.mean_demand_mbps) != N_PRIORITY_CLASSES:
             raise ConfigurationError("traffic.mean_demand_mbps needs one mean per priority class")
@@ -107,18 +87,14 @@ class FaultSpec:
 
     cls: AnomalyClass
     offset_db: float
-    jitter_db: float
-    duration_ticks: int
+    jitter_db: Annotated[float, ">= 0"]
+    duration_ticks: Annotated[int, ">= 1"]
 
     def __post_init__(self):
         # inject_faults would turn a non-finite offset or jitter into bad reports
         check_fields(self, DomainError)
         if not isinstance(self.cls, AnomalyClass) or self.cls == AnomalyClass.NORMAL:
             raise DomainError(f"a fault's class must be an error class, got {self.cls!r}")
-        if self.jitter_db < 0:
-            raise DomainError(f"jitter_db must be >= 0, got {self.jitter_db}")
-        if self.duration_ticks < 1:
-            raise DomainError(f"duration_ticks must be >= 1, got {self.duration_ticks}")
 
 
 @dataclass(slots=True)

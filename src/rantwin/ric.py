@@ -9,6 +9,7 @@ import json
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
@@ -29,15 +30,11 @@ _NORMAL_CODE = int(AnomalyClass.NORMAL)
 class PrbBoost:
     """The UE's allocation weight times `factor` for `duration_ticks` ticks."""
 
-    factor: float
-    duration_ticks: int
+    factor: Annotated[float, "> 1"]
+    duration_ticks: Annotated[int, ">= 1"]
 
     def __post_init__(self):
         check_fields(self, DomainError, "boost ")
-        if self.factor <= 1.0:
-            raise DomainError(f"boost factor must be > 1, got {self.factor}")
-        if self.duration_ticks < 1:
-            raise DomainError(f"boost duration_ticks must be >= 1, got {self.duration_ticks}")
 
 
 @dataclass(frozen=True)
@@ -258,11 +255,11 @@ class DtXapp:
         fire = ~normal & self._armed & (self._run >= CONFIRM_TICKS)
         self._armed &= ~fire
 
-        flagged = np.flatnonzero(~normal)
+        flagged = (~normal).nonzero()[0]
         detections = Detections()
         detections.append_tick(reports.tick, reports.ue_id[flagged], code[flagged], probs[flagged])
         actions: list[ControlAction] = []
-        for i in np.flatnonzero(fire).tolist():
+        for i in fire.nonzero()[0].tolist():
             cause = _CLASS_BY_CODE[code[i]]
             kind = self.policy.action_for(cause, reports.rsrp_dbm[i], int(reports.serving_cell[i]))
             if kind is not None:
