@@ -334,7 +334,7 @@ class ScheduledFault:
         check_fields(self, ConfigurationError)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultEvent:
     fault_id: int
     ue_id: int
@@ -368,6 +368,56 @@ BASELINE_WINDOW_TICKS = 20
 RESTORE_FRACTION = 0.8
 
 
+def fault_windows(fault_schedule: list[ScheduledFault], n_ticks: int) -> np.ndarray:
+    """The (3, F) int64 rows `ue, first, last` of F scheduled faults: fault i
+    owns ticks onset_i .. min(n_ticks, onset_i + duration_ticks_i - 1) of its
+    UE. An onset outside 1..n_ticks, or two windows that overlap on one UE,
+    raise ConfigurationError: ran_sim.set_fault replaces a UE's fault."""
+    for f in fault_schedule:
+        if not 1 <= f.onset_tick <= n_ticks:
+            raise ConfigurationError(f"fault onset_tick {f.onset_tick} outside 1..{n_ticks}")
+    rows = [(f.ue_id, f.onset_tick, min(n_ticks, f.onset_tick + f.spec.duration_ticks - 1))
+            for f in fault_schedule]
+    windows = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    ue, first, last = windows
+    for i in range(len(ue)):
+        clash = (ue[:i] == ue[i]) & (first[:i] <= last[i]) & (first[i] <= last[:i])
+        if clash.any():
+            j = clash.argmax()
+            raise ConfigurationError(
+                f"faults {j} and {i} overlap on UE {ue[i]}: ticks "
+                f"{first[j]}..{last[j]} and {first[i]}..{last[i]}"
+            )
+    return windows
+
+
+def score_faults(
+    fault_schedule: list[ScheduledFault], actions: list[ControlAction], achieved: np.ndarray
+) -> list[FaultEvent]:
+    """Each scheduled fault's FaultEvent, from a run's control actions and
+    `achieved`, the (n_ticks, K) achieved_mbps of the K distinct scheduled UEs
+    in ue_id order. A fault is detected and acted on at the first action on
+    its UE, of its class, in its window (fault_windows), and restored at the
+    first later tick whose rate reaches RESTORE_FRACTION of its baseline: the
+    mean rate of the BASELINE_WINDOW_TICKS ticks before onset, 0.0 at onset 1."""
+    ue, first, last = fault_windows(fault_schedule, len(achieved))
+    column = np.searchsorted(sorted(set(ue.tolist())), ue)
+    events = []
+    for i, fault in enumerate(fault_schedule):
+        rates = achieved[:, column[i]]
+        history = rates[max(0, first[i] - 1 - BASELINE_WINDOW_TICKS) : first[i] - 1]
+        baseline = float(np.mean(history)) if len(history) else 0.0
+        acted = next((a.tick for a in actions if a.ue_id == fault.ue_id
+                      and a.cause == fault.spec.cls and first[i] <= a.tick <= last[i]), None)
+        restored = None
+        if acted is not None:
+            ok = (rates[acted:] >= RESTORE_FRACTION * baseline).nonzero()[0]
+            restored = acted + 1 + int(ok[0]) if len(ok) else None
+        events.append(FaultEvent(i, fault.ue_id, fault.spec.cls, fault.onset_tick,
+                                 baseline, acted, acted, restored))
+    return events
+
+
 def closed_loop_run(
     config: SimConfig,
     model: MlpModel,
@@ -376,79 +426,25 @@ def closed_loop_run(
     policy: RemediationPolicy | None = None,
 ) -> EpisodeLog:
     """Run a ControlLoop for config.n_ticks ticks, injecting each scheduled
-    fault into its state before the tick of its onset.
-
-    Detection latency is measured from fault onset to the first confirmed
-    detection of the matching class; restoration latency from the control
-    action to achieved throughput reaching RESTORE_FRACTION of the pre-fault
-    BASELINE_WINDOW_TICKS-tick average.
-    """
-    # Each UE's (fault index, first tick, last tick) so far. ran_sim.set_fault
-    # replaces a UE's fault, so an overlapped fault would end early while its
-    # FaultEvent still counted from its own onset.
-    windows: dict[int, list[tuple[int, int, int]]] = {}
-    for i, fault in enumerate(fault_schedule):
-        if not 1 <= fault.onset_tick <= config.n_ticks:
-            raise ConfigurationError(
-                f"fault onset_tick {fault.onset_tick} outside 1..{config.n_ticks}"
-            )
+    fault into its state before the tick of its onset, and score the faults
+    from the episode's actions and its scheduled UEs' achieved_mbps."""
+    for fault in fault_schedule:
         if not 0 <= fault.ue_id < config.n_ues:
             raise ConfigurationError(f"fault ue_id {fault.ue_id} outside the UE population")
-        first, last = fault.onset_tick, fault.onset_tick + fault.spec.duration_ticks - 1
-        for j, other_first, other_last in windows.get(fault.ue_id, ()):
-            if first <= other_last and other_first <= last:
-                raise ConfigurationError(
-                    f"faults {j} and {i} overlap on UE {fault.ue_id}: ticks "
-                    f"{other_first}..{other_last} and {first}..{last}"
-                )
-        windows.setdefault(fault.ue_id, []).append((i, first, last))
+    ue, first, _ = fault_windows(fault_schedule, config.n_ticks)
 
     loop = ControlLoop(config, model, stats, policy)
     log = EpisodeLog(n_ticks=config.n_ticks)
-    # (fault, event) pairs by onset tick and each UE's events, in fault_id order
-    by_onset: dict[int, list[tuple[ScheduledFault, FaultEvent]]] = {}
-    by_ue: dict[int, list[FaultEvent]] = {}
-    for i, fault in enumerate(fault_schedule):
-        event = FaultEvent(i, fault.ue_id, fault.spec.cls, fault.onset_tick)
-        log.fault_events.append(event)
-        by_onset.setdefault(fault.onset_tick, []).append((fault, event))
-        by_ue.setdefault(fault.ue_id, []).append(event)
-    # events with an action and no restoration yet
-    awaiting_restore: list[FaultEvent] = []
-
-    # achieved_mbps of the last BASELINE_WINDOW_TICKS ticks; apply_allocation
-    # replaces the array each tick, so the stored arrays never change.
-    achieved_history: deque[np.ndarray] = deque(maxlen=BASELINE_WINDOW_TICKS)
-
-    for _ in range(config.n_ticks):
-        for fault, event in by_onset.get(loop.state.tick + 1, ()):
-            ran_sim.set_fault(loop.state, fault.ue_id, fault.spec)
-            history = [achieved[fault.ue_id] for achieved in achieved_history]
-            event.baseline_mbps = float(np.mean(history)) if history else 0.0
-
+    scheduled_ues = np.array(sorted(set(ue.tolist())), dtype=np.int64)
+    achieved = np.empty((config.n_ticks, len(scheduled_ues)))
+    for t in range(config.n_ticks):
+        for i in (first == t + 1).nonzero()[0]:
+            ran_sim.set_fault(loop.state, fault_schedule[i].ue_id, fault_schedule[i].spec)
         actions, detections = loop.tick()
-        state = loop.state
         log.detections.extend(detections)
         log.actions.extend(actions)
-        for action in actions:
-            for event in by_ue.get(action.ue_id, ()):
-                if (
-                    event.detect_tick is None
-                    and action.tick >= event.onset_tick
-                    and action.cause == event.cls
-                ):
-                    event.detect_tick = action.tick
-                    event.action_tick = action.tick
-                    awaiting_restore.append(event)
-                    break
-
-        achieved_history.append(state.achieved_mbps)
-        for event in list(awaiting_restore):
-            achieved = state.achieved_mbps[event.ue_id]
-            if state.tick > event.action_tick and achieved >= RESTORE_FRACTION * event.baseline_mbps:
-                event.restore_tick = state.tick
-                awaiting_restore.remove(event)
-
+        achieved[t] = loop.state.achieved_mbps[scheduled_ues]
+    log.fault_events = score_faults(fault_schedule, log.actions, achieved)
     return log
 
 

@@ -634,7 +634,7 @@ class TestAllocationApplication:
                 assert achieved == 0.0
 
     def test_replaces_the_achieved_array(self):
-        # closed_loop_run keeps earlier ticks' arrays as its baseline window
+        # an array read from a state keeps its values after later ticks
         from rantwin import twin_engine
 
         state = init_sim(SMALL)

@@ -24,6 +24,8 @@ from rantwin.ric import (
     allocation_weights,
     apply_control,
     closed_loop_run,
+    fault_windows,
+    score_faults,
 )
 
 from oracles import (
@@ -520,6 +522,102 @@ class TestClosedLoop:
         log = closed_loop_run(config, constant_model(None), unit_stats(),
                               [ScheduledFault(15, 1, spec), ScheduledFault(5, 1, spec)])
         assert [e.onset_tick for e in log.fault_events] == [15, 5]
+
+    def test_action_scored_in_its_own_fault_window(self):
+        # the model fires on every UE at tick 3, after fault 0's one-tick
+        # window has ended and inside fault 1's window on the same UE
+        config = SimConfig(n_cells=2, n_ues=4, n_ticks=20, seed=7)
+        rsrq = anomaly.default_fault_specs()[AnomalyClass.RSRQ_ERROR]
+        schedule = [ScheduledFault(1, 1, dataclasses.replace(rsrq, duration_ticks=1)),
+                    ScheduledFault(3, 1, dataclasses.replace(rsrq, duration_ticks=5))]
+        log = closed_loop_run(config, constant_model(int(AnomalyClass.RSRQ_ERROR)),
+                              unit_stats(), schedule)
+        assert [(a.tick, a.ue_id) for a in log.actions] == [(3, u) for u in range(4)]
+        first, second = log.fault_events
+        assert (first.detect_tick, first.action_tick, first.restore_tick) == (None, None, None)
+        assert (second.detect_tick, second.action_tick, second.restore_tick) == (3, 3, 8)
+
+
+def fault(onset_tick, ue_id=1, duration_ticks=5, cls=AnomalyClass.RSRQ_ERROR):
+    spec = dataclasses.replace(anomaly.default_fault_specs()[cls], duration_ticks=duration_ticks)
+    return ScheduledFault(onset_tick, ue_id, spec)
+
+
+def handover(tick, ue_id=1, cause=AnomalyClass.RSRQ_ERROR):
+    return ControlAction(tick, ue_id, ForceHandover(0), cause)
+
+
+class TestScoreFaults:
+    """score_faults on hand-written actions and achieved_mbps series; row
+    t - 1 of `achieved` is tick t."""
+
+    def test_windows_are_cut_at_the_horizon(self):
+        ue, first, last = fault_windows([fault(3, ue_id=2), fault(18, ue_id=0)], 20)
+        assert ue.tolist() == [2, 0]
+        assert first.tolist() == [3, 18]
+        assert last.tolist() == [7, 20]
+
+    def test_overlapping_windows_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"faults 0 and 1 overlap on UE 1"):
+            score_faults([fault(3), fault(7)], [], np.ones((20, 1)))
+
+    @pytest.mark.parametrize("action_tick, acted", [(2, None), (3, 3), (7, 7), (8, None)])
+    def test_action_counts_only_inside_the_window(self, action_tick, acted):
+        # window 3..7
+        (event,) = score_faults([fault(3)], [handover(action_tick)], np.ones((20, 1)))
+        assert (event.detect_tick, event.action_tick) == (acted, acted)
+        assert event.restore_tick == (None if acted is None else acted + 1)
+
+    def test_action_on_another_ue_or_of_another_class_does_not_count(self):
+        actions = [handover(3, ue_id=2), handover(4, cause=AnomalyClass.RSRP_ERROR),
+                   ControlAction(5, 1, PrbBoost(2.0, 100), AnomalyClass.SINR_ERROR),
+                   handover(6)]
+        (event,) = score_faults([fault(3)], actions, np.ones((20, 1)))
+        assert (event.detect_tick, event.action_tick) == (6, 6)
+        (unacted,) = score_faults([fault(3)], actions[:3], np.ones((20, 1)))
+        assert (unacted.detect_tick, unacted.action_tick, unacted.restore_tick) == (None,) * 3
+
+    def test_window_cut_by_the_horizon(self):
+        # a 50-tick fault at onset 8 of a 10-tick run owns ticks 8..10
+        achieved = np.ones((10, 1))
+        (event,) = score_faults([fault(8, duration_ticks=50)], [handover(9)], achieved)
+        assert (event.action_tick, event.restore_tick) == (9, 10)
+        (event,) = score_faults([fault(8, duration_ticks=50)], [handover(10)], achieved)
+        assert (event.action_tick, event.restore_tick) == (10, None)
+        (event,) = score_faults([fault(10, duration_ticks=1)], [handover(10)], achieved)
+        assert event.action_tick == 10
+
+    @pytest.mark.parametrize("onset_tick, baseline", [(1, 0.0), (2, 1.0), (5, 2.5), (25, 14.5)])
+    def test_baseline_is_the_mean_of_up_to_20_ticks_before_onset(self, onset_tick, baseline):
+        # the rate at tick t is t: onset 5 averages ticks 1..4, onset 25 ticks 5..24
+        achieved = np.arange(1.0, 41.0)[:, None]
+        (event,) = score_faults([fault(onset_tick)], [], achieved)
+        assert event.baseline_mbps == baseline
+        assert (event.detect_tick, event.action_tick, event.restore_tick) == (None,) * 3
+
+    def test_restore_is_strictly_after_the_action_and_may_follow_the_window(self):
+        # baseline 10 from ticks 1..2; window 3..4, action at 3, whose own
+        # rate already reaches 0.8 x 10; the rate recovers at tick 7
+        rates = [10.0, 10.0, 10.0, 1.0, 1.0, 1.0, 9.0, 1.0]
+        (event,) = score_faults([fault(3, duration_ticks=2)], [handover(3)],
+                                np.array(rates)[:, None])
+        assert event.baseline_mbps == 10.0
+        assert (event.action_tick, event.restore_tick) == (3, 7)
+        assert event.restoration_latency_ticks() == 4
+
+    def test_columns_are_the_scheduled_ues_in_ue_id_order(self):
+        # UE 2 is column 0 and UE 7 column 1, whatever the schedule's order
+        achieved = np.tile([1.0, 100.0], (10, 1))
+        events = score_faults([fault(5, ue_id=7), fault(5, ue_id=2), fault(10, ue_id=7)],
+                              [handover(6, ue_id=7), handover(6, ue_id=2)], achieved)
+        assert [e.baseline_mbps for e in events] == [100.0, 1.0, 100.0]
+        assert [e.fault_id for e in events] == [0, 1, 2]
+        assert [e.action_tick for e in events] == [6, 6, None]
+
+    def test_events_are_frozen(self):
+        (event,) = score_faults([fault(3)], [handover(3)], np.ones((20, 1)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.detect_tick = 4
 
 
 class TestMessageSchema:
