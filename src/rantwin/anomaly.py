@@ -105,8 +105,8 @@ def feature_matrix(
         raise DomainError(f"{len(reports)} reports but {len(predicted_mbps)} predictions")
     if plan.tick != reports.tick:
         raise DomainError(f"report tick {reports.tick} does not match plan tick {plan.tick}")
-    if not np.array_equal(plan.ue_id, reports.ue_id):
-        raise DomainError(f"the plan of tick {plan.tick} was made for other reports")
+    if len(plan.grant) != len(reports):
+        raise DomainError(f"the plan of tick {plan.tick} was made for {len(plan.grant)} reports")
     ch = reports.channel
     columns = {
         "rsrp_dbm": ch.rsrp_dbm,

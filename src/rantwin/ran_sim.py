@@ -107,7 +107,7 @@ class UeView:
 
 @dataclass(frozen=True, eq=False)
 class ReportBatch:
-    """One tick's measurement reports, row i from the UE `ue_id[i]`.
+    """One tick's measurement reports, row i from ue_id i.
 
     `channel` is the channel as reported, faults included. `rsrp_dbm` is the
     true RSRP of every cell, column j for cell_id j: the serving cell and
@@ -115,7 +115,6 @@ class ReportBatch:
     """
 
     tick: int
-    ue_id: np.ndarray  # (U,) int
     serving_cell: np.ndarray  # (U,) int
     channel: ChannelColumns
     rsrp_dbm: np.ndarray  # (U, C)
@@ -126,19 +125,15 @@ class ReportBatch:
     __eq__ = fields_equal
 
     def __post_init__(self):
-        """The one check of a tick's reports: one row per ue_id in every
-        column, no ue_id twice, every RSRQ <= 0 and every CQI in 0..15."""
-        n = len(self.ue_id)
-        columns = (self.serving_cell, *vars(self.channel).values(), self.rsrp_dbm,
+        """The one check of a tick's reports: one row per UE in every column,
+        every RSRQ <= 0 and every CQI in 0..15."""
+        n = len(self.serving_cell)
+        columns = (*vars(self.channel).values(), self.rsrp_dbm,
                    self.demand_mbps, self.priority, self.achieved_mbps)
         if any(len(column) != n for column in columns):
             raise DomainError(f"every report column needs {n} rows, one per ue_id")
         if not n:
             return
-        ids = self.ue_id.tolist()
-        if len(set(ids)) < n:
-            repeated = next(u for i, u in enumerate(ids) if u in ids[:i])
-            raise DomainError(f"more than one report for ue {repeated}")
         # fmax and fmin skip NaN unless every entry is NaN, and a NaN passes
         # both checks, as it does entry by entry.
         top = np.fmax.reduce(self.channel.rsrq_db)
@@ -149,7 +144,7 @@ class ReportBatch:
             raise DomainError(f"cqi must be in [0, 15], got {low}..{high}")
 
     def __len__(self) -> int:
-        return len(self.ue_id)
+        return len(self.serving_cell)
 
 
 @dataclass(frozen=True)
@@ -400,7 +395,6 @@ def step(state: SimState) -> tuple[SimState, ReportBatch, TickKpis]:
     # writes into the state's column.
     reports = ReportBatch(
         state.tick,
-        np.arange(len(serving)),
         serving.copy(),
         reported,
         rsrp,
@@ -416,13 +410,11 @@ def apply_allocation(state: SimState, plan: "AllocationPlan", link: LinkBudgetPa
     tick is its grant times the per-PRB rate of its TRUE channel, capped at
     its offered demand. Stored, as a new array, for the next tick's reports."""
     n = len(state.demand_mbps)
-    if len(plan.ue_id) and not 0 <= plan.ue_id.min() <= plan.ue_id.max() < n:
-        raise DomainError(f"the plan of tick {plan.tick} grants a UE outside ue_id 0..{n - 1}")
-    grant = np.zeros(n, dtype=np.int64)
-    grant[plan.ue_id] = plan.grant
+    if len(plan.grant) != n:
+        raise DomainError(f"the plan of tick {plan.tick} has {len(plan.grant)} grants for {n} UEs")
     true = state.last_channel
     se = radio_model.spectral_efficiencies(true.sinr_db, true.cqi)
-    state.achieved_mbps = np.minimum(grant * link.prb_bandwidth_hz * se / 1e6, state.demand_mbps)
+    state.achieved_mbps = np.minimum(plan.grant * link.prb_bandwidth_hz * se / 1e6, state.demand_mbps)
 
 
 def sim_config_to_dict(config) -> dict:

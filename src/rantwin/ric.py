@@ -208,8 +208,8 @@ class DtXapp:
     standardized feature vector in one batched pass, and emits one control
     action per confirmed anomaly: a prediction must repeat for
     CONFIRM_TICKS consecutive ticks to fire, and the UE must read Normal
-    for CLEAR_TICKS ticks to re-arm. Every indication must report the same
-    UEs in the same order, because the debounce state is kept per report row.
+    for CLEAR_TICKS ticks to re-arm. Row i is ue_id i, and every indication
+    must report as many UEs as the first: the debounce state is kept per row.
     """
 
     def __init__(
@@ -230,18 +230,17 @@ class DtXapp:
         # Debounce state per report row, set up by the first indication: the
         # class code the row read last (-1 before the first tick), how many
         # ticks in a row it has read that code, and whether it may fire.
-        self._ue_id: np.ndarray | None = None
+        self._code: np.ndarray | None = None
 
     def on_indication(
         self, reports: ReportBatch, weights=None
     ) -> tuple[AllocationPlan, list[ControlAction], Detections]:
-        if self._ue_id is None:
-            n = len(reports)
-            self._ue_id = reports.ue_id.copy()
+        n = len(reports)
+        if self._code is None:
             self._code = np.full(n, -1)
             self._run = np.zeros(n, dtype=np.int64)
             self._armed = np.ones(n, dtype=bool)
-        elif reports.ue_id.shape != self._ue_id.shape or not (reports.ue_id == self._ue_id).all():
+        elif n != len(self._code):
             raise DomainError("an indication reports other UEs than the earlier ones")
 
         plan, predicted_mbps = twin_engine.twin_tick(reports, self.cells, self.link_params, weights)
@@ -257,13 +256,13 @@ class DtXapp:
 
         flagged = (~normal).nonzero()[0]
         detections = Detections()
-        detections.append_tick(reports.tick, reports.ue_id[flagged], code[flagged], probs[flagged])
+        detections.append_tick(reports.tick, flagged, code[flagged], probs[flagged])
         actions: list[ControlAction] = []
         for i in fire.nonzero()[0].tolist():
             cause = _CLASS_BY_CODE[code[i]]
             kind = self.policy.action_for(cause, reports.rsrp_dbm[i], int(reports.serving_cell[i]))
             if kind is not None:
-                actions.append(ControlAction(reports.tick, int(reports.ue_id[i]), kind, cause))
+                actions.append(ControlAction(reports.tick, i, kind, cause))
         return plan, actions, detections
 
 

@@ -24,14 +24,13 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """One tick's PRB plan as columns in the order of the reports it was made
-    for; `cell_prbs` is the PRB total of each report's serving cell. `grants`
-    and `cell_totals` hold the grants and totals by ue_id and by cell_id."""
+    """One tick's PRB plan as columns, row i for ue_id i; `cell_prbs` is the
+    PRB total of each report's serving cell. `grants` and `cell_totals` hold
+    the grants and totals by ue_id and by cell_id."""
 
     tick: int
     grants: dict[int, int]
     cell_totals: dict[int, int]
-    ue_id: np.ndarray
     grant: np.ndarray
     prb_rate_mbps: np.ndarray
     cell_prbs: np.ndarray
@@ -49,23 +48,22 @@ def allocate_prbs(
 
     Each PRB goes to the UE maximizing weight * min(per-PRB rate, remaining
     demand), where each PRB won takes the rate off the remaining demand;
-    ties break toward the lowest ue_id. `weights`, one per report, replaces
-    the default weight (the report's priority value), which is how
-    control-plane PRB boosts enter.
+    ties break toward the lowest row, which is the ue_id. `weights`, one per
+    report, replaces the default weight (the report's priority value), which
+    is how control-plane PRB boosts enter.
 
     A UE's utilities never rise: n_full PRBs at weight * rate, then one PRB
     at weight * remainder. So the greedy order is each cell's (UE, utility)
-    groups sorted by (-utility, ue_id), and the cell's PRBs fill the groups
+    groups sorted by (-utility, row), and the cell's PRBs fill the groups
     in that order. Groups with utility <= 0 never win.
     """
-    ue_id = reports.ue_id
-    n = len(ue_id)
+    n = len(reports)
     totals = {c.cell_id: c.total_prbs for c in cells}
     serving = reports.serving_cell
     cell_prbs = np.fromiter(map(totals.get, serving.tolist(), repeat(-1)), dtype=np.int64, count=n)
     if (cell_prbs < 0).any():
         i = int(np.argmax(cell_prbs < 0))
-        raise DomainError(f"report for ue {ue_id[i]} references unknown cell {serving[i]}")
+        raise DomainError(f"report for ue {i} references unknown cell {serving[i]}")
 
     se = radio_model.spectral_efficiencies(reports.channel.sinr_db, reports.channel.cqi)
     rate = params.prb_bandwidth_hz * se / 1e6
@@ -87,7 +85,7 @@ def allocate_prbs(
     # A group with utility <= 0 gets a count of 0: it takes no PRBs and adds
     # 0 to the PRBs taken before the groups after it.
     count = np.where(utility > 0.0, np.concatenate([n_full, n_full < depth]), 0)
-    order = np.lexsort((ue_id[row], -utility, serving[row]))
+    order = np.lexsort((row, -utility, serving[row]))
     row, count, cell = row[order], count[order], serving[row[order]]
     before = np.add.accumulate(count) - count
     # PRBs that earlier groups of the same cell took
@@ -97,9 +95,8 @@ def allocate_prbs(
 
     return AllocationPlan(
         tick=reports.tick,
-        grants=dict(zip(ue_id.tolist(), grants.tolist())),
+        grants=dict(enumerate(grants.tolist())),
         cell_totals=totals,
-        ue_id=ue_id,
         grant=grants,
         prb_rate_mbps=rate,
         cell_prbs=cell_prbs,

@@ -244,11 +244,14 @@ def columns_of(samples) -> ChannelColumns:
 
 
 def mk_batch(reports, tick=1) -> ReportBatch:
-    """The reports as one ReportBatch, in their order; `tick` is used only
-    when there are none. A cell missing from a report reads -inf RSRP."""
+    """The reports as one ReportBatch, in their order, which must be ue_id
+    order from 0, since row i is ue_id i; `tick` is used only when there are
+    none. A cell missing from a report reads -inf RSRP."""
     ticks = {r.tick for r in reports}
     if len(ticks) > 1:
         raise ValueError(f"reports of several ticks: {sorted(ticks)}")
+    if [r.ue_id for r in reports] != list(range(len(reports))):
+        raise ValueError(f"report i must be ue_id i, got ue_ids {[r.ue_id for r in reports]}")
     n_cells = 1 + max(
         [r.serving_cell for r in reports] + [c for r in reports for c in r.neighbor_rsrp_dbm],
         default=0,
@@ -260,7 +263,6 @@ def mk_batch(reports, tick=1) -> ReportBatch:
             rsrp[i, cell_id] = value
     return ReportBatch(
         tick=ticks.pop() if ticks else tick,
-        ue_id=np.array([r.ue_id for r in reports], dtype=np.int64),
         serving_cell=np.array([r.serving_cell for r in reports], dtype=np.int64),
         channel=columns_of([r.channel for r in reports]),
         rsrp_dbm=rsrp,
@@ -275,26 +277,27 @@ def report_rows(batch: ReportBatch) -> list[Report]:
     columns other than the serving cell's."""
     return [
         Report(
-            batch.tick, ue_id, serving, channel_row(batch.channel, i),
+            batch.tick, i, serving, channel_row(batch.channel, i),
             {c: r for c, r in enumerate(rsrp) if c != serving}, demand, priority, achieved,
         )
-        for i, (ue_id, serving, rsrp, demand, priority, achieved) in enumerate(zip(
-            batch.ue_id.tolist(), batch.serving_cell.tolist(), batch.rsrp_dbm.tolist(),
+        for i, (serving, rsrp, demand, priority, achieved) in enumerate(zip(
+            batch.serving_cell.tolist(), batch.rsrp_dbm.tolist(),
             batch.demand_mbps.tolist(), batch.priority.tolist(), batch.achieved_mbps.tolist(),
         ))
     ]
 
 
 def mk_plan(tick, ue_id, grant, cell_prbs=50):
-    """A plan made at `tick` for reports of these ue_ids, in this order, with
-    these grants, every report served by cell 0 of `cell_prbs` PRBs. Its
-    per-PRB rates are 0."""
+    """A plan made at `tick` for reports of these ue_ids, which must be
+    0..n-1 in order, since row i is ue_id i, with these grants, every report
+    served by cell 0 of `cell_prbs` PRBs. Its per-PRB rates are 0."""
     n = len(ue_id)
+    if list(ue_id) != list(range(n)):
+        raise ValueError(f"grant i must be ue_id i, got ue_ids {list(ue_id)}")
     return twin_engine.AllocationPlan(
         tick=tick,
-        grants=dict(zip(ue_id, grant)),
+        grants=dict(enumerate(grant)),
         cell_totals={0: cell_prbs},
-        ue_id=np.array(ue_id, dtype=np.int64),
         grant=np.array(grant, dtype=np.int64),
         prb_rate_mbps=np.zeros(n),
         cell_prbs=np.full(n, cell_prbs, dtype=np.int64),
@@ -615,7 +618,7 @@ def reference_generate_dataset(config, n_samples: int, class_mix, fault_defaults
             x = feature_matrix(reports, predicted_mbps, plan)
             for c in AnomalyClass:
                 rows = np.flatnonzero(labels == c)[:4 * quotas[c] + 8 - n_pooled[c]]
-                pools[c].append((np.full(len(rows), reports.tick), x[rows], reports.ue_id[rows]))
+                pools[c].append((np.full(len(rows), reports.tick), x[rows], rows))
                 n_pooled[c] += len(rows)
         ran_sim.apply_allocation(state, plan, config.link)
         if all(n_pooled[c] >= quotas[c] for c in AnomalyClass):

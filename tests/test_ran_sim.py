@@ -247,7 +247,7 @@ class TestReportBatch:
         """A batch of one report per row of the channel `_columns(**change)`."""
         channel = cls._columns(**change)
         n = len(channel.rsrp_dbm)
-        return ReportBatch(1, np.arange(n), np.zeros(n, dtype=np.int64), channel,
+        return ReportBatch(1, np.zeros(n, dtype=np.int64), channel,
                            channel.rsrp_dbm[:, None], np.ones(n), np.ones(n, dtype=np.int64),
                            np.zeros(n))
 
@@ -277,10 +277,6 @@ class TestReportBatch:
     def test_channel_columns_are_a_plain_container(self):
         # the reports are checked once, as a batch; the true channel is not
         self._columns(rsrq_db=[-1.0, 0.5], cqi=[7, 16], sinr_db=[5.0])
-
-    def test_repeated_ue_id_named(self):
-        with pytest.raises(DomainError, match="more than one report for ue 5"):
-            dataclasses.replace(self._batch(), ue_id=np.array([5, 5]))
 
     @pytest.mark.parametrize("column", ["serving_cell", "rsrp_dbm", "demand_mbps", "priority",
                                         "achieved_mbps"])
@@ -522,7 +518,7 @@ class TestStep:
         state = init_sim(SMALL)
         for _ in range(10):
             state, reports, _ = step(state)
-            assert sorted(reports.ue_id.tolist()) == sorted(u.ue_id for u in state.ues)
+            assert [u.ue_id for u in state.ues] == list(range(len(reports)))
 
     def test_uncorrupted_reports_match_direct_recomputation(self):
         # oracle: rebuild every channel sample from geometry + shadowing state
@@ -650,26 +646,15 @@ class TestAllocationApplication:
         assert np.array_equal(first, kept)
         assert not np.array_equal(state.achieved_mbps, kept)
 
-    def test_grants_go_to_their_ue_ids_in_any_report_order(self):
-        from rantwin import twin_engine
-
-        state = init_sim(SMALL)
-        state, reports, _ = step(state)
-        plan, _ = twin_engine.twin_tick(reports, state.cells, SMALL.link)
-        assert plan.grant.any()
-        ran_sim.apply_allocation(state, plan, SMALL.link)
-        expected = state.achieved_mbps
-        backwards = dataclasses.replace(plan, ue_id=plan.ue_id[::-1], grant=plan.grant[::-1])
-        ran_sim.apply_allocation(state, backwards, SMALL.link)
-        assert np.array_equal(state.achieved_mbps, expected)
-
-    @pytest.mark.parametrize("ue_id", [-1, SMALL.n_ues])
-    def test_plan_for_a_ue_outside_the_state_is_refused(self, ue_id):
-        # its grant would otherwise be dropped, or land on another UE
+    @pytest.mark.parametrize("n_grants", [2, SMALL.n_ues - 1, SMALL.n_ues + 1])
+    def test_plan_without_one_grant_per_ue_is_refused(self, n_grants):
+        # grant i is ue_id i's: a short plan would leave the other UEs at
+        # 0 Mb/s, and a long one grant UEs the state does not have
         state = init_sim(SMALL)
         state, _, _ = step(state)
-        with pytest.raises(DomainError, match="outside ue_id"):
-            ran_sim.apply_allocation(state, mk_plan(state.tick, [0, ue_id], [1, 2]), SMALL.link)
+        plan = mk_plan(state.tick, list(range(n_grants)), list(range(1, n_grants + 1)))
+        with pytest.raises(DomainError, match=f"{n_grants} grants for {SMALL.n_ues} UEs"):
+            ran_sim.apply_allocation(state, plan, SMALL.link)
 
 
 def _assert_step_matches_scalar(state, n_ticks, faults=(), controls=False):
