@@ -288,6 +288,13 @@ class TestReportBatch:
         with pytest.raises(DomainError, match="one per ue_id"):
             dataclasses.replace(reports, channel=self._columns())
 
+    def test_len_is_the_number_of_rows(self):
+        _, reports, _ = step(init_sim(SMALL))
+        assert len(reports) == SMALL.n_ues
+        assert len(self._batch()) == 2
+        assert len(self._batch(**{name: [] for name in
+                                  ("rsrp_dbm", "rssi_dbm", "rsrq_db", "sinr_db", "cqi")})) == 0
+
     def test_equality_is_exact(self):
         _, a, _ = step(init_sim(SMALL))
         _, b, _ = step(init_sim(SMALL))
@@ -645,6 +652,21 @@ class TestAllocationApplication:
         assert state.achieved_mbps is not first
         assert np.array_equal(first, kept)
         assert not np.array_equal(state.achieved_mbps, kept)
+
+    def test_grant_i_goes_to_ue_i(self):
+        state = init_sim(SMALL)
+        state, _, _ = step(state)
+        true = state.last_channel
+        rate = SMALL.link.prb_bandwidth_hz * rm.spectral_efficiencies(
+            true.sinr_db, true.cqi) / 1e6
+        ue = int(np.argmax(rate))
+        assert rate[ue] > 0.0 and state.demand_mbps[ue] > 0.0
+        grant = [0] * SMALL.n_ues
+        grant[ue] = 3
+        ran_sim.apply_allocation(state, mk_plan(state.tick, range(SMALL.n_ues), grant), SMALL.link)
+        expected = np.zeros(SMALL.n_ues)
+        expected[ue] = min(3 * rate[ue], state.demand_mbps[ue])
+        assert np.array_equal(state.achieved_mbps, expected)
 
     @pytest.mark.parametrize("n_grants", [2, SMALL.n_ues - 1, SMALL.n_ues + 1])
     def test_plan_without_one_grant_per_ue_is_refused(self, n_grants):

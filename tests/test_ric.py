@@ -187,6 +187,23 @@ class TestDtXapp:
         with pytest.raises(DomainError, match="other UEs"):
             xapp.on_indication(indication_for(2, n_ues=1))
 
+    def test_flagged_and_fired_rows_are_the_ue_ids(self):
+        # a linear model that flags priority 4 and reads priority 1 as Normal
+        model = constant_model(None)
+        rsrp_error = int(AnomalyClass.RSRP_ERROR)
+        model.weights[-1][rsrp_error, anomaly.FEATURE_NAMES.index("priority")] = 10.0
+        model.biases[-1][rsrp_error] = -25.0
+        xapp = self._xapp(model)
+        for t in range(1, 4):
+            reports = [
+                mk_report(ue_id=u, tick=t, priority=p, neighbors={1: -95.0})
+                for u, p in enumerate([1, 4, 1, 4, 4])
+            ]
+            _, actions, detections = xapp.on_indication(mk_batch(reports))
+            assert detections.ue_id.tolist() == [1, 3, 4]
+        assert [a.ue_id for a in actions] == [1, 3, 4]
+        assert {a.tick for a in actions} == {3}
+
     def test_missing_model_or_stats_rejected(self):
         with pytest.raises(ConfigurationError):
             DtXapp(None, unit_stats(), [mk_cell()], LINK)

@@ -329,6 +329,18 @@ class TestTopKEdgeCases:
         grants = self._grants(reports, [mk_cell(total_prbs=10)], {0: 0.0, 1: -1.0})
         assert grants == {0: 0, 1: 0, 2: 4}
 
+    def test_cells_interleaved_across_rows(self):
+        # each cell's ties go to its lowest row, whatever rows the other cell has
+        per_prb = per_prb_rate_mbps(30.0, 15, PARAMS)
+        reports = [
+            mk_report(ue_id=u, cell_id=c, cqi=15, sinr=30.0, demand=2 * per_prb)
+            for u, c in enumerate((1, 0, 1, 0, 0))
+        ]
+        cells = [mk_cell(cell_id=0, total_prbs=3), mk_cell(cell_id=1, total_prbs=3)]
+        grants = self._grants(reports, cells)
+        assert grants == {0: 2, 1: 2, 2: 1, 3: 1, 4: 0}
+        assert list(grants) == [0, 1, 2, 3, 4]
+
     def test_empty_batch(self):
         plan = allocate_prbs(mk_batch([], tick=4), [mk_cell()], PARAMS)
         assert plan.grants == {}
@@ -343,6 +355,14 @@ class TestTopKEdgeCases:
 
 
 class TestBatchChecks:
+    def test_oracle_batch_takes_reports_in_row_order(self):
+        # the oracles break ties by ue_id and the allocator by row, so the
+        # two agree only while report i is ue_id i
+        with pytest.raises(ValueError, match=r"report i must be ue_id i, got ue_ids \[1, 0\]"):
+            mk_batch([mk_report(ue_id=1), mk_report(ue_id=0)])
+        with pytest.raises(ValueError, match=r"got ue_ids \[0, 2\]"):
+            mk_batch([mk_report(ue_id=0), mk_report(ue_id=2)])
+
     def test_unknown_serving_cell_named(self):
         reports = [mk_report(ue_id=0, cell_id=1), mk_report(ue_id=1, cell_id=2)]
         cells = [mk_cell(cell_id=0), mk_cell(cell_id=1)]
